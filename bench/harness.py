@@ -1,4 +1,5 @@
-"""Operation ledger, latency summaries and span tracing for the benchmark.
+"""Operation ledger, latency summaries, the reference clock and span
+tracing for the benchmark.
 
 The benchmark times every layer of ``wdlearn`` from outside: a traced
 run replaces the public functions of each layer with wrappers that
@@ -78,20 +79,85 @@ class Ledger:
 # ---------------------------------------------------------------------------
 
 
-def position_minima(series):
-    """Per-input fastest time over rounds that ran the same inputs in order.
+def position_medians(series):
+    """Per-input median time over rounds that ran the same inputs in order.
 
     Every round repeats the same operations on the same inputs, so the
-    i-th sample of each round times the same input.  Other work on a
-    shared machine only ever adds time, and its bursts come and go within
-    a run, so an input's fastest repeat is its steadiest time; the sample
-    count stays the number of distinct inputs.
+    i-th sample of each round times the same input; the sample count
+    stays the number of distinct inputs.
     """
     series = [s for s in series if s]
     if not series:
         return []
     n = min(len(s) for s in series)
-    return [min(s[i] for s in series) for i in range(n)]
+    return [statistics.median(s[i] for s in series) for i in range(n)]
+
+
+class ReferenceClock:
+    """Scales wall times to a nominal machine speed.
+
+    The shared host this benchmark runs on changes speed by up to 1.8x,
+    from one tenth of a second to the next as well as over minutes, and
+    CPU time follows wall time.  A fixed reference kernel that does the
+    same kind of work as the measured code (``workloads.TransportReference``,
+    ``workloads.NetworkReference``) slows by the same factor, to within a
+    few percent.  The benchmark reads the clock, one call of the kernel,
+    between the operations it times.  Work timed between two readings
+    that took ``r1`` and ``r2`` ms is scaled by ``nominal_ms / mean(r1,
+    r2)``: it is reported as the time it would take on a machine where the
+    kernel takes ``nominal_ms``.  The kernel uses numpy and scipy alone,
+    so a change to ``wdlearn`` moves only the work's time.
+
+    ``work_s`` and ``raw_work_s`` add up the scaled and the measured time
+    between readings, so the readings' own time is left out.
+    """
+
+    def __init__(self, kernel, nominal_ms):
+        self.kernel = kernel
+        self.nominal_ms = nominal_ms
+        self.readings_ms = []
+        self.listeners = []  # called with the scale of every reading
+        self.work_s = 0.0
+        self.raw_work_s = 0.0
+        self._last = None  # (end ns, ms) of the previous reading
+        kernel()  # the first call pays one-off initialization
+
+    def read(self):
+        """Time the kernel once; returns the scale of the work since the
+        previous reading."""
+        t0 = time.perf_counter_ns()
+        self.kernel()
+        t1 = time.perf_counter_ns()
+        r = (t1 - t0) / 1e6
+        self.readings_ms.append(r)
+        if self._last is None:
+            scale = self.nominal_ms / r
+        else:
+            end, prev = self._last
+            scale = self.nominal_ms / (0.5 * (r + prev))
+            self.work_s += (t0 - end) / 1e9 * scale
+            self.raw_work_s += (t0 - end) / 1e9
+        self._last = (t1, r)
+        for listener in self.listeners:
+            listener(scale)
+        return scale
+
+    def read_after(self, gap_ms):
+        """Read the clock if ``gap_ms`` have passed since the last reading."""
+        if self._last is None or time.perf_counter_ns() - self._last[0] >= gap_ms * 1e6:
+            self.read()
+
+    @contextmanager
+    def span(self):
+        """Work time of the enclosed block, without the readings inside
+        it: ``out["s"]`` scaled, ``out["raw_s"]`` as measured."""
+        self.read()
+        start = self.work_s, self.raw_work_s
+        out = {}
+        yield out
+        self.read()
+        out["s"] = self.work_s - start[0]
+        out["raw_s"] = self.raw_work_s - start[1]
 
 
 def latency_summary(samples, beyond=10):
@@ -166,17 +232,31 @@ def rebind(module_name, path, make_wrapper):
 class SolveTimer:
     """Records the wall time of every exact transport solve.
 
-    This is the only instrument of an untraced run: one pair of
-    ``perf_counter_ns`` reads around ``wdlearn.ot.exact_ot``, which every
-    exact solve (``wasserstein``, ``build_bank``, ``wpp_to_reference``)
-    goes through.
+    This is the only instrument of an untraced run besides the clock: one
+    pair of ``perf_counter_ns`` reads around ``wdlearn.ot.exact_ot``, which
+    every exact solve (``wasserstein``, ``build_bank``,
+    ``wpp_to_reference``) goes through.  The clock is read after a solve
+    once ``gap_ms`` have passed since its last reading, and each solve is
+    scaled by the first reading after it.
     """
 
-    def __init__(self):
-        self.ms = []
+    def __init__(self, clock, gap_ms):
+        self.clock = clock
+        self.gap_ms = gap_ms
+        self.ms, self.raw_ms = [], []
+        self._pending = []
+        clock.listeners.append(self._scale_pending)
+
+    def _scale_pending(self, scale):
+        self.ms += [t * scale for t in self._pending]
+        self._pending = []
 
     def take(self):
-        out, self.ms = self.ms, []
+        """Scaled and measured times of the solves since the last call,
+        up to the clock's last reading."""
+        n = len(self.ms)
+        out = self.ms, self.raw_ms[:n]
+        self.ms, self.raw_ms = [], self.raw_ms[n:]
         return out
 
     @contextmanager
@@ -188,7 +268,10 @@ class SolveTimer:
                 try:
                     return fn(*args, **kwargs)
                 finally:
-                    self.ms.append((time.perf_counter_ns() - t0) / 1e6)
+                    ms = (time.perf_counter_ns() - t0) / 1e6
+                    self.raw_ms.append(ms)
+                    self._pending.append(ms)
+                    self.clock.read_after(self.gap_ms)
 
             return timed
 
@@ -196,6 +279,30 @@ class SolveTimer:
         try:
             yield self
         finally:
+            restore()
+
+
+@contextmanager
+def reading_after(clock, targets, gap_ms):
+    """Read ``clock`` after calls of each ``(module, path)`` in ``targets``
+    once ``gap_ms`` have passed since the previous reading, so that a long
+    library call (a whole training run) is scaled piece by piece."""
+
+    def make(fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                clock.read_after(gap_ms)
+
+        return wrapped
+
+    restores = [rebind(module, path, make) for module, path in targets]
+    try:
+        yield
+    finally:
+        for restore in reversed(restores):
             restore()
 
 

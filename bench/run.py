@@ -26,6 +26,24 @@ BLAS_THREAD_VARS = (
 for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
+import ctypes  # noqa: E402
+
+# glibc serves a large allocation by mmap until a free raises its dynamic
+# threshold, so whether numpy's arrays of a few hundred KB cost fresh pages
+# on every call depends on the process's history: the same training phase
+# ran 10% faster or slower from one process to the next.  Fixed thresholds
+# keep such arrays on the heap in every process.
+MALLOC_THRESHOLD = 512 * 1024 * 1024
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+try:
+    _libc = ctypes.CDLL(None)
+    MALLOC_PINNED = bool(
+        _libc.mallopt(M_TRIM_THRESHOLD, MALLOC_THRESHOLD)
+        and _libc.mallopt(M_MMAP_THRESHOLD, MALLOC_THRESHOLD)
+    )
+except (OSError, AttributeError):  # not glibc
+    MALLOC_PINNED = False
+
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -38,6 +56,10 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
+# least work between two clock readings inside the measured phase, in ms;
+# the set-up reads less often, so that its many exact solves do not double it
+CLOCK_GAP_MS = 40.0
+SETUP_GAP_MS = 500.0
 
 
 def git_commit(root):
@@ -67,6 +89,7 @@ def environment(workload, seed, sizes):
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "malloc_thresholds": MALLOC_THRESHOLD if MALLOC_PINNED else None,
         "cpu_count": os.cpu_count(),
         "git_commit": git_commit(ROOT),
         "workload": workload,
@@ -79,53 +102,71 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def run_rounds(workload, state, ledger, budget_s, tracer, timer):
-    """Closed loop: start rounds until ``budget_s`` has passed (at least one)."""
+def run_rounds(workload, state, ledger, budget_s, tracer, clock, timer=None):
+    """Closed loop: start rounds until ``budget_s`` has passed (at least one).
+
+    A record holds scaled times (see ``harness.ReferenceClock``) and,
+    under ``"raw"``, the same times as measured.
+    """
     rounds = []
     start = time.perf_counter()
     while not rounds or time.perf_counter() - start < budget_s:
-        t0 = time.perf_counter()
-        rec = workload.round(state, ledger, tracer)
-        rec["wall_s"] = time.perf_counter() - t0
-        rec["exact_ms"] = timer.take()
+        raw = {}
+        with clock.span() as wall:
+            rec = workload.round(state, ledger, tracer, clock, raw)
+        rec["wall_s"], raw["wall_s"] = wall["s"], wall["raw_s"]
+        if timer is not None:
+            rec["exact_ms"], raw["exact_ms"] = timer.take()
+        rec["raw"] = raw
         rounds.append(rec)
     return rounds
 
 
 def measure(workload, seconds, trace):
     """Set up and run ``workload``; returns (metrics, details, ledger, tracer)."""
-    from harness import Ledger, NullTracer, SolveTimer, Tracer
+    from harness import Ledger, NullTracer, ReferenceClock, SolveTimer, Tracer, reading_after
 
-    ledger, timer, null = Ledger(), SolveTimer(), NullTracer()
+    ledger, null = Ledger(), NullTracer()
+    setup_clock = ReferenceClock(*workload.setup_reference())
+    clock = ReferenceClock(*workload.reference())
     if not trace:
-        setup_s = []
-        for _ in range(workload.setup_reps):
-            t0 = time.perf_counter()
-            state = workload.setup(null)
-            setup_s.append(time.perf_counter() - t0)
-        with timer.installed():
-            rounds = run_rounds(workload, state, ledger, seconds, null, timer)
-        metrics, details = workload.metrics(rounds)
-        metrics["setup_s"] = (statistics.median(setup_s), "s")
-        metrics["run_s"] = (statistics.median(r["wall_s"] for r in rounds), "s")
+        setup_s, raw_setup_s = [], []
+        with reading_after(setup_clock, [("wdlearn.ot", "exact_ot")], SETUP_GAP_MS):
+            for _ in range(workload.setup_reps):
+                with setup_clock.span() as took:
+                    state = workload.setup(null)
+                setup_s.append(took["s"])
+                raw_setup_s.append(took["raw_s"])
+        timer = SolveTimer(clock, CLOCK_GAP_MS)
+        with timer.installed(), reading_after(clock, workload.clock_points, CLOCK_GAP_MS):
+            rounds = run_rounds(workload, state, ledger, seconds, null, clock, timer)
+        metrics, details = gated_metrics(workload, rounds, setup_s)
+        raw, _ = gated_metrics(workload, [{**r, **r["raw"]} for r in rounds], raw_setup_s)
         metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
         metrics["error_rate"] = (ledger.failed / max(ledger.attempted, 1), "1")
-        details["setup_s"] = {"reps": setup_s}
-        details["run_s"] = {"rounds": [r["wall_s"] for r in rounds]}
+        metrics["reference_ms"] = (statistics.median(clock.readings_ms), "ms")
+        details["unscaled"] = {n: v for n, (v, _) in raw.items()}
+        details["reference_ms"] = {
+            "nominal": clock.nominal_ms,
+            "readings": clock.readings_ms,
+            "setup_nominal": setup_clock.nominal_ms,
+            "setup_readings": setup_clock.readings_ms,
+        }
+        details["setup_s"] = {"reps": setup_s, "unscaled": raw_setup_s}
         details["rounds"] = rounds
         return metrics, details, ledger, None
 
     # Traced: one traced set-up, then untraced rounds for half the time
     # and traced rounds for the other half; the ratio of their median
-    # round times is the tracing overhead.
+    # scaled round times is the tracing overhead.  Neither half reads the
+    # clock inside a solve's span, so spans hold only the program's time.
     tracer = Tracer()
     with tracer.installed():
         state = workload.setup(tracer)
-    with timer.installed():
-        plain = run_rounds(workload, state, ledger, seconds / 2.0, null, timer)
+    plain = run_rounds(workload, state, ledger, seconds / 2.0, null, clock)
     tracer.phase = "round"
     with tracer.installed():
-        traced = run_rounds(workload, state, ledger, seconds / 2.0, tracer, timer)
+        traced = run_rounds(workload, state, ledger, seconds / 2.0, tracer, clock)
     metrics = tracer.layer_metrics(len(traced))
     plain_s = statistics.median(r["wall_s"] for r in plain)
     traced_s = statistics.median(r["wall_s"] for r in traced)
@@ -135,8 +176,17 @@ def measure(workload, seconds, trace):
         "untraced_run_s": plain_s,
         "untraced_rounds": len(plain),
         "traced_rounds": len(traced),
+        "reference_ms": {"nominal": clock.nominal_ms, "readings": clock.readings_ms},
     }
     return metrics, details, ledger, tracer
+
+
+def gated_metrics(workload, rounds, setup_s):
+    """The workload's metrics plus ``setup_s`` and ``run_s``, as medians."""
+    metrics, details = workload.metrics(rounds)
+    metrics["setup_s"] = (statistics.median(setup_s), "s")
+    metrics["run_s"] = (statistics.median(r["wall_s"] for r in rounds), "s")
+    return metrics, details
 
 
 def _jsonable(value):

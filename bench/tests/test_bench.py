@@ -17,8 +17,9 @@ BENCH = Path(__file__).resolve().parents[1]
 ROOT = BENCH.parent
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
+import harness  # noqa: E402
 import run  # noqa: E402
-from harness import latency_summary, position_minima  # noqa: E402
+from harness import ReferenceClock, latency_summary, position_medians  # noqa: E402
 from workloads import TINY_SIZES, WORKLOADS  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -139,5 +140,25 @@ def test_tail_has_ten_samples_beyond_it():
     assert latency_summary([3.0, 1.0, 2.0])["tail"] == 3.0
 
 
-def test_position_minima_take_the_fastest_repeat_per_input():
-    assert position_minima([[1, 30], [3, 10], [2, 20]]) == [1, 10]
+def test_position_medians_take_the_median_repeat_per_input():
+    assert position_medians([[1, 30], [3, 10], [2, 20]]) == [2, 20]
+
+
+def test_reference_clock_scales_work_and_leaves_out_readings(monkeypatch):
+    now = [0]
+    monkeypatch.setattr(harness.time, "perf_counter_ns", lambda: now[0])
+    kernel_ms = [2.0]
+
+    def kernel():
+        now[0] += int(kernel_ms[0] * 1e6)
+
+    clock = ReferenceClock(kernel, nominal_ms=1.0)
+    with clock.span() as took:
+        now[0] += 10_000_000  # 10 ms of work, then the machine slows
+        kernel_ms[0] = 4.0
+        clock.read()  # a reading inside the span
+        now[0] += 20_000_000
+    assert took["raw_s"] == pytest.approx(0.030)
+    # between readings of 2 and 4 ms, then of 4 and 4 ms
+    assert took["s"] == pytest.approx(0.010 / 3 + 0.020 / 4)
+    assert clock.readings_ms == [2.0, 4.0, 4.0]

@@ -4,7 +4,9 @@ Each workload builds its inputs from the seed in ``setup`` and then runs
 identical rounds of its measured phase: every round repeats the same
 calls on the same inputs, so a round's wall time, its exact counts and
 its deterministic outputs can be compared across rounds, and latencies
-are summarized per input over rounds (see ``harness.position_minima``).
+are summarized per input over rounds (see ``harness.position_medians``).
+Every time is scaled to a nominal machine speed by the clock readings
+around it (``harness.ReferenceClock``); ``raw`` gets the measured times.
 All calls go through module attributes (``ot.sinkhorn``, not a name
 imported here), so the tracer's rebinding reaches them.
 """
@@ -15,8 +17,10 @@ import statistics
 import time
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-from harness import latency_summary, position_minima
+from harness import latency_summary, position_medians
 from wdlearn import adversarial, bank, erm, experiments, measures, nets, ot, subcover
 
 # Sizes of the benchmark proper.  TINY_SIZES exist for the harness's own
@@ -31,7 +35,7 @@ SIZES = {
     },
     "pairwise-6x6-blobs": {
         "grid": 6,
-        "n_measures": 16,
+        "n_measures": 24,
         "eps_quantiles": [0.3, 0.6],
         "k_max": 12,
         "mc_ks": [1, 2, 4, 8],
@@ -91,6 +95,82 @@ REG_LAMBDA = 1e-3
 ADV_LAM = 1e-3
 ADV_N_XI = 2
 
+# About the time of each reference kernel (``harness.ReferenceClock``) on the
+# machine the benchmark was tuned on, a 2-vCPU KVM guest on an Intel Xeon
+# (model 143), in its fast state.  Reported times are scaled to this speed.
+# Forward passes are timed in chunks of EVAL_CHUNK between clock readings.
+REFERENCE_MS = {"lp8": 25.0, "lp6": 10.0, "net": 20.0}
+EVAL_CHUNK = 10
+
+
+class TransportReference:
+    """A fixed transport LP on a ``grid x grid`` grid, solved by HiGHS dual
+    simplex with the tolerances ``wdlearn.ot`` uses.
+
+    It is built from numpy and scipy alone, so no change to ``wdlearn``
+    moves its time; only the machine's speed does.
+    """
+
+    def __init__(self, grid):
+        rng = np.random.default_rng(0)
+        pts = np.stack(np.meshgrid(np.arange(grid), np.arange(grid)), -1).reshape(-1, 2)
+        m = len(pts)
+        self.cost = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1).ravel() / (grid - 1) ** 2
+        rows = np.concatenate([np.repeat(np.arange(m), m), m + np.tile(np.arange(m), m)])
+        cols = np.tile(np.arange(m * m), 2)
+        self.A_eq = sparse.csr_matrix((np.ones(2 * m * m), (rows, cols)), shape=(2 * m, m * m))
+        self.b_eq = np.concatenate([np.full(m, 1.0 / m), rng.dirichlet(np.ones(m))])
+
+    def __call__(self):
+        linprog(
+            self.cost,
+            A_eq=self.A_eq,
+            b_eq=self.b_eq,
+            bounds=(0, None),
+            method="highs-ds",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+
+
+class NetworkReference:
+    """Network-training-like work in numpy alone: one epoch of a fixed ReLU
+    network shaped like the ``k=8`` max network (64 inputs, widths 256,
+    384, 192, ..., 3, 1), forward, backward and an Adam-style update of the
+    first layer per batch of 64; then small elementwise operations on 64 x
+    64 arrays (products, ReLU, masks, sums).
+
+    Training spends much of its time in such small operations, so matrix
+    products alone track its speed less well.
+    """
+
+    def __init__(self, n=320, d=64, k=8):
+        rng = np.random.default_rng(0)
+        widths = [d, 2**k] + [3 * 2 ** (k - i) for i in range(1, k + 1)] + [1]
+        self.W = [rng.standard_normal((o, i)) / np.sqrt(i) for i, o in zip(widths, widths[1:])]
+        self.X = rng.random((n, d))
+        self.y = rng.random(n)
+        self.small = rng.random((2, 64, 64))
+
+    def __call__(self):
+        W0, m, v = self.W[0].copy(), 0.0, 0.0
+        for t, start in enumerate(range(0, len(self.y), BATCH), 1):
+            xb, yb = self.X[start : start + BATCH], self.y[start : start + BATCH]
+            acts = [xb @ W0.T]
+            for W in self.W[1:]:
+                acts.append(np.maximum(acts[-1], 0.0) @ W.T)
+            g = np.sign(acts[-1][:, 0] - yb)[:, None] / len(yb)
+            for W, a in zip(self.W[:0:-1], acts[-2::-1]):
+                g = (g @ W) * (a > 0.0)
+            grad = g.T @ xb
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad * grad
+            W0 -= LR * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        a, b = self.small
+        for _ in range(600):
+            z = a * b
+            np.maximum(z, 0.0).sum(axis=0)
+            (z > 0.5).astype(float)
+
 
 def _uniform(ground, tracer):
     m = ground.size
@@ -113,8 +193,8 @@ def _first(rounds, key):
 
 def _latency_metrics(prefix, series):
     """``<prefix>.p50`` and ``<prefix>.tail`` in ms, the tail's details,
-    and the per-input fastest times."""
-    per_input = position_minima(series)
+    and the per-input median times."""
+    per_input = position_medians(series)
     s = latency_summary(per_input)
     detail = {
         f"{prefix}.tail": {"percentile": round(s["tail_percentile"], 2), "samples": s["samples"]}
@@ -160,6 +240,20 @@ class _Workload:
         self.seed = seed
         self.sizes = sizes
 
+    # library calls after which an untraced round reads the clock (exact
+    # solves already do, through ``harness.SolveTimer``)
+    clock_points = ()
+
+    def setup_reference(self):
+        """Clock kernel and nominal ms of the set-up, which solves exact
+        transport on the workload's grid."""
+        grid = self.sizes["grid"]
+        return TransportReference(grid), REFERENCE_MS[f"lp{grid}"]
+
+    def reference(self):
+        """Clock kernel and nominal ms of the measured phase."""
+        return self.setup_reference()
+
 
 class RefTargets(_Workload):
     """8x8 random-Dirichlet measures against the uniform reference.
@@ -190,7 +284,7 @@ class RefTargets(_Workload):
         ot.sinkhorn(theta, ds.test[0], reg=SINKHORN_REG, tol=SINKHORN_TOL)
         return {"ds": ds, "theta": theta, "potentials": potentials}
 
-    def round(self, st, ledger, tracer):
+    def round(self, st, ledger, tracer, clock, raw):
         s = self.sizes
         ds, theta = st["ds"], st["theta"]
         rec = {}
@@ -222,7 +316,7 @@ class RefTargets(_Workload):
         if g is not None:
             rec["bank_rel_err"] = float(experiments.relative_errors(wpp, g).mean())
 
-        sk_ms = []
+        sk_ms, raw_sk_ms = [], []
         for mu, pot in zip(ds.test, st["potentials"]):
             t0 = time.perf_counter_ns()
             ledger.run(
@@ -234,12 +328,15 @@ class RefTargets(_Workload):
                 tol=SINKHORN_TOL,
                 check=lambda r, pot=pot: _above_dual_bound(r, pot),
             )
-            sk_ms.append((time.perf_counter_ns() - t0) / 1e6)
-        rec["sinkhorn_ms"] = sk_ms
+            raw_sk_ms.append((time.perf_counter_ns() - t0) / 1e6)
+            sk_ms.append(raw_sk_ms[-1] * clock.read())
+        rec["sinkhorn_ms"], raw["sinkhorn_ms"] = sk_ms, raw_sk_ms
 
         features, _ = bank.export_affine(bk)
-        raw = erm.CylinderSubspace(ds.ground, features[: s["n_erm"]])
-        ortho = ledger.run("double_orthogonalize", erm.double_orthogonalize, raw, ds.test_matrix)
+        subspace = erm.CylinderSubspace(ds.ground, features[: s["n_erm"]])
+        ortho = ledger.run(
+            "double_orthogonalize", erm.double_orthogonalize, subspace, ds.test_matrix
+        )
         if ortho is None:
             return rec
         system = ledger.run("assemble", erm.assemble, ortho, ds.test_matrix, wpp, ERM_LAM)
@@ -257,7 +354,7 @@ class RefTargets(_Workload):
     def metrics(self, rounds):
         m, detail, per_input = _latency_metrics("exact_solve_ms", [r["exact_ms"] for r in rounds])
         m["exact_solves_per_s"] = (_rate(len(per_input), sum(per_input) / 1e3), "1/s")
-        sk = position_minima([r.get("sinkhorn_ms", []) for r in rounds])
+        sk = position_medians([r.get("sinkhorn_ms", []) for r in rounds])
         m["sinkhorn_solves_per_s"] = (_rate(len(sk), sum(sk) / 1e3), "1/s")
         m["bank_rel_err"] = (_first(rounds, "bank_rel_err"), "1")
         return m, detail
@@ -291,7 +388,7 @@ class PairwiseBlobs(_Workload):
         ot.wasserstein(ds.train[0], ds.train[1])  # one-off HiGHS initialization
         return {"ds": ds, "theta": theta}
 
-    def round(self, st, ledger, tracer):
+    def round(self, st, ledger, tracer, clock, raw):
         s = self.sizes
         ds, theta = st["ds"], st["theta"]
         rec = {}
@@ -415,6 +512,11 @@ class TrainMaxnet(_Workload):
         "latency_ms.tail": "eval_ms.tail",
     }
 
+    clock_points = (("wdlearn.nets", "Adam.step"),)
+
+    def reference(self):
+        return NetworkReference(self.sizes["n_train"]), REFERENCE_MS["net"]
+
     def setup(self, tracer):
         s = self.sizes
         n = s["n_train"]
@@ -445,7 +547,7 @@ class TrainMaxnet(_Workload):
             "k": int(np.log2(s["bank"])),
         }
 
-    def round(self, st, ledger, tracer):
+    def round(self, st, ledger, tracer, clock, raw):
         s = self.sizes
         X, y, X_test, y_test = st["X"], st["y"], st["X_test"], st["y_test"]
         rec = {}
@@ -463,11 +565,11 @@ class TrainMaxnet(_Workload):
         cfg = nets.TrainConfig(
             epochs=s["mae_epochs"], batch_size=BATCH, lr=LR, seed=TRAIN_SEED
         )
-        t0 = time.perf_counter()
-        mae = ledger.run(
-            "train mae", nets.train, net, X, y, cfg, X_test=X_test, y_test=y_test, check=finite
-        )
-        rec["mae_s"] = time.perf_counter() - t0
+        with clock.span() as took:
+            mae = ledger.run(
+                "train mae", nets.train, net, X, y, cfg, X_test=X_test, y_test=y_test, check=finite
+            )
+        rec["mae_s"], raw["mae_s"] = took["s"], took["raw_s"]
 
         cfg = nets.TrainConfig(
             epochs=s["reg_epochs"],
@@ -477,20 +579,20 @@ class TrainMaxnet(_Workload):
             loss="regularized",
             reg_lambda=REG_LAMBDA,
         )
-        t0 = time.perf_counter()
-        reg = ledger.run(
-            "train regularized",
-            nets.train,
-            net,
-            X,
-            y,
-            cfg,
-            ground=st["ds"].ground,
-            X_test=X_test,
-            y_test=y_test,
-            check=finite,
-        )
-        rec["reg_s"] = time.perf_counter() - t0
+        with clock.span() as took:
+            reg = ledger.run(
+                "train regularized",
+                nets.train,
+                net,
+                X,
+                y,
+                cfg,
+                ground=st["ds"].ground,
+                X_test=X_test,
+                y_test=y_test,
+                check=finite,
+            )
+        rec["reg_s"], raw["reg_s"] = took["s"], took["raw_s"]
 
         if mae is not None and reg is not None:
             best = min(r["test_rel_err"] for r in mae + reg)
@@ -504,18 +606,18 @@ class TrainMaxnet(_Workload):
         acfg = adversarial.AdversarialConfig(
             epochs=s["adv_epochs"], lr=LR, batch_size=BATCH, seed=self.seed
         )
-        t0 = time.perf_counter()
-        trace = ledger.run(
-            "run_algorithm1",
-            adversarial.run_algorithm1,
-            state,
-            X,
-            y,
-            st["ds"].ground,
-            acfg,
-            check=lambda tr: all(np.isfinite(r["solution_loss"]) for r in tr),
-        )
-        rec["adv_s"] = time.perf_counter() - t0
+        with clock.span() as took:
+            trace = ledger.run(
+                "run_algorithm1",
+                adversarial.run_algorithm1,
+                state,
+                X,
+                y,
+                st["ds"].ground,
+                acfg,
+                check=lambda tr: all(np.isfinite(r["solution_loss"]) for r in tr),
+            )
+        rec["adv_s"], raw["adv_s"] = took["s"], took["raw_s"]
         batches = -(-len(y) // BATCH)
         steps = s["adv_epochs"] * batches * (ADV_N_XI + state.n_theta)
         rec["adv_steps"] = steps
@@ -531,12 +633,21 @@ class TrainMaxnet(_Workload):
             X_test,
             check=lambda out: nets.mean_relative_error(out, y_test) == expected,
         )
-        eval_ms = []
-        for _ in range(s["eval_repeats"]):
-            t0 = time.perf_counter_ns()
-            net.forward(X_test)
-            eval_ms.append((time.perf_counter_ns() - t0) / 1e6)
-        rec["eval_ms"] = eval_ms
+        # a forward pass takes a small share of the clock's kernel, so the
+        # clock is read after every EVAL_CHUNK of them
+        eval_ms, raw_eval_ms = [], []
+        clock.read()
+        for done in range(0, s["eval_repeats"], EVAL_CHUNK):
+            net.forward(X_test)  # untimed: warms the caches the kernel used
+            times = []
+            for _ in range(min(EVAL_CHUNK, s["eval_repeats"] - done)):
+                t0 = time.perf_counter_ns()
+                net.forward(X_test)
+                times.append((time.perf_counter_ns() - t0) / 1e6)
+            scale = clock.read()
+            raw_eval_ms += times
+            eval_ms += [t * scale for t in times]
+        rec["eval_ms"], raw["eval_ms"] = eval_ms, raw_eval_ms
         return rec
 
     def metrics(self, rounds):
