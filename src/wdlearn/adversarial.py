@@ -20,10 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .cylinder import gradient_operators
 from .errors import DegenerateAdversary, Diverged
 from .measures import GroundSpace
-from .nets import Adam, ReluNetwork, backward, cylinder_field_batch, mean_relative_error
+from .nets import (
+    Adam,
+    ReluNetwork,
+    backward_with_pairing,
+    cylinder_field_batch,
+    field_pairing,
+    mean_relative_error,
+)
 
 _NORM_FLOOR = 1e-8
 
@@ -58,10 +64,10 @@ def _terms(state: SaddleState, ground: GroundSpace, X, y):
     yF, cF, SF, RF, fF = cylinder_field_batch(state.f_net, ground, X)
     yH, cH, SH, RH, fH = cylinder_field_batch(state.h_net, ground, X)
     num_data = float(np.dot(yF - y, yH)) / B
-    num_pce = state.lam * float(np.einsum("bmd,bmd,bm->", fF, fH, X)) / B
+    num_pce = state.lam * float(field_pairing(fF, fH, X).sum()) / B
     q = float(np.dot(yH, yH)) / B
     if state.norm == "h12":
-        q += float(np.einsum("bmd,bmd,bm->", fH, fH, X)) / B
+        q += float(field_pairing(fH, fH, X).sum()) / B
     return {
         "X": X,
         "y": y,
@@ -102,21 +108,6 @@ def loss_solution(state: SaddleState, ground: GroundSpace, X, y) -> float:
     return t["num"] / _denominator(t)
 
 
-def _pce_seed_pair(field_other, R_self, X):
-    """Sensitivity seeds of the pre-Cheeger pairing w.r.t. one net."""
-    return np.einsum("bmd,imd,bm->bi", field_other, R_self, X)
-
-
-def _pce_direct_W0(S_self, field_other, X, ops):
-    """Direct first-layer-weight gradient of the pairing through the
-    finite-difference row fields."""
-    coef = np.einsum("bi,bm,bmd->imd", S_self, X, field_other)
-    out = np.zeros((S_self.shape[1], X.shape[1]))
-    for ax, op in enumerate(ops):
-        out += coef[:, :, ax] @ op
-    return out
-
-
 def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y):
     """Gradient of the solution loss w.r.t. the solution net parameters.
 
@@ -125,20 +116,12 @@ def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y):
     """
     t = _terms(state, ground, X, y)
     den = _denominator(t)
-    B = t["B"]
-    value_seeds = t["yH"] / (B * den)
-    grads = None
-    if state.lam > 0.0:
-        sgrad = state.lam / (B * den) * _pce_seed_pair(t["fH"], t["RF"], t["X"])
-        grads = backward(state.f_net, t["cF"], value_seeds, sgrad)
-        if state.f_net.layers[0].train_W:
-            grads[(0, "W")] += (
-                state.lam
-                / (B * den)
-                * _pce_direct_W0(t["SF"], t["fH"], t["X"], gradient_operators(ground))
-            )
-    else:
-        grads = backward(state.f_net, t["cF"], value_seeds)
+    scale = t["B"] * den
+    value_seeds = t["yH"] / scale
+    other = state.lam / scale * t["fH"]
+    grads = backward_with_pairing(
+        state.f_net, ground, t["cF"], t["SF"], t["RF"], t["X"], value_seeds, other
+    )
     return grads, t["num"] / den
 
 
@@ -150,26 +133,19 @@ def adversary_step_grads(state: SaddleState, ground: GroundSpace, X, y):
     """
     t = _terms(state, ground, X, y)
     den = _denominator(t)
-    B, X_, lam = t["B"], t["X"], state.lam
-    ops = gradient_operators(ground)
+    B = t["B"]
     c_num = -1.0 / den
     c_q = t["num"] / (2.0 * den**3)
 
     value_seeds = c_num * (t["yF"] - t["y"]) / B + c_q * 2.0 * t["yH"] / B
-    sgrad = None
-    direct = None
-    if lam > 0.0:
-        sgrad = c_num * lam / B * _pce_seed_pair(t["fF"], t["RH"], X_)
-        direct = c_num * lam / B * _pce_direct_W0(t["SH"], t["fF"], X_, ops)
+    # the pairing is linear in the other field, so the numerator's
+    # <DF, DH> and the h12 norm's <DH, DH> share one backward pass
+    other = c_num * state.lam / B * t["fF"]
     if state.norm == "h12":
-        extra = c_q * 2.0 / B * _pce_seed_pair(t["fH"], t["RH"], X_)
-        sgrad = extra if sgrad is None else sgrad + extra
-        extra_direct = c_q * 2.0 / B * _pce_direct_W0(t["SH"], t["fH"], X_, ops)
-        direct = extra_direct if direct is None else direct + extra_direct
-
-    grads = backward(state.h_net, t["cH"], value_seeds, sgrad)
-    if direct is not None and state.h_net.layers[0].train_W:
-        grads[(0, "W")] += direct
+        other = other + c_q * 2.0 / B * t["fH"]
+    grads = backward_with_pairing(
+        state.h_net, ground, t["cH"], t["SH"], t["RH"], t["X"], value_seeds, other
+    )
     return grads, -t["num"] / den
 
 
@@ -251,7 +227,7 @@ def run_algorithm1(
                     continue
                 if not np.isfinite(loss):
                     raise Diverged(f"adversary loss non-finite at epoch {epoch}")
-                opt_h.step({k: v for k, v in grads.items() if k != "S"})
+                opt_h.step(grads)
             for _ in range(state.n_theta):
                 try:
                     grads, loss = solution_step_grads(state, ground, Xb, yb)
@@ -260,6 +236,6 @@ def run_algorithm1(
                     continue
                 if not np.isfinite(loss):
                     raise Diverged(f"solution loss non-finite at epoch {epoch}")
-                opt_f.step({k: v for k, v in grads.items() if k != "S"})
+                opt_f.step(grads)
         trace.append(record(epoch, skipped))
     return trace

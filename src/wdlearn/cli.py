@@ -38,9 +38,10 @@ from .experiments import (
     _resolve_reference,
     make_synthetic_dataset,
     run_experiment,
+    wpp_to_reference,
     write_csv,
 )
-from .measures import read_dataset
+from .measures import read_dataset, relative_errors
 from .nets import (
     TrainConfig,
     init_from_bank,
@@ -124,17 +125,12 @@ def _cmd_bank_eval(args):
     bank = read_bank(args.bank, theta)
     measures, W = _split_measures(dataset, args.split)
     g = eval_G_many(bank, W)
-    records = []
-    for i, mu in enumerate(measures):
-        _, _, wpp = exact_ot(theta, mu)
-        records.append(
-            {
-                "index": i,
-                "true_wpp": wpp,
-                "G": g[i],
-                "rel_err": abs(wpp - g[i]) / wpp if wpp else float("nan"),
-            }
-        )
+    wpp = wpp_to_reference(measures, theta)
+    errs = relative_errors(wpp, g)
+    records = [
+        {"index": i, "true_wpp": wpp[i], "G": g[i], "rel_err": errs[i]}
+        for i in range(len(measures))
+    ]
     write_csv(args.out, records)
     print(f"wrote {args.out} ({len(records)} rows)")
 
@@ -182,7 +178,7 @@ def _cmd_erm_fit(args):
     if kind != "wpp":
         raise SystemExit(f"unknown target spec {args.target!r}")
     theta = _resolve_reference(dataset, ref)
-    values = np.array([exact_ot(theta, mu)[2] for mu in dataset.train])
+    values = wpp_to_reference(dataset.train, theta)
     noisy = add_noise(values, args.noise, args.seed)
 
     feats = _load_features(args.basis, dataset, theta, args.n)
@@ -211,14 +207,13 @@ def _cmd_erm_fit(args):
 def _parse_loss(spec):
     if spec == "mae":
         return {"loss": "mae"}
-    kind, _, rest = spec.partition(":")
+    kind, _, lam = spec.partition(":")
     if kind == "reg":
-        lam, _, M = rest.partition(":")
-        out = {"loss": "regularized", "reg_lambda": float(lam)}
-        if M:
-            out["truncation"] = float(M)
-        return out
-    raise SystemExit(f"unknown loss spec {spec!r}")
+        try:
+            return {"loss": "regularized", "reg_lambda": float(lam)}
+        except ValueError:
+            pass
+    raise SystemExit(f"unknown loss spec {spec!r}: expected mae | reg:<lambda>")
 
 
 def _read_targets(path, n):
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--init", required=True, help="bank:<file> | random:<seed>")
     mt.add_argument("--ref", default="0", help="reference for bank init")
     mt.add_argument("--k", type=int, required=True)
-    mt.add_argument("--loss", default="mae", help="mae | reg:<lambda>[:<M>]")
+    mt.add_argument("--loss", default="mae", help="mae | reg:<lambda>")
     mt.add_argument("--epochs", type=int, default=100)
     mt.add_argument("--batch-size", type=int, default=64)
     mt.add_argument("--lr", type=float, default=1e-3)

@@ -46,10 +46,11 @@ def gradient_operators(ground: GroundSpace) -> list:
 
 
 def grid_gradients(ground: GroundSpace, values) -> np.ndarray:
-    """Spatial gradient of a point-value vector, shape (m, d)."""
+    """Spatial gradients of point-value vectors: ``(..., m)`` values give
+    ``(..., m, d)`` gradients."""
     ops = gradient_operators(ground)
     values = np.asarray(values, dtype=float)
-    return np.stack([op @ values for op in ops], axis=-1)
+    return np.stack([values @ op.T for op in ops], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class CylinderFunction:
         if feature_grads is not None:
             self.feature_grads = np.asarray(feature_grads, dtype=float)
         elif ground.grid_shape is not None:
-            self.feature_grads = np.stack([grid_gradients(ground, f) for f in feats])
+            self.feature_grads = grid_gradients(ground, feats)
         else:
             self.feature_grads = None
 

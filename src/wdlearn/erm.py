@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .cylinder import CylinderFunction, grid_gradients, identity_outer
+from .cylinder import CylinderFunction, _quad_weights, grid_gradients, identity_outer
 from .errors import RankDeficient, Singular
 from .measures import GroundSpace
 
@@ -55,24 +55,17 @@ class CylinderSubspace:
         if self.coeffs.shape[1] != F:
             raise ValueError("coeffs do not match the feature count")
         self.provenance = provenance
-        self._feature_grads = None
 
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def feature_grads(self) -> np.ndarray:
-        if self._feature_grads is None:
-            self._feature_grads = np.stack(
-                [grid_gradients(self.ground, f) for f in self.features]
-            )
-        return self._feature_grads
-
     def basis_fields(self) -> np.ndarray:
         """Gradient fields of the basis functions, shape (n, m, d);
         constant in the measure because the functionals are affine."""
-        return np.einsum("nf,fmd->nmd", self.coeffs, self.feature_grads)
+        return np.einsum(
+            "nf,fmd->nmd", self.coeffs, grid_gradients(self.ground, self.features)
+        )
 
     def evaluate(self, sample) -> np.ndarray:
         """Basis evaluations, shape (N, n)."""
@@ -81,12 +74,12 @@ class CylinderSubspace:
 
     def l2_gram(self, sample, weights=None) -> np.ndarray:
         E = self.evaluate(sample)
-        qw = _quad(E.shape[0], weights)
+        qw = _quad_weights(E.shape[0], weights)
         return E.T @ (qw[:, None] * E)
 
     def energy_gram(self, sample, weights=None) -> np.ndarray:
         W = as_weight_matrix(sample)
-        qw = _quad(W.shape[0], weights)
+        qw = _quad_weights(W.shape[0], weights)
         mean_measure = qw @ W
         g = self.basis_fields()
         return np.einsum("imd,hmd,m->ih", g, g, mean_measure)
@@ -116,15 +109,6 @@ class CylinderSubspace:
         """Single cylinder function ``sum_i w_i l_i``."""
         f = (np.asarray(w, float) @ self.coeffs) @ self.features
         return CylinderFunction(self.ground, f[None, :], identity_outer())
-
-
-def _quad(n, weights):
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape[0] != n or np.any(w < 0):
-        raise ValueError("quadrature weights must be nonnegative, one per sample point")
-    return w
 
 
 def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> CylinderSubspace:
@@ -245,6 +229,18 @@ class FitResult:
         return self.subspace.combine(self.coefficients)
 
 
+def _probes_do_not_descend(grad, curvature, obj: float) -> bool:
+    """Whether no coordinate step ``h = +-1e-4`` lowers the quadratic
+    objective by more than ``1e-12 (1 + |obj|)``.
+
+    The objective changes by exactly ``h grad_i + h^2 curvature_i`` along
+    ``h e_i``, with ``grad = 2 (M w - yF)`` and ``curvature = diag(M)``;
+    this avoids re-evaluating the objective at each of the 2n probes.
+    """
+    tol = -1e-12 * (1.0 + abs(obj))
+    return all(bool(np.all(h * grad + h * h * curvature >= tol)) for h in (1e-4, -1e-4))
+
+
 def solve_regularized(subspace: CylinderSubspace, system: GramSystem) -> FitResult:
     """Solve ``(L^T L + lam D) w = yF`` by SPD factorization.
 
@@ -269,24 +265,17 @@ def solve_regularized(subspace: CylinderSubspace, system: GramSystem) -> FitResu
             raise Singular("normal equations singular even after jitter") from exc
     w = sla.cho_solve((c, low), system.yF)
 
-    residual = float(np.linalg.norm(M @ w - system.yF))
+    r = M @ w - system.yF
+    residual = float(np.linalg.norm(r))
     if residual > _RESIDUAL_TOL * (1.0 + np.linalg.norm(system.yF)):
         raise Singular(f"linear-system residual {residual:.3e} exceeds tolerance")
 
-    # quadratic objective: probe perturbations must not improve it
     obj = system.objective(w)
-    probe_ok = True
-    for i in range(n):
-        for step in (1e-4, -1e-4):
-            e = np.zeros(n)
-            e[i] = step
-            if system.objective(w + e) < obj - 1e-12 * (1.0 + abs(obj)):
-                probe_ok = False
     diag = {
         "residual": residual,
         "objective": obj,
         "jitter": jitter,
-        "local_optimum": probe_ok,
+        "local_optimum": _probes_do_not_descend(2.0 * r, np.diag(M), obj),
     }
     return FitResult(coefficients=w, subspace=subspace, system=system, diagnostics=diag)
 

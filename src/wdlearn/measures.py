@@ -188,6 +188,19 @@ def moment(mu: DiscreteMeasure, x0, p: Optional[float] = None) -> float:
     return mu.moment(x0, p)
 
 
+def relative_errors(true, approx) -> np.ndarray:
+    """Per-sample ``|true - approx| / true``.
+
+    The error is undefined where the target is 0 (the reference measure
+    itself), and reads NaN there whatever the gap; means and maxima are
+    taken over the defined entries.
+    """
+    true = np.asarray(true, dtype=float)
+    gap = np.abs(true - np.asarray(approx, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(true != 0.0, gap / true, np.nan)
+
+
 @dataclass
 class MeasureDataset:
     """Train/test collections of measures on a shared ground space."""

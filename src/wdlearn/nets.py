@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cylinder import gradient_operators
+from .cylinder import gradient_operators, grid_gradients
 from .errors import Diverged, TooManyRows
-from .measures import GroundSpace
+from .measures import GroundSpace, relative_errors
 
 
 @dataclass
@@ -299,9 +299,7 @@ def random_head_network(d: int, k: int, seed: int) -> ReluNetwork:
 
 def first_layer_row_fields(net: ReluNetwork, ground: GroundSpace) -> np.ndarray:
     """Spatial gradients of the first-layer rows, shape (n0, m, d)."""
-    ops = gradient_operators(ground)
-    W0 = net.layers[0].W
-    return np.stack([W0 @ op.T for op in ops], axis=-1)
+    return grid_gradients(ground, net.layers[0].W)
 
 
 def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
@@ -318,11 +316,36 @@ def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
     return y, cache, S, R, field
 
 
+def field_pairing(field_a: np.ndarray, field_b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-sample pre-Cheeger pairing ``int <a(mu_j, x), b(mu_j, x)> dmu_j(x)``
+    of two batched gradient fields, shape (B,)."""
+    return np.einsum("bmd,bmd,bm->b", field_a, field_b, X)
+
+
 def network_energy(net: ReluNetwork, ground: GroundSpace, X: np.ndarray) -> np.ndarray:
     """Per-sample energies ``int |D NN(mu_j, x)|^2 dmu_j(x)``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _, _, _, _, field = cylinder_field_batch(net, ground, X)
-    return np.einsum("bmd,bmd,bm->b", field, field, X)
+    return field_pairing(field, field, X)
+
+
+def backward_with_pairing(net, ground, cache, S, R, X, value_seeds, other):
+    """Parameter gradients of a loss whose field-dependent part is the
+    pairing ``sum_j int <D NN(mu_j, x), other[j, x]> dmu_j(x)``.
+
+    ``cache``, ``S`` and ``R`` come from :func:`cylinder_field_batch` on
+    ``X``; ``other`` is held fixed.  The pairing reaches the parameters
+    twice: through the sensitivities ``S`` (seeded into :func:`backward`)
+    and, when the first layer's weights train, directly through the
+    finite-difference row fields ``R``.
+    """
+    sgrad_seeds = np.einsum("bmd,imd,bm->bi", other, R, X)
+    grads = backward(net, cache, value_seeds, sgrad_seeds)
+    if net.layers[0].train_W:
+        coef = np.einsum("bi,bm,bmd->imd", S, X, other)
+        for ax, op in enumerate(gradient_operators(ground)):
+            grads[(0, "W")] += coef[:, :, ax] @ op
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +394,6 @@ class TrainConfig:
     seed: int = 0
     loss: str = "mae"  # "mae" or "regularized"
     reg_lambda: float = 0.0
-    truncation: Optional[float] = None
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
@@ -385,11 +407,10 @@ class TrainConfig:
 
 
 def mean_relative_error(predictions, targets) -> float:
-    """``mean |F - NN| / F`` over entries with a nonzero target."""
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    mask = targets != 0.0
-    return float(np.mean(np.abs(predictions[mask] - targets[mask]) / targets[mask]))
+    """``mean |F - NN| / F`` over the entries where it is defined (nonzero
+    target), see :func:`wdlearn.measures.relative_errors`."""
+    errs = relative_errors(targets, predictions)
+    return float(np.mean(errs[~np.isnan(errs)]))
 
 
 def _mae_loss_and_grads(net, X, y):
@@ -402,20 +423,15 @@ def _mae_loss_and_grads(net, X, y):
 
 def _regularized_loss_and_grads(net, ground, X, y, lam):
     B = len(y)
-    ops = gradient_operators(ground)
     pred, cache, S, R, field = cylinder_field_batch(net, ground, X)
-    energies = np.einsum("bmd,bmd,bm->b", field, field, X)
+    energies = field_pairing(field, field, X)
     resid = pred - y
     loss = float(np.mean(resid**2 + lam * (pred**2 + energies)))
 
     value_seeds = (2.0 * resid + 2.0 * lam * pred) / B
-    sgrad_seeds = (2.0 * lam / B) * np.einsum("bmd,imd,bm->bi", field, R, X)
-    grads = backward(net, cache, value_seeds, sgrad_seeds)
-    if net.layers[0].train_W:
-        # direct dependence of the row fields on the first-layer weights
-        coef = (2.0 * lam / B) * np.einsum("bi,bm,bmd->imd", S, X, field)
-        for ax, op in enumerate(ops):
-            grads[(0, "W")] += coef[:, :, ax] @ op
+    grads = backward_with_pairing(
+        net, ground, cache, S, R, X, value_seeds, (2.0 * lam / B) * field
+    )
     return loss, grads
 
 
@@ -472,7 +488,7 @@ def train(
                 )
             if not np.isfinite(loss):
                 raise Diverged(f"loss became non-finite at epoch {epoch}")
-            opt.step({k: v for k, v in grads.items() if k != "S"})
+            opt.step(grads)
             losses.append(loss)
         trace.append(record(epoch, float(np.mean(losses))))
     return trace

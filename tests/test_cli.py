@@ -1,12 +1,14 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from wdlearn import experiments, measures
 from wdlearn.cli import main
 from wdlearn.measures import read_dataset
-from wdlearn.nets import load_model
+from wdlearn.nets import load_model, mean_relative_error
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +236,7 @@ class TestCli:
                 "--k",
                 "2",
                 "--loss",
-                "reg:0.001:2.0",
+                "reg:0.001",
                 "--epochs",
                 "1",
                 "--out",
@@ -243,6 +245,63 @@ class TestCli:
         )
         net, _ = load_model(model)
         assert net.layers[0].W.shape == (4, 9)
+
+    @pytest.mark.parametrize("spec", ["reg:", "reg:x", "reg:0.001:2.0"])
+    def test_maxnet_train_rejects_malformed_loss(self, workdir, tmp_path, spec):
+        args = [
+            "maxnet",
+            "train",
+            "--dataset",
+            str(workdir / "ds.txt"),
+            "--targets",
+            str(workdir / "distances.csv"),
+            "--init",
+            "random:5",
+            "--k",
+            "2",
+            "--loss",
+            spec,
+            "--out",
+            str(tmp_path / "model.bin"),
+        ]
+        with pytest.raises(SystemExit, match=re.escape(repr(spec))):
+            main(args)
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_zero_target_relative_error_is_undefined(self, workdir, tmp_path):
+        # one function, re-exported by experiments, for every entry point
+        assert experiments.relative_errors is measures.relative_errors
+        errs = measures.relative_errors([0.0, 0.0, 2.0], [0.0, 0.5, 1.0])
+        assert np.isnan(errs[:2]).all() and errs[2] == 0.5
+        assert mean_relative_error([0.3, 1.0], [0.0, 2.0]) == 0.5
+
+        ds = read_dataset(workdir / "ds.txt")
+        records = experiments.run_baseline_decay(
+            ds, ds.train[0], sizes=[4], seeds=[0], split="train"
+        )
+        assert np.isfinite(records[0]["mean_rel_err"])
+        assert np.isfinite(records[0]["max_rel_err"])
+
+        out = tmp_path / "train_errors.csv"
+        main(
+            [
+                "bank",
+                "eval",
+                "--dataset",
+                str(workdir / "ds.txt"),
+                "--ref",
+                "0",
+                "--bank",
+                str(workdir / "bank.txt"),
+                "--split",
+                "train",
+                "--out",
+                str(out),
+            ]
+        )
+        rows = _read_csv(out)
+        assert float(rows[0]["true_wpp"]) == 0.0 and np.isnan(float(rows[0]["rel_err"]))
+        assert all(np.isfinite(float(r["rel_err"])) for r in rows[1:])
 
     def test_adversarial_train(self, workdir, tmp_path):
         model = tmp_path / "adv.bin"

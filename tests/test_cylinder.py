@@ -13,6 +13,7 @@ from wdlearn.cylinder import (
 )
 from wdlearn.errors import NoSpatialGradient
 from wdlearn.measures import DiscreteMeasure, GroundSpace
+from wdlearn.nets import first_layer_row_fields, random_head_network
 
 
 @pytest.fixture
@@ -47,6 +48,22 @@ class TestGridGradients:
         g = grid_gradients(ground, f)
         np.testing.assert_allclose(g[:, 0], 0.0)
         np.testing.assert_allclose(g[:, 1], np.gradient(f))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 4), (1, 3), (5,), (4, 3, 2)])
+    def test_batched_rows_equal_per_row_calls(self, shape):
+        ground = GroundSpace.grid(shape)
+        F = np.random.default_rng(2).normal(size=(6, ground.size))
+        batched = grid_gradients(ground, F)
+        assert batched.shape == (6, ground.size, len(shape))
+        np.testing.assert_array_equal(batched, np.stack([grid_gradients(ground, f) for f in F]))
+        # reference: each operator applied to each row on its own
+        ops = gradient_operators(ground)
+        reference = np.stack([np.stack([op @ f for op in ops], axis=-1) for f in F])
+        np.testing.assert_array_equal(batched, reference)
+        net = random_head_network(ground.size, 2, seed=3)
+        np.testing.assert_array_equal(
+            first_layer_row_fields(net, ground), grid_gradients(ground, net.layers[0].W)
+        )
 
     def test_adjointness(self):
         # dense operators make the adjoint exact: <Gf, h> == <f, G^T h>

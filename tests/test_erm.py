@@ -10,6 +10,7 @@ from wdlearn.erm import (
     c_delta,
     chernoff_deviation_bound,
     condition_check,
+    _probes_do_not_descend,
     double_orthogonalize,
     solve_regularized,
     truncate,
@@ -159,6 +160,37 @@ class TestSolve:
             1.0 + np.linalg.norm(fit.system.yF)
         )
         assert fit.diagnostics["local_optimum"]
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e-1])
+    def test_local_optimum_verdict_matches_probe_loop(self, population, ortho, lam):
+        _, pop = population
+        vals = np.random.default_rng(6).normal(size=len(pop))
+        system = assemble(ortho, pop, vals, lam=lam)
+        fit = solve_regularized(ortho, system)
+        M = system.normal_matrix
+
+        def probe_loop(w):
+            # reference: 2n objective evaluations at coordinate steps
+            obj = system.objective(w)
+            for i in range(len(w)):
+                for step in (1e-4, -1e-4):
+                    e = np.zeros(len(w))
+                    e[i] = step
+                    if system.objective(w + e) < obj - 1e-12 * (1.0 + abs(obj)):
+                        return False
+            return True
+
+        w = fit.coefficients
+        e0 = np.eye(len(w))[0]
+        # a step of 1e-4 back from w + 1e-4 e0 descends; from w + 2e-5 e0
+        # it overshoots, which only the curvature term shows
+        cases = [(w, True), (w + 2e-5 * e0, True), (w + 1e-4 * e0, False), (w + 0.1, False)]
+        for point, expected in cases:
+            verdict = _probes_do_not_descend(
+                2.0 * (M @ point - system.yF), np.diag(M), system.objective(point)
+            )
+            assert verdict is expected and probe_loop(point) is expected
+        assert fit.diagnostics["local_optimum"] is True
 
     def test_shrinkage_componentwise(self, population, ortho):
         _, pop = population
