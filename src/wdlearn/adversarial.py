@@ -52,8 +52,8 @@ class SaddleState:
             raise ValueError("both inner step counts must be at least 1")
         if self.norm not in ("h12", "l2"):
             raise ValueError(f"unknown norm mode {self.norm!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
 def _terms(state: SaddleState, ground: GroundSpace, X, y):
@@ -164,10 +164,10 @@ class AdversarialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr <= 0:
-            raise ValueError("epochs and learning rate must be positive")
         if self.lr_xi is None:
             self.lr_xi = self.lr
+        if self.epochs < 0 or not (0 < self.lr < np.inf and 0 < self.lr_xi < np.inf):
+            raise ValueError("epochs and learning rates must be positive and finite")
 
 
 def run_algorithm1(

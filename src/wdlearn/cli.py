@@ -208,12 +208,15 @@ def _parse_loss(spec):
     if spec == "mae":
         return {"loss": "mae"}
     kind, _, lam = spec.partition(":")
-    if kind == "reg":
-        try:
-            return {"loss": "regularized", "reg_lambda": float(lam)}
-        except ValueError:
-            pass
-    raise SystemExit(f"unknown loss spec {spec!r}: expected mae | reg:<lambda>")
+    try:
+        value = float(lam) if kind == "reg" else np.nan
+    except ValueError:
+        value = np.nan
+    if not 0 <= value < np.inf:
+        raise SystemExit(
+            f"invalid loss spec {spec!r}: expected mae | reg:<lambda>, lambda finite and >= 0"
+        )
+    return {"loss": "regularized", "reg_lambda": value}
 
 
 def _read_targets(path, n):
@@ -225,6 +228,16 @@ def _read_targets(path, n):
     if len(vals) < n:
         raise SystemExit(f"targets file has {len(vals)} rows, need {n}")
     return vals[:n]
+
+
+def _write_model_and_trace(out, net, config_hash, trace):
+    """Save ``net`` and its training trace to ``--out model[,trace]``; the
+    trace defaults to ``<model>.trace.csv``."""
+    model_path, _, trace_path = out.partition(",")
+    trace_path = trace_path or model_path + ".trace.csv"
+    save_model(model_path, net, config_hash)
+    write_csv(trace_path, trace)
+    print(f"wrote {model_path} and {trace_path}")
 
 
 def _cmd_maxnet_train(args):
@@ -255,10 +268,7 @@ def _cmd_maxnet_train(args):
         **_parse_loss(args.loss),
     )
     trace = train(net, X, y, cfg, ground=dataset.ground)
-    model_path, _, trace_path = args.out.partition(",")
-    save_model(model_path, net, cfg.hash())
-    write_csv(trace_path or model_path + ".trace.csv", trace)
-    print(f"wrote {model_path} and {trace_path}")
+    _write_model_and_trace(args.out, net, cfg.hash(), trace)
 
 
 def _cmd_adversarial_train(args):
@@ -274,10 +284,7 @@ def _cmd_adversarial_train(args):
         epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed
     )
     trace = run_algorithm1(state, X, y, dataset.ground, cfg)
-    model_path, _, trace_path = args.out.partition(",")
-    save_model(model_path, f_net, "")
-    write_csv(trace_path or model_path + ".trace.csv", trace)
-    print(f"wrote {model_path} and {trace_path}")
+    _write_model_and_trace(args.out, f_net, "", trace)
 
 
 def _cmd_exp_run(args):

@@ -6,11 +6,14 @@ potential) composed with the fixed ReLU tree that computes the max of
 every network here is a cylinder function: its measure-space gradient
 field contracts the output's sensitivity to the first-layer
 pre-activations against the finite-difference spatial gradients of the
-first-layer rows.  The backward pass therefore supports two seed types:
-plain output seeds, and seeds against those pre-activation
-sensitivities (needed by energy-regularized and weak-form losses, where
-the loss itself contains the input-gradient).  At ReLU kinks the
-subgradient convention is derivative 0 at exactly 0.
+first-layer rows.  With its ReLU masks fixed, backprop is linear in the
+output seed, so one unit-seeded reverse sweep gives those sensitivities
+for every layer, and :func:`backward` scales them by the per-sample
+output seeds.  It also takes seeds against the sensitivities of the
+first pre-activation (needed by energy-regularized and weak-form losses,
+where the loss itself contains the input-gradient), and returns
+gradients only for the layers that train.  At ReLU kinks the subgradient
+convention is derivative 0 at exactly 0.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ class Layer:
     W: np.ndarray
     b: np.ndarray
     activation: str = "relu"  # "relu" or "none"
-    train_W: bool = True
-    train_b: bool = True
+    trainable: bool = True  # W and b train together
 
     def __post_init__(self):
         # always copy: layers own their parameters (shared constants such
@@ -87,18 +89,16 @@ class ReluNetwork:
         return self.forward_cached(X)[0]
 
     def trainable(self) -> list:
-        out = []
-        for i, lay in enumerate(self.layers):
-            if lay.train_W:
-                out.append((i, "W"))
-            if lay.train_b:
-                out.append((i, "b"))
-        return out
+        return [
+            (i, name)
+            for i, lay in enumerate(self.layers)
+            if lay.trainable
+            for name in ("W", "b")
+        ]
 
     def set_all_trainable(self, flag: bool = True) -> "ReluNetwork":
         for lay in self.layers:
-            lay.train_W = flag
-            lay.train_b = flag
+            lay.trainable = flag
         return self
 
     def scale_output(self, c: float) -> "ReluNetwork":
@@ -110,21 +110,41 @@ class ReluNetwork:
     def copy(self) -> "ReluNetwork":
         return ReluNetwork(
             [
-                Layer(l.W.copy(), l.b.copy(), l.activation, l.train_W, l.train_b)
+                Layer(l.W.copy(), l.b.copy(), l.activation, l.trainable)
                 for l in self.layers
             ]
         )
 
 
-def _masks(net: ReluNetwork, cache) -> list:
-    out = []
-    for lay, z in zip(net.layers, cache["z"]):
-        out.append((z > 0.0).astype(float) if lay.activation == "relu" else None)
-    return out
+def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``d`` times the layer's ReLU derivative at pre-activation ``z``."""
+    return d * (z > 0.0) if lay.activation == "relu" else d
 
 
-def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None, need_sensitivities=False):
-    """Parameter gradients for a scalar loss.
+def _sensitivities(net: ReluNetwork, cache) -> list:
+    """Unit-seeded reverse sweep: ``hat[i]``, shape (B, n_i), is the
+    per-sample gradient of the output w.r.t. layer i's pre-activation.
+
+    The sweep runs once per forward pass; its result is kept in ``cache``.
+    """
+    if "hat" not in cache:
+        hat = [None] * len(net.layers)
+        d = np.ones((cache["input"].shape[0], 1))
+        for i in range(len(net.layers) - 1, -1, -1):
+            lay = net.layers[i]
+            hat[i] = d = _through_mask(lay, cache["z"][i], d)
+            if i > 0:
+                d = d @ lay.W
+        cache["hat"] = hat
+    return cache["hat"]
+
+
+def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
+    """Parameter gradients for a scalar loss, for the layers that train.
+
+    With the ReLU masks fixed, backprop is linear in the output seed, so
+    the value-seeded delta at layer i is ``value_seeds[:, None] * hat[i]``
+    with ``hat`` from the one sweep of :func:`_sensitivities`.
 
     Parameters
     ----------
@@ -137,76 +157,38 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None, need_sensit
         with respect to the first layer's pre-activation.  These seeds
         flow only into the later layers' weights (the dependence of
         ``s`` on the first layer is through ReLU masks, which carry zero
-        derivative almost everywhere).
-    need_sensitivities : bool
-        Also return the per-sample sensitivities under key ``"S"``
-        (implied by ``sgrad_seeds``).
+        derivative almost everywhere): the weight gradient of layer i
+        gains ``hat[i].T @ u``, where ``u`` is the seed carried forward
+        through layers ``0 .. i-1`` with their masks.
 
     Returns
     -------
-    dict mapping ``(layer_index, "W" | "b")`` to gradient arrays, plus
-    ``"S"`` when requested.
+    dict mapping each key of ``net.trainable()``, ``(layer_index, "W" |
+    "b")``, to its gradient array.
     """
-    L = len(net.layers)
-    masks = _masks(net, cache)
-    X = cache["input"]
-    acts = cache["a"]
-    value_seeds = np.asarray(value_seeds, dtype=float).reshape(-1)
-
+    hat = _sensitivities(net, cache)
+    # the layers past the last one that trains need no work
+    top = max((i for i, _ in net.trainable()), default=-1)
+    v = np.asarray(value_seeds, dtype=float).reshape(-1, 1)
+    u = None
     grads = {}
-    for i, lay in enumerate(net.layers):
-        grads[(i, "W")] = np.zeros_like(lay.W)
-        grads[(i, "b")] = np.zeros_like(lay.b)
-
-    # value-seeded reverse pass
-    delta = value_seeds[:, None]
-    if masks[-1] is not None:
-        delta = delta * masks[-1]
-    for i in range(L - 1, -1, -1):
-        prev = X if i == 0 else acts[i - 1]
-        grads[(i, "W")] += delta.T @ prev
-        grads[(i, "b")] += delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ net.layers[i].W
-            if masks[i - 1] is not None:
-                delta = delta * masks[i - 1]
-
-    if sgrad_seeds is None and not need_sensitivities:
-        return grads
-
-    # unit-seeded deltas give the pre-activation sensitivities S
-    hat = [None] * L
-    d = np.ones((X.shape[0], 1))
-    if masks[-1] is not None:
-        d = d * masks[-1]
-    hat[L - 1] = d
-    for i in range(L - 1, 0, -1):
-        d = d @ net.layers[i].W
-        if masks[i - 1] is not None:
-            d = d * masks[i - 1]
-        hat[i - 1] = d
-
-    if sgrad_seeds is not None:
-        T = np.asarray(sgrad_seeds, dtype=float)
-        if masks[0] is not None:
-            T = T * masks[0]
-        u = T
-        for i in range(1, L):
-            grads[(i, "W")] += hat[i].T @ u
-            if i < L - 1:
-                u = u @ net.layers[i].W.T
-                if masks[i] is not None:
-                    u = u * masks[i]
-
-    grads["S"] = hat[0]
+    for i, lay in enumerate(net.layers[: top + 1]):
+        if lay.trainable:
+            prev = cache["input"] if i == 0 else cache["a"][i - 1]
+            delta = v * hat[i]
+            grads[(i, "W")] = delta.T @ prev
+            grads[(i, "b")] = delta.sum(axis=0)
+            if u is not None:
+                grads[(i, "W")] += hat[i].T @ u
+        if sgrad_seeds is not None:
+            u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else u @ lay.W.T
+            u = _through_mask(lay, cache["z"][i], u)
     return grads
 
 
 def output_input_sensitivity(net: ReluNetwork, X: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the output w.r.t. the first pre-activation."""
-    _, cache = net.forward_cached(X)
-    seeds = np.zeros(np.atleast_2d(X).shape[0])
-    return backward(net, cache, seeds, need_sensitivities=True)["S"]
+    return _sensitivities(net, net.forward_cached(X)[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +228,9 @@ def build_max_network(k: int) -> ReluNetwork:
     """
     mats = max_tree_matrices(k)
     layers = [
-        Layer(m, np.zeros(m.shape[0]), "relu", train_W=False, train_b=False)
-        for m in mats[:-1]
+        Layer(m, np.zeros(m.shape[0]), "relu", trainable=False) for m in mats[:-1]
     ]
-    layers.append(
-        Layer(mats[-1], np.zeros(1), "none", train_W=False, train_b=False)
-    )
+    layers.append(Layer(mats[-1], np.zeros(1), "none", trainable=False))
     return ReluNetwork(layers)
 
 
@@ -278,7 +257,7 @@ def init_from_bank(A: np.ndarray, b: np.ndarray, k: int, pad_bias: Optional[floa
             raise ValueError("padding required: supply pad_bias (e.g. min G - 1)")
         A = np.vstack([A, np.zeros((width - rows, A.shape[1]))])
         b = np.concatenate([b, np.full(width - rows, float(pad_bias))])
-    first = Layer(A, b, "none", train_W=True, train_b=True)
+    first = Layer(A, b, "none")
     return ReluNetwork([first] + build_max_network(k).layers)
 
 
@@ -288,7 +267,7 @@ def random_head_network(d: int, k: int, seed: int) -> ReluNetwork:
     bound = 1.0 / np.sqrt(d)
     W = rng.uniform(-bound, bound, size=(2**k, d))
     b = rng.uniform(-bound, bound, size=2**k)
-    first = Layer(W, b, "none", train_W=True, train_b=True)
+    first = Layer(W, b, "none")
     return ReluNetwork([first] + build_max_network(k).layers)
 
 
@@ -310,7 +289,7 @@ def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
     measures' weight vectors.
     """
     y, cache = net.forward_cached(X)
-    S = backward(net, cache, np.zeros(len(y)), need_sensitivities=True)["S"]
+    S = _sensitivities(net, cache)[0]
     R = first_layer_row_fields(net, ground)
     field = np.einsum("bi,imd->bmd", S, R)
     return y, cache, S, R, field
@@ -341,7 +320,7 @@ def backward_with_pairing(net, ground, cache, S, R, X, value_seeds, other):
     """
     sgrad_seeds = np.einsum("bmd,imd,bm->bi", other, R, X)
     grads = backward(net, cache, value_seeds, sgrad_seeds)
-    if net.layers[0].train_W:
+    if net.layers[0].trainable:
         coef = np.einsum("bi,bm,bmd->imd", S, X, other)
         for ax, op in enumerate(gradient_operators(ground)):
             grads[(0, "W")] += coef[:, :, ax] @ op
@@ -396,10 +375,14 @@ class TrainConfig:
     reg_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs, batch size, and learning rate must be positive")
+        if self.epochs < 0 or self.batch_size < 1 or not 0 < self.lr < np.inf:
+            raise ValueError(
+                "epochs, batch size, and learning rate must be positive, the rate finite"
+            )
         if self.loss not in ("mae", "regularized"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if not 0 <= self.reg_lambda < np.inf:
+            raise ValueError(f"reg_lambda must be finite and nonnegative, got {self.reg_lambda}")
 
     def hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=float)
@@ -507,7 +490,7 @@ def save_model(path, net: ReluNetwork, config_hash: str = "") -> None:
         payload[f"W{i}"] = lay.W
         payload[f"b{i}"] = lay.b
         payload[f"meta{i}"] = np.array(
-            [lay.activation == "relu", lay.train_W, lay.train_b], dtype=np.int8
+            [lay.activation == "relu", lay.trainable], dtype=np.int8
         )
     with open(path, "wb") as fh:  # keep the exact filename, no .npz suffix
         np.savez(fh, **payload)
@@ -519,14 +502,13 @@ def load_model(path):
     n = int(data["n_layers"])
     layers = []
     for i in range(n):
-        act, tw, tb = data[f"meta{i}"]
-        layers.append(
-            Layer(
-                data[f"W{i}"],
-                data[f"b{i}"],
-                "relu" if act else "none",
-                train_W=bool(tw),
-                train_b=bool(tb),
+        meta = data[f"meta{i}"]
+        if meta.shape != (2,):
+            raise ValueError(
+                f"layer {i}: meta must be [relu, trainable], got {meta.tolist()}"
             )
+        act, trains = meta
+        layers.append(
+            Layer(data[f"W{i}"], data[f"b{i}"], "relu" if act else "none", bool(trains))
         )
     return ReluNetwork(layers), str(data["config_hash"])

@@ -39,6 +39,19 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             SaddleState(f_net, other)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_invalid_lam(self, setup, lam):
+        ground, X, y, f_net, h_net = setup
+        with pytest.raises(ValueError, match="lam"):
+            SaddleState(f_net, h_net, lam=lam)
+
+    @pytest.mark.parametrize(
+        "rates", [{"lr": np.nan}, {"lr": np.inf}, {"lr_xi": np.nan}, {"lr_xi": -1e-3}]
+    )
+    def test_config_rejects_invalid_learning_rates(self, rates):
+        with pytest.raises(ValueError, match="learning rates"):
+            AdversarialConfig(**rates)
+
 
 class TestLosses:
     def test_zero_residual_zero_loss(self, setup):
@@ -189,7 +202,7 @@ class TestRayleighOracle:
         for _ in range(400):
             grads, loss = adversary_step_grads(state, ground, X, y)
             best = max(best, -loss)
-            opt.step({k: v for k, v in grads.items() if k != "S"})
+            opt.step(grads)
         assert best <= closed + 1e-9
         assert best >= 0.5 * closed  # ascent actually made progress
 

@@ -193,7 +193,7 @@ class TestCli:
         assert len(fit["coefficients"]) == 3
         assert "condition_check" in fit and "satisfied" in fit["condition_check"]
 
-    def test_maxnet_train_bank_init(self, workdir, tmp_path):
+    def test_maxnet_train_from_bank(self, workdir, tmp_path):
         model = tmp_path / "model.bin"
         trace = tmp_path / "trace.csv"
         main(
@@ -246,7 +246,33 @@ class TestCli:
         net, _ = load_model(model)
         assert net.layers[0].W.shape == (4, 9)
 
-    @pytest.mark.parametrize("spec", ["reg:", "reg:x", "reg:0.001:2.0"])
+    @pytest.mark.parametrize("command", ["maxnet", "adversarial"])
+    def test_train_names_the_default_trace_path(self, workdir, tmp_path, capsys, command):
+        model = tmp_path / "model.bin"
+        args = [
+            command,
+            "train",
+            "--dataset",
+            str(workdir / "ds.txt"),
+            "--targets",
+            str(workdir / "distances.csv"),
+            "--k",
+            "2",
+            "--epochs",
+            "1",
+            "--out",
+            str(model),
+        ]
+        if command == "maxnet":
+            args += ["--init", "random:5"]
+        main(args)
+        trace = f"{model}.trace.csv"
+        assert capsys.readouterr().out.strip() == f"wrote {model} and {trace}"
+        assert len(_read_csv(trace)) == 2  # initial record + 1 epoch
+
+    @pytest.mark.parametrize(
+        "spec", ["reg:", "reg:x", "reg:0.001:2.0", "reg:-5", "reg:nan", "reg:inf"]
+    )
     def test_maxnet_train_rejects_malformed_loss(self, workdir, tmp_path, spec):
         args = [
             "maxnet",

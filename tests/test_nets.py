@@ -214,8 +214,7 @@ class TestBackward:
         def loss_fn():
             _, cache = net.forward_cached(X)
             grads = backward(net, cache, np.zeros(6), sgrad_seeds=C)
-            S = grads["S"]
-            return float((C * S).sum()), grads
+            return float((C * output_input_sensitivity(net, X)).sum()), grads
 
         _fd_check(net, X, loss_fn, n_probes=12, rng=rng)
 
@@ -230,6 +229,23 @@ class TestBackward:
             return _regularized_loss_and_grads(net, ground, X, y, lam=0.05)
 
         _fd_check(net, X, loss_fn, n_probes=12, rng=rng)
+
+    @pytest.mark.parametrize("case", ["bank_init", "all_trainable", "sgrad_seeded"])
+    def test_gradients_cover_exactly_the_trainable_layers(self, case):
+        rng = np.random.default_rng(53)
+        if case == "bank_init":
+            # the max tree is frozen: only the first layer trains
+            net = init_from_bank(rng.normal(size=(4, 5)), rng.normal(size=4), k=2)
+            assert net.trainable() == [(0, "W"), (0, "b")]
+        else:
+            net = random_head_network(d=5, k=2, seed=12).set_all_trainable(True)
+        X = rng.dirichlet(np.ones(5), size=6)
+        _, cache = net.forward_cached(X)
+        C = rng.normal(size=(6, 4)) if case == "sgrad_seeded" else None
+        grads = backward(net, cache, rng.normal(size=6), sgrad_seeds=C)
+        assert set(grads) == set(net.trainable())
+        for (i, name), g in grads.items():
+            assert g.shape == getattr(net.layers[i], name).shape
 
     def test_sensitivities_match_fd_of_first_preactivation(self):
         rng = np.random.default_rng(19)
@@ -334,6 +350,20 @@ class TestTraining:
                 ground=GroundSpace.grid((4,)),
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"reg_lambda": -5.0},
+            {"reg_lambda": np.nan},
+            {"reg_lambda": np.inf},
+            {"lr": np.nan},
+            {"lr": np.inf},
+        ],
+    )
+    def test_config_rejects_invalid_lambda_and_lr(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(loss="regularized", **bad)
+
     def test_regularized_training_runs(self):
         rng = np.random.default_rng(47)
         ground = GroundSpace.grid((2, 2))
@@ -364,7 +394,20 @@ class TestModelIO:
         assert [l.activation for l in back.layers] == [
             l.activation for l in net.layers
         ]
-        assert [l.train_W for l in back.layers] == [l.train_W for l in net.layers]
+        assert [l.trainable for l in back.layers] == [l.trainable for l in net.layers]
+
+    def test_rejects_meta_of_other_length(self, tmp_path):
+        # an older container kept separate W and b flags per layer
+        net = random_head_network(d=3, k=1, seed=1)
+        path = tmp_path / "model.bin"
+        save_model(path, net)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["meta1"] = np.array([1, 0, 0], dtype=np.int8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match="layer 1"):
+            load_model(path)
 
 
 class TestMisc:
@@ -378,5 +421,5 @@ class TestMisc:
         for _ in range(300):
             y, cache = net.forward_cached(X)
             grads = backward(net, cache, 2 * (y - 5.0))
-            opt.step({k: v for k, v in grads.items() if k != "S"})
+            opt.step(grads)
         assert net.forward(X)[0] == pytest.approx(5.0, abs=1e-2)
