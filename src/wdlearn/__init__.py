@@ -10,6 +10,11 @@ adversarial weak-form solver.
 
 __version__ = "0.1.0"
 
+import logging
+
+# silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from . import errors  # noqa: F401
 from .measures import (  # noqa: F401
     DiscreteMeasure,

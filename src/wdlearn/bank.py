@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyBank
+from .errors import CertificateViolation, EmptyBank
 from .measures import DiscreteMeasure, MeasureDataset, ensure_same_ground
 from .ot import exact_ot, wasserstein
 
@@ -28,6 +28,14 @@ class BankEntry:
     phi: np.ndarray
     psi_bar: float
     wpp: float
+
+    def check_duality(self, mu: DiscreteMeasure, tol: float = _DUALITY_TOL):
+        """Verify ``<phi, mu> + psi_bar = wpp`` for the anchor ``mu``."""
+        gap = abs(float(self.phi @ mu.weights) + self.psi_bar - self.wpp)
+        if not gap <= tol:
+            raise CertificateViolation(
+                f"bank entry {self.source_index} violates duality by {gap:.3e}"
+            )
 
 
 class PotentialBank:
@@ -59,14 +67,11 @@ class PotentialBank:
         return PotentialBank(self.theta, [self.entries[i] for i in positions])
 
     def check_duality(self, dataset: MeasureDataset, tol: float = _DUALITY_TOL):
-        """Verify ``<phi_k, mu_k> + psi_bar_k = wpp_k`` for every entry."""
+        """Verify ``<phi_k, mu_k> + psi_bar_k = wpp_k`` for every entry;
+        raises ``CertificateViolation`` naming the first entry off by
+        more than ``tol``."""
         for e in self.entries:
-            mu = dataset.train[e.source_index]
-            gap = abs(float(e.phi @ mu.weights) + e.psi_bar - e.wpp)
-            if gap > tol:
-                raise AssertionError(
-                    f"bank entry {e.source_index} violates duality by {gap:.3e}"
-                )
+            e.check_duality(dataset.train[e.source_index], tol)
 
 
 def build_bank(dataset: MeasureDataset, theta: DiscreteMeasure, indices: Sequence[int]) -> PotentialBank:
@@ -78,7 +83,7 @@ def build_bank(dataset: MeasureDataset, theta: DiscreteMeasure, indices: Sequenc
         _, pot, wpp = exact_ot(theta, mu_k)
         psi_bar = float(pot.psi @ theta.weights)
         entry = BankEntry(source_index=int(k), phi=pot.phi, psi_bar=psi_bar, wpp=wpp)
-        assert abs(float(pot.phi @ mu_k.weights) + psi_bar - wpp) <= _DUALITY_TOL
+        entry.check_duality(mu_k)
         entries.append(entry)
     return PotentialBank(theta, entries)
 

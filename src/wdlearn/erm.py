@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cylinder import CylinderFunction, _quad_weights, grid_gradients, identity_outer
-from .errors import RankDeficient, Singular
+from .errors import CertificateViolation, RankDeficient, Singular
 from .measures import GroundSpace
 
 _RESIDUAL_TOL = 1e-10
@@ -136,8 +136,13 @@ def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> Cylinde
 
     new_A = out.l2_gram(sample, weights)
     new_B = out.energy_gram(sample, weights)
-    assert np.abs(new_A - np.eye(out.dim)).max() <= _GRAM_TOL
-    assert np.abs(new_B - np.diag(np.diag(new_B))).max() <= _GRAM_TOL
+    l2_err = np.abs(new_A - np.eye(out.dim)).max()
+    energy_err = np.abs(new_B - np.diag(np.diag(new_B))).max()
+    if not (l2_err <= _GRAM_TOL and energy_err <= _GRAM_TOL):
+        raise CertificateViolation(
+            f"double orthogonalization off by {l2_err:.3e} (L2 Gram) and "
+            f"{energy_err:.3e} (energy Gram)"
+        )
     return out
 
 

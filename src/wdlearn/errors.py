@@ -13,6 +13,15 @@ class NegativeEntry(WdlearnError, ValueError):
     """Weight vector contains a negative entry."""
 
 
+class CertificateViolation(WdlearnError, AssertionError):
+    """A mathematical guarantee the code relies on failed its check.
+
+    Raised instead of ``assert``, so ``python -O`` does not strip the
+    check; it subclasses ``AssertionError`` so that callers catching the
+    assertion it replaces keep working.
+    """
+
+
 class SolverFailure(WdlearnError, RuntimeError):
     """The exact transport LP did not converge; treat as a bug signal."""
 

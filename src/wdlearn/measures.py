@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AllZero, NegativeEntry
+from .errors import AllZero, CertificateViolation, NegativeEntry
 
 # Constructors accept unit-mass errors up to this and renormalize; beyond
 # it the input is considered bad data.
@@ -138,7 +138,8 @@ class DiscreteMeasure:
         self.ground = ground
         self.weights = w
         self.weights.setflags(write=False)
-        assert abs(self.weights.sum() - 1.0) <= _MASS_TOL
+        if not abs(self.weights.sum() - 1.0) <= _MASS_TOL:
+            raise CertificateViolation(f"renormalized weights sum to {self.weights.sum()!r}")
 
     @classmethod
     def dirac(cls, ground: GroundSpace, index: int) -> "DiscreteMeasure":

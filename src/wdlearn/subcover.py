@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyCover
+from .errors import CertificateViolation, EmptyCover
 from .measures import DiscreteMeasure
 from .ot import pairwise_wasserstein, solve_transport_lp
 
@@ -64,14 +64,26 @@ class MetricSample:
         return float(self.distance_matrix.max())
 
     def check_metric(self, seed: int = 0, triples: int = 100, tol: float = 1e-8):
-        """Spot-check symmetry, zero diagonal, and the triangle inequality."""
+        """Spot-check symmetry, zero diagonal, and the triangle inequality.
+
+        Raises
+        ------
+        CertificateViolation
+            If a check fails by more than ``tol``.
+        """
         D = self.distance_matrix
-        assert np.abs(D - D.T).max() <= tol
-        assert np.abs(np.diag(D)).max() <= tol
+        asymmetry = np.abs(D - D.T).max()
+        if not asymmetry <= tol:
+            raise CertificateViolation(f"distance matrix asymmetric by {asymmetry:.3e}")
+        diagonal = np.abs(np.diag(D)).max()
+        if not diagonal <= tol:
+            raise CertificateViolation(f"distance matrix diagonal reaches {diagonal:.3e}")
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, self.size, size=(triples, 3))
         i, j, k = idx.T
-        assert np.all(D[i, j] <= D[i, k] + D[k, j] + tol)
+        if not np.all(D[i, j] <= D[i, k] + D[k, j] + tol):
+            excess = np.nanmax(D[i, j] - D[i, k] - D[k, j])
+            raise CertificateViolation(f"triangle inequality violated by {excess:.3e}")
 
     def ball_masses(self, eps: float) -> np.ndarray:
         """``p(B(x_i, eps))`` for every sample point (open balls)."""
@@ -99,7 +111,10 @@ def p_eps_k_closed(sample: MetricSample, eps: float, k: int) -> float:
     complement = ((~inside) * w[None, :]).sum(axis=1)
     first = float(np.dot(w, 1.0 - (1.0 - ball) ** k))
     second = float(np.dot(w, 1.0 - complement**k))
-    assert abs(first - second) <= _FORM_AGREEMENT_TOL
+    if not abs(first - second) <= _FORM_AGREEMENT_TOL:
+        raise CertificateViolation(
+            f"closed forms of p(eps, k) disagree by {abs(first - second):.3e}"
+        )
     return first
 
 

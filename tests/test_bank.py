@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wdlearn
+from wdlearn import bank as bank_module
 from wdlearn.bank import (
     PotentialBank,
     build_bank,
@@ -13,9 +22,9 @@ from wdlearn.bank import (
     select_cover_indices,
     write_bank,
 )
-from wdlearn.errors import EmptyBank
+from wdlearn.errors import CertificateViolation, EmptyBank
 from wdlearn.measures import DiscreteMeasure, GroundSpace, MeasureDataset
-from wdlearn.ot import exact_ot, pairwise_wasserstein
+from wdlearn.ot import PotentialPair, exact_ot, pairwise_wasserstein
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +62,56 @@ class TestBuildBank:
         for e in bank.entries:
             _, _, wpp = exact_ot(theta, small_dataset.train[e.source_index])
             assert e.wpp == pytest.approx(wpp, abs=1e-10)
+
+
+def off_by_one_micro(theta, mu):
+    """``exact_ot`` with ``phi`` raised by 1e-6, which breaks duality."""
+    plan, pot, wpp = exact_ot(theta, mu)
+    return plan, PotentialPair(pot.phi + 1e-6, pot.psi, pot.dual_value), wpp
+
+
+class TestDualityCertificate:
+    def test_tampered_entry_raises(self, small_dataset, bank):
+        e = bank.entries[2]
+        entries = list(bank.entries)
+        entries[2] = replace(e, psi_bar=e.psi_bar + 1e-6)
+        tampered = PotentialBank(bank.theta, entries)
+        with pytest.raises(CertificateViolation, match=f"bank entry {e.source_index} "):
+            tampered.check_duality(small_dataset)
+
+    def test_build_bank_checks_each_entry(self, small_dataset, theta, monkeypatch):
+        monkeypatch.setattr(bank_module, "exact_ot", off_by_one_micro)
+        with pytest.raises(CertificateViolation, match="violates duality by 1.000e-06"):
+            build_bank(small_dataset, theta, [3])
+
+    def test_check_survives_python_O(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from wdlearn import bank, ot
+            from wdlearn.errors import CertificateViolation
+            from wdlearn.measures import DiscreteMeasure, GroundSpace, MeasureDataset
+
+            def off_by_one_micro(theta, mu):
+                plan, pot, wpp = ot.exact_ot(theta, mu)
+                return plan, ot.PotentialPair(pot.phi + 1e-6, pot.psi, pot.dual_value), wpp
+
+            g = GroundSpace.grid((2, 2))
+            ds = MeasureDataset(g, [DiscreteMeasure(g, [0.1, 0.2, 0.3, 0.4])], [])
+            bank.exact_ot = off_by_one_micro
+            try:
+                bank.build_bank(ds, DiscreteMeasure(g, np.full(4, 0.25)), [0])
+            except CertificateViolation:
+                print("raised under optimize level", sys.flags.optimize)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(wdlearn.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "raised under optimize level 1"
 
 
 class TestEvalG:

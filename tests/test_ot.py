@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdlearn import ot
 from wdlearn.errors import NotConverged
+from wdlearn.experiments import make_synthetic_dataset
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.ot import (
     c_transform,
@@ -126,6 +130,102 @@ class TestExactOT:
         D = pairwise_wasserstein(ms)
         assert np.allclose(D, D.T)
         assert np.all(np.diag(D) == 0.0)
+
+
+def presolved_exact_ot(mu, nu, p=None):
+    """``exact_ot`` with HiGHS presolve switched on: the reference for
+    the solves without it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(ot._LP_OPTIONS, "presolve", True)
+        return exact_ot(mu, nu, p)
+
+
+def assert_matches_presolved(mu, nu, p=None, potentials=True):
+    plan, pot, wpp = exact_ot(mu, nu, p)
+    _, ref_pot, ref_wpp = presolved_exact_ot(mu, nu, p)
+    assert abs(wpp - ref_wpp) <= 1e-12
+    if potentials:
+        np.testing.assert_allclose(pot.phi, ref_pot.phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pot.psi, ref_pot.psi, rtol=0, atol=1e-12)
+    return plan
+
+
+class TestWithoutPresolve:
+    def test_presolve_is_off(self):
+        assert ot._LP_OPTIONS["presolve"] is False
+
+    def test_dirichlet_sweep_against_uniform(self):
+        ds = make_synthetic_dataset(8, 8, n_train=40, n_test=0, seed=21)
+        theta = DiscreteMeasure(ds.ground, np.full(64, 1.0 / 64))
+        for mu in ds.train:
+            assert_matches_presolved(theta, mu)
+
+    def test_blurred_blobs_pairs(self):
+        ds = make_synthetic_dataset(6, 6, n_train=8, n_test=0, generator="blurred-blobs", seed=5)
+        for i in range(len(ds.train)):
+            for j in range(i + 1, len(ds.train)):
+                assert_matches_presolved(ds.train[i], ds.train[j])
+
+    def test_sparse_supports_and_diracs(self):
+        # the optimal potentials of such pairs are not unique, so only
+        # the values are compared
+        rng = np.random.default_rng(4)
+        g = GroundSpace.grid((5, 5))
+        cost = g.cost_matrix()
+        for _ in range(10):
+            mu = random_measure(g, rng, sparse=True)
+            nu = random_measure(g, rng, sparse=True)
+            plan = assert_matches_presolved(mu, nu, potentials=False)
+            np.testing.assert_array_equal(plan.matrix[mu.weights == 0.0], 0.0)
+            np.testing.assert_array_equal(plan.matrix[:, nu.weights == 0.0], 0.0)
+        for i, j in [(0, 24), (7, 7), (3, 12)]:
+            di, dj = DiscreteMeasure.dirac(g, i), DiscreteMeasure.dirac(g, j)
+            plan = assert_matches_presolved(di, dj, potentials=False)
+            assert plan.cost == pytest.approx(cost[i, j], abs=1e-12)
+            assert plan.matrix[i, j] == pytest.approx(1.0, abs=1e-12)
+            mu = random_measure(g, rng, sparse=True)
+            assert_matches_presolved(di, mu, potentials=False)
+            assert_matches_presolved(mu, dj, potentials=False)
+
+
+class TestTelemetry:
+    def test_silent_by_default(self):
+        handlers = logging.getLogger("wdlearn").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+    def test_one_record_per_lp(self, caplog, monkeypatch):
+        iters = []
+
+        def counted_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            iters.append(res.nit)
+            return res
+
+        linprog = ot.linprog
+        monkeypatch.setattr(ot, "linprog", counted_linprog)
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(12)
+        g = GroundSpace.grid((6, 6))
+        for _ in range(3):
+            exact_ot(random_measure(g, rng), random_measure(g, rng))
+        mu = random_measure(g, rng, sparse=True)
+        exact_ot(mu, random_measure(g, rng), p=3.0)
+        records = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert [r.simplex_iters for r in records] == iters and len(iters) == 4
+        assert min(iters) > 0
+        for r in records:
+            assert r.levelno == logging.DEBUG
+            assert "Optimal" in r.lp_status and r.ns > 0
+            assert f"simplex_iters={r.simplex_iters}" in r.getMessage()
+        n_supp = int(np.count_nonzero(mu.weights))
+        assert records[-1].getMessage().startswith(f"transport LP {n_supp}x36:")
+
+    def test_no_record_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="wdlearn.ot")
+        rng = np.random.default_rng(13)
+        g = GroundSpace.grid((4, 4))
+        exact_ot(random_measure(g, rng), random_measure(g, rng))
+        assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
 
 
 class TestSinkhorn:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wdlearn.errors import EmptyCover
+from wdlearn.errors import CertificateViolation, EmptyCover
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.subcover import (
     MetricSample,
@@ -34,6 +34,19 @@ class TestMetricSample:
     def test_wasserstein_matrix_is_a_metric(self, measure_sample):
         measure_sample.check_metric(seed=1)
 
+    @pytest.mark.parametrize(
+        "D, what",
+        [
+            ([[0.0, 1.0, 2.0], [1.1, 0.0, 1.0], [2.0, 1.0, 0.0]], "asymmetric"),
+            ([[0.5, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "diagonal"),
+            ([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]], "triangle"),
+            ([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]], "asymmetric"),
+        ],
+    )
+    def test_check_metric_rejects(self, D, what):
+        with pytest.raises(CertificateViolation, match=what):
+            MetricSample(distance_matrix=np.array(D)).check_metric(seed=0)
+
     def test_ball_masses_use_open_balls(self, two_atoms):
         # at eps exactly 1 the other atom is excluded
         np.testing.assert_allclose(two_atoms.ball_masses(1.0), [0.5, 0.5])
@@ -52,6 +65,13 @@ class TestClosedForm:
     def test_two_separated_atoms_k1(self, two_atoms):
         # by hand: 1 - sum_x w(x) (1 - w(x)) = 1 - 0.5 = 0.5
         assert p_eps_k_closed(two_atoms, 0.5, 1) == pytest.approx(0.5)
+
+    def test_mismatched_forms_raise(self):
+        # weights that do not sum to 1 split ball and complement unevenly
+        sample = MetricSample(distance_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        sample.weights = np.array([0.3, 0.3])
+        with pytest.raises(CertificateViolation, match="closed forms"):
+            p_eps_k_closed(sample, 0.5, 2)
 
     def test_monotone_in_k_and_eps(self, measure_sample):
         eps_grid = [0.05, 0.1, 0.2, 0.4]
