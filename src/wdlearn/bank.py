@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificateViolation, EmptyBank
-from .measures import DiscreteMeasure, MeasureDataset, ensure_same_ground
+from .measures import DiscreteMeasure, LineReader, MeasureDataset, ensure_same_ground
 from .ot import exact_ot, wasserstein
 
 _DUALITY_TOL = 1e-8
@@ -185,22 +185,32 @@ def write_bank(path, bank: PotentialBank) -> None:
 
 
 def read_bank(path, theta: DiscreteMeasure) -> PotentialBank:
-    """Read a bank file; the reference must hash to the stored value."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        count, d = int(header[0]), int(header[1])
-        p = float(header[2])
-        if header[3] != reference_hash(theta):
-            raise ValueError("bank file was built against a different reference")
-        if d != theta.ground.size or p != theta.ground.p:
-            raise ValueError("bank file does not match the ground space")
-        entries = []
-        for _ in range(count):
-            k, wpp, psi_bar = fh.readline().split()
-            phi = np.array(fh.readline().split(), dtype=float)
-            entries.append(
-                BankEntry(
-                    source_index=int(k), phi=phi, psi_bar=float(psi_bar), wpp=float(wpp)
-                )
-            )
+    """Read a bank file; the reference must hash to the stored value.
+
+    Raises
+    ------
+    ValueError
+        If the file belongs to another reference or ground space, and,
+        naming the line, when the file ends before the header's count of
+        entries or without a final newline, when a line has the wrong
+        number of fields (a ``phi`` line needs ``d``), and when non-blank
+        data follows the last entry.
+    """
+    lines = LineReader(path, "bank")
+    count, d, p, ref_hash = lines.fields(
+        "the header '|I| d p ref_hash'", (int, int, float, str)
+    )
+    if ref_hash != reference_hash(theta):
+        raise ValueError("bank file was built against a different reference")
+    if d != theta.ground.size or p != theta.ground.p:
+        raise ValueError("bank file does not match the ground space")
+    if count < 0:
+        raise lines.error(f"negative entry count {count}")
+    entries = []
+    for i in range(count):
+        entry = f"entry {i + 1} of {count}"
+        k, wpp, psi_bar = lines.fields(f"{entry}: 'k wpp psi_bar'", (int, float, float))
+        phi = np.array(lines.fields(f"{entry}: phi", [float] * d))
+        entries.append(BankEntry(source_index=k, phi=phi, psi_bar=psi_bar, wpp=wpp))
+    lines.finish()
     return PotentialBank(theta, entries)

@@ -105,11 +105,6 @@ class CylinderSubspace:
             provenance=self.provenance,
         )
 
-    def combine(self, w) -> CylinderFunction:
-        """Single cylinder function ``sum_i w_i l_i``."""
-        f = (np.asarray(w, float) @ self.coeffs) @ self.features
-        return CylinderFunction(self.ground, f[None, :], identity_outer())
-
 
 def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> CylinderSubspace:
     """Basis orthonormal in L2 and orthogonal in energy, simultaneously.
@@ -229,9 +224,6 @@ class FitResult:
         if self.truncation is not None:
             out = np.clip(out, -self.truncation, self.truncation)
         return out
-
-    def as_cylinder_function(self) -> CylinderFunction:
-        return self.subspace.combine(self.coefficients)
 
 
 def _probes_do_not_descend(grad, curvature, obj: float) -> bool:

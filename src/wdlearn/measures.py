@@ -256,20 +256,79 @@ def write_dataset(path, dataset: MeasureDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+class LineReader:
+    """The lines of a text file in a wdlearn line format (datasets, banks),
+    read in order, with errors that name the line.
+
+    The writers end every line with a newline, so a file whose last line
+    has none was cut short.
+    """
+
+    def __init__(self, path, kind: str):
+        with open(path) as fh:
+            self.lines = fh.read().split("\n")
+        self.kind = kind
+        self.no = 0  # lines read so far
+        if self.lines.pop():
+            raise ValueError(
+                f"{kind} file ended early: line {len(self.lines) + 1} has no newline"
+            )
+
+    def error(self, message: str) -> ValueError:
+        """An error about the line read last."""
+        return ValueError(f"{self.kind} file, line {self.no}: {message}")
+
+    def fields(self, what: str, types: Sequence) -> list:
+        """The next line, which holds ``what``: one field per entry of
+        ``types``, each converted by it."""
+        if self.no == len(self.lines):
+            raise ValueError(
+                f"{self.kind} file ended early: line {self.no + 1} should hold {what}"
+            )
+        self.no += 1
+        words = self.lines[self.no - 1].split()
+        if len(words) != len(types):
+            raise self.error(f"{what} needs {len(types)} fields, found {len(words)}")
+        try:
+            return [convert(w) for convert, w in zip(types, words)]
+        except ValueError as exc:
+            raise self.error(f"{what}: {exc}") from None
+
+    def finish(self) -> None:
+        """Require nothing but blank lines after the last record."""
+        for no, line in enumerate(self.lines[self.no :], start=self.no + 1):
+            if line.strip():
+                raise ValueError(f"{self.kind} file, line {no}: data after the last record")
+
+
 def read_dataset(path) -> MeasureDataset:
-    """Read a dataset written by :func:`write_dataset`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError("malformed dataset header")
-        rows, cols = int(header[0]), int(header[1])
-        p = float(header[2])
-        n_train, n_test = int(header[3]), int(header[4])
+    """Read a dataset written by :func:`write_dataset`.
+
+    Raises
+    ------
+    ValueError
+        Naming the line, when the file ends before the header's count of
+        measures or without a final newline, when a line has the wrong
+        number of fields or is not a probability vector, and when
+        non-blank data follows the last measure.
+    """
+    lines = LineReader(path, "dataset")
+    rows, cols, p, n_train, n_test = lines.fields(
+        "the header 'rows cols p n_train n_test'", (int, int, float, int, int)
+    )
+    if min(n_train, n_test) < 0:
+        raise lines.error(f"negative measure count {min(n_train, n_test)}")
+    try:
         ground = GroundSpace.grid((rows, cols), p=p)
-        measures = []
-        for _ in range(n_train + n_test):
-            vals = np.array(fh.readline().split(), dtype=float)
+    except ValueError as exc:
+        raise lines.error(str(exc)) from exc
+    n = n_train + n_test
+    measures = []
+    for i in range(n):
+        vals = lines.fields(f"measure {i + 1} of {n}", [float] * ground.size)
+        try:
             measures.append(DiscreteMeasure(ground, vals))
-    if len(measures) != n_train + n_test:
-        raise ValueError("dataset file ended early")
+        except ValueError as exc:
+            raise lines.error(str(exc)) from exc
+    lines.finish()
     return MeasureDataset(ground, measures[:n_train], measures[n_train:])

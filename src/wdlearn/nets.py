@@ -14,6 +14,16 @@ first pre-activation (needed by energy-regularized and weak-form losses,
 where the loss itself contains the input-gradient), and returns
 gradients only for the layers that train.  At ReLU kinks the subgradient
 convention is derivative 0 at exactly 0.
+
+A frozen layer of the max tree runs structurally: the first tree layer
+maps each input pair ``(a, b)`` to ``(a - b, b, -b)``, each later one
+collapses every triple to ``r1 + r2 - r3`` and pairs the results the same
+way, and the reverse sweep goes back through the same pairs and triples.
+The pre-activations in the forward cache keep their dense shapes.  A tree
+layer runs as its dense ``kron`` matrix when it trains (``--trainable-tree``,
+``set_all_trainable``) and when its weights or bias differ from the
+canonical block, e.g. after training or :meth:`ReluNetwork.scale_output`;
+see :meth:`Layer.tree_maps`.
 """
 
 from __future__ import annotations
@@ -46,6 +56,30 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.W.shape[0] != self.b.shape[0]:
             raise ValueError("bias length must match the output width")
+        self._tree = None  # (W, b, maps): the verdict of tree_maps for these arrays
+
+    def tree_maps(self):
+        """``(map, transpose)`` running this layer's ``x @ W.T`` and
+        ``g @ W`` structurally, or None to run it dense.
+
+        Only a frozen layer whose ``W`` is a canonical max-tree block (as
+        :func:`max_tree_matrices` builds it) and whose bias is zero runs
+        structurally.  The comparison runs once per pair of ``W`` and ``b``
+        arrays and its verdict is cached; a recognised layer's arrays become
+        read-only, so an in-place edit cannot leave the verdict stale
+        (assign a new array instead, as :class:`Adam` does).
+        """
+        if self.trainable:
+            return None
+        W, b = self.W, self.b
+        if self._tree is None or self._tree[0] is not W or self._tree[1] is not b:
+            maps = None
+            if not b.any():
+                maps = next((m for block, *m in _TREE_MAPS if _repeats(W, block)), None)
+            if maps is not None:
+                W.flags.writeable = b.flags.writeable = False
+            self._tree = (W, b, maps)
+        return self._tree[2]
 
 
 class ReluNetwork:
@@ -76,7 +110,8 @@ class ReluNetwork:
         a = X
         zs, acts = [], []
         for lay in self.layers:
-            z = a @ lay.W.T + lay.b
+            maps = lay.tree_maps()
+            z = maps[0](a) if maps else a @ lay.W.T + lay.b  # a tree's bias is 0
             a = np.maximum(z, 0.0) if lay.activation == "relu" else z
             zs.append(z)
             acts.append(a)
@@ -108,12 +143,22 @@ class ReluNetwork:
         return self
 
     def copy(self) -> "ReluNetwork":
+        # Layer copies its arrays
         return ReluNetwork(
-            [
-                Layer(l.W.copy(), l.b.copy(), l.activation, l.trainable)
-                for l in self.layers
-            ]
+            [Layer(l.W, l.b, l.activation, l.trainable) for l in self.layers]
         )
+
+
+def _apply(lay: Layer, x: np.ndarray) -> np.ndarray:
+    """``x @ lay.W.T``, structurally for a frozen max-tree layer."""
+    maps = lay.tree_maps()
+    return maps[0](x) if maps else x @ lay.W.T
+
+
+def _apply_T(lay: Layer, g: np.ndarray) -> np.ndarray:
+    """``g @ lay.W``, structurally for a frozen max-tree layer."""
+    maps = lay.tree_maps()
+    return maps[1](g) if maps else g @ lay.W
 
 
 def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -134,7 +179,7 @@ def _sensitivities(net: ReluNetwork, cache) -> list:
             lay = net.layers[i]
             hat[i] = d = _through_mask(lay, cache["z"][i], d)
             if i > 0:
-                d = d @ lay.W
+                d = _apply_T(lay, d)
         cache["hat"] = hat
     return cache["hat"]
 
@@ -181,7 +226,7 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
             if u is not None:
                 grads[(i, "W")] += hat[i].T @ u
         if sgrad_seeds is not None:
-            u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else u @ lay.W.T
+            u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else _apply(lay, u)
             u = _through_mask(lay, cache["z"][i], u)
     return grads
 
@@ -195,12 +240,93 @@ def output_input_sensitivity(net: ReluNetwork, X: np.ndarray) -> np.ndarray:
 # max-of-2^k tree construction
 # ---------------------------------------------------------------------------
 
-_A2 = np.array([[1.0, -1.0], [0.0, 1.0], [0.0, -1.0]])
-_A1 = np.array([[1.0, 1.0, -1.0]])
-
 
 def _block(matrix: np.ndarray, copies: int) -> np.ndarray:
     return np.kron(np.eye(copies), matrix)
+
+
+_A2 = np.array([[1.0, -1.0], [0.0, 1.0], [0.0, -1.0]])
+_A1 = np.array([[1.0, 1.0, -1.0]])
+# B_l C_{l+1} repeats A2 (I_2 kron A1): two triples collapsed, then paired
+_A3 = _A2 @ _block(_A1, 2)
+
+
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """``x @ (I kron A2).T``: each input pair ``(a, b)`` to ``(a - b, b, -b)``."""
+    v = x.reshape(len(x), -1, 2)
+    a, b = v[:, :, 0], v[:, :, 1]
+    out = np.empty((len(x), v.shape[1], 3))
+    np.subtract(a, b, out=out[:, :, 0])
+    out[:, :, 1] = b
+    np.negative(b, out=out[:, :, 2])
+    return out.reshape(len(x), -1)
+
+
+def _pairs_T(g: np.ndarray) -> np.ndarray:
+    """``g @ (I kron A2)``: each triple ``(g1, g2, g3)`` to ``(g1, g2 - g1 - g3)``."""
+    t = g.reshape(len(g), -1, 3)
+    out = np.empty((len(g), t.shape[1], 2))
+    out[:, :, 0] = t[:, :, 0]
+    np.subtract(t[:, :, 1], t[:, :, 0], out=out[:, :, 1])
+    out[:, :, 1] -= t[:, :, 2]
+    return out.reshape(len(g), -1)
+
+
+def _collapse(x: np.ndarray) -> np.ndarray:
+    """``x @ (I kron A1).T``: each triple ``(r1, r2, r3)`` to ``r1 + r2 - r3``."""
+    t = x.reshape(len(x), -1, 3)
+    c = t[:, :, 0] + t[:, :, 1]
+    c -= t[:, :, 2]
+    return c
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    """``x @ (I kron A3).T``: each two triples ``r``, ``s`` to ``(c(r) - c(s),
+    c(s), -c(s))`` with ``c(t) = t1 + t2 - t3``.
+
+    Rounds as the dense rows summed left to right, as a matrix product
+    that accumulates in order does; ``c(r) - c(s)`` rounds otherwise, which
+    flips the MAE seed of a residual within rounding of 0 (a
+    bank-initialized network at its anchors).  Of a ReLU triple ``t2`` or
+    ``t3`` is 0, so ``(t2 - t3) + t1`` equals ``(t1 + t2) - t3`` and
+    ``(c(r) - s1) - (s2 - s3)`` equals ``((c(r) - s1) - s2) + s3`` exactly.
+    """
+    t = x.reshape(len(x), -1, 2, 3)
+    d = t[:, :, :, 1] - t[:, :, :, 2]
+    c = d + t[:, :, :, 0]
+    out = np.empty((len(x), t.shape[1], 3))
+    z = out[:, :, 0]
+    np.subtract(c[:, :, 0], t[:, :, 1, 0], out=z)
+    z -= d[:, :, 1]
+    out[:, :, 1] = c[:, :, 1]
+    np.negative(c[:, :, 1], out=out[:, :, 2])
+    return out.reshape(len(x), -1)
+
+
+def _collapse_T(g: np.ndarray) -> np.ndarray:
+    """``g @ (I kron A1)``: each entry ``h`` to ``(h, h, -h)``."""
+    out = np.empty((len(g), g.shape[1], 3))
+    out[:, :, 0] = out[:, :, 1] = g
+    np.negative(g, out=out[:, :, 2])
+    return out.reshape(len(g), -1)
+
+
+# each max-tree block, with the maps that run copies of it structurally
+_TREE_MAPS = (
+    (_A2, _pairs, _pairs_T),
+    (_A3, _merge, lambda g: _collapse_T(_pairs_T(g))),
+    (_A1, _collapse, _collapse_T),
+)
+
+
+def _repeats(W: np.ndarray, block: np.ndarray) -> bool:
+    """Whether ``W`` is ``I_n kron block`` for some ``n >= 1``."""
+    n = W.shape[1] // block.shape[1]
+    return (
+        n > 0
+        and W.shape == (n * block.shape[0], n * block.shape[1])
+        and np.array_equal(W, _block(block, n))
+    )
 
 
 def max_tree_matrices(k: int) -> list:
@@ -213,10 +339,7 @@ def max_tree_matrices(k: int) -> list:
     if k < 1:
         raise ValueError("k must be at least 1")
     mats = [_block(_A2, 2 ** (k - 1))]
-    for ell in range(k - 1, 0, -1):
-        B = _block(_A2, 2 ** (ell - 1))
-        C = _block(_A1, 2**ell)
-        mats.append(B @ C)
+    mats += [_block(_A3, 2 ** (ell - 1)) for ell in range(k - 1, 0, -1)]
     mats.append(_A1)
     return mats
 
@@ -225,6 +348,9 @@ def build_max_network(k: int) -> ReluNetwork:
     """Fixed ReLU network computing the exact max of ``2^k`` inputs.
 
     Hidden layer i has width ``3 * 2^(k-i)``; weights are not trainable.
+    While they stay frozen and unchanged, the layers run as pairwise
+    reshapes and ReLUs instead of their ``kron`` matrices; made trainable
+    or changed in any entry, they run dense (see :meth:`Layer.tree_maps`).
     """
     mats = max_tree_matrices(k)
     layers = [

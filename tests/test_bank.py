@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wdlearn
 from wdlearn import bank as bank_module
 from wdlearn.bank import (
+    BankEntry,
     PotentialBank,
     build_bank,
     eval_G,
@@ -237,3 +240,86 @@ class TestSchedulesAndIO:
         other_theta = DiscreteMeasure(other_ground, np.full(4, 0.25))
         with pytest.raises(ValueError):
             read_bank(path, other_theta)
+
+
+def _random_bank(count, seed):
+    """A bank of random entries on the 3x3 grid against the uniform
+    reference; the file format does not check duality."""
+    rng = np.random.default_rng(seed)
+    ground = GroundSpace.grid((3, 3))
+    entries = [
+        BankEntry(int(k), rng.normal(size=9), float(rng.normal()), float(rng.random()))
+        for k in rng.integers(0, 100, size=count)
+    ]
+    return PotentialBank(DiscreteMeasure(ground, np.full(9, 1.0 / 9.0)), entries)
+
+
+banks = st.builds(_random_bank, st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+class TestBankFileProperties:
+    """Round trips and corruptions of the bank text format."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("banks") / "bank.txt"
+
+    @settings(max_examples=40, deadline=None)
+    @given(bk=banks)
+    def test_roundtrip_is_bitwise(self, path, bk):
+        write_bank(path, bk)
+        back = read_bank(path, bk.theta)
+        assert len(back) == len(bk)
+        for a, b in zip(bk.entries, back.entries):
+            assert (a.source_index, a.wpp, a.psi_bar) == (b.source_index, b.wpp, b.psi_bar)
+            np.testing.assert_array_equal(a.phi, b.phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bk=banks, data=st.data())
+    def test_every_cut_ends_early(self, path, bk, data):
+        write_bank(path, bk)
+        text = path.read_text()
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(ValueError, match="bank file ended early: line"):
+            read_bank(path, bk.theta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bk=banks, junk=st.sampled_from(["0.5", "x", "1 2 3"]))
+    def test_trailing_data_names_its_line(self, path, bk, junk):
+        write_bank(path, bk)
+        path.write_text(path.read_text() + junk + "\n")
+        line = 2 + 2 * len(bk)
+        with pytest.raises(ValueError, match=f"line {line}: data after the last record"):
+            read_bank(path, bk.theta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bk=banks, data=st.data())
+    def test_phi_of_wrong_length_names_its_line(self, path, bk, data):
+        if len(bk) == 0:
+            return
+        write_bank(path, bk)
+        lines = path.read_text().split("\n")
+        i = data.draw(st.integers(1, len(bk)))
+        values = lines[2 * i].split()
+        lines[2 * i] = " ".join(values[:-1] if data.draw(st.booleans()) else values + ["0.0"])
+        path.write_text("\n".join(lines))
+        match = f"line {2 * i + 1}: entry {i} of {len(bk)}: phi needs 9 fields"
+        with pytest.raises(ValueError, match=match):
+            read_bank(path, bk.theta)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 9 2.0", "line 1: the header .* needs 4 fields, found 3"),
+            ("x 9 2.0 {h}", "line 1: the header .* invalid literal for int"),
+            ("1 9 2.0 {h}\n0 1.0", "line 2: entry 1 of 1: 'k wpp psi_bar' needs 3 fields"),
+            ("1 9 2.0 {h}\n0 1.0 2.0\n" + "0.0 " * 8, "line 3: entry 1 of 1: phi needs 9"),
+            ("-1 9 2.0 {h}", "line 1: negative entry count"),
+        ],
+    )
+    def test_malformed_lines_name_their_line(self, tmp_path, text, message):
+        theta = _random_bank(0, 0).theta
+        path = tmp_path / "bank.txt"
+        path.write_text(text.format(h=bank_module.reference_hash(theta)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_bank(path, theta)

@@ -161,5 +161,83 @@ class TestDatasetIO:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("2 3 2.0 2 0\n" + " ".join([repr(1 / 6)] * 6) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ended early: line 3 should hold measure 2 of 2"):
+            read_dataset(path)
+
+
+def _random_dataset(rows, cols, n_train, n_test, seed):
+    rng = np.random.default_rng(seed)
+    g = GroundSpace.grid((rows, cols))
+    ms = [DiscreteMeasure(g, rng.dirichlet(np.ones(g.size))) for _ in range(n_train + n_test)]
+    return MeasureDataset(g, ms[:n_train], ms[n_train:])
+
+
+datasets = st.builds(
+    _random_dataset,
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestDatasetFileProperties:
+    """Round trips and corruptions of the dataset text format."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("datasets") / "ds.txt"
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=datasets)
+    def test_roundtrip_is_bitwise(self, path, ds):
+        write_dataset(path, ds)
+        back = read_dataset(path)
+        assert back.ground.grid_shape == ds.ground.grid_shape and back.ground.p == ds.ground.p
+        for split in ("train", "test"):
+            mine, theirs = getattr(ds, split), getattr(back, split)
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                np.testing.assert_array_equal(a.weights, b.weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=datasets, data=st.data())
+    def test_every_cut_ends_early(self, path, ds, data):
+        write_dataset(path, ds)
+        text = path.read_text()
+        cut = data.draw(st.integers(0, len(text) - 1))
+        path.write_text(text[:cut])
+        with pytest.raises(ValueError, match="dataset file ended early: line"):
+            read_dataset(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ds=datasets,
+        blanks=st.integers(0, 2),
+        junk=st.sampled_from(["0.5", "x", "1 2 3", "  7"]),
+    )
+    def test_trailing_data_names_its_line(self, path, ds, blanks, junk):
+        write_dataset(path, ds)
+        text = path.read_text() + "\n" * blanks
+        path.write_text(text)
+        read_dataset(path)  # blank lines at the end are fine
+        path.write_text(text + junk + "\n")
+        line = 2 + len(ds.train) + len(ds.test) + blanks
+        with pytest.raises(ValueError, match=f"line {line}: data after the last record"):
+            read_dataset(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ds=datasets, data=st.data())
+    def test_measure_of_wrong_length_names_its_line(self, path, ds, data):
+        n = len(ds.train) + len(ds.test)
+        if n == 0:
+            return
+        write_dataset(path, ds)
+        lines = path.read_text().split("\n")
+        i = data.draw(st.integers(1, n))
+        values = lines[i].split()
+        lines[i] = " ".join(values[:-1] if data.draw(st.booleans()) else values + ["0.0"])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"line {i + 1}: measure {i} of {n} needs"):
             read_dataset(path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdlearn import nets
 from wdlearn.errors import Diverged, TooManyRows
 from wdlearn.measures import GroundSpace
 from wdlearn.nets import (
@@ -24,6 +25,7 @@ from wdlearn.nets import (
     train,
     _mae_loss_and_grads,
     _regularized_loss_and_grads,
+    _sensitivities,
 )
 
 
@@ -86,6 +88,130 @@ class TestMaxNetwork:
         out = net.forward(X)
         perm = rng.permutation(8)
         np.testing.assert_allclose(net.forward(X[:, perm]), out, atol=1e-12)
+
+
+def _dense(net):
+    """The same network with every layer run as its matrix (layers that
+    train never run structurally)."""
+    return net.copy().set_all_trainable(True)
+
+
+def _dense_layers(net):
+    return [i for i, lay in enumerate(net.layers) if lay.tree_maps() is None]
+
+
+def _row_sums_in_order(a, W):
+    """``a @ W.T`` with every dot product summed left to right."""
+    acc = np.zeros((len(a), W.shape[0]))
+    for j in range(W.shape[1]):
+        acc = acc + a[:, j : j + 1] * W[:, j]
+    return acc
+
+
+def _assert_paths_agree(net, dense, X, exact=False):
+    """Forward within 1e-15 of the largest output, or bitwise when
+    ``exact``; pre-activations of the same shapes, those of the tree
+    rounded as its dense rows summed in order; sensitivities bitwise."""
+    ys, cs = net.forward_cached(X)
+    yd, cd = dense.forward_cached(X)
+    tol = 0.0 if exact else 1e-15 * np.abs(yd).max()
+    assert np.abs(ys - yd).max() <= tol
+    for zs, zd in zip(cs["z"], cd["z"], strict=True):
+        assert zs.shape == zd.shape
+        np.testing.assert_allclose(zs, zd, rtol=0, atol=1e-15 * np.abs(X).max())
+    for i, lay in enumerate(net.layers):
+        if lay.tree_maps() is not None:
+            prev = X if i == 0 else cs["a"][i - 1]
+            np.testing.assert_array_equal(cs["z"][i], _row_sums_in_order(prev, lay.W))
+    for hs, hd in zip(_sensitivities(net, cs), _sensitivities(dense, cd), strict=True):
+        np.testing.assert_array_equal(hs, hd)
+
+
+class TestStructuralTree:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_dense_path(self, k):
+        rng = np.random.default_rng(100 + k)
+        tree = build_max_network(k)
+        head = random_head_network(16, k, seed=k)
+        assert _dense_layers(tree) == [] and _dense_layers(head) == [0]
+        _assert_paths_agree(tree, _dense(tree), rng.normal(size=(64, 2**k)))
+        _assert_paths_agree(head, _dense(head), rng.normal(size=(64, 16)))
+        # exact ties and zeros, whole rows of zeros among them
+        T = rng.integers(-2, 3, size=(64, 2**k)).astype(float)
+        T[:8] = 0.0
+        _assert_paths_agree(tree, _dense(tree), T, exact=True)
+
+    @pytest.mark.parametrize(
+        "case", ["tree_layer_trains", "trained_then_frozen", "replaced_W", "bias_set", "scaled_output"]
+    )
+    def test_fallbacks_run_dense(self, case):
+        rng = np.random.default_rng(31)
+        X = rng.dirichlet(np.ones(6), size=40)
+        net = random_head_network(6, 3, seed=5)
+        if case == "tree_layer_trains":
+            net.layers[2].trainable = True
+            expected = [0, 2]
+        elif case == "trained_then_frozen":
+            net.set_all_trainable(True)
+            train(net, X, X.max(axis=1) + 1.0, TrainConfig(epochs=3, batch_size=8, lr=1e-2))
+            for lay in net.layers[1:]:
+                lay.trainable = False
+            expected = [0, 1, 2, 3, 4]
+        elif case == "replaced_W":
+            W = net.layers[2].W.copy()
+            W[0, 0] = 0.5
+            net.layers[2].W = W
+            net.layers[3].W = net.layers[3].W.copy()  # a new but canonical array
+            expected = [0, 2]
+        elif case == "bias_set":
+            net.layers[1].b = np.full(net.layers[1].b.shape, 1e-3)
+            expected = [0, 1]
+        else:
+            net.scale_output(2.0)
+            expected = [0, 4]
+        assert _dense_layers(net) == expected
+        dense = _dense(net)
+        y, cache = net.forward_cached(X)
+        y_dense, cache_dense = dense.forward_cached(X)
+        np.testing.assert_allclose(y, y_dense, rtol=1e-14)
+        for h, h_dense in zip(_sensitivities(net, cache), _sensitivities(dense, cache_dense)):
+            np.testing.assert_allclose(h, h_dense, rtol=1e-14, atol=1e-15)
+
+    def test_copy_and_model_file_keep_the_structural_path(self, tmp_path):
+        rng = np.random.default_rng(37)
+        net = random_head_network(6, 4, seed=3)
+        X = rng.dirichlet(np.ones(6), size=20)
+        path = tmp_path / "model.bin"
+        save_model(path, net)
+        for other in (net.copy(), load_model(path)[0]):
+            assert _dense_layers(other) == [0]
+            np.testing.assert_array_equal(other.forward(X), net.forward(X))
+
+    def test_verdict_is_computed_once_per_array(self, monkeypatch):
+        calls = []
+        compare = nets._repeats
+        monkeypatch.setattr(
+            nets, "_repeats", lambda W, block: calls.append(W.shape) or compare(W, block)
+        )
+        net = build_max_network(3)
+        X = np.random.default_rng(41).normal(size=(10, 8))
+        _, cache = net.forward_cached(X)
+        _sensitivities(net, cache)
+        first = len(calls)
+        assert first >= len(net.layers)
+        net.forward(X)
+        assert len(calls) == first
+        net.layers[1].W = net.layers[1].W.copy()
+        net.forward(X)
+        assert len(calls) > first
+
+    def test_recognised_arrays_are_read_only(self):
+        net = build_max_network(2)
+        net.forward(np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            net.layers[1].W[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            net.layers[0].b[0] = 1.0
 
 
 class TestBankInit:
