@@ -81,6 +81,12 @@ def _cmd_dataset_make(args):
 
 
 def _cmd_ot(args):
+    if args.method != "sinkhorn":
+        for flag, value in (("--reg", args.reg), ("--tol", args.tol)):
+            if value is not None:
+                raise SystemExit(f"{flag} applies only to --method sinkhorn")
+    reg = 0.1 if args.reg is None else args.reg
+    tol = 1e-9 if args.tol is None else args.tol
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
     measures, _ = _split_measures(dataset, args.split)
@@ -90,7 +96,7 @@ def _cmd_ot(args):
         if args.method == "exact":
             _, _, wpp = exact_ot(theta, mu, p=args.p)
         else:
-            _, wpp = sinkhorn(theta, mu, p=args.p, reg=args.reg, tol=args.tol)
+            _, wpp = sinkhorn(theta, mu, p=args.p, reg=reg, tol=tol)
         records.append(
             {"index": i, "wpp": wpp, "runtime_ns": time.perf_counter_ns() - t0}
         )
@@ -320,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     ot_p.add_argument("--ref", required=True, help="train index or measure file")
     ot_p.add_argument("--p", type=float, default=None)
     ot_p.add_argument("--method", default="exact", choices=["exact", "sinkhorn"])
-    ot_p.add_argument("--reg", type=float, default=0.1)
-    ot_p.add_argument("--tol", type=float, default=1e-9)
+    ot_p.add_argument("--reg", type=float, default=None, help="sinkhorn only (default 0.1)")
+    ot_p.add_argument("--tol", type=float, default=None, help="sinkhorn only (default 1e-9)")
     ot_p.add_argument("--split", default="train", choices=["train", "test", "all"])
     ot_p.add_argument("--out", required=True)
     ot_p.set_defaults(func=_cmd_ot)

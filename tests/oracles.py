@@ -3,7 +3,9 @@
 These deliberately avoid the library's solver paths: transport costs are
 minimized by enumerating basic feasible solutions of the transport
 polytope (spanning trees of the bipartite support graph), and covering
-quantities by exhaustive search.
+quantities by exhaustive search.  The Sinkhorn reference is the solver's
+first loop, kept as written so that a faster loop can be held to the
+same iterates.
 """
 
 import itertools
@@ -54,3 +56,40 @@ def min_cover_size(closed_form_p, one_minus_delta, k_max=10_000):
         if closed_form_p(k) >= one_minus_delta:
             return k
     raise RuntimeError("no covering k found below k_max")
+
+
+def sinkhorn_reference(mu, nu, p=None, reg=0.1, tol=1e-9, max_iter=10000):
+    """Log-domain Sinkhorn as first written, on ``scipy.special.logsumexp``.
+
+    Every iteration recomputes ``(g - C) / reg`` and the full plan to
+    check both marginals.  Returns the embedded plan, its cost and the
+    number of ``(f, g)`` updates; raises ``RuntimeError`` if ``max_iter``
+    is reached.
+    """
+    from scipy.special import logsumexp
+
+    cost = mu.ground.cost_matrix(p)
+    ia = np.flatnonzero(mu.weights > 0)
+    ib = np.flatnonzero(nu.weights > 0)
+    a = mu.weights[ia]
+    b = nu.weights[ib]
+    C = cost[np.ix_(ia, ib)]
+    la, lb = np.log(a), np.log(b)
+
+    f = np.zeros(len(ia))
+    g = np.zeros(len(ib))
+    for n_updates in range(1, max_iter + 1):
+        f = reg * (la - logsumexp((g[None, :] - C) / reg, axis=1))
+        g = reg * (lb - logsumexp((f[:, None] - C) / reg, axis=0))
+        plan = np.exp((f[:, None] + g[None, :] - C) / reg)
+        violation = max(
+            np.abs(plan.sum(axis=1) - a).max(), np.abs(plan.sum(axis=0) - b).max()
+        )
+        if violation < tol:
+            break
+    else:
+        raise RuntimeError(f"sinkhorn stopped after {max_iter} iterations")
+
+    gamma = np.zeros_like(cost)
+    gamma[np.ix_(ia, ib)] = plan
+    return gamma, float((gamma * cost).sum()), n_updates

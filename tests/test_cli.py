@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wdlearn import experiments, measures
+from wdlearn import cli, experiments, measures
 from wdlearn.cli import main
 from wdlearn.measures import read_dataset
 from wdlearn.nets import load_model, mean_relative_error
@@ -79,6 +79,31 @@ class TestCli:
             ]
         )
         assert len(_read_csv(out)) == 5
+
+    @pytest.mark.parametrize("flag", ["--reg", "--tol"])
+    def test_ot_rejects_sinkhorn_flags_for_exact(self, workdir, tmp_path, flag):
+        out = tmp_path / "d.csv"
+        args = ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", flag, "0.5"]
+        with pytest.raises(SystemExit, match=f"{flag} applies only to --method sinkhorn"):
+            main(args + ["--out", str(out)])
+        with pytest.raises(SystemExit, match=flag):
+            main(args + ["--method", "exact", "--out", str(out)])
+        assert not out.exists()
+
+    def test_ot_sinkhorn_defaults(self, workdir, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_sinkhorn(mu, nu, p=None, reg=None, tol=None):
+            seen.append((reg, tol))
+            return None, 0.0
+
+        monkeypatch.setattr(cli, "sinkhorn", recording_sinkhorn)
+        out = tmp_path / "sink.csv"
+        main(
+            ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--method", "sinkhorn"]
+            + ["--split", "test", "--out", str(out)]
+        )
+        assert seen == [(0.1, 1e-9)] * 5
 
     def test_bank_build_and_eval(self, workdir, tmp_path):
         out = tmp_path / "errors.csv"

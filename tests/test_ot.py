@@ -18,7 +18,7 @@ from wdlearn.ot import (
     wasserstein,
 )
 
-from .oracles import transport_cost_by_vertex_enumeration
+from .oracles import sinkhorn_reference, transport_cost_by_vertex_enumeration
 
 
 @pytest.fixture
@@ -228,6 +228,61 @@ class TestTelemetry:
         assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
 
 
+def sinkhorn_records(caplog):
+    return [
+        r for r in caplog.records if r.name == "wdlearn.ot" and hasattr(r, "sinkhorn_iters")
+    ]
+
+
+class TestSinkhornTelemetry:
+    def test_one_record_per_solve(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(14)
+        g = GroundSpace.grid((4, 4))
+        pairs = [(random_measure(g, rng), random_measure(g, rng, sparse=True)) for _ in range(3)]
+        updates = []
+        for mu, nu in pairs:
+            updates.append(sinkhorn_reference(mu, nu, reg=0.3, tol=1e-8)[2])
+            sinkhorn(mu, nu, reg=0.3, tol=1e-8)
+        records = sinkhorn_records(caplog)
+        assert [r.sinkhorn_iters for r in records] == updates
+        for r, (_, nu) in zip(records, pairs):
+            assert r.levelno == logging.DEBUG
+            assert 0.0 <= r.violation < 1e-8 and r.ns > 0
+            n_supp = int(np.count_nonzero(nu.weights))
+            assert r.getMessage().startswith(f"sinkhorn 16x{n_supp}: iters={r.sinkhorn_iters} ")
+
+    def test_record_before_not_converged(self, caplog, line01):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        mu = DiscreteMeasure(line01, [0.5, 0.5])
+        nu = DiscreteMeasure(line01, [0.9, 0.1])
+        with pytest.raises(NotConverged) as exc:
+            sinkhorn(mu, nu, reg=0.05, tol=1e-14, max_iter=3)
+        (record,) = sinkhorn_records(caplog)
+        assert record.sinkhorn_iters == 3
+        assert record.violation == exc.value.violation
+
+    def test_no_record_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="wdlearn.ot")
+        rng = np.random.default_rng(15)
+        g = GroundSpace.grid((3, 3))
+        sinkhorn(random_measure(g, rng), random_measure(g, rng), reg=0.3)
+        assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
+
+
+def assert_matches_reference(caplog, mu, nu, **kwargs):
+    """Same update count as the reference loop; plan and cost within 1e-12."""
+    caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+    gamma, cost, n_updates = sinkhorn_reference(mu, nu, **kwargs)
+    caplog.clear()
+    plan, wpp = sinkhorn(mu, nu, **kwargs)
+    (record,) = sinkhorn_records(caplog)
+    assert record.sinkhorn_iters == n_updates
+    np.testing.assert_allclose(plan.matrix, gamma, rtol=0.0, atol=1e-12)
+    assert wpp == plan.cost == pytest.approx(cost, rel=1e-12, abs=1e-12)
+    return plan
+
+
 class TestSinkhorn:
     def test_same_dirac(self, line01):
         mu = DiscreteMeasure.dirac(line01, 0)
@@ -261,6 +316,97 @@ class TestSinkhorn:
         with pytest.raises(NotConverged) as exc:
             sinkhorn(mu, nu, reg=0.05, tol=1e-14, max_iter=2)
         assert exc.value.violation > 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"reg": float("nan")},
+            {"reg": float("inf")},
+            {"reg": 0.0},
+            {"reg": -0.1},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": 0.0},
+            {"tol": -1e-3},
+            {"max_iter": 0},
+            {"max_iter": -5},
+        ],
+    )
+    def test_rejects_bad_arguments(self, line01, kwargs):
+        mu = DiscreteMeasure(line01, [0.5, 0.5])
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            sinkhorn(mu, mu, **kwargs)
+
+    def test_matches_reference_against_uniform(self, caplog):
+        # the benchmark's setting: 8x8 Dirichlet measures, reg 0.1, tol 1e-3
+        ds = make_synthetic_dataset(8, 8, n_train=0, n_test=3, seed=5)
+        theta = DiscreteMeasure(ds.ground, np.full(64, 1 / 64))
+        for mu in ds.test:
+            assert_matches_reference(caplog, theta, mu, reg=0.1, tol=1e-3)
+
+    def test_matches_reference_on_sparse_supports(self, caplog):
+        rng = np.random.default_rng(4)
+        g = GroundSpace.grid((5, 5))
+        for _ in range(3):
+            mu = random_measure(g, rng, sparse=True)
+            nu = random_measure(g, rng, sparse=True)
+            plan = assert_matches_reference(caplog, mu, nu, reg=0.5, tol=1e-9)
+            np.testing.assert_array_equal(plan.matrix[mu.weights == 0.0], 0.0)
+            np.testing.assert_array_equal(plan.matrix[:, nu.weights == 0.0], 0.0)
+
+    def test_stays_in_log_domain(self, caplog):
+        # opposite corners of the unnormalised 8x8 pixel grid: costs reach
+        # 98, where the Gibbs kernel exp(-C / reg) underflows to 0 but the
+        # plan does not
+        g = GroundSpace.grid((8, 8))
+        rng = np.random.default_rng(7)
+        a, b = np.zeros(64), np.zeros(64)
+        a[:8] = rng.dirichlet(np.ones(8))
+        b[-8:] = rng.dirichlet(np.ones(8))
+        mu, nu = DiscreteMeasure(g, a), DiscreteMeasure(g, b)
+        C = g.cost_matrix()[:8, -8:]
+        underflow = np.exp(-C / 0.1) == 0.0
+        assert C.max() == 98.0 and underflow.any()
+        plan = assert_matches_reference(caplog, mu, nu, reg=0.1, tol=1e-6)
+        assert np.isfinite(plan.matrix).all()
+        assert (plan.matrix[:8, -8:][underflow] > 0.0).all()
+        np.testing.assert_allclose(plan.matrix.sum(axis=0), b, atol=1e-12)
+        np.testing.assert_allclose(plan.matrix.sum(axis=1), a, atol=1e-6)
+
+    def test_two_logsumexp_calls_per_update(self, caplog, monkeypatch):
+        # each update is one row and one column pass; the last check is
+        # one more row pass.  A solver that stops calling wdlearn.ot.logsumexp
+        # would read as zero iterations to anything counting these calls.
+        calls = []
+
+        def counted(x, axis):
+            calls.append(x.shape)
+            return logsumexp(x, axis)
+
+        logsumexp = ot.logsumexp
+        monkeypatch.setattr(ot, "logsumexp", counted)
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(16)
+        g = GroundSpace.grid((4, 4))
+        for _ in range(3):
+            calls.clear()
+            caplog.clear()
+            sinkhorn(random_measure(g, rng), random_measure(g, rng), reg=0.2, tol=1e-6)
+            (record,) = sinkhorn_records(caplog)
+            assert record.sinkhorn_iters > 0
+            assert len(calls) == 2 * record.sinkhorn_iters + 1
+
+    def test_logsumexp_matches_scipy(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        rng = np.random.default_rng(17)
+        x = rng.normal(scale=300.0, size=(5, 7))
+        x[2] = -np.inf
+        for axis in (0, 1):
+            want = scipy_logsumexp(x, axis=axis)
+            with np.errstate(divide="ignore"):
+                got = ot.logsumexp(x.copy(), axis)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestCTransform:
