@@ -15,6 +15,7 @@ output scale.  Gradients are taken through the denominator as well.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,8 +62,8 @@ def _terms(state: SaddleState, ground: GroundSpace, X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     B = len(y)
-    yF, cF, SF, RF, fF = cylinder_field_batch(state.f_net, ground, X)
-    yH, cH, SH, RH, fH = cylinder_field_batch(state.h_net, ground, X)
+    yF, cF, SF, fF = cylinder_field_batch(state.f_net, ground, X)
+    yH, cH, SH, fH = cylinder_field_batch(state.h_net, ground, X)
     num_data = float(np.dot(yF - y, yH)) / B
     num_pce = state.lam * float(field_pairing(fF, fH, X).sum()) / B
     q = float(np.dot(yH, yH)) / B
@@ -75,12 +76,10 @@ def _terms(state: SaddleState, ground: GroundSpace, X, y):
         "yF": yF,
         "cF": cF,
         "SF": SF,
-        "RF": RF,
         "fF": fF,
         "yH": yH,
         "cH": cH,
         "SH": SH,
-        "RH": RH,
         "fH": fH,
         "num": num_data + num_pce,
         "q": q,
@@ -120,7 +119,7 @@ def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y):
     value_seeds = t["yH"] / scale
     other = state.lam / scale * t["fH"]
     grads = backward_with_pairing(
-        state.f_net, ground, t["cF"], t["SF"], t["RF"], t["X"], value_seeds, other
+        state.f_net, ground, t["cF"], t["SF"], t["X"], value_seeds, other
     )
     return grads, t["num"] / den
 
@@ -144,7 +143,7 @@ def adversary_step_grads(state: SaddleState, ground: GroundSpace, X, y):
     if state.norm == "h12":
         other = other + c_q * 2.0 / B * t["fH"]
     grads = backward_with_pairing(
-        state.h_net, ground, t["cH"], t["SH"], t["RH"], t["X"], value_seeds, other
+        state.h_net, ground, t["cH"], t["SH"], t["X"], value_seeds, other
     )
     return grads, -t["num"] / den
 
@@ -183,8 +182,10 @@ def run_algorithm1(
     ``n_theta`` solution steps, repeated for the epoch budget.
 
     Degenerate-adversary batches skip the step and are counted in the
-    epoch record.  Returns one record per epoch with both losses and the
-    mean relative error of the solution net.
+    epoch record.  Returns one record per epoch with both losses, the
+    mean relative error of the solution net, and ``epoch_s``, the wall
+    time of the epoch's steps (0 for the initial record; the record's own
+    evaluation is not counted).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -194,7 +195,7 @@ def run_algorithm1(
     opt_h = Adam(state.h_net, lr=config.lr_xi)
     opt_f = Adam(state.f_net, lr=config.lr)
 
-    def record(epoch, skipped):
+    def record(epoch, skipped, epoch_s):
         try:
             sol = loss_solution(state, ground, X, y)
         except DegenerateAdversary:
@@ -210,10 +211,12 @@ def run_algorithm1(
             rec["test_rel_err"] = mean_relative_error(
                 state.f_net.forward(X_test), y_test
             )
+        rec["epoch_s"] = epoch_s
         return rec
 
-    trace = [record(0, 0)]
+    trace = [record(0, 0, 0.0)]
     for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter_ns()
         order = rng.permutation(n)
         skipped = 0
         for start in range(0, n, batch):
@@ -237,5 +240,5 @@ def run_algorithm1(
                 if not np.isfinite(loss):
                     raise Diverged(f"solution loss non-finite at epoch {epoch}")
                 opt_f.step(grads)
-        trace.append(record(epoch, skipped))
+        trace.append(record(epoch, skipped, (time.perf_counter_ns() - t0) * 1e-9))
     return trace

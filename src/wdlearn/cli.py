@@ -87,6 +87,9 @@ def _cmd_ot(args):
                 raise SystemExit(f"{flag} applies only to --method sinkhorn")
     reg = 0.1 if args.reg is None else args.reg
     tol = 1e-9 if args.tol is None else args.tol
+    for flag, value in (("--reg", reg), ("--tol", tol)):
+        if not 0 < value < np.inf:
+            raise SystemExit(f"error: {flag} must be finite and positive")
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
     measures, _ = _split_measures(dataset, args.split)

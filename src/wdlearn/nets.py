@@ -4,12 +4,12 @@ The architecture family is an affine first layer (one row per stored
 potential) composed with the fixed ReLU tree that computes the max of
 ``2^k`` inputs.  Because the first layer is affine in the input measure,
 every network here is a cylinder function: its measure-space gradient
-field contracts the output's sensitivity to the first-layer
-pre-activations against the finite-difference spatial gradients of the
-first-layer rows.  With its ReLU masks fixed, backprop is linear in the
-output seed, so one unit-seeded reverse sweep gives those sensitivities
-for every layer, and :func:`backward` scales them by the per-sample
-output seeds.  It also takes seeds against the sensitivities of the
+field at ``mu_j`` is the finite-difference spatial gradient of the one
+potential ``S_j @ W0``, the first-layer rows weighted by the output's
+sensitivities to the first-layer pre-activations.  With its ReLU masks
+fixed, backprop is linear in the output seed, so one unit-seeded reverse
+sweep gives those sensitivities for every layer, and :func:`backward`
+scales them by the per-sample output seeds.  It also takes seeds against the sensitivities of the
 first pre-activation (needed by energy-regularized and weak-form losses,
 where the loss itself contains the input-gradient), and returns
 gradients only for the layers that train.  At ReLU kinks the subgradient
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -402,23 +403,18 @@ def random_head_network(d: int, k: int, seed: int) -> ReluNetwork:
 # ---------------------------------------------------------------------------
 
 
-def first_layer_row_fields(net: ReluNetwork, ground: GroundSpace) -> np.ndarray:
-    """Spatial gradients of the first-layer rows, shape (n0, m, d)."""
-    return grid_gradients(ground, net.layers[0].W)
-
-
 def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
-    """Outputs, sensitivities, row fields, and gradient fields on a batch.
+    """Outputs, sensitivities, and gradient fields on a batch.
 
-    Returns ``(y, cache, S, R, field)`` where ``field[j, x, :]`` is the
-    network's measure-space gradient at ``(mu_j, x)``; ``X`` rows are the
-    measures' weight vectors.
+    Returns ``(y, cache, S, field)`` where ``S`` holds the sensitivities to
+    the first pre-activation and ``field[j, x, :]``, the grid gradient of
+    the potential ``S_j @ W0``, is the network's measure-space gradient at
+    ``(mu_j, x)``; ``X`` rows are the measures' weight vectors.
     """
     y, cache = net.forward_cached(X)
     S = _sensitivities(net, cache)[0]
-    R = first_layer_row_fields(net, ground)
-    field = np.einsum("bi,imd->bmd", S, R)
-    return y, cache, S, R, field
+    field = grid_gradients(ground, S @ net.layers[0].W)
+    return y, cache, S, field
 
 
 def field_pairing(field_a: np.ndarray, field_b: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -430,26 +426,27 @@ def field_pairing(field_a: np.ndarray, field_b: np.ndarray, X: np.ndarray) -> np
 def network_energy(net: ReluNetwork, ground: GroundSpace, X: np.ndarray) -> np.ndarray:
     """Per-sample energies ``int |D NN(mu_j, x)|^2 dmu_j(x)``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, _, _, _, field = cylinder_field_batch(net, ground, X)
+    field = cylinder_field_batch(net, ground, X)[3]
     return field_pairing(field, field, X)
 
 
-def backward_with_pairing(net, ground, cache, S, R, X, value_seeds, other):
+def backward_with_pairing(net, ground, cache, S, X, value_seeds, other):
     """Parameter gradients of a loss whose field-dependent part is the
     pairing ``sum_j int <D NN(mu_j, x), other[j, x]> dmu_j(x)``.
 
-    ``cache``, ``S`` and ``R`` come from :func:`cylinder_field_batch` on
-    ``X``; ``other`` is held fixed.  The pairing reaches the parameters
-    twice: through the sensitivities ``S`` (seeded into :func:`backward`)
-    and, when the first layer's weights train, directly through the
-    finite-difference row fields ``R``.
+    ``cache`` and ``S`` come from :func:`cylinder_field_batch` on ``X``;
+    ``other`` is held fixed.  As the field is ``grad_x (S @ W0)``, the
+    pairing is ``sum_j (S @ W0)_j . Q_j`` for the adjoint field ``Q = sum_ax
+    (X * other[:, :, ax]) @ G_ax``, shape (B, m), with ``G_ax`` the grid's
+    finite-difference operators.  It reaches the parameters through ``S``
+    (seeds ``Q @ W0.T`` into :func:`backward`) and, when the first layer
+    trains, directly through ``W0`` (``S.T @ Q``).
     """
-    sgrad_seeds = np.einsum("bmd,imd,bm->bi", other, R, X)
-    grads = backward(net, cache, value_seeds, sgrad_seeds)
+    weighted = other * X[:, :, None]
+    Q = sum(weighted[:, :, ax] @ op for ax, op in enumerate(gradient_operators(ground)))
+    grads = backward(net, cache, value_seeds, Q @ net.layers[0].W.T)
     if net.layers[0].trainable:
-        coef = np.einsum("bi,bm,bmd->imd", S, X, other)
-        for ax, op in enumerate(gradient_operators(ground)):
-            grads[(0, "W")] += coef[:, :, ax] @ op
+        grads[(0, "W")] += S.T @ Q
     return grads
 
 
@@ -532,14 +529,14 @@ def _mae_loss_and_grads(net, X, y):
 
 def _regularized_loss_and_grads(net, ground, X, y, lam):
     B = len(y)
-    pred, cache, S, R, field = cylinder_field_batch(net, ground, X)
+    pred, cache, S, field = cylinder_field_batch(net, ground, X)
     energies = field_pairing(field, field, X)
     resid = pred - y
     loss = float(np.mean(resid**2 + lam * (pred**2 + energies)))
 
     value_seeds = (2.0 * resid + 2.0 * lam * pred) / B
     grads = backward_with_pairing(
-        net, ground, cache, S, R, X, value_seeds, (2.0 * lam / B) * field
+        net, ground, cache, S, X, value_seeds, (2.0 * lam / B) * field
     )
     return loss, grads
 
@@ -555,9 +552,11 @@ def train(
 ) -> list:
     """Minibatch training; returns one record per epoch plus the initial one.
 
-    Each record carries the epoch index, the mean batch loss, and the
-    train/test mean relative errors.  The regularized loss needs
-    ``ground`` for the finite-difference row fields.
+    Each record carries the epoch index, the mean batch loss, the
+    train/test mean relative errors, and ``epoch_s``, the wall time of the
+    epoch's steps (0 for the initial record; the record's own evaluation
+    is not counted).  The regularized loss needs ``ground`` for the
+    finite-difference gradient fields.
 
     Raises
     ------
@@ -572,7 +571,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     opt = Adam(net, config.lr, config.beta1, config.beta2, config.eps)
 
-    def record(epoch, loss):
+    def record(epoch, loss, epoch_s):
         rec = {
             "epoch": epoch,
             "loss": loss,
@@ -580,11 +579,13 @@ def train(
         }
         if X_test is not None:
             rec["test_rel_err"] = mean_relative_error(net.forward(X_test), y_test)
+        rec["epoch_s"] = epoch_s
         return rec
 
-    trace = [record(0, float("nan"))]
+    trace = [record(0, float("nan"), 0.0)]
     n = len(y_train)
     for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter_ns()
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):
@@ -599,7 +600,8 @@ def train(
                 raise Diverged(f"loss became non-finite at epoch {epoch}")
             opt.step(grads)
             losses.append(loss)
-        trace.append(record(epoch, float(np.mean(losses))))
+        epoch_s = (time.perf_counter_ns() - t0) * 1e-9
+        trace.append(record(epoch, float(np.mean(losses)), epoch_s))
     return trace
 
 

@@ -5,7 +5,9 @@ minimized by enumerating basic feasible solutions of the transport
 polytope (spanning trees of the bipartite support graph), and covering
 quantities by exhaustive search.  The Sinkhorn reference is the solver's
 first loop, kept as written so that a faster loop can be held to the
-same iterates.
+same iterates.  The network gradient-field references are the first
+three-operand einsum contractions against the per-row spatial gradients,
+kept as written so that the potential-gradient path can be held to them.
 """
 
 import itertools
@@ -93,3 +95,39 @@ def sinkhorn_reference(mu, nu, p=None, reg=0.1, tol=1e-9, max_iter=10000):
     gamma = np.zeros_like(cost)
     gamma[np.ix_(ia, ib)] = plan
     return gamma, float((gamma * cost).sum()), n_updates
+
+
+def cylinder_field_batch_reference(net, ground, X):
+    """Network outputs, sensitivities and gradient fields on a batch, as
+    first written: the sensitivities contracted against the spatial
+    gradients ``R`` of every first-layer row, shape (n0, m, d).
+
+    Returns ``(y, cache, S, field)``, as ``nets.cylinder_field_batch``.
+    """
+    from wdlearn.cylinder import grid_gradients
+    from wdlearn.nets import _sensitivities
+
+    y, cache = net.forward_cached(X)
+    S = _sensitivities(net, cache)[0]
+    R = grid_gradients(ground, net.layers[0].W)
+    field = np.einsum("bi,imd->bmd", S, R)
+    return y, cache, S, field
+
+
+def backward_with_pairing_reference(net, ground, cache, S, X, value_seeds, other):
+    """Parameter gradients of ``sum_j int <D NN(mu_j, x), other[j, x]>
+    dmu_j(x)`` plus the value-seeded part, as first written: two
+    three-operand einsums against the row fields ``R`` and a loop over the
+    grid axes.  Same arguments and result as ``nets.backward_with_pairing``.
+    """
+    from wdlearn.cylinder import gradient_operators, grid_gradients
+    from wdlearn.nets import backward
+
+    R = grid_gradients(ground, net.layers[0].W)
+    sgrad_seeds = np.einsum("bmd,imd,bm->bi", other, R, X)
+    grads = backward(net, cache, value_seeds, sgrad_seeds)
+    if net.layers[0].trainable:
+        coef = np.einsum("bi,bm,bmd->imd", S, X, other)
+        for ax, op in enumerate(gradient_operators(ground)):
+            grads[(0, "W")] += coef[:, :, ax] @ op
+    return grads

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wdlearn import adversarial
 from wdlearn.adversarial import (
     AdversarialConfig,
     SaddleState,
@@ -14,6 +15,15 @@ from wdlearn.adversarial import (
 from wdlearn.errors import DegenerateAdversary
 from wdlearn.measures import GroundSpace
 from wdlearn.nets import Layer, ReluNetwork, random_head_network
+
+from .helpers import (
+    FIELD_GRIDS,
+    FIELD_NETS,
+    FakeClock,
+    assert_grads_close_at_scale,
+    field_net,
+)
+from .oracles import backward_with_pairing_reference, cylinder_field_batch_reference
 
 
 @pytest.fixture
@@ -162,6 +172,33 @@ class TestGradients:
         )
 
 
+class TestGradientsAgainstReference:
+    """Both step gradients against the einsum contractions over per-row
+    spatial gradients (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("norm", ["h12", "l2"])
+    @pytest.mark.parametrize("kind", FIELD_NETS)
+    @pytest.mark.parametrize("shape", FIELD_GRIDS)
+    def test_step_grads(self, shape, kind, norm, monkeypatch):
+        ground = GroundSpace.grid(shape)
+        m = ground.size
+        rng = np.random.default_rng(m)
+        X = rng.dirichlet(np.ones(m), size=10)
+        y = rng.random(10) + 0.5
+        state = SaddleState(
+            field_net(kind, m, seed=m), field_net(kind, m, seed=m + 1), lam=0.3, norm=norm
+        )
+        steps = (adversary_step_grads, solution_step_grads)
+        results = [step(state, ground, X, y) for step in steps]
+        monkeypatch.setattr(adversarial, "cylinder_field_batch", cylinder_field_batch_reference)
+        monkeypatch.setattr(adversarial, "backward_with_pairing", backward_with_pairing_reference)
+        for step, net, (grads, loss) in zip(steps, (state.h_net, state.f_net), results):
+            ref_grads, ref_loss = step(state, ground, X, y)
+            assert set(grads) == set(net.trainable())
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert_grads_close_at_scale(grads, ref_grads)
+
+
 class TestRayleighOracle:
     def test_gradient_ascent_below_closed_form(self, setup):
         # linear-in-parameters adversary: the inner max is a generalized
@@ -236,6 +273,47 @@ class TestAlgorithm1:
         first = np.mean([abs(r["solution_loss"]) for r in trace[1:11]])
         last = np.mean([abs(r["solution_loss"]) for r in trace[31:41]])
         assert last < first
+
+    def test_epoch_time_counts_the_steps_only(self, setup, monkeypatch):
+        # a fake clock that the steps advance by 1 s and the record's own
+        # evaluation by 100 s: each epoch of 2 batches and 3 steps per
+        # batch reads exactly 6 s
+        ground, X, y, _, _ = setup
+
+        def run():
+            f_net = random_head_network(d=4, k=2, seed=21).set_all_trainable(True)
+            h_net = random_head_network(d=4, k=2, seed=22).set_all_trainable(True)
+            state = SaddleState(f_net, h_net, lam=0.01, n_xi=2, n_theta=1)
+            cfg = AdversarialConfig(epochs=3, lr=1e-3, batch_size=6, seed=9)
+            return run_algorithm1(state, X, y, ground, cfg, X, y)
+
+        real = run()
+        clock = FakeClock()
+        monkeypatch.setattr(adversarial, "time", clock)
+        for name, seconds in [
+            ("adversary_step_grads", 1),
+            ("solution_step_grads", 1),
+            ("loss_solution", 100),
+            ("mean_relative_error", 100),
+        ]:
+            monkeypatch.setattr(adversarial, name, clock.ticking(getattr(adversarial, name), seconds))
+        faked = run()
+
+        assert [r["epoch_s"] for r in faked] == [0.0, 6.0, 6.0, 6.0]
+        assert real[0]["epoch_s"] == 0.0
+        assert all(r["epoch_s"] > 0.0 for r in real[1:])
+        keys = [
+            "epoch",
+            "solution_loss",
+            "adversary_loss",
+            "train_rel_err",
+            "skipped_steps",
+            "test_rel_err",
+            "epoch_s",
+        ]
+        for r, f in zip(real, faked):
+            assert list(r) == list(f) == keys
+            np.testing.assert_array_equal([r[k] for k in keys[:-1]], [f[k] for k in keys[:-1]])
 
     def test_seeded_reproducibility(self, setup):
         ground, X, y, _, _ = setup

@@ -90,6 +90,23 @@ class TestCli:
             main(args + ["--method", "exact", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--reg", "nan"), ("--reg", "0"), ("--reg", "-1"), ("--reg", "inf")]
+        + [("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf")],
+    )
+    def test_ot_rejects_invalid_sinkhorn_values(self, tmp_path, monkeypatch, flag, value):
+        def unread(path):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_dataset", unread)
+        out = tmp_path / "sink.csv"
+        args = ["ot", "--dataset", "missing.txt", "--ref", "1", "--method", "sinkhorn"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"{flag}={value}", "--out", str(out)])
+        assert str(exc.value) == f"error: {flag} must be finite and positive"
+        assert not out.exists()
+
     def test_ot_sinkhorn_defaults(self, workdir, tmp_path, monkeypatch):
         seen = []
 
@@ -245,6 +262,8 @@ class TestCli:
         assert net.input_dim == 9
         rows = _read_csv(trace)
         assert len(rows) == 3  # initial record + 2 epochs
+        assert list(rows[0]) == ["epoch", "loss", "train_rel_err", "epoch_s"]
+        assert [float(r["epoch_s"]) > 0.0 for r in rows] == [False, True, True]
 
     def test_maxnet_train_random_reg_loss(self, workdir, tmp_path):
         model = tmp_path / "model.bin"
@@ -386,6 +405,8 @@ class TestCli:
         rows = _read_csv(trace)
         assert len(rows) == 3
         assert "solution_loss" in rows[0]
+        assert list(rows[0])[-1] == "epoch_s"
+        assert [float(r["epoch_s"]) > 0.0 for r in rows] == [False, True, True]
 
     def test_exp_run(self, workdir, tmp_path):
         cfg = tmp_path / "exp.json"

@@ -13,7 +13,6 @@ from wdlearn.cylinder import (
 )
 from wdlearn.errors import NoSpatialGradient
 from wdlearn.measures import DiscreteMeasure, GroundSpace
-from wdlearn.nets import first_layer_row_fields, random_head_network
 
 
 @pytest.fixture
@@ -60,10 +59,6 @@ class TestGridGradients:
         ops = gradient_operators(ground)
         reference = np.stack([np.stack([op @ f for op in ops], axis=-1) for f in F])
         np.testing.assert_array_equal(batched, reference)
-        net = random_head_network(ground.size, 2, seed=3)
-        np.testing.assert_array_equal(
-            first_layer_row_fields(net, ground), grid_gradients(ground, net.layers[0].W)
-        )
 
     def test_adjointness(self):
         # dense operators make the adjoint exact: <Gf, h> == <f, G^T h>

@@ -28,6 +28,16 @@ from wdlearn.nets import (
     _sensitivities,
 )
 
+from .helpers import (
+    FIELD_GRIDS,
+    FIELD_NETS,
+    FakeClock,
+    assert_close_at_scale,
+    assert_grads_close_at_scale,
+    field_net,
+)
+from .oracles import backward_with_pairing_reference, cylinder_field_batch_reference
+
 
 def dyadic_vectors(rng, n, dim, scale=8.0):
     """Random inputs whose max-tree arithmetic is exact in binary."""
@@ -399,8 +409,8 @@ class TestCylinderField:
         ground = GroundSpace.grid((4,))
         W = np.array([[0.0, 1.0, 2.0, 3.0]])
         net = ReluNetwork([Layer(W, np.zeros(1), "none")])
-        X = np.dirichlet = np.full((2, 4), 0.25)
-        _, _, S, R, field = cylinder_field_batch(net, ground, X)
+        X = np.full((2, 4), 0.25)
+        _, _, S, field = cylinder_field_batch(net, ground, X)
         np.testing.assert_allclose(S, 1.0)
         np.testing.assert_allclose(field[:, :, 0], 1.0)
 
@@ -410,11 +420,51 @@ class TestCylinderField:
         net = random_head_network(d=9, k=2, seed=3)
         X = rng.dirichlet(np.ones(9), size=5)
         en = network_energy(net, ground, X)
-        _, _, _, _, field = cylinder_field_batch(net, ground, X)
+        field = cylinder_field_batch(net, ground, X)[3]
         manual = [
             sum(X[j, x] * field[j, x] @ field[j, x] for x in range(9)) for j in range(5)
         ]
         np.testing.assert_allclose(en, manual, atol=1e-12)
+
+
+class TestFieldAgainstReference:
+    """The potential-gradient field and its adjoint against the einsum
+    contractions over per-row spatial gradients (``tests/oracles.py``)."""
+
+    @staticmethod
+    def _problem(shape, kind):
+        ground = GroundSpace.grid(shape)
+        m = ground.size
+        rng = np.random.default_rng(len(shape) * 100 + m)
+        X = rng.dirichlet(np.ones(m), size=9)
+        y = rng.normal(size=9) + 2.0
+        return ground, field_net(kind, m, seed=m), X, y
+
+    @pytest.mark.parametrize("kind", FIELD_NETS)
+    @pytest.mark.parametrize("shape", FIELD_GRIDS)
+    def test_field_and_energy(self, shape, kind, monkeypatch):
+        ground, net, X, _ = self._problem(shape, kind)
+        y, _, S, field = cylinder_field_batch(net, ground, X)
+        ry, _, rS, rfield = cylinder_field_batch_reference(net, ground, X)
+        np.testing.assert_array_equal(y, ry)
+        np.testing.assert_array_equal(S, rS)
+        assert field.shape == (9, ground.size, len(shape))
+        assert_close_at_scale(field, rfield)
+        energy = network_energy(net, ground, X)
+        monkeypatch.setattr(nets, "cylinder_field_batch", cylinder_field_batch_reference)
+        assert_close_at_scale(energy, network_energy(net, ground, X))
+
+    @pytest.mark.parametrize("kind", FIELD_NETS)
+    @pytest.mark.parametrize("shape", FIELD_GRIDS)
+    def test_regularized_loss_and_grads(self, shape, kind, monkeypatch):
+        ground, net, X, y = self._problem(shape, kind)
+        loss, grads = _regularized_loss_and_grads(net, ground, X, y, lam=0.3)
+        assert set(grads) == set(net.trainable())
+        monkeypatch.setattr(nets, "cylinder_field_batch", cylinder_field_batch_reference)
+        monkeypatch.setattr(nets, "backward_with_pairing", backward_with_pairing_reference)
+        ref_loss, ref_grads = _regularized_loss_and_grads(net, ground, X, y, lam=0.3)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_grads_close_at_scale(grads, ref_grads)
 
 
 class TestTraining:
@@ -461,6 +511,32 @@ class TestTraining:
             runs.append([lay.W.copy() for lay in net.layers])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("loss", ["mae", "regularized"])
+    def test_epoch_time_counts_the_steps_only(self, loss, monkeypatch):
+        # a fake clock that the steps advance by 1 s and the record's own
+        # evaluation by 100 s: each epoch of 3 batches reads exactly 3 s
+        rng = np.random.default_rng(41)
+        ground = GroundSpace.grid((2, 2))
+        X = rng.dirichlet(np.ones(4), size=30)
+        y = rng.random(30) + 1.0
+        cfg = TrainConfig(epochs=3, batch_size=10, seed=7, loss=loss, reg_lambda=0.01)
+        real = train(random_head_network(d=4, k=1, seed=7), X, y, cfg, ground, X, y)
+
+        clock = FakeClock()
+        monkeypatch.setattr(nets, "time", clock)
+        step = "_mae_loss_and_grads" if loss == "mae" else "_regularized_loss_and_grads"
+        monkeypatch.setattr(nets, step, clock.ticking(getattr(nets, step), 1))
+        monkeypatch.setattr(nets, "mean_relative_error", clock.ticking(mean_relative_error, 100))
+        faked = train(random_head_network(d=4, k=1, seed=7), X, y, cfg, ground, X, y)
+
+        assert [r["epoch_s"] for r in faked] == [0.0, 3.0, 3.0, 3.0]
+        assert real[0]["epoch_s"] == 0.0
+        assert all(r["epoch_s"] > 0.0 for r in real[1:])
+        keys = ["epoch", "loss", "train_rel_err", "test_rel_err", "epoch_s"]
+        for r, f in zip(real, faked):
+            assert list(r) == list(f) == keys
+            np.testing.assert_array_equal([r[k] for k in keys[:-1]], [f[k] for k in keys[:-1]])
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(43)
