@@ -20,7 +20,6 @@ from .measures import (  # noqa: F401
     DiscreteMeasure,
     GroundSpace,
     MeasureDataset,
-    moment,
     normalize_to_measure,
     read_dataset,
     write_dataset,

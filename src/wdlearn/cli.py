@@ -8,6 +8,7 @@ Subcommands: ``dataset make``, ``ot``, ``bank build``, ``bank eval``,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -168,12 +169,21 @@ def _load_features(spec, dataset, theta, n):
         A, _ = export_affine(bank)
         feats = A[:n]
     elif kind == "features":
-        rows = [
-            np.array(line.split(), dtype=float)
-            for line in Path(path).read_text().splitlines()
-            if line.strip()
-        ]
-        feats = np.array(rows)[:n]
+        m = dataset.ground.size
+        rows = []
+        for no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            words = line.split()
+            if not words:
+                continue
+            if len(words) != m:
+                raise ValueError(
+                    f"features file, line {no}: {len(words)} entries, the ground has {m} points"
+                )
+            try:
+                rows.append([float(w) for w in words])
+            except ValueError as exc:
+                raise ValueError(f"features file, line {no}: {exc}") from None
+        feats = np.array(rows).reshape(-1, m)[:n]
     else:
         raise SystemExit(f"unknown basis spec {spec!r}")
     if feats.shape[0] < n:
@@ -229,14 +239,23 @@ def _parse_loss(spec):
 
 
 def _read_targets(path, n):
-    import csv as _csv
-
-    with open(path) as fh:
-        rows = list(_csv.DictReader(fh))
-    vals = np.array([float(r["wpp"]) for r in rows])
+    """The first ``n`` values of the ``wpp`` column of a CSV file, as
+    ``wdlearn ot`` writes it."""
+    vals = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "wpp" not in (reader.fieldnames or ()):
+            raise ValueError("targets file, line 1: the header has no 'wpp' column")
+        for row in reader:
+            try:
+                vals.append(float(row["wpp"]))
+            except (TypeError, ValueError):  # TypeError: the row ends before the column
+                raise ValueError(
+                    f"targets file, line {reader.line_num}: wpp {row['wpp']!r} is not a number"
+                ) from None
     if len(vals) < n:
         raise SystemExit(f"targets file has {len(vals)} rows, need {n}")
-    return vals[:n]
+    return np.array(vals[:n])
 
 
 def _write_model_and_trace(out, net, config_hash, trace):
@@ -429,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except WdlearnError as exc:
+    except (WdlearnError, ValueError, OSError) as exc:
         raise SystemExit(f"error: {exc}") from exc
     return 0
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bank import build_bank, eval_G_many, nested_random_schedule
+from .bank import build_bank, eval_G_many, export_affine, nested_random_schedule
 from .measures import (
     DiscreteMeasure,
     GroundSpace,
@@ -27,6 +27,7 @@ from .measures import (
     relative_errors,
     write_dataset,
 )
+from .nets import init_from_bank
 from .ot import exact_ot, sinkhorn
 
 _MAX_GRID = 16
@@ -259,9 +260,6 @@ def run_experiment(config: dict, out_dir) -> dict:
         write_csv(trace, records)
         outputs.append(str(trace))
     elif kind == "speed-table":
-        from .bank import build_bank, export_affine
-        from .nets import init_from_bank
-
         dataset = read_dataset(config["dataset"])
         theta = _resolve_reference(dataset, config.get("ref", 0))
         seeds = [config.get("seed", 0)]

@@ -184,11 +184,6 @@ def normalize_to_measure(ground: GroundSpace, raw) -> DiscreteMeasure:
     return DiscreteMeasure(ground, r / s)
 
 
-def moment(mu: DiscreteMeasure, x0, p: Optional[float] = None) -> float:
-    """Functional form of :meth:`DiscreteMeasure.moment`."""
-    return mu.moment(x0, p)
-
-
 def relative_errors(true, approx) -> np.ndarray:
     """Per-sample ``|true - approx| / true``.
 

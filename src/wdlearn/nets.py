@@ -15,15 +15,17 @@ where the loss itself contains the input-gradient), and returns
 gradients only for the layers that train.  At ReLU kinks the subgradient
 convention is derivative 0 at exactly 0.
 
-A frozen layer of the max tree runs structurally: the first tree layer
-maps each input pair ``(a, b)`` to ``(a - b, b, -b)``, each later one
-collapses every triple to ``r1 + r2 - r3`` and pairs the results the same
-way, and the reverse sweep goes back through the same pairs and triples.
-The pre-activations in the forward cache keep their dense shapes.  A tree
-layer runs as its dense ``kron`` matrix when it trains (``--trainable-tree``,
-``set_all_trainable``) and when its weights or bias differ from the
-canonical block, e.g. after training or :meth:`ReluNetwork.scale_output`;
-see :meth:`Layer.tree_maps`.
+A frozen layer of the max tree is ``I_n kron A`` for a small block ``A``
+(pair, merge or collapse), so it runs as one small-block product per
+frozen tree layer: the rows reshaped to the block's width times ``A.T``
+forward, times ``A`` in the reverse sweep.  A tree pre-activation rounds
+as the dense row summed left to right: the matrix product (gemm) sums in
+that order, but a lone row would go to gemv, which does not, so it runs
+stacked twice.  The pre-activations in the forward cache keep their dense
+shapes.  A tree layer runs as its dense ``kron`` matrix when it trains
+(``--trainable-tree``, ``set_all_trainable``) and when its weights or bias
+differ from the canonical block, e.g. after training or
+:meth:`ReluNetwork.scale_output`; see :meth:`Layer.tree_block`.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.W.shape[0] != self.b.shape[0]:
             raise ValueError("bias length must match the output width")
-        self._tree = None  # (W, b, maps): the verdict of tree_maps for these arrays
+        self._tree = None  # (W, b, block): the verdict of tree_block for these arrays
 
-    def tree_maps(self):
-        """``(map, transpose)`` running this layer's ``x @ W.T`` and
-        ``g @ W`` structurally, or None to run it dense.
+    def tree_block(self):
+        """The small block ``A`` with ``W == I_n kron A``, so that the layer
+        runs as one product of ``A`` against the rows reshaped to its width,
+        or None to run it dense.
 
-        Only a frozen layer whose ``W`` is a canonical max-tree block (as
+        Only a frozen layer whose ``W`` repeats a canonical max-tree block (as
         :func:`max_tree_matrices` builds it) and whose bias is zero runs
         structurally.  The comparison runs once per pair of ``W`` and ``b``
         arrays and its verdict is cached; a recognised layer's arrays become
@@ -74,12 +77,12 @@ class Layer:
             return None
         W, b = self.W, self.b
         if self._tree is None or self._tree[0] is not W or self._tree[1] is not b:
-            maps = None
+            block = None
             if not b.any():
-                maps = next((m for block, *m in _TREE_MAPS if _repeats(W, block)), None)
-            if maps is not None:
+                block = next((A for A in _TREE_BLOCKS if _repeats(W, A)), None)
+            if block is not None:
                 W.flags.writeable = b.flags.writeable = False
-            self._tree = (W, b, maps)
+            self._tree = (W, b, block)
         return self._tree[2]
 
 
@@ -111,8 +114,9 @@ class ReluNetwork:
         a = X
         zs, acts = [], []
         for lay in self.layers:
-            maps = lay.tree_maps()
-            z = maps[0](a) if maps else a @ lay.W.T + lay.b  # a tree's bias is 0
+            z = _apply(lay, a)
+            if lay.tree_block() is None:  # a tree layer's bias is 0
+                z = z + lay.b
             a = np.maximum(z, 0.0) if lay.activation == "relu" else z
             zs.append(z)
             acts.append(a)
@@ -151,15 +155,23 @@ class ReluNetwork:
 
 
 def _apply(lay: Layer, x: np.ndarray) -> np.ndarray:
-    """``x @ lay.W.T``, structurally for a frozen max-tree layer."""
-    maps = lay.tree_maps()
-    return maps[0](x) if maps else x @ lay.W.T
+    """``x @ lay.W.T``, as one small-block product for a frozen max-tree layer."""
+    block = lay.tree_block()
+    if block is None:
+        return x @ lay.W.T
+    v = x.reshape(-1, block.shape[1])
+    # a lone row would go to gemv, which does not sum each dot product left
+    # to right as gemm does; stacked twice it goes to gemm
+    z = (v if len(v) > 1 else np.repeat(v, 2, axis=0)) @ block.T
+    return z[: len(v)].reshape(len(x), lay.W.shape[0])
 
 
 def _apply_T(lay: Layer, g: np.ndarray) -> np.ndarray:
-    """``g @ lay.W``, structurally for a frozen max-tree layer."""
-    maps = lay.tree_maps()
-    return maps[1](g) if maps else g @ lay.W
+    """``g @ lay.W``, as one small-block product for a frozen max-tree layer."""
+    block = lay.tree_block()
+    if block is None:
+        return g @ lay.W
+    return (g.reshape(-1, block.shape[0]) @ block).reshape(len(g), lay.W.shape[1])
 
 
 def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -252,72 +264,8 @@ _A1 = np.array([[1.0, 1.0, -1.0]])
 _A3 = _A2 @ _block(_A1, 2)
 
 
-def _pairs(x: np.ndarray) -> np.ndarray:
-    """``x @ (I kron A2).T``: each input pair ``(a, b)`` to ``(a - b, b, -b)``."""
-    v = x.reshape(len(x), -1, 2)
-    a, b = v[:, :, 0], v[:, :, 1]
-    out = np.empty((len(x), v.shape[1], 3))
-    np.subtract(a, b, out=out[:, :, 0])
-    out[:, :, 1] = b
-    np.negative(b, out=out[:, :, 2])
-    return out.reshape(len(x), -1)
-
-
-def _pairs_T(g: np.ndarray) -> np.ndarray:
-    """``g @ (I kron A2)``: each triple ``(g1, g2, g3)`` to ``(g1, g2 - g1 - g3)``."""
-    t = g.reshape(len(g), -1, 3)
-    out = np.empty((len(g), t.shape[1], 2))
-    out[:, :, 0] = t[:, :, 0]
-    np.subtract(t[:, :, 1], t[:, :, 0], out=out[:, :, 1])
-    out[:, :, 1] -= t[:, :, 2]
-    return out.reshape(len(g), -1)
-
-
-def _collapse(x: np.ndarray) -> np.ndarray:
-    """``x @ (I kron A1).T``: each triple ``(r1, r2, r3)`` to ``r1 + r2 - r3``."""
-    t = x.reshape(len(x), -1, 3)
-    c = t[:, :, 0] + t[:, :, 1]
-    c -= t[:, :, 2]
-    return c
-
-
-def _merge(x: np.ndarray) -> np.ndarray:
-    """``x @ (I kron A3).T``: each two triples ``r``, ``s`` to ``(c(r) - c(s),
-    c(s), -c(s))`` with ``c(t) = t1 + t2 - t3``.
-
-    Rounds as the dense rows summed left to right, as a matrix product
-    that accumulates in order does; ``c(r) - c(s)`` rounds otherwise, which
-    flips the MAE seed of a residual within rounding of 0 (a
-    bank-initialized network at its anchors).  Of a ReLU triple ``t2`` or
-    ``t3`` is 0, so ``(t2 - t3) + t1`` equals ``(t1 + t2) - t3`` and
-    ``(c(r) - s1) - (s2 - s3)`` equals ``((c(r) - s1) - s2) + s3`` exactly.
-    """
-    t = x.reshape(len(x), -1, 2, 3)
-    d = t[:, :, :, 1] - t[:, :, :, 2]
-    c = d + t[:, :, :, 0]
-    out = np.empty((len(x), t.shape[1], 3))
-    z = out[:, :, 0]
-    np.subtract(c[:, :, 0], t[:, :, 1, 0], out=z)
-    z -= d[:, :, 1]
-    out[:, :, 1] = c[:, :, 1]
-    np.negative(c[:, :, 1], out=out[:, :, 2])
-    return out.reshape(len(x), -1)
-
-
-def _collapse_T(g: np.ndarray) -> np.ndarray:
-    """``g @ (I kron A1)``: each entry ``h`` to ``(h, h, -h)``."""
-    out = np.empty((len(g), g.shape[1], 3))
-    out[:, :, 0] = out[:, :, 1] = g
-    np.negative(g, out=out[:, :, 2])
-    return out.reshape(len(g), -1)
-
-
-# each max-tree block, with the maps that run copies of it structurally
-_TREE_MAPS = (
-    (_A2, _pairs, _pairs_T),
-    (_A3, _merge, lambda g: _collapse_T(_pairs_T(g))),
-    (_A1, _collapse, _collapse_T),
-)
+# the canonical blocks a frozen max-tree layer repeats, ``I_n kron block``
+_TREE_BLOCKS = (_A2, _A3, _A1)
 
 
 def _repeats(W: np.ndarray, block: np.ndarray) -> bool:
@@ -349,9 +297,10 @@ def build_max_network(k: int) -> ReluNetwork:
     """Fixed ReLU network computing the exact max of ``2^k`` inputs.
 
     Hidden layer i has width ``3 * 2^(k-i)``; weights are not trainable.
-    While they stay frozen and unchanged, the layers run as pairwise
-    reshapes and ReLUs instead of their ``kron`` matrices; made trainable
-    or changed in any entry, they run dense (see :meth:`Layer.tree_maps`).
+    While they stay frozen and unchanged, each layer runs as one
+    small-block product and its ReLUs instead of its ``kron`` matrix; made
+    trainable or changed in any entry, they run dense (see
+    :meth:`Layer.tree_block`).
     """
     mats = max_tree_matrices(k)
     layers = [

@@ -338,6 +338,61 @@ class TestCli:
             main(args)
         assert not (tmp_path / "model.bin").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["maxnet", "train", "--init", "random:5", "--batch-size", "0"], "batch size"),
+            (["adversarial", "train", "--nxi", "0"], "inner step counts"),
+            (["adversarial", "train", "--epochs", "-1"], "epochs"),
+            (["dataset", "make", "--rows", "20", "--cols", "3", "--n-train", "2", "--n-test", "1"], "16x16"),
+            (["ot", "--ref", "nofile.txt"], "No such file or directory: 'nofile.txt'"),
+        ],
+        ids=["maxnet-batch-size", "adversarial-nxi", "adversarial-epochs", "dataset-rows", "ot-ref-file"],
+    )
+    def test_invalid_inputs_exit_with_an_error(self, workdir, tmp_path, args, message):
+        out = tmp_path / "out"
+        inputs = ["--dataset", str(workdir / "ds.txt")]
+        if args[0] in ("maxnet", "adversarial"):
+            inputs += ["--targets", str(workdir / "distances.csv"), "--k", "2"]
+        if args[0] == "dataset":
+            inputs = []
+        with pytest.raises(SystemExit) as exc:
+            main(args + inputs + ["--out", str(out)])
+        assert str(exc.value).startswith("error: ") and message in str(exc.value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("index,runtime_ns\n0,5\n", "targets file, line 1: the header has no 'wpp' column"),
+            ("index,wpp\n0,0.5\n1,abc\n", "targets file, line 3: wpp 'abc' is not a number"),
+        ],
+        ids=["no-wpp-column", "unparsable-value"],
+    )
+    def test_malformed_targets_file(self, workdir, tmp_path, text, message):
+        targets = tmp_path / "targets.csv"
+        targets.write_text(text)
+        args = ["maxnet", "train", "--dataset", str(workdir / "ds.txt"), "--targets", str(targets)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--init", "random:5", "--k", "2", "--out", str(tmp_path / "m.bin")])
+        assert str(exc.value) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 " * 9 + "\n\n0 0 0\n", "features file, line 3: 3 entries, the ground has 9 points"),
+            ("1 " * 9 + "\n" + "1 " * 8 + "x\n", "features file, line 2: could not convert string to float: 'x'"),
+        ],
+        ids=["wrong-width", "non-numeric"],
+    )
+    def test_malformed_features_file(self, workdir, tmp_path, text, message):
+        feats = tmp_path / "feats.txt"
+        feats.write_text(text)
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--basis", f"features:{feats}", "--n", "2", "--out", str(tmp_path / "f.json")])
+        assert str(exc.value) == f"error: {message}"
+
     def test_zero_target_relative_error_is_undefined(self, workdir, tmp_path):
         # one function, re-exported by experiments, for every entry point
         assert experiments.relative_errors is measures.relative_errors

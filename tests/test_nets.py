@@ -107,7 +107,7 @@ def _dense(net):
 
 
 def _dense_layers(net):
-    return [i for i, lay in enumerate(net.layers) if lay.tree_maps() is None]
+    return [i for i, lay in enumerate(net.layers) if lay.tree_block() is None]
 
 
 def _row_sums_in_order(a, W):
@@ -118,19 +118,19 @@ def _row_sums_in_order(a, W):
     return acc
 
 
-def _assert_paths_agree(net, dense, X, exact=False):
-    """Forward within 1e-15 of the largest output, or bitwise when
-    ``exact``; pre-activations of the same shapes, those of the tree
-    rounded as its dense rows summed in order; sensitivities bitwise."""
+def _assert_paths_agree(net, dense, X, exact=False, scale=None):
+    """Forward within 1e-15 of ``scale`` (default: the largest output), or
+    bitwise when ``exact``; pre-activations of the same shapes, those of the
+    tree rounded as its dense rows summed in order; sensitivities bitwise."""
     ys, cs = net.forward_cached(X)
     yd, cd = dense.forward_cached(X)
-    tol = 0.0 if exact else 1e-15 * np.abs(yd).max()
+    tol = 0.0 if exact else 1e-15 * (np.abs(yd).max() if scale is None else scale)
     assert np.abs(ys - yd).max() <= tol
     for zs, zd in zip(cs["z"], cd["z"], strict=True):
         assert zs.shape == zd.shape
         np.testing.assert_allclose(zs, zd, rtol=0, atol=1e-15 * np.abs(X).max())
     for i, lay in enumerate(net.layers):
-        if lay.tree_maps() is not None:
+        if lay.tree_block() is not None:
             prev = X if i == 0 else cs["a"][i - 1]
             np.testing.assert_array_equal(cs["z"][i], _row_sums_in_order(prev, lay.W))
     for hs, hd in zip(_sensitivities(net, cs), _sensitivities(dense, cd), strict=True):
@@ -144,12 +144,23 @@ class TestStructuralTree:
         tree = build_max_network(k)
         head = random_head_network(16, k, seed=k)
         assert _dense_layers(tree) == [] and _dense_layers(head) == [0]
-        _assert_paths_agree(tree, _dense(tree), rng.normal(size=(64, 2**k)))
-        _assert_paths_agree(head, _dense(head), rng.normal(size=(64, 16)))
+        X = rng.normal(size=(64, 2**k))
+        H = rng.normal(size=(64, 16))
         # exact ties and zeros, whole rows of zeros among them
         T = rng.integers(-2, 3, size=(64, 2**k)).astype(float)
         T[:8] = 0.0
-        _assert_paths_agree(tree, _dense(tree), T, exact=True)
+        # every run of B consecutive rows, each held to the forward bound of
+        # all 64; at B = 1 the top layers (n = 1) reshape to a lone row, which
+        # runs on gemv unless _apply stacks it
+        dtree, dhead = _dense(tree), _dense(head)
+        x_scale = np.abs(dtree.forward(X)).max()
+        h_scale = np.abs(dhead.forward(H)).max()
+        for B in (1, 2, 3, 17, 64):
+            for s in range(0, 64 - B + 1, B):
+                rows = slice(s, s + B)
+                _assert_paths_agree(tree, dtree, X[rows], scale=x_scale)
+                _assert_paths_agree(head, dhead, H[rows], scale=h_scale)
+                _assert_paths_agree(tree, dtree, T[rows], exact=True)
 
     @pytest.mark.parametrize(
         "case", ["tree_layer_trains", "trained_then_frozen", "replaced_W", "bias_set", "scaled_output"]
