@@ -248,11 +248,16 @@ def _read_targets(path, n):
             raise ValueError("targets file, line 1: the header has no 'wpp' column")
         for row in reader:
             try:
-                vals.append(float(row["wpp"]))
+                value = float(row["wpp"])
             except (TypeError, ValueError):  # TypeError: the row ends before the column
                 raise ValueError(
                     f"targets file, line {reader.line_num}: wpp {row['wpp']!r} is not a number"
                 ) from None
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"targets file, line {reader.line_num}: wpp {row['wpp']!r} is not finite"
+                )
+            vals.append(value)
     if len(vals) < n:
         raise SystemExit(f"targets file has {len(vals)} rows, need {n}")
     return np.array(vals[:n])

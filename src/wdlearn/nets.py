@@ -16,16 +16,27 @@ gradients only for the layers that train.  At ReLU kinks the subgradient
 convention is derivative 0 at exactly 0.
 
 A frozen layer of the max tree is ``I_n kron A`` for a small block ``A``
-(pair, merge or collapse), so it runs as one small-block product per
-frozen tree layer: the rows reshaped to the block's width times ``A.T``
-forward, times ``A`` in the reverse sweep.  A tree pre-activation rounds
-as the dense row summed left to right: the matrix product (gemm) sums in
-that order, but a lone row would go to gemv, which does not, so it runs
-stacked twice.  The pre-activations in the forward cache keep their dense
+(pair, merge or collapse), so the training pass runs it as one
+small-block product per frozen tree layer: the rows reshaped to the
+block's width times ``A.T`` forward, times ``A`` in the reverse sweep.  A
+tree pre-activation rounds as the dense row summed left to right: the
+matrix product (gemm) sums in that order, but a lone row would go to gemv,
+which does not, so it runs stacked twice.  The pre-activations in the forward cache keep their dense
 shapes.  A tree layer runs as its dense ``kron`` matrix when it trains
 (``--trainable-tree``, ``set_all_trainable``) and when its weights or bias
 differ from the canonical block, e.g. after training or
 :meth:`ReluNetwork.scale_output`; see :meth:`Layer.tree_block`.
+
+Inference (:meth:`ReluNetwork.forward`) keeps no cache and runs a frozen,
+canonical tree as a recursion over its pair levels, bitwise equal to the
+layer loop.  A pair ``(a, b)`` enters as ``z = (a - b, b, -b)``; one of
+``relu(b)`` and ``relu(-b)`` is 0, and adding or subtracting 0 is exact, so
+the in-order row sums of the collapse ``relu(a-b) + relu(b) - relu(-b)``
+and of the merge rows of ``A3`` reduce to sums of ``R = relu(a - b)`` and
+``b`` alone.  With ``D = x[:, 0::2] - x[:, 1::2]`` and ``b = x[:, 1::2]``,
+each level maps ``(D, b)`` to ``D' = ((R[:, 0::2] + b[:, 0::2]) - R[:,
+1::2]) - b[:, 1::2]`` and ``b' = R[:, 1::2] + b[:, 1::2]``, and the output
+is ``relu(D) + b`` at width 1; only the sign of a zero can differ.
 """
 
 from __future__ import annotations
@@ -114,19 +125,59 @@ class ReluNetwork:
         a = X
         zs, acts = [], []
         for lay in self.layers:
-            z = _apply(lay, a)
-            if lay.tree_block() is None:  # a tree layer's bias is 0
-                z = z + lay.b
-            a = np.maximum(z, 0.0) if lay.activation == "relu" else z
+            z, a = _step(lay, a)
             zs.append(z)
             acts.append(a)
         return acts[-1][:, 0], {"input": X, "z": zs, "a": acts}
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Batch outputs, shape (B,); the output width must be 1."""
+        """Batch outputs, shape (B,); the output width must be 1.
+
+        Equal to ``forward_cached(X)[0]``, without its cache.  When the
+        network ends in a frozen, canonical max tree (:meth:`_tree_start`),
+        the layers before it run as plain products and the tree as the pair
+        recursion :func:`_max_tree`: the ``_A2`` layer gives ``(a-b, b, -b)``
+        per pair, one of ``relu(b)`` and ``relu(-b)`` is 0, so each in-order
+        row sum of the ``_A3`` and ``_A1`` layers equals a sum of
+        ``relu(a-b)`` and ``b`` alone, bitwise.  A batch whose tree input is
+        not all finite, or whose head or recursion overflows or forms an
+        invalid value, reruns through the layer loop, which gives the same
+        values and ``RuntimeWarning``s as it always has.
+        """
         if self.output_dim != 1:
             raise ValueError("forward() expects a scalar-output network")
+        start = self._tree_start()
+        if start is not None:
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    a = X
+                    for lay in self.layers[:start]:
+                        a = _step(lay, a)[1]
+                    if np.isfinite(a).all():
+                        return _max_tree(a)
+            except FloatingPointError:
+                pass  # the layer loop emits the warnings of this batch
         return self.forward_cached(X)[0]
+
+    def _tree_start(self) -> Optional[int]:
+        """Index of the first layer of the frozen, canonical max tree that
+        ends the network (``_A2``, any number of ``_A3``, then ``_A1``, as
+        :func:`build_max_network` builds it), or None."""
+        layers = self.layers
+
+        def runs(i, block, activation):
+            return (
+                i >= 0 and layers[i].tree_block() is block and layers[i].activation == activation
+            )
+
+        i = len(layers) - 1
+        if not runs(i, _A1, "none"):
+            return None
+        i -= 1
+        while runs(i, _A3, "relu"):
+            i -= 1
+        return i if runs(i, _A2, "relu") else None
 
     def trainable(self) -> list:
         return [
@@ -152,6 +203,30 @@ class ReluNetwork:
         return ReluNetwork(
             [Layer(l.W, l.b, l.activation, l.trainable) for l in self.layers]
         )
+
+
+def _step(lay: Layer, a: np.ndarray):
+    """The layer on ``a``: its pre-activation and its activation."""
+    z = _apply(lay, a)
+    if lay.tree_block() is None:  # a tree layer's bias is 0
+        z = z + lay.b
+    return z, (np.maximum(z, 0.0) if lay.activation == "relu" else z)
+
+
+def _max_tree(x: np.ndarray) -> np.ndarray:
+    """The frozen max tree on ``x``, shape (B, 2^k), as its pair recursion
+    (see :meth:`ReluNetwork.forward`); ``D`` and ``b`` hold each pair's
+    ``a - b`` and ``b``."""
+    D = x[:, 0::2] - x[:, 1::2]
+    b = x[:, 1::2]
+    while D.shape[1] > 1:
+        R = np.maximum(D, 0.0, out=D)
+        c = R + b  # each pair's relu(a - b) + b
+        # D' = ((R[:, 0::2] + b[:, 0::2]) - R[:, 1::2]) - b[:, 1::2]
+        D = c[:, 0::2] - R[:, 1::2]
+        D -= b[:, 1::2]
+        b = c[:, 1::2]
+    return np.maximum(D[:, 0], 0.0) + b[:, 0]
 
 
 def _apply(lay: Layer, x: np.ndarray) -> np.ndarray:
@@ -297,9 +372,10 @@ def build_max_network(k: int) -> ReluNetwork:
     """Fixed ReLU network computing the exact max of ``2^k`` inputs.
 
     Hidden layer i has width ``3 * 2^(k-i)``; weights are not trainable.
-    While they stay frozen and unchanged, each layer runs as one
-    small-block product and its ReLUs instead of its ``kron`` matrix; made
-    trainable or changed in any entry, they run dense (see
+    While they stay frozen and unchanged, :meth:`ReluNetwork.forward` runs
+    the tree as its pair recursion and the training pass runs each layer as
+    one small-block product and its ReLUs instead of its ``kron`` matrix;
+    made trainable or changed in any entry, they run dense (see
     :meth:`Layer.tree_block`).
     """
     mats = max_tree_matrices(k)

@@ -366,8 +366,10 @@ class TestCli:
         [
             ("index,runtime_ns\n0,5\n", "targets file, line 1: the header has no 'wpp' column"),
             ("index,wpp\n0,0.5\n1,abc\n", "targets file, line 3: wpp 'abc' is not a number"),
+            ("index,wpp\n0,nan\n1,0.5\n", "targets file, line 2: wpp 'nan' is not finite"),
+            ("index,wpp\n0,0.5\n1,-inf\n", "targets file, line 3: wpp '-inf' is not finite"),
         ],
-        ids=["no-wpp-column", "unparsable-value"],
+        ids=["no-wpp-column", "unparsable-value", "nan-value", "inf-value"],
     )
     def test_malformed_targets_file(self, workdir, tmp_path, text, message):
         targets = tmp_path / "targets.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,104 @@ class TestStructuralTree:
             net.layers[1].W[0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
             net.layers[0].b[0] = 1.0
+
+
+def _forward_spy(monkeypatch):
+    """Count the calls of ``ReluNetwork.forward_cached``, the layer loop."""
+    calls = []
+    loop = ReluNetwork.forward_cached
+    monkeypatch.setattr(
+        ReluNetwork, "forward_cached", lambda net, X: calls.append(len(X)) or loop(net, X)
+    )
+    return calls
+
+
+def _recorded(f, X):
+    """``f(X)`` and the messages of the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = f(X)
+    return y, [str(w.message) for w in caught]
+
+
+class TestInference:
+    """``forward`` runs a frozen, canonical tree as its pair recursion and
+    equals the layer loop ``forward_cached(X)[0]`` bitwise."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_recursion_equals_layer_loop(self, k, monkeypatch):
+        rng = np.random.default_rng(200 + k)
+        bank_rows = max(1, 2**k - 3)
+        A, b = rng.normal(size=(bank_rows, 9)), rng.normal(size=bank_rows)
+        cases = [
+            (build_max_network(k), 2**k),
+            (random_head_network(16, k, seed=k), 16),
+            (init_from_bank(A, b, k, pad_bias=b.min() - 10.0), 9),
+        ]
+        inputs = [
+            (net, rng.normal(size=(B, d)) * scale)
+            for net, d in cases
+            for B in (0, 1, 2, 3, 17, 64, 320)
+            for scale in 10.0 ** np.arange(-3, 4)
+        ]
+        # exact ties and zeros, whole rows of zeros among them, and one lone row
+        T = rng.integers(-2, 3, size=(64, 2**k)).astype(float)
+        T[:8] = 0.0
+        tree = cases[0][0]
+        inputs += [(tree, T), (tree, T[9])]
+        calls = _forward_spy(monkeypatch)
+        for net, X in inputs:
+            y = net.forward(X)
+            assert not calls
+            np.testing.assert_array_equal(y, net.forward_cached(X)[0])
+            calls.clear()
+        np.testing.assert_array_equal(tree.forward(T), T.max(axis=1))
+
+    @pytest.mark.parametrize("case", ["trainable_tree", "scaled_output", "replaced_W", "no_tree"])
+    def test_other_networks_take_the_layer_loop(self, case, monkeypatch):
+        rng = np.random.default_rng(43)
+        X = rng.dirichlet(np.ones(6), size=40)
+        net = random_head_network(6, 3, seed=5)
+        if case == "trainable_tree":
+            net.layers[3].trainable = True
+        elif case == "scaled_output":
+            net.scale_output(2.0)
+        elif case == "replaced_W":
+            W = net.layers[1].W.copy()
+            W[0, 0] = 0.5
+            net.layers[1].W = W
+        else:
+            net = ReluNetwork(net.layers[:1] + [Layer(np.ones((1, 8)), np.zeros(1), "none")])
+        y_loop = net.forward_cached(X)[0]
+        calls = _forward_spy(monkeypatch)
+        np.testing.assert_array_equal(net.forward(X), y_loop)
+        assert calls == [len(X)]
+
+    @pytest.mark.parametrize(
+        "pair, messages",
+        [
+            ((np.inf, 1.0), ["invalid value encountered in matmul"]),
+            ((1.0, -np.inf), ["invalid value encountered in matmul"]),
+            ((np.nan, 1.0), []),
+            ((1e308, -1e308), ["overflow encountered in matmul", "invalid value encountered in matmul"]),
+            ((-1e308, 1e308), ["overflow encountered in matmul"]),
+        ],
+        ids=["inf", "minus-inf", "nan", "overflow-to-nan", "overflow-then-relu"],
+    )
+    def test_non_finite_batches_keep_the_layer_loop(self, pair, messages, monkeypatch):
+        net = build_max_network(3)
+        X = np.arange(24.0).reshape(3, 8)
+        X[1, 2:4] = pair
+        y_loop, loop_messages = _recorded(lambda X: net.forward_cached(X)[0], X)
+        assert loop_messages == messages
+        calls = _forward_spy(monkeypatch)
+        y, got = _recorded(net.forward, X)
+        np.testing.assert_array_equal(y, y_loop)
+        assert got == messages and calls == [3]
+        if messages:
+            with pytest.warns(RuntimeWarning) as caught:
+                net.forward(X)
+            assert [str(w.message) for w in caught] == messages
 
 
 class TestBankInit:
