@@ -15,28 +15,24 @@ where the loss itself contains the input-gradient), and returns
 gradients only for the layers that train.  At ReLU kinks the subgradient
 convention is derivative 0 at exactly 0.
 
-A frozen layer of the max tree is ``I_n kron A`` for a small block ``A``
-(pair, merge or collapse), so the training pass runs it as one
-small-block product per frozen tree layer: the rows reshaped to the
-block's width times ``A.T`` forward, times ``A`` in the reverse sweep.  A
-tree pre-activation rounds as the dense row summed left to right: the
-matrix product (gemm) sums in that order, but a lone row would go to gemv,
-which does not, so it runs stacked twice.  The pre-activations in the forward cache keep their dense
-shapes.  A tree layer runs as its dense ``kron`` matrix when it trains
-(``--trainable-tree``, ``set_all_trainable``) and when its weights or bias
-differ from the canonical block, e.g. after training or
-:meth:`ReluNetwork.scale_output`; see :meth:`Layer.tree_block`.
-
-Inference (:meth:`ReluNetwork.forward`) keeps no cache and runs a frozen,
-canonical tree as a recursion over its pair levels, bitwise equal to the
-layer loop.  A pair ``(a, b)`` enters as ``z = (a - b, b, -b)``; one of
-``relu(b)`` and ``relu(-b)`` is 0, and adding or subtracting 0 is exact, so
-the in-order row sums of the collapse ``relu(a-b) + relu(b) - relu(-b)``
-and of the merge rows of ``A3`` reduce to sums of ``R = relu(a - b)`` and
+A network that ends in the frozen, canonical max tree after at least one
+layer (:meth:`ReluNetwork._tree_start`) runs the tree as a recursion over
+its pair levels, in inference and training alike; any other network, the
+tree included when it trains or differs from the canonical blocks (see
+:meth:`Layer.tree_block`), runs as its dense layer loop.  A pair ``(a, b)``
+enters the tree as ``z = (a - b, b, -b)``; one of ``relu(b)`` and
+``relu(-b)`` is 0, and adding or subtracting 0 is exact, so the in-order
+row sums of the tree's layers reduce to sums of ``R = relu(a - b)`` and
 ``b`` alone.  With ``D = x[:, 0::2] - x[:, 1::2]`` and ``b = x[:, 1::2]``,
 each level maps ``(D, b)`` to ``D' = ((R[:, 0::2] + b[:, 0::2]) - R[:,
 1::2]) - b[:, 1::2]`` and ``b' = R[:, 1::2] + b[:, 1::2]``, and the output
-is ``relu(D) + b`` at width 1; only the sign of a zero can differ.
+is ``relu(D) + b`` at width 1; only the sign of a zero can differ from the
+row sums.  The reverse sweep runs the levels top down at pair width: with
+``up = [R > 0]``, a pair's ``a`` side gets ``g * up`` and its ``b`` side
+``g * ([b != 0] - up)``, the derivatives of ``relu(a-b) + relu(b) -
+relu(-b)``.  Every factor is in {-1, 0, 1}, so all sums are exact in any
+order, and ``[R > 0]`` and ``[b != 0]`` are the dense layers' masks
+``[z > 0]``: the sweep is bitwise the dense one.
 """
 
 from __future__ import annotations
@@ -73,16 +69,15 @@ class Layer:
         self._tree = None  # (W, b, block): the verdict of tree_block for these arrays
 
     def tree_block(self):
-        """The small block ``A`` with ``W == I_n kron A``, so that the layer
-        runs as one product of ``A`` against the rows reshaped to its width,
-        or None to run it dense.
+        """The small block ``A`` with ``W == I_n kron A``, or None.
 
         Only a frozen layer whose ``W`` repeats a canonical max-tree block (as
-        :func:`max_tree_matrices` builds it) and whose bias is zero runs
-        structurally.  The comparison runs once per pair of ``W`` and ``b``
-        arrays and its verdict is cached; a recognised layer's arrays become
-        read-only, so an in-place edit cannot leave the verdict stale
-        (assign a new array instead, as :class:`Adam` does).
+        :func:`max_tree_matrices` builds it) and whose bias is zero is
+        recognised; :meth:`ReluNetwork._tree_start` runs a tree of such
+        layers as its pair recursion.  The comparison runs once per pair of
+        ``W`` and ``b`` arrays and its verdict is cached; a recognised layer's
+        arrays become read-only, so an in-place edit cannot leave the verdict
+        stale (assign a new array instead, as :class:`Adam` does).
         """
         if self.trainable:
             return None
@@ -120,50 +115,27 @@ class ReluNetwork:
         return [lay.W.shape[0] for lay in self.layers[:-1]]
 
     def forward_cached(self, X: np.ndarray):
-        """Forward pass keeping pre-activations for the backward pass."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        a = X
-        zs, acts = [], []
-        for lay in self.layers:
-            z, a = _step(lay, a)
-            zs.append(z)
-            acts.append(a)
-        return acts[-1][:, 0], {"input": X, "z": zs, "a": acts}
+        """Outputs and the cache of the training pass: the ``input`` and each
+        layer's pre-activation ``z`` and activation ``a``, up to the frozen
+        max tree (:meth:`_tree_start`), whose pair levels ``(R, b)`` are kept
+        as ``tree``.  A batch whose tree input is not all finite, or that
+        overflows or forms an invalid value before, reruns through the dense
+        layer loop, which gives its values and ``RuntimeWarning``s."""
+        return _forward(self, X)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batch outputs, shape (B,); the output width must be 1.
 
-        Equal to ``forward_cached(X)[0]``, without its cache.  When the
-        network ends in a frozen, canonical max tree (:meth:`_tree_start`),
-        the layers before it run as plain products and the tree as the pair
-        recursion :func:`_max_tree`: the ``_A2`` layer gives ``(a-b, b, -b)``
-        per pair, one of ``relu(b)`` and ``relu(-b)`` is 0, so each in-order
-        row sum of the ``_A3`` and ``_A1`` layers equals a sum of
-        ``relu(a-b)`` and ``b`` alone, bitwise.  A batch whose tree input is
-        not all finite, or whose head or recursion overflows or forms an
-        invalid value, reruns through the layer loop, which gives the same
-        values and ``RuntimeWarning``s as it always has.
-        """
+        The pass of :meth:`forward_cached`, its cache dropped."""
         if self.output_dim != 1:
             raise ValueError("forward() expects a scalar-output network")
-        start = self._tree_start()
-        if start is not None:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    a = X
-                    for lay in self.layers[:start]:
-                        a = _step(lay, a)[1]
-                    if np.isfinite(a).all():
-                        return _max_tree(a)
-            except FloatingPointError:
-                pass  # the layer loop emits the warnings of this batch
-        return self.forward_cached(X)[0]
+        return _forward(self, X)[0]
 
     def _tree_start(self) -> Optional[int]:
         """Index of the first layer of the frozen, canonical max tree that
         ends the network (``_A2``, any number of ``_A3``, then ``_A1``, as
-        :func:`build_max_network` builds it), or None."""
+        :func:`build_max_network` builds it) after at least one layer, or
+        None."""
         layers = self.layers
 
         def runs(i, block, activation):
@@ -177,7 +149,7 @@ class ReluNetwork:
         i -= 1
         while runs(i, _A3, "relu"):
             i -= 1
-        return i if runs(i, _A2, "relu") else None
+        return i if i > 0 and runs(i, _A2, "relu") else None
 
     def trainable(self) -> list:
         return [
@@ -205,48 +177,51 @@ class ReluNetwork:
         )
 
 
-def _step(lay: Layer, a: np.ndarray):
-    """The layer on ``a``: its pre-activation and its activation."""
-    z = _apply(lay, a)
-    if lay.tree_block() is None:  # a tree layer's bias is 0
-        z = z + lay.b
-    return z, (np.maximum(z, 0.0) if lay.activation == "relu" else z)
+def _forward(net: ReluNetwork, X: np.ndarray):
+    """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    start = net._tree_start()
+    if start is not None:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                cache = _layer_loop(net.layers[:start], X)
+                if np.isfinite(cache["a"][-1]).all():
+                    y, cache["tree"] = _max_tree(cache["a"][-1])
+                    return y, cache
+        except FloatingPointError:
+            pass  # the layer loop emits the warnings of this batch
+    cache = _layer_loop(net.layers, X)
+    return cache["a"][-1][:, 0], cache
 
 
-def _max_tree(x: np.ndarray) -> np.ndarray:
+def _layer_loop(layers: Sequence[Layer], X: np.ndarray) -> dict:
+    """The cache of ``layers`` run in turn on ``X``, each as its matrix."""
+    a, zs, acts = X, [], []
+    for lay in layers:
+        z = a @ lay.W.T + lay.b
+        a = np.maximum(z, 0.0) if lay.activation == "relu" else z
+        zs.append(z)
+        acts.append(a)
+    return {"input": X, "z": zs, "a": acts}
+
+
+def _max_tree(x: np.ndarray):
     """The frozen max tree on ``x``, shape (B, 2^k), as its pair recursion
-    (see :meth:`ReluNetwork.forward`); ``D`` and ``b`` hold each pair's
-    ``a - b`` and ``b``."""
+    (see the module docstring): the outputs, and ``(R, b)`` per level, the
+    widest first; ``D`` and ``b`` hold each pair's ``a - b`` and ``b``."""
     D = x[:, 0::2] - x[:, 1::2]
     b = x[:, 1::2]
-    while D.shape[1] > 1:
+    levels = []
+    while True:
         R = np.maximum(D, 0.0, out=D)
+        levels.append((R, b))
+        if R.shape[1] == 1:
+            return R[:, 0] + b[:, 0], levels
         c = R + b  # each pair's relu(a - b) + b
         # D' = ((R[:, 0::2] + b[:, 0::2]) - R[:, 1::2]) - b[:, 1::2]
         D = c[:, 0::2] - R[:, 1::2]
         D -= b[:, 1::2]
         b = c[:, 1::2]
-    return np.maximum(D[:, 0], 0.0) + b[:, 0]
-
-
-def _apply(lay: Layer, x: np.ndarray) -> np.ndarray:
-    """``x @ lay.W.T``, as one small-block product for a frozen max-tree layer."""
-    block = lay.tree_block()
-    if block is None:
-        return x @ lay.W.T
-    v = x.reshape(-1, block.shape[1])
-    # a lone row would go to gemv, which does not sum each dot product left
-    # to right as gemm does; stacked twice it goes to gemm
-    z = (v if len(v) > 1 else np.repeat(v, 2, axis=0)) @ block.T
-    return z[: len(v)].reshape(len(x), lay.W.shape[0])
-
-
-def _apply_T(lay: Layer, g: np.ndarray) -> np.ndarray:
-    """``g @ lay.W``, as one small-block product for a frozen max-tree layer."""
-    block = lay.tree_block()
-    if block is None:
-        return g @ lay.W
-    return (g.reshape(-1, block.shape[0]) @ block).reshape(len(g), lay.W.shape[1])
 
 
 def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -256,18 +231,24 @@ def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _sensitivities(net: ReluNetwork, cache) -> list:
     """Unit-seeded reverse sweep: ``hat[i]``, shape (B, n_i), is the
-    per-sample gradient of the output w.r.t. layer i's pre-activation.
+    per-sample gradient of the output w.r.t. layer i's pre-activation, for
+    the layers in ``cache["z"]``; a tree cache starts from the tree input,
+    whose sensitivity its levels give (see the module docstring).
 
     The sweep runs once per forward pass; its result is kept in ``cache``.
     """
     if "hat" not in cache:
-        hat = [None] * len(net.layers)
-        d = np.ones((cache["input"].shape[0], 1))
-        for i in range(len(net.layers) - 1, -1, -1):
+        d = np.ones((len(cache["input"]), 1))
+        for R, b in reversed(cache.get("tree", ())):
+            up = d * (R > 0.0)
+            pairs = np.stack((up, d * (b != 0.0) - up), axis=2)
+            d = pairs.reshape(len(d), 2 * R.shape[1])
+        hat = [None] * len(cache["z"])
+        for i in range(len(hat) - 1, -1, -1):
             lay = net.layers[i]
             hat[i] = d = _through_mask(lay, cache["z"][i], d)
             if i > 0:
-                d = _apply_T(lay, d)
+                d = d @ lay.W
         cache["hat"] = hat
     return cache["hat"]
 
@@ -314,7 +295,7 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
             if u is not None:
                 grads[(i, "W")] += hat[i].T @ u
         if sgrad_seeds is not None:
-            u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else _apply(lay, u)
+            u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else u @ lay.W.T
             u = _through_mask(lay, cache["z"][i], u)
     return grads
 
@@ -372,11 +353,11 @@ def build_max_network(k: int) -> ReluNetwork:
     """Fixed ReLU network computing the exact max of ``2^k`` inputs.
 
     Hidden layer i has width ``3 * 2^(k-i)``; weights are not trainable.
-    While they stay frozen and unchanged, :meth:`ReluNetwork.forward` runs
-    the tree as its pair recursion and the training pass runs each layer as
-    one small-block product and its ReLUs instead of its ``kron`` matrix;
-    made trainable or changed in any entry, they run dense (see
-    :meth:`Layer.tree_block`).
+    After at least one layer (:func:`init_from_bank`,
+    :func:`random_head_network`) and while they stay frozen and unchanged,
+    the forward and training passes run the tree as its pair recursion
+    instead of its ``kron`` matrices; alone, made trainable or changed in
+    any entry, it runs dense (see :meth:`Layer.tree_block`).
     """
     mats = max_tree_matrices(k)
     layers = [
@@ -653,8 +634,13 @@ def load_model(path):
     """Load a model container; returns ``(network, config_hash)``."""
     data = np.load(path, allow_pickle=False)
     n = int(data["n_layers"])
+    if n < 1:
+        raise ValueError(f"n_layers must be at least 1, got {n}")
     layers = []
     for i in range(n):
+        for key in (f"W{i}", f"b{i}", f"meta{i}"):
+            if key not in data.files:
+                raise ValueError(f"layer {i}: no array {key} (n_layers is {n})")
         meta = data[f"meta{i}"]
         if meta.shape != (2,):
             raise ValueError(

@@ -8,6 +8,8 @@ first loop, kept as written so that a faster loop can be held to the
 same iterates.  The network gradient-field references are the first
 three-operand einsum contractions against the per-row spatial gradients,
 kept as written so that the potential-gradient path can be held to them.
+The in-order layer loop is the rounding the max tree's pair recursion
+must reproduce bitwise.
 """
 
 import itertools
@@ -131,3 +133,24 @@ def backward_with_pairing_reference(net, ground, cache, S, X, value_seeds, other
         for ax, op in enumerate(gradient_operators(ground)):
             grads[(0, "W")] += coef[:, :, ax] @ op
     return grads
+
+
+def layer_loop_in_order(net, X):
+    """Outputs of ``net`` on ``X``, shape (B,), by its layer loop with every
+    dot product of a frozen max-tree layer (``tree_block()`` not None)
+    summed left to right; the other layers run as matrix products.  The sum
+    skips the terms of zero weight, which add exact zeros."""
+    a = np.atleast_2d(np.asarray(X, dtype=float))
+    for lay in net.layers:
+        if lay.tree_block() is None:
+            z = a @ lay.W.T + lay.b
+        else:  # a recognised tree layer has no bias
+            # each row's nonzero columns in order, padded with weight-0 ones
+            cols = np.argsort(lay.W == 0, axis=1, kind="stable")
+            cols = cols[:, : (lay.W != 0).sum(axis=1).max()]
+            weights = np.take_along_axis(lay.W, cols, axis=1)
+            z = np.zeros((len(a), lay.W.shape[0]))
+            for t in range(cols.shape[1]):
+                z = z + a[:, cols[:, t]] * weights[:, t]
+        a = np.maximum(z, 0.0) if lay.activation == "relu" else z
+    return a[:, 0]

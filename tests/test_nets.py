@@ -38,7 +38,11 @@ from .helpers import (
     assert_grads_close_at_scale,
     field_net,
 )
-from .oracles import backward_with_pairing_reference, cylinder_field_batch_reference
+from .oracles import (
+    backward_with_pairing_reference,
+    cylinder_field_batch_reference,
+    layer_loop_in_order,
+)
 
 
 def dyadic_vectors(rng, n, dim, scale=8.0):
@@ -112,48 +116,59 @@ def _dense_layers(net):
     return [i for i, lay in enumerate(net.layers) if lay.tree_block() is None]
 
 
-def _row_sums_in_order(a, W):
-    """``a @ W.T`` with every dot product summed left to right."""
-    acc = np.zeros((len(a), W.shape[0]))
-    for j in range(W.shape[1]):
-        acc = acc + a[:, j : j + 1] * W[:, j]
-    return acc
+def _after_identity(k):
+    """The max tree of ``2^k`` inputs after an identity layer, so that it runs
+    as its pair recursion on the inputs themselves."""
+    eye = Layer(np.eye(2**k), np.zeros(2**k), "none")
+    return ReluNetwork([eye] + build_max_network(k).layers)
 
 
 def _assert_paths_agree(net, dense, X, exact=False, scale=None):
-    """Forward within 1e-15 of ``scale`` (default: the largest output), or
-    bitwise when ``exact``; pre-activations of the same shapes, those of the
-    tree rounded as its dense rows summed in order; sensitivities bitwise."""
+    """The training pass of ``net``, its tree run as the pair recursion,
+    against its dense ``kron`` copy: outputs bitwise equal to the in-order
+    layer loop, and to the dense ones within 1e-15 of ``scale`` (default:
+    the largest output), or bitwise when ``exact``; the sensitivities of
+    the layers before the tree, the gradients with value and
+    first-pre-activation seeds, and the gradient fields bitwise."""
     ys, cs = net.forward_cached(X)
     yd, cd = dense.forward_cached(X)
+    assert "tree" in cs and "tree" not in cd
+    np.testing.assert_array_equal(ys, layer_loop_in_order(net, X))
     tol = 0.0 if exact else 1e-15 * (np.abs(yd).max() if scale is None else scale)
     assert np.abs(ys - yd).max() <= tol
-    for zs, zd in zip(cs["z"], cd["z"], strict=True):
-        assert zs.shape == zd.shape
-        np.testing.assert_allclose(zs, zd, rtol=0, atol=1e-15 * np.abs(X).max())
-    for i, lay in enumerate(net.layers):
-        if lay.tree_block() is not None:
-            prev = X if i == 0 else cs["a"][i - 1]
-            np.testing.assert_array_equal(cs["z"][i], _row_sums_in_order(prev, lay.W))
-    for hs, hd in zip(_sensitivities(net, cs), _sensitivities(dense, cd), strict=True):
+    hat = _sensitivities(net, cs)
+    assert len(hat) == len(cs["z"]) < len(net.layers)
+    for hs, hd in zip(hat, _sensitivities(dense, cd)):
         np.testing.assert_array_equal(hs, hd)
+    rng = np.random.default_rng(len(X))
+    seeds = (rng.normal(size=len(X)), rng.normal(size=hat[0].shape))
+    grads, grads_dense = backward(net, cs, *seeds), backward(dense, cd, *seeds)
+    assert list(grads) == net.trainable()
+    for key, g in grads.items():
+        np.testing.assert_array_equal(g, grads_dense[key])
+    ground = GroundSpace.grid((X.shape[1],))
+    np.testing.assert_array_equal(
+        cylinder_field_batch(net, ground, X)[3], cylinder_field_batch(dense, ground, X)[3]
+    )
 
 
 class TestStructuralTree:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_dense_path(self, k):
         rng = np.random.default_rng(100 + k)
-        tree = build_max_network(k)
-        head = random_head_network(16, k, seed=k)
-        assert _dense_layers(tree) == [] and _dense_layers(head) == [0]
+        tree = _after_identity(k)
+        # two layers before the tree: first-pre-activation seeds reach the
+        # second one's weights through the first one's cached mask
+        first = Layer(rng.normal(size=(12, 16)), rng.normal(size=12), "relu")
+        head = ReluNetwork([first] + random_head_network(12, k, seed=k).layers)
+        assert _dense_layers(tree) == [0] and _dense_layers(head) == [0, 1]
         X = rng.normal(size=(64, 2**k))
         H = rng.normal(size=(64, 16))
         # exact ties and zeros, whole rows of zeros among them
         T = rng.integers(-2, 3, size=(64, 2**k)).astype(float)
         T[:8] = 0.0
         # every run of B consecutive rows, each held to the forward bound of
-        # all 64; at B = 1 the top layers (n = 1) reshape to a lone row, which
-        # runs on gemv unless _apply stacks it
+        # all 64; at B = 1 the dense copy's products run on gemv
         dtree, dhead = _dense(tree), _dense(head)
         x_scale = np.abs(dtree.forward(X)).max()
         h_scale = np.abs(dhead.forward(H)).max()
@@ -238,11 +253,11 @@ class TestStructuralTree:
 
 
 def _forward_spy(monkeypatch):
-    """Count the calls of ``ReluNetwork.forward_cached``, the layer loop."""
+    """The number of layers of each call of the dense layer loop."""
     calls = []
-    loop = ReluNetwork.forward_cached
+    loop = nets._layer_loop
     monkeypatch.setattr(
-        ReluNetwork, "forward_cached", lambda net, X: calls.append(len(X)) or loop(net, X)
+        nets, "_layer_loop", lambda layers, X: calls.append(len(layers)) or loop(layers, X)
     )
     return calls
 
@@ -256,8 +271,9 @@ def _recorded(f, X):
 
 
 class TestInference:
-    """``forward`` runs a frozen, canonical tree as its pair recursion and
-    equals the layer loop ``forward_cached(X)[0]`` bitwise."""
+    """``forward`` runs a frozen, canonical tree after at least one layer as
+    its pair recursion, bitwise equal to the in-order layer loop and to
+    ``forward_cached(X)[0]``."""
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_recursion_equals_layer_loop(self, k, monkeypatch):
@@ -265,7 +281,7 @@ class TestInference:
         bank_rows = max(1, 2**k - 3)
         A, b = rng.normal(size=(bank_rows, 9)), rng.normal(size=bank_rows)
         cases = [
-            (build_max_network(k), 2**k),
+            (_after_identity(k), 2**k),
             (random_head_network(16, k, seed=k), 16),
             (init_from_bank(A, b, k, pad_bias=b.min() - 10.0), 9),
         ]
@@ -283,17 +299,21 @@ class TestInference:
         calls = _forward_spy(monkeypatch)
         for net, X in inputs:
             y = net.forward(X)
-            assert not calls
+            assert calls == [1]  # the layer before the tree
+            np.testing.assert_array_equal(y, layer_loop_in_order(net, X))
             np.testing.assert_array_equal(y, net.forward_cached(X)[0])
             calls.clear()
         np.testing.assert_array_equal(tree.forward(T), T.max(axis=1))
 
-    @pytest.mark.parametrize("case", ["trainable_tree", "scaled_output", "replaced_W", "no_tree"])
+    @pytest.mark.parametrize(
+        "case", ["bare_tree", "trainable_tree", "scaled_output", "replaced_W", "no_tree"]
+    )
     def test_other_networks_take_the_layer_loop(self, case, monkeypatch):
         rng = np.random.default_rng(43)
-        X = rng.dirichlet(np.ones(6), size=40)
         net = random_head_network(6, 3, seed=5)
-        if case == "trainable_tree":
+        if case == "bare_tree":
+            net = build_max_network(3)
+        elif case == "trainable_tree":
             net.layers[3].trainable = True
         elif case == "scaled_output":
             net.scale_output(2.0)
@@ -303,10 +323,11 @@ class TestInference:
             net.layers[1].W = W
         else:
             net = ReluNetwork(net.layers[:1] + [Layer(np.ones((1, 8)), np.zeros(1), "none")])
+        X = rng.dirichlet(np.ones(net.input_dim), size=40)
         y_loop = net.forward_cached(X)[0]
         calls = _forward_spy(monkeypatch)
         np.testing.assert_array_equal(net.forward(X), y_loop)
-        assert calls == [len(X)]
+        assert calls == [len(net.layers)]
 
     @pytest.mark.parametrize(
         "pair, messages",
@@ -314,25 +335,33 @@ class TestInference:
             ((np.inf, 1.0), ["invalid value encountered in matmul"]),
             ((1.0, -np.inf), ["invalid value encountered in matmul"]),
             ((np.nan, 1.0), []),
-            ((1e308, -1e308), ["overflow encountered in matmul", "invalid value encountered in matmul"]),
+            (
+                (1e308, -1e308),
+                ["overflow encountered in matmul"] + 2 * ["invalid value encountered in matmul"],
+            ),
             ((-1e308, 1e308), ["overflow encountered in matmul"]),
         ],
         ids=["inf", "minus-inf", "nan", "overflow-to-nan", "overflow-then-relu"],
     )
     def test_non_finite_batches_keep_the_layer_loop(self, pair, messages, monkeypatch):
-        net = build_max_network(3)
         X = np.arange(24.0).reshape(3, 8)
         X[1, 2:4] = pair
-        y_loop, loop_messages = _recorded(lambda X: net.forward_cached(X)[0], X)
-        assert loop_messages == messages
+        # alone, the tree takes the layer loop at once; after a layer, the
+        # recursion is tried first and the batch reruns through the loop
         calls = _forward_spy(monkeypatch)
-        y, got = _recorded(net.forward, X)
-        np.testing.assert_array_equal(y, y_loop)
-        assert got == messages and calls == [3]
-        if messages:
-            with pytest.warns(RuntimeWarning) as caught:
-                net.forward(X)
-            assert [str(w.message) for w in caught] == messages
+        for net, tried in ((build_max_network(3), []), (_after_identity(3), [1])):
+            y_loop, loop_messages = _recorded(
+                lambda X: nets._layer_loop(net.layers, X)["a"][-1][:, 0], X
+            )
+            assert loop_messages == messages
+            calls.clear()
+            y, got = _recorded(net.forward, X)
+            np.testing.assert_array_equal(y, y_loop)
+            assert got == messages and calls == tried + [len(net.layers)]
+            if messages:
+                with pytest.warns(RuntimeWarning) as caught:
+                    net.forward(X)
+                assert [str(w.message) for w in caught] == messages
 
 
 class TestBankInit:
@@ -720,6 +749,34 @@ class TestModelIO:
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
         with pytest.raises(ValueError, match="layer 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"n_layers": 0}, "n_layers must be at least 1, got 0"),
+            ({"n_layers": -1}, "n_layers must be at least 1, got -1"),
+            ({"n_layers": 4}, "layer 3: no array W3"),
+            ({"W1": None}, "layer 1: no array W1"),
+            ({"b2": None}, "layer 2: no array b2"),
+            ({"meta0": None}, "layer 0: no array meta0"),
+        ],
+        ids=["no-layers", "negative", "more-than-stored", "no-W", "no-b", "no-meta"],
+    )
+    def test_rejects_a_missing_layer(self, tmp_path, edit, match):
+        net = random_head_network(d=3, k=1, seed=1)  # three layers
+        path = tmp_path / "model.bin"
+        save_model(path, net)
+        with np.load(path) as data:
+            payload = dict(data)
+        for key, value in edit.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = np.array(value)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=match):
             load_model(path)
 
 
