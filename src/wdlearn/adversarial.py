@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cylinder import field_pairing
 from .errors import DegenerateAdversary, Diverged
 from .measures import GroundSpace
 from .nets import (
@@ -28,7 +29,6 @@ from .nets import (
     ReluNetwork,
     backward_with_pairing,
     cylinder_field_batch,
-    field_pairing,
     mean_relative_error,
 )
 

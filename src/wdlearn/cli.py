@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -148,9 +149,12 @@ def _cmd_bank_eval(args):
 def _cmd_subcover(args):
     dataset = read_dataset(args.dataset)
     sample = MetricSample(elements=dataset.train, p=dataset.ground.p)
-    lo, _, hi = args.k_range.partition(":")
+    match = re.fullmatch(r"(\d+):(\d+)", args.k_range)
+    ks = range(int(match[1]), int(match[2]) + 1) if match else range(0)
+    if not ks:
+        raise ValueError("--k-range must be lo:hi with 0 <= lo <= hi")
     records = []
-    for k in range(int(lo), int(hi) + 1):
+    for k in ks:
         closed = p_eps_k_closed(sample, args.eps, k)
         est, se = p_eps_k_monte_carlo(
             sample, args.eps, k, trials=args.trials, seed=args.seed + k

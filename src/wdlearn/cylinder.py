@@ -2,10 +2,15 @@
 
 A cylinder function evaluates as ``psi(<phi_1, mu>, ..., <phi_N, mu>)``
 for feature functions ``phi_n`` given by their values on the ground
-points.  Its gradient field at ``(mu, x)`` is the partials of ``psi``
-contracted against the spatial gradients of the features, which on grid
-ground spaces come from finite differences (central in the interior,
-one-sided at boundaries, unit spacing).
+points.  This module holds the two formulas that the least-squares,
+network and adversarial code build on:
+
+- the gradient field at ``(mu, x)`` is the spatial gradient of one
+  potential, ``partials @ features`` (:func:`grid_gradients`); on grid
+  ground spaces it comes from finite differences (central in the
+  interior, one-sided at boundaries, unit spacing);
+- the pre-Cheeger pairing of two fields against a measure is
+  ``int <a(x), b(x)> dmu(x)`` (:func:`field_pairing`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,15 @@ def grid_gradients(ground: GroundSpace, values) -> np.ndarray:
     ops = gradient_operators(ground)
     values = np.asarray(values, dtype=float)
     return np.stack([values @ op.T for op in ops], axis=-1)
+
+
+def field_pairing(field_a, field_b, weights) -> np.ndarray:
+    """Pre-Cheeger pairing ``int <a(x), b(x)> dmu(x)`` of gradient fields.
+
+    ``(..., m, d)`` fields against ``(..., m)`` measure weights give the
+    ``(...)`` pairings; the leading axes broadcast.
+    """
+    return np.einsum("...md,...md,...m->...", field_a, field_b, weights)
 
 
 @dataclass(frozen=True)
@@ -101,12 +115,9 @@ class CylinderFunction:
     features : (N, m) array_like
         Values of the feature functions on the ground points.
     outer : OuterMap
-    feature_grads : (N, m, d) ndarray, optional
-        Spatial gradients of the features; computed by finite differences
-        on grid grounds when omitted and left absent otherwise.
     """
 
-    def __init__(self, ground: GroundSpace, features, outer: OuterMap, feature_grads=None):
+    def __init__(self, ground: GroundSpace, features, outer: OuterMap):
         feats = np.atleast_2d(np.asarray(features, dtype=float))
         if feats.shape[1] != ground.size:
             raise ValueError("features must be vectors over the ground points")
@@ -115,12 +126,6 @@ class CylinderFunction:
         self.ground = ground
         self.features = feats
         self.outer = outer
-        if feature_grads is not None:
-            self.feature_grads = np.asarray(feature_grads, dtype=float)
-        elif ground.grid_shape is not None:
-            self.feature_grads = grid_gradients(ground, feats)
-        else:
-            self.feature_grads = None
 
     @property
     def n_features(self) -> int:
@@ -135,18 +140,16 @@ class CylinderFunction:
         return float(self.outer.value(self.linear_part(mu)))
 
     def grad_field(self, mu: DiscreteMeasure) -> np.ndarray:
-        """Gradient field over the ground points, shape (m, d).
+        """Gradient field over the ground points, shape (m, d): the grid
+        gradient of the potential ``partials @ features``.
 
         Raises
         ------
         NoSpatialGradient
-            If the ground space lacks grid structure and no feature
-            gradients were supplied.
+            If the ground space lacks grid structure.
         """
-        if self.feature_grads is None:
-            raise NoSpatialGradient("no spatial gradients available for the features")
         parts = self.outer.partials(self.linear_part(mu))
-        return np.einsum("n,nmd->md", parts, self.feature_grads)
+        return grid_gradients(self.ground, parts @ self.features)
 
     def check_partials(self, rng=None, n_probes: int = 5, h: float = 1e-6) -> float:
         """Worst relative disagreement between analytic partials and
@@ -203,5 +206,5 @@ def pre_cheeger_inner(
             continue
         df = F.grad_field(mu)
         dg = df if G is F else G.grad_field(mu)
-        total += wj * float(np.einsum("md,md,m->", df, dg, mu.weights))
+        total += wj * float(field_pairing(df, dg, mu.weights))
     return total

@@ -2,10 +2,14 @@
 
 Subspaces here are spans of affine functionals of a measure,
 ``l(mu) = <f, mu>`` for feature functions ``f`` (constants are the
-feature ``1`` since measures have unit mass).  Linear combinations stay
-in the family, which makes double orthogonalization a finite
-generalized eigenproblem and keeps every Gram assembly a dense matrix
-product.
+feature ``1`` since measures have unit mass).  A subspace is its rows of
+features: linear combinations stay in the family, so a change of basis is
+a product with the feature matrix and double orthogonalization a finite
+generalized eigenproblem.  The basis fields are the grid gradients of the
+features (:func:`wdlearn.cylinder.grid_gradients`), constant in the
+measure, so the energy Gram pairs them once against the mean sample
+measure through :func:`wdlearn.cylinder.field_pairing`, the pairing of the
+network and adversarial losses.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .cylinder import CylinderFunction, _quad_weights, grid_gradients, identity_outer
+from .cylinder import (
+    CylinderFunction,
+    _quad_weights,
+    field_pairing,
+    grid_gradients,
+    identity_outer,
+)
 from .errors import CertificateViolation, RankDeficient, Singular
 from .measures import GroundSpace
 
@@ -31,46 +41,40 @@ def as_weight_matrix(sample) -> np.ndarray:
     return np.array([mu.weights for mu in sample])
 
 
+def _mean_measure(sample, weights) -> np.ndarray:
+    """The quadrature-weighted mean of the sample's weight vectors."""
+    W = as_weight_matrix(sample)
+    return _quad_weights(W.shape[0], weights) @ W
+
+
 class CylinderSubspace:
-    """Span of affine functionals ``l_i(mu) = <coeffs_i @ features, mu>``.
+    """Span of affine functionals ``l_i(mu) = <features_i, mu>``.
 
     Parameters
     ----------
     ground : GroundSpace
-    features : (F, m) array_like
-        Feature functions on the ground points.
-    coeffs : (n, F) array_like, optional
-        Basis coordinates in feature space; identity when omitted.
-    provenance : str
-        ``"raw"`` or ``"double-orthogonal"``.
+    features : (n, m) array_like
+        One feature function per basis functional, on the ground points.
     """
 
-    def __init__(self, ground: GroundSpace, features, coeffs=None, provenance="raw"):
+    def __init__(self, ground: GroundSpace, features):
         self.ground = ground
         self.features = np.atleast_2d(np.asarray(features, dtype=float))
         if self.features.shape[1] != ground.size:
             raise ValueError("features must be vectors over the ground points")
-        F = self.features.shape[0]
-        self.coeffs = np.eye(F) if coeffs is None else np.atleast_2d(np.asarray(coeffs, float))
-        if self.coeffs.shape[1] != F:
-            raise ValueError("coeffs do not match the feature count")
-        self.provenance = provenance
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[0]
+        return self.features.shape[0]
 
     def basis_fields(self) -> np.ndarray:
         """Gradient fields of the basis functions, shape (n, m, d);
         constant in the measure because the functionals are affine."""
-        return np.einsum(
-            "nf,fmd->nmd", self.coeffs, grid_gradients(self.ground, self.features)
-        )
+        return grid_gradients(self.ground, self.features)
 
     def evaluate(self, sample) -> np.ndarray:
         """Basis evaluations, shape (N, n)."""
-        W = as_weight_matrix(sample)
-        return W @ self.features.T @ self.coeffs.T
+        return as_weight_matrix(sample) @ self.features.T
 
     def l2_gram(self, sample, weights=None) -> np.ndarray:
         E = self.evaluate(sample)
@@ -78,32 +82,21 @@ class CylinderSubspace:
         return E.T @ (qw[:, None] * E)
 
     def energy_gram(self, sample, weights=None) -> np.ndarray:
-        W = as_weight_matrix(sample)
-        qw = _quad_weights(W.shape[0], weights)
-        mean_measure = qw @ W
+        """Pre-Cheeger pairings of every two basis functions, shape (n, n)."""
         g = self.basis_fields()
-        return np.einsum("imd,hmd,m->ih", g, g, mean_measure)
+        return field_pairing(g[:, None], g[None, :], _mean_measure(sample, weights))
 
     def energies(self, sample, weights=None) -> np.ndarray:
         """Per-basis-function quadratic energies on the given data."""
-        return np.diag(self.energy_gram(sample, weights)).copy()
+        g = self.basis_fields()
+        return field_pairing(g, g, _mean_measure(sample, weights))
 
     @property
     def basis(self) -> list:
-        """The basis as explicit cylinder functions (identity outer maps
-        over the combined features)."""
-        combined = self.coeffs @ self.features
+        """The basis as explicit cylinder functions (identity outer maps)."""
         return [
-            CylinderFunction(self.ground, f[None, :], identity_outer()) for f in combined
+            CylinderFunction(self.ground, f[None, :], identity_outer()) for f in self.features
         ]
-
-    def transform(self, C) -> "CylinderSubspace":
-        return CylinderSubspace(
-            self.ground,
-            self.features,
-            np.asarray(C, float) @ self.coeffs,
-            provenance=self.provenance,
-        )
 
 
 def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> CylinderSubspace:
@@ -126,8 +119,7 @@ def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> Cylinde
         )
     B = raw.energy_gram(sample, weights)
     _, V = sla.eigh(B, A)
-    out = raw.transform(V.T)
-    out.provenance = "double-orthogonal"
+    out = CylinderSubspace(raw.ground, V.T @ raw.features)
 
     new_A = out.l2_gram(sample, weights)
     new_B = out.energy_gram(sample, weights)
@@ -146,7 +138,6 @@ class GramSystem:
     """Matrices of the regularized least-squares problem.
 
     ``L[j, i] = l_i(mu_j) / sqrt(N)``, ``D`` the sample energy Gram,
-    ``gamma`` the per-function population energies when available,
     ``yF[i] = (1/N) sum_j values_j l_i(mu_j)``.
     """
 
@@ -154,7 +145,6 @@ class GramSystem:
     D: np.ndarray
     lam: float
     yF: np.ndarray
-    gamma: Optional[np.ndarray] = None
     values_sq_mean: float = 0.0
 
     def __post_init__(self):
@@ -181,7 +171,6 @@ def assemble(
     sample,
     values,
     lam: float,
-    gamma: Optional[np.ndarray] = None,
 ) -> GramSystem:
     """Build the Gram system for a fitting sample and target values."""
     W = as_weight_matrix(sample)
@@ -204,7 +193,6 @@ def assemble(
         D=D,
         lam=float(lam),
         yF=yF,
-        gamma=gamma,
         values_sq_mean=float(np.mean(values**2)),
     )
 
@@ -346,8 +334,8 @@ def condition_check(
     N = W.shape[0]
     E = subspace.evaluate(W)
     g = subspace.basis_fields()
-    field_sq = np.einsum("imd,imd->m", g, g)
-    per_sample = (E**2).sum(axis=1) + lam * (W @ field_sq)
+    energy = field_pairing(g, g, W[:, None, :]).sum(axis=1)
+    per_sample = (E**2).sum(axis=1) + lam * energy
     K = float(per_sample.max())
     if gamma is None:
         gamma = subspace.energies(W, weights)

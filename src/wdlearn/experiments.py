@@ -214,11 +214,16 @@ def write_csv(path, records: Sequence[dict]) -> None:
 
 
 def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
+    """The train measure at index ``ref``, or the measure in the file ``ref``."""
     try:
-        return dataset.train[int(ref)]
+        index = int(ref)
     except (TypeError, ValueError):
         weights = np.array(Path(ref).read_text().split(), dtype=float)
         return DiscreteMeasure(dataset.ground, weights)
+    n = len(dataset.train)
+    if not 0 <= index < n:
+        raise ValueError(f"reference index {index} is outside the train indices 0 .. {n - 1}")
+    return dataset.train[index]
 
 
 def run_experiment(config: dict, out_dir) -> dict:

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cylinder import gradient_operators, grid_gradients
+from .cylinder import field_pairing, gradient_operators, grid_gradients
 from .errors import Diverged, TooManyRows
 from .measures import GroundSpace, relative_errors
 
@@ -93,10 +93,14 @@ class Layer:
 
 
 class ReluNetwork:
-    """Ordered affine layers with optional ReLU activations."""
+    """Ordered affine layers with optional ReLU activations and one output."""
 
     def __init__(self, layers: Sequence[Layer]):
         layers = list(layers)
+        if not layers:
+            raise ValueError("a network needs at least one layer")
+        if layers[-1].W.shape[0] != 1:
+            raise ValueError(f"the last layer must have width 1, got {layers[-1].W.shape[0]}")
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.W.shape[1] != prev.W.shape[0]:
                 raise ValueError("adjacent layer dimensions are incompatible")
@@ -124,11 +128,8 @@ class ReluNetwork:
         return _forward(self, X)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Batch outputs, shape (B,); the output width must be 1.
-
-        The pass of :meth:`forward_cached`, its cache dropped."""
-        if self.output_dim != 1:
-            raise ValueError("forward() expects a scalar-output network")
+        """Batch outputs, shape (B,): the pass of :meth:`forward_cached`,
+        its cache dropped."""
         return _forward(self, X)[0]
 
     def _tree_start(self) -> Optional[int]:
@@ -421,12 +422,6 @@ def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
     S = _sensitivities(net, cache)[0]
     field = grid_gradients(ground, S @ net.layers[0].W)
     return y, cache, S, field
-
-
-def field_pairing(field_a: np.ndarray, field_b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-sample pre-Cheeger pairing ``int <a(mu_j, x), b(mu_j, x)> dmu_j(x)``
-    of two batched gradient fields, shape (B,)."""
-    return np.einsum("bmd,bmd,bm->b", field_a, field_b, X)
 
 
 def network_energy(net: ReluNetwork, ground: GroundSpace, X: np.ndarray) -> np.ndarray:

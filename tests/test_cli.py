@@ -361,6 +361,52 @@ class TestCli:
         assert str(exc.value).startswith("error: ") and message in str(exc.value)
         assert not out.exists()
 
+    @pytest.mark.parametrize("ref", ["12", "99", "-1"])
+    @pytest.mark.parametrize("command", ["ot", "bank-build", "exp-run"])
+    def test_reference_index_outside_the_train_split(self, workdir, tmp_path, command, ref):
+        ds = str(workdir / "ds.txt")  # 12 train measures
+        out = tmp_path / "out"
+        if command == "ot":
+            args = ["ot", "--dataset", ds, "--ref", ref, "--out", str(out)]
+        elif command == "bank-build":
+            args = ["bank", "build", "--dataset", ds, "--ref", ref]
+            args += ["--indices", "random:2:1", "--out", str(out)]
+        else:
+            cfg = tmp_path / "exp.json"
+            config = {"experiment": "baseline-decay", "dataset": ds, "ref": int(ref)}
+            cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0])))
+            args = ["exp", "run", "--config", str(cfg), "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert str(exc.value) == f"error: reference index {ref} is outside the train indices 0 .. 11"
+        assert not out.is_file() and not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize("spec", ["5", "5:1"], ids=["no-colon", "lo-above-hi"])
+    def test_subcover_rejects_a_malformed_k_range(self, workdir, tmp_path, spec):
+        out = tmp_path / "pek.csv"
+        args = ["subcover", "--dataset", str(workdir / "ds.txt"), "--eps", "0.3"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--k-range", spec, "--out", str(out)])
+        assert str(exc.value) == "error: --k-range must be lo:hi with 0 <= lo <= hi"
+        assert not out.exists()
+
+    def test_multi_output_model_file_exits_with_an_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                n_layers=np.array(1),
+                config_hash=np.array(""),
+                W0=np.eye(2),
+                b0=np.zeros(2),
+                meta0=np.array([0, 1], dtype=np.int8),
+            )
+        # no subcommand reads a model file, so one is routed through main
+        monkeypatch.setattr(cli, "_cmd_ot", lambda args: load_model(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["ot", "--dataset", "unused", "--ref", "0", "--out", "unused"])
+        assert str(exc.value) == "error: the last layer must have width 1, got 2"
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -14,6 +14,8 @@ from wdlearn.cylinder import (
 from wdlearn.errors import NoSpatialGradient
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 
+from .helpers import assert_close_at_scale
+
 
 @pytest.fixture
 def line():
@@ -130,6 +132,22 @@ class TestGradField:
         predicted = delta * dpsi * (feats[0, 3] - feats[0, 2])
         assert actual == pytest.approx(predicted, abs=10 * delta**2)
 
+    @pytest.mark.parametrize(
+        "n, outer",
+        [(3, affine_outer([0.3, -1.2, 0.5], 0.1)), (1, poly_outer([0.5, -1.0, 2.0, 0.7]))],
+        ids=["affine", "poly"],
+    )
+    def test_potential_gradient_matches_feature_gradients(self, n, outer):
+        # reference: the partials contracted against each feature's gradient
+        rng = np.random.default_rng(9)
+        ground = GroundSpace.grid((4, 3))
+        F = CylinderFunction(ground, rng.normal(size=(n, ground.size)), outer)
+        for _ in range(5):
+            mu = DiscreteMeasure(ground, rng.dirichlet(np.ones(ground.size)))
+            parts = F.outer.partials(F.linear_part(mu))
+            expected = np.einsum("n,nmd->md", parts, grid_gradients(ground, F.features))
+            assert_close_at_scale(F.grad_field(mu), expected)
+
     def test_no_grid_raises(self):
         ground = GroundSpace([[0.0], [3.0]])
         F = CylinderFunction(ground, np.ones((1, 2)), identity_outer())
@@ -175,3 +193,20 @@ class TestPreCheeger:
         assert pre_cheeger_inner(F, H, data) == pytest.approx(
             pre_cheeger_inner(H, F, data)
         )
+
+    def test_inner_against_hand_quadrature(self):
+        # sum_j w_j sum_x mu_j(x) <DF(mu_j, x), DG(mu_j, x)>, written out
+        rng = np.random.default_rng(10)
+        ground = GroundSpace.grid((3, 4))
+        feats = rng.normal(size=(2, ground.size))
+        F = CylinderFunction(ground, feats[:1], poly_outer([0.0, 1.0, -1.5]))
+        G = CylinderFunction(ground, feats, affine_outer([0.8, -0.4]))
+        data = [DiscreteMeasure(ground, rng.dirichlet(np.ones(ground.size))) for _ in range(6)]
+        w = rng.uniform(0.1, 2.0, size=len(data))
+        expected = 0.0
+        for wj, mu in zip(w, data):
+            df, dg = F.grad_field(mu), G.grad_field(mu)
+            expected += wj * sum(
+                mu.weights[x] * np.dot(df[x], dg[x]) for x in range(ground.size)
+            )
+        assert pre_cheeger_inner(F, G, data, w) == pytest.approx(expected, rel=1e-12)

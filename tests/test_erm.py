@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from wdlearn.cylinder import pre_cheeger_inner
+from wdlearn.cylinder import pre_cheeger, pre_cheeger_inner
 from wdlearn.erm import (
     CylinderSubspace,
+    as_weight_matrix,
     add_noise,
     assemble,
     bound_rhs,
@@ -19,7 +20,7 @@ from wdlearn.erm import (
 from wdlearn.errors import RankDeficient
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 
-from .helpers import grid_population, smooth_feature_subspace
+from .helpers import assert_close_at_scale, grid_population, smooth_feature_subspace
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,48 @@ class TestDoubleOrthogonalize:
         with pytest.raises(RankDeficient) as exc:
             double_orthogonalize(raw, pop)
         assert exc.value.rank == 1
+
+
+class TestEnergyPairings:
+    """The energy Gram and the energies pair the basis fields through
+    ``field_pairing``; both are checked against a quadrature written out by
+    hand, with non-uniform weights, on a raw basis (non-zero off-diagonals)."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, population):
+        return smooth_feature_subspace(population[0], 3, seed=5)
+
+    @pytest.fixture(scope="class")
+    def weights(self, population):
+        return np.random.default_rng(21).uniform(0.1, 2.0, size=len(population[1]))
+
+    @pytest.fixture(scope="class")
+    def by_hand(self, population, raw, weights):
+        """``sum_j w_j sum_x mu_j(x) <g_i(x), g_h(x)>`` by explicit loops."""
+        g, W = raw.basis_fields(), as_weight_matrix(population[1])
+        n = len(g)
+        out = np.zeros((n, n))
+        for i in range(n):
+            for h in range(n):
+                dots = (g[i] * g[h]).sum(axis=1)
+                out[i, h] = sum(wj * np.dot(mu, dots) for wj, mu in zip(weights, W))
+        return out
+
+    def test_energy_gram_against_hand_quadrature(self, population, raw, weights, by_hand):
+        assert_close_at_scale(raw.energy_gram(population[1], weights), by_hand)
+
+    def test_energies_are_the_gram_diagonal(self, population, raw, weights, by_hand):
+        energies = raw.energies(population[1], weights)
+        np.testing.assert_allclose(
+            energies, np.diag(raw.energy_gram(population[1], weights)), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(energies, np.diag(by_hand), rtol=1e-12)
+
+    def test_energies_match_the_generic_pre_cheeger(self, population, raw, weights, by_hand):
+        _, pop = population
+        generic = [pre_cheeger(F, pop, weights) for F in raw.basis]
+        np.testing.assert_allclose(raw.energies(pop, weights), generic, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(generic, np.diag(by_hand), rtol=1e-12)
 
 
 class TestAssemble:

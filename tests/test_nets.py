@@ -67,6 +67,16 @@ class TestMaxNetwork:
             assert net.hidden_widths == [3 * 2 ** (k - i) for i in range(1, k + 1)]
             assert net.output_dim == 1
 
+    def test_rejects_an_empty_layer_list(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            ReluNetwork([])
+
+    def test_rejects_a_last_layer_wider_than_one(self):
+        # a second output would be dropped by the pass and its weight row
+        # would take the first row's gradient
+        with pytest.raises(ValueError, match="last layer must have width 1, got 2"):
+            ReluNetwork([Layer(np.eye(2), np.zeros(2), "none")])
+
     def test_block_shapes_match_construction(self):
         # B_{l+1} is 3*2^l x 2^(l+1); the merged D_l is 3*2^(l-1) x 3*2^l
         for k in (2, 3, 4):
@@ -737,6 +747,20 @@ class TestModelIO:
             l.activation for l in net.layers
         ]
         assert [l.trainable for l in back.layers] == [l.trainable for l in net.layers]
+
+    def test_rejects_a_multi_output_network(self, tmp_path):
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                n_layers=np.array(1),
+                config_hash=np.array(""),
+                W0=np.eye(2),
+                b0=np.zeros(2),
+                meta0=np.array([0, 1], dtype=np.int8),
+            )
+        with pytest.raises(ValueError, match="last layer must have width 1, got 2"):
+            load_model(path)
 
     def test_rejects_meta_of_other_length(self, tmp_path):
         # an older container kept separate W and b flags per layer
