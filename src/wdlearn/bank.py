@@ -116,8 +116,8 @@ def select_cover_indices(
     not globally minimal.  Distances are exact W_p; pass a precomputed
     train-by-train matrix to avoid repeated solves.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     n = len(dataset.train)
     centers: list = []
     for i in range(n):
@@ -138,6 +138,8 @@ def select_cover_indices(
 
 def random_indices(n_train: int, j: int, seed: int) -> list:
     """``j`` distinct train indices drawn with a seeded RNG."""
+    if j < 1:
+        raise ValueError(f"a random index set needs j >= 1, got j={j}")
     rng = np.random.default_rng(seed)
     return sorted(rng.choice(n_train, size=min(j, n_train), replace=False).tolist())
 

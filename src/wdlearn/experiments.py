@@ -214,12 +214,14 @@ def write_csv(path, records: Sequence[dict]) -> None:
 
 
 def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
-    """The train measure at index ``ref``, or the measure in the file ``ref``."""
-    try:
-        index = int(ref)
-    except (TypeError, ValueError):
+    """The train measure at index ``ref`` (an ``int`` or a string of
+    digits), or the measure in the file named by any other non-empty string."""
+    if isinstance(ref, str) and ref and not ref.removeprefix("-").isdecimal():
         weights = np.array(Path(ref).read_text().split(), dtype=float)
         return DiscreteMeasure(dataset.ground, weights)
+    if isinstance(ref, bool) or not isinstance(ref, (int, str)) or ref == "":
+        raise ValueError(f"reference {ref!r} is neither a train index nor a file path")
+    index = int(ref)
     n = len(dataset.train)
     if not 0 <= index < n:
         raise ValueError(f"reference index {index} is outside the train indices 0 .. {n - 1}")

@@ -1,10 +1,12 @@
 """Exact discrete optimal transport, entropic solver, and c-transform.
 
-The exact solver poses the Kantorovich problem restricted to the support
-atoms as a linear program and reads the dual variables back as
-Kantorovich potentials.  Potentials are extended to zero-weight atoms by
-c-transform so that they are defined (and feasible) on the whole ground
-space, then gauged so that ``psi`` vanishes at the first ground point.
+Every exact solve, ``exact_ot`` over a ground space and a cost-matrix
+solve over a metric sample alike, goes through one certified function,
+``solve_transport_lp``.  It poses the Kantorovich problem restricted to
+the support atoms as a linear program and reads the duals back as
+Kantorovich potentials, extended to zero-weight atoms by c-transform and
+gauged so that ``psi`` vanishes at the first index.  The primal-dual gap,
+dual feasibility and plan marginals are checked on every solve.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, the HiGHS status, the simplex iterations and
@@ -51,12 +53,6 @@ class TransportPlan:
     matrix: np.ndarray
     cost: float
 
-    def check_marginals(self, mu_w: np.ndarray, nu_w: np.ndarray, tol: float = _MARGINAL_TOL):
-        row = np.abs(self.matrix.sum(axis=1) - mu_w).max()
-        col = np.abs(self.matrix.sum(axis=0) - nu_w).max()
-        if max(row, col) > tol:
-            raise SolverFailure(f"plan marginals violated by {max(row, col):.3e}")
-
 
 @dataclass(frozen=True)
 class PotentialPair:
@@ -74,19 +70,25 @@ class PotentialPair:
 
 
 def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Solve ``min <cost, gamma>`` over couplings of ``a`` and ``b``.
+    """Certified exact solve of ``min <cost, gamma>`` over couplings of
+    ``a`` and ``b``.
 
     The LP is restricted to support atoms and solved from scratch by the
-    HiGHS dual simplex, without presolve; the returned plan is embedded
-    back into the full index set and the duals are reported on the
-    supports only.
+    HiGHS dual simplex, without presolve.  The duals ``v`` on ``b``'s
+    support are extended by c-transform, ``psi(x) = min_{y in supp b}
+    cost[x, y] - v(y)`` and ``phi(y) = min_x cost[x, y] - psi(x)``, a
+    pair feasible everywhere with the same dual value.
 
     Returns
     -------
-    gamma : (m, n) ndarray
+    plan : TransportPlan
+    potentials : PotentialPair
+        ``phi`` paired with ``b``, ``psi`` with ``a``; ``psi[0] = 0``.
     value : float
-    (ia, u) : support indices of ``a`` and their dual values
-    (ib, v) : support indices of ``b`` and their dual values
+        The optimal cost.
+
+    Raises ``SolverFailure`` if the LP fails or a certificate (gap,
+    feasibility, marginals) misses its tolerance.
     """
     t0 = time.perf_counter_ns()
     a = np.asarray(a, dtype=float)
@@ -121,20 +123,29 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     gamma = np.zeros_like(cost, dtype=float)
     gamma[np.ix_(ia, ib)] = res.x.reshape(ma, mb)
-    duals = res.eqlin.marginals
-    return gamma, float(res.fun), (ia, duals[:ma]), (ib, duals[ma:])
+    value = float(res.fun)
+    v = res.eqlin.marginals[ma:]
 
-
-def _extend_potentials(cost, supp_b, v_supp):
-    """C-transform extension of LP duals to every ground point.
-
-    ``psi(x) = min_{y in supp b} cost[x, y] - v(y)`` and
-    ``phi(y) = min_x cost[x, y] - psi(x)``; the pair is feasible on the
-    whole ground space and attains the same dual value.
-    """
-    psi = (cost[:, supp_b] - v_supp[None, :]).min(axis=1)
+    psi = (cost[:, ib] - v[None, :]).min(axis=1)
     phi = (cost - psi[:, None]).min(axis=0)
-    return phi, psi
+    shift = psi[0]
+    psi = psi - shift
+    phi = phi + shift
+
+    dual_value = float(np.dot(phi, b) + np.dot(psi, a))
+    if abs(dual_value - value) > _FEAS_TOL * (1.0 + abs(value)):
+        raise SolverFailure(
+            f"primal-dual gap {abs(dual_value - value):.3e} exceeds tolerance"
+        )
+    feas = (phi[None, :] + psi[:, None] - cost).max()
+    if feas > _FEAS_TOL:
+        raise SolverFailure(f"dual feasibility violated by {feas:.3e}")
+    marginal = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
+    if marginal > _MARGINAL_TOL:
+        raise SolverFailure(f"plan marginals violated by {marginal:.3e}")
+
+    pot = PotentialPair(phi=phi, psi=psi, dual_value=dual_value)
+    return TransportPlan(matrix=gamma, cost=value), pot, value
 
 
 def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: Optional[float] = None):
@@ -156,26 +167,7 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: Optional[float] = None
         ``W_p^p(mu, nu)``.
     """
     ensure_same_ground(mu.ground, nu.ground)
-    cost = mu.ground.cost_matrix(p)
-    gamma, wpp, (_, _), (ib, v) = solve_transport_lp(cost, mu.weights, nu.weights)
-
-    phi, psi = _extend_potentials(cost, ib, v)
-    shift = psi[0]
-    psi = psi - shift
-    phi = phi + shift
-
-    dual_value = float(np.dot(phi, nu.weights) + np.dot(psi, mu.weights))
-    if abs(dual_value - wpp) > _FEAS_TOL * (1.0 + abs(wpp)):
-        raise SolverFailure(
-            f"primal-dual gap {abs(dual_value - wpp):.3e} exceeds tolerance"
-        )
-    feas = (phi[None, :] + psi[:, None] - cost).max()
-    if feas > _FEAS_TOL:
-        raise SolverFailure(f"dual feasibility violated by {feas:.3e}")
-
-    plan = TransportPlan(matrix=gamma, cost=wpp)
-    plan.check_marginals(mu.weights, nu.weights)
-    return plan, PotentialPair(phi=phi, psi=psi, dual_value=dual_value), wpp
+    return solve_transport_lp(mu.ground.cost_matrix(p), mu.weights, nu.weights)
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: Optional[float] = None) -> float:

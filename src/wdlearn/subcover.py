@@ -236,10 +236,10 @@ def empirical_subcover_measure(sample: MetricSample, centers: Sequence[int], eps
 
 def nested_wasserstein(sample: MetricSample, w1, w2, p: Optional[float] = None) -> float:
     """``W_p`` between two measures over the sample, using the sample's
-    metric as ground distance."""
+    metric as ground distance; the solve is certified like ``exact_ot``."""
     p = (sample._p or 2.0) if p is None else float(p)
     cost = sample.distance_matrix**p
-    _, value, _, _ = solve_transport_lp(cost, np.asarray(w1, float), np.asarray(w2, float))
+    _, _, value = solve_transport_lp(cost, np.asarray(w1, float), np.asarray(w2, float))
     return float(value ** (1.0 / p))
 
 

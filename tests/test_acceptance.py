@@ -209,7 +209,7 @@ def test_c01_ot_correctness():
         cost = ground.cost_matrix(2)
         a = rng.dirichlet(np.ones(3))
         b = rng.dirichlet(np.ones(3))
-        _, value, _, _ = solve_transport_lp(cost, a, b)
+        _, _, value = solve_transport_lp(cost, a, b)
         oracle = transport_cost_by_vertex_enumeration(cost, a, b)
         worst_oracle = max(worst_oracle, abs(value - oracle) / (1.0 + abs(oracle)))
 

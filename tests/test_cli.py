@@ -381,6 +381,40 @@ class TestCli:
         assert str(exc.value) == f"error: reference index {ref} is outside the train indices 0 .. 11"
         assert not out.is_file() and not list(tmp_path.glob("out/*"))
 
+    @pytest.mark.parametrize("command, ref", [("erm-fit", ""), ("exp-run", 1.7), ("exp-run", True)])
+    def test_reference_neither_index_nor_path(self, workdir, tmp_path, command, ref):
+        ds = str(workdir / "ds.txt")
+        out = tmp_path / "out"
+        if command == "erm-fit":
+            args = ["erm", "fit", "--dataset", ds, "--target", f"wpp:{ref}"]
+            args += ["--basis", f"bank:{workdir / 'bank.txt'}", "--n", "3", "--out", str(out)]
+        else:
+            cfg = tmp_path / "exp.json"
+            config = {"experiment": "baseline-decay", "dataset": ds, "ref": ref}
+            cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0])))
+            args = ["exp", "run", "--config", str(cfg), "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert str(exc.value) == f"error: reference {ref!r} is neither a train index nor a file path"
+        assert not out.is_file() and not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("cover:nan", "delta must be positive, got nan"),
+            ("random:0", "a random index set needs j >= 1, got j=0"),
+            ("random:-1", "a random index set needs j >= 1, got j=-1"),
+        ],
+        ids=["cover-nan", "random-0", "random-negative"],
+    )
+    def test_bank_build_rejects_a_bad_index_spec(self, workdir, tmp_path, spec, message):
+        out = tmp_path / "bank.txt"
+        args = ["bank", "build", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--indices", spec, "--out", str(out)])
+        assert str(exc.value) == f"error: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["5", "5:1"], ids=["no-colon", "lo-above-hi"])
     def test_subcover_rejects_a_malformed_k_range(self, workdir, tmp_path, spec):
         out = tmp_path / "pek.csv"

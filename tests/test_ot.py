@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdlearn import ot
-from wdlearn.errors import NotConverged
+from wdlearn.errors import NotConverged, SolverFailure
 from wdlearn.experiments import make_synthetic_dataset
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.ot import (
@@ -17,6 +17,7 @@ from wdlearn.ot import (
     solve_transport_lp,
     wasserstein,
 )
+from wdlearn.subcover import MetricSample, nested_wasserstein
 
 from .oracles import sinkhorn_reference, transport_cost_by_vertex_enumeration
 
@@ -78,7 +79,7 @@ class TestExactOT:
         for _ in range(25):
             a = rng.dirichlet(np.ones(3))
             b = rng.dirichlet(np.ones(3))
-            _, value, _, _ = solve_transport_lp(cost, a, b)
+            _, _, value = solve_transport_lp(cost, a, b)
             oracle = transport_cost_by_vertex_enumeration(cost, a, b)
             assert value == pytest.approx(oracle, abs=1e-12)
 
@@ -90,7 +91,7 @@ class TestExactOT:
         for _ in range(4):
             a = rng.dirichlet(np.ones(4))
             b = rng.dirichlet(np.ones(4))
-            _, value, _, _ = solve_transport_lp(cost, a, b)
+            _, _, value = solve_transport_lp(cost, a, b)
             oracle = transport_cost_by_vertex_enumeration(cost, a, b)
             assert value == pytest.approx(oracle, abs=1e-11)
 
@@ -226,6 +227,29 @@ class TestTelemetry:
         g = GroundSpace.grid((4, 4))
         exact_ot(random_measure(g, rng), random_measure(g, rng))
         assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("solve", ["exact_ot", "nested_wasserstein"])
+    def test_wrong_duals_are_rejected(self, monkeypatch, solve):
+        # zeroed LP duals still extend to a feasible pair, but one with a
+        # gap against generic weights; every exact solve, over a ground
+        # space or a metric sample, must catch it
+        def zero_dual_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.eqlin.marginals[:] = 0.0
+            return res
+
+        linprog = ot.linprog
+        ds = make_synthetic_dataset(4, 4, 10, 0, generator="blurred-blobs", seed=3)
+        sample = MetricSample(distance_matrix=pairwise_wasserstein(ds.train))
+        w = np.random.default_rng(4).dirichlet(np.ones(sample.size))
+        monkeypatch.setattr(ot, "linprog", zero_dual_linprog)
+        with pytest.raises(SolverFailure, match="primal-dual gap"):
+            if solve == "exact_ot":
+                exact_ot(ds.train[0], ds.train[1])
+            else:
+                nested_wasserstein(sample, sample.weights, w, p=2.0)
 
 
 def sinkhorn_records(caplog):
