@@ -11,6 +11,12 @@ the pre-Cheeger pairing of the two gradient fields, and the norm is
 either the discrete Sobolev norm (value plus field energy) or the plain
 L2 norm.  Both losses are homogeneous of degree zero in the adversary's
 output scale.  Gradients are taken through the denominator as well.
+
+The step functions take both nets' batch terms, the ``(y, cache, S,
+field)`` of :func:`cylinder_field_batch`, from their caller.  Per batch,
+:func:`run_algorithm1` builds the solution net's terms before the
+adversary steps and before each later solution step, and the adversary's
+before each adversary step and once more before the solution steps.
 """
 
 from __future__ import annotations
@@ -57,95 +63,76 @@ class SaddleState:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
-def _terms(state: SaddleState, ground: GroundSpace, X, y):
-    """All forward quantities of both nets on a batch."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+def _ratio(state: SaddleState, X, y, F, H):
+    """Numerator and denominator of the normalized residual on a batch.
+
+    ``F`` and ``H`` are the solution and adversary nets' terms ``(y, cache,
+    S, field)`` from :func:`cylinder_field_batch` on ``X``.
+    """
+    (yF, _, _, fF), (yH, _, _, fH) = F, H
     B = len(y)
-    yF, cF, SF, fF = cylinder_field_batch(state.f_net, ground, X)
-    yH, cH, SH, fH = cylinder_field_batch(state.h_net, ground, X)
     num_data = float(np.dot(yF - y, yH)) / B
     num_pce = state.lam * float(field_pairing(fF, fH, X).sum()) / B
     q = float(np.dot(yH, yH)) / B
     if state.norm == "h12":
         q += float(field_pairing(fH, fH, X).sum()) / B
-    return {
-        "X": X,
-        "y": y,
-        "B": B,
-        "yF": yF,
-        "cF": cF,
-        "SF": SF,
-        "fF": fF,
-        "yH": yH,
-        "cH": cH,
-        "SH": SH,
-        "fH": fH,
-        "num": num_data + num_pce,
-        "q": q,
-    }
-
-
-def _denominator(terms) -> float:
-    den = float(np.sqrt(terms["q"]))
+    den = float(np.sqrt(q))
     if den < _NORM_FLOOR:
-        raise DegenerateAdversary(
-            f"adversary batch norm {den:.3e} below floor {_NORM_FLOOR}"
-        )
-    return den
+        raise DegenerateAdversary(f"adversary batch norm {den:.3e} below floor {_NORM_FLOOR}")
+    return num_data + num_pce, den
 
 
 def loss_adversary(state: SaddleState, ground: GroundSpace, X, y) -> float:
     """Negated normalized residual (the adversary minimizes this)."""
-    t = _terms(state, ground, X, y)
-    return -t["num"] / _denominator(t)
+    return -loss_solution(state, ground, X, y)
 
 
 def loss_solution(state: SaddleState, ground: GroundSpace, X, y) -> float:
     """Normalized residual (the solution net minimizes this)."""
-    t = _terms(state, ground, X, y)
-    return t["num"] / _denominator(t)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    F = cylinder_field_batch(state.f_net, ground, X)
+    H = cylinder_field_batch(state.h_net, ground, X)
+    num, den = _ratio(state, X, np.asarray(y, dtype=float), F, H)
+    return num / den
 
 
-def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y):
-    """Gradient of the solution loss w.r.t. the solution net parameters.
+def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y, F, H):
+    """Gradient of the solution loss w.r.t. the solution net parameters,
+    from both nets' terms on the batch (see :func:`_ratio`).
 
     The denominator does not depend on the solution net, so this is the
     numerator gradient scaled by ``1/|H|``.
     """
-    t = _terms(state, ground, X, y)
-    den = _denominator(t)
-    scale = t["B"] * den
-    value_seeds = t["yH"] / scale
-    other = state.lam / scale * t["fH"]
-    grads = backward_with_pairing(
-        state.f_net, ground, t["cF"], t["SF"], t["X"], value_seeds, other
-    )
-    return grads, t["num"] / den
+    (_, cF, SF, _), (yH, _, _, fH) = F, H
+    num, den = _ratio(state, X, y, F, H)
+    scale = len(y) * den
+    value_seeds = yH / scale
+    other = state.lam / scale * fH
+    grads = backward_with_pairing(state.f_net, ground, cF, SF, X, value_seeds, other)
+    return grads, num / den
 
 
-def adversary_step_grads(state: SaddleState, ground: GroundSpace, X, y):
-    """Gradient of the adversary loss w.r.t. the adversary parameters.
+def adversary_step_grads(state: SaddleState, ground: GroundSpace, X, y, F, H):
+    """Gradient of the adversary loss w.r.t. the adversary parameters,
+    from both nets' terms on the batch (see :func:`_ratio`).
 
     Differentiates through the denominator: for ``L = -num / den`` the
     seeds combine as ``-(d num)/den + num (d q) / (2 den^3)``.
     """
-    t = _terms(state, ground, X, y)
-    den = _denominator(t)
-    B = t["B"]
+    (yF, _, _, fF), (yH, cH, SH, fH) = F, H
+    num, den = _ratio(state, X, y, F, H)
+    B = len(y)
     c_num = -1.0 / den
-    c_q = t["num"] / (2.0 * den**3)
+    c_q = num / (2.0 * den**3)
 
-    value_seeds = c_num * (t["yF"] - t["y"]) / B + c_q * 2.0 * t["yH"] / B
+    value_seeds = c_num * (yF - y) / B + c_q * 2.0 * yH / B
     # the pairing is linear in the other field, so the numerator's
     # <DF, DH> and the h12 norm's <DH, DH> share one backward pass
-    other = c_num * state.lam / B * t["fF"]
+    other = c_num * state.lam / B * fF
     if state.norm == "h12":
-        other = other + c_q * 2.0 / B * t["fH"]
-    grads = backward_with_pairing(
-        state.h_net, ground, t["cH"], t["SH"], t["X"], value_seeds, other
-    )
-    return grads, -t["num"] / den
+        other = other + c_q * 2.0 / B * fH
+    grads = backward_with_pairing(state.h_net, ground, cH, SH, X, value_seeds, other)
+    return grads, -num / den
 
 
 @dataclass
@@ -167,6 +154,8 @@ class AdversarialConfig:
             self.lr_xi = self.lr
         if self.epochs < 0 or not (0 < self.lr < np.inf and 0 < self.lr_xi < np.inf):
             raise ValueError("epochs and learning rates must be positive and finite")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
 
 
 def run_algorithm1(
@@ -196,21 +185,22 @@ def run_algorithm1(
     opt_f = Adam(state.f_net, lr=config.lr)
 
     def record(epoch, skipped, epoch_s):
+        F = cylinder_field_batch(state.f_net, ground, X)
+        H = cylinder_field_batch(state.h_net, ground, X)
         try:
-            sol = loss_solution(state, ground, X, y)
+            num, den = _ratio(state, X, y, F, H)
+            sol = num / den
         except DegenerateAdversary:
             sol = float("nan")
         rec = {
             "epoch": epoch,
             "solution_loss": sol,
             "adversary_loss": -sol,
-            "train_rel_err": mean_relative_error(state.f_net.forward(X), y),
+            "train_rel_err": mean_relative_error(F[0], y),
             "skipped_steps": skipped,
         }
         if X_test is not None:
-            rec["test_rel_err"] = mean_relative_error(
-                state.f_net.forward(X_test), y_test
-            )
+            rec["test_rel_err"] = mean_relative_error(state.f_net.forward(X_test), y_test)
         rec["epoch_s"] = epoch_s
         return rec
 
@@ -222,18 +212,23 @@ def run_algorithm1(
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             Xb, yb = X[idx], y[idx]
+            F = cylinder_field_batch(state.f_net, ground, Xb)
             for _ in range(state.n_xi):
+                H = cylinder_field_batch(state.h_net, ground, Xb)
                 try:
-                    grads, loss = adversary_step_grads(state, ground, Xb, yb)
+                    grads, loss = adversary_step_grads(state, ground, Xb, yb, F, H)
                 except DegenerateAdversary:
                     skipped += 1
                     continue
                 if not np.isfinite(loss):
                     raise Diverged(f"adversary loss non-finite at epoch {epoch}")
                 opt_h.step(grads)
-            for _ in range(state.n_theta):
+            H = cylinder_field_batch(state.h_net, ground, Xb)
+            for i in range(state.n_theta):
+                if i:
+                    F = cylinder_field_batch(state.f_net, ground, Xb)
                 try:
-                    grads, loss = solution_step_grads(state, ground, Xb, yb)
+                    grads, loss = solution_step_grads(state, ground, Xb, yb, F, H)
                 except DegenerateAdversary:
                     skipped += 1
                     continue

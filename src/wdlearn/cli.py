@@ -167,6 +167,8 @@ def _cmd_subcover(args):
 
 
 def _load_features(spec, dataset, theta, n):
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     kind, _, path = spec.partition(":")
     if kind == "bank":
         bank = read_bank(path, theta)

@@ -627,22 +627,22 @@ def save_model(path, net: ReluNetwork, config_hash: str = "") -> None:
 
 def load_model(path):
     """Load a model container; returns ``(network, config_hash)``."""
-    data = np.load(path, allow_pickle=False)
-    n = int(data["n_layers"])
-    if n < 1:
-        raise ValueError(f"n_layers must be at least 1, got {n}")
-    layers = []
-    for i in range(n):
-        for key in (f"W{i}", f"b{i}", f"meta{i}"):
-            if key not in data.files:
-                raise ValueError(f"layer {i}: no array {key} (n_layers is {n})")
-        meta = data[f"meta{i}"]
-        if meta.shape != (2,):
-            raise ValueError(
-                f"layer {i}: meta must be [relu, trainable], got {meta.tolist()}"
+    with np.load(path, allow_pickle=False) as data:
+        n = int(data["n_layers"])
+        if n < 1:
+            raise ValueError(f"n_layers must be at least 1, got {n}")
+        layers = []
+        for i in range(n):
+            for key in (f"W{i}", f"b{i}", f"meta{i}"):
+                if key not in data.files:
+                    raise ValueError(f"layer {i}: no array {key} (n_layers is {n})")
+            meta = data[f"meta{i}"]
+            if meta.shape != (2,):
+                raise ValueError(
+                    f"layer {i}: meta must be [relu, trainable], got {meta.tolist()}"
+                )
+            act, trains = meta
+            layers.append(
+                Layer(data[f"W{i}"], data[f"b{i}"], "relu" if act else "none", bool(trains))
             )
-        act, trains = meta
-        layers.append(
-            Layer(data[f"W{i}"], data[f"b{i}"], "relu" if act else "none", bool(trains))
-        )
-    return ReluNetwork(layers), str(data["config_hash"])
+        return ReluNetwork(layers), str(data["config_hash"])

@@ -101,8 +101,8 @@ def p_eps_k_closed(sample: MetricSample, eps: float, k: int) -> float:
     Evaluates both equivalent forms -- one through ball masses, one
     through complement masses -- and checks they agree to 1e-12.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     w = sample.weights
@@ -132,6 +132,8 @@ def p_eps_k_monte_carlo(
     (estimate, stderr) : tuple of float
         ``stderr = sqrt(q (1 - q) / trials)``.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)

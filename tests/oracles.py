@@ -9,7 +9,8 @@ same iterates.  The network gradient-field references are the first
 three-operand einsum contractions against the per-row spatial gradients,
 kept as written so that the potential-gradient path can be held to them.
 The in-order layer loop is the rounding the max tree's pair recursion
-must reproduce bitwise.
+must reproduce bitwise, and Algorithm 1's first schedule, which rebuilt
+both nets' terms before every step, the trace its training must.
 """
 
 import itertools
@@ -133,6 +134,62 @@ def backward_with_pairing_reference(net, ground, cache, S, X, value_seeds, other
         for ax, op in enumerate(gradient_operators(ground)):
             grads[(0, "W")] += coef[:, :, ax] @ op
     return grads
+
+
+def algorithm1_reference(state, X, y, ground, config, X_test=None, y_test=None):
+    """``adversarial.run_algorithm1`` on the schedule first written: before
+    every step both nets' terms are rebuilt and passed to the public step
+    function, and each record evaluates ``loss_solution`` and a separate
+    ``forward`` pass.  Returns the trace without ``epoch_s``; a non-finite
+    loss is not checked for.
+    """
+    from wdlearn.adversarial import adversary_step_grads, loss_solution, solution_step_grads
+    from wdlearn.errors import DegenerateAdversary
+    from wdlearn.nets import Adam, cylinder_field_batch, mean_relative_error
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    batch = n if config.batch_size is None else min(config.batch_size, n)
+    rng = np.random.default_rng(config.seed)
+    opt = {
+        adversary_step_grads: Adam(state.h_net, lr=config.lr_xi),
+        solution_step_grads: Adam(state.f_net, lr=config.lr),
+    }
+
+    def record(epoch, skipped):
+        try:
+            sol = loss_solution(state, ground, X, y)
+        except DegenerateAdversary:
+            sol = float("nan")
+        rec = {
+            "epoch": epoch,
+            "solution_loss": sol,
+            "adversary_loss": -sol,
+            "train_rel_err": mean_relative_error(state.f_net.forward(X), y),
+            "skipped_steps": skipped,
+        }
+        if X_test is not None:
+            rec["test_rel_err"] = mean_relative_error(state.f_net.forward(X_test), y_test)
+        return rec
+
+    trace = [record(0, 0)]
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        skipped = 0
+        for start in range(0, n, batch):
+            Xb, yb = X[order[start : start + batch]], y[order[start : start + batch]]
+            for step in [adversary_step_grads] * state.n_xi + [solution_step_grads] * state.n_theta:
+                F = cylinder_field_batch(state.f_net, ground, Xb)
+                H = cylinder_field_batch(state.h_net, ground, Xb)
+                try:
+                    grads, _ = step(state, ground, Xb, yb, F, H)
+                except DegenerateAdversary:
+                    skipped += 1
+                    continue
+                opt[step].step(grads)
+        trace.append(record(epoch, skipped))
+    return trace
 
 
 def layer_loop_in_order(net, X):

@@ -10,7 +10,7 @@ from wdlearn.adversarial import (
     loss_solution,
     run_algorithm1,
     solution_step_grads,
-    _terms,
+    _ratio,
 )
 from wdlearn.errors import DegenerateAdversary
 from wdlearn.measures import GroundSpace
@@ -23,7 +23,11 @@ from .helpers import (
     assert_grads_close_at_scale,
     field_net,
 )
-from .oracles import backward_with_pairing_reference, cylinder_field_batch_reference
+from .oracles import (
+    algorithm1_reference,
+    backward_with_pairing_reference,
+    cylinder_field_batch_reference,
+)
 
 
 @pytest.fixture
@@ -35,6 +39,11 @@ def setup():
     f_net = random_head_network(d=4, k=2, seed=1).set_all_trainable(True)
     h_net = random_head_network(d=4, k=2, seed=2).set_all_trainable(True)
     return ground, X, y, f_net, h_net
+
+
+def _batch_terms(state, ground, X):
+    """Both nets' batch terms ``(F, H)``, through the module's builder."""
+    return [adversarial.cylinder_field_batch(net, ground, X) for net in (state.f_net, state.h_net)]
 
 
 class TestStateValidation:
@@ -61,6 +70,12 @@ class TestStateValidation:
     def test_config_rejects_invalid_learning_rates(self, rates):
         with pytest.raises(ValueError, match="learning rates"):
             AdversarialConfig(**rates)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_config_rejects_a_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch size must be at least 1, got {batch_size}"):
+            AdversarialConfig(batch_size=batch_size)
+        assert AdversarialConfig(batch_size=None).batch_size is None
 
 
 class TestLosses:
@@ -156,7 +171,7 @@ class TestGradients:
     def test_adversary_grads_match_fd(self, setup, norm):
         ground, X, y, f_net, h_net = setup
         state = SaddleState(f_net, h_net, lam=0.02, norm=norm)
-        grads, _ = adversary_step_grads(state, ground, X, y)
+        grads, _ = adversary_step_grads(state, ground, X, y, *_batch_terms(state, ground, X))
         rng = np.random.default_rng(31)
         _fd_params(
             h_net, lambda: loss_adversary(state, ground, X, y), grads, rng
@@ -165,7 +180,7 @@ class TestGradients:
     def test_solution_grads_match_fd(self, setup):
         ground, X, y, f_net, h_net = setup
         state = SaddleState(f_net, h_net, lam=0.02, norm="h12")
-        grads, _ = solution_step_grads(state, ground, X, y)
+        grads, _ = solution_step_grads(state, ground, X, y, *_batch_terms(state, ground, X))
         rng = np.random.default_rng(37)
         _fd_params(
             f_net, lambda: loss_solution(state, ground, X, y), grads, rng
@@ -189,11 +204,12 @@ class TestGradientsAgainstReference:
             field_net(kind, m, seed=m), field_net(kind, m, seed=m + 1), lam=0.3, norm=norm
         )
         steps = (adversary_step_grads, solution_step_grads)
-        results = [step(state, ground, X, y) for step in steps]
+        results = [step(state, ground, X, y, *_batch_terms(state, ground, X)) for step in steps]
         monkeypatch.setattr(adversarial, "cylinder_field_batch", cylinder_field_batch_reference)
         monkeypatch.setattr(adversarial, "backward_with_pairing", backward_with_pairing_reference)
         for step, net, (grads, loss) in zip(steps, (state.h_net, state.f_net), results):
-            ref_grads, ref_loss = step(state, ground, X, y)
+            # the reference terms come from the patched builder
+            ref_grads, ref_loss = step(state, ground, X, y, *_batch_terms(state, ground, X))
             assert set(grads) == set(net.trainable())
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             assert_grads_close_at_scale(grads, ref_grads)
@@ -216,8 +232,8 @@ class TestRayleighOracle:
 
         def num_q(c):
             set_params(c)
-            t = _terms(state, ground, X, y)
-            return t["num"], t["q"]
+            num, den = _ratio(state, X, y, *_batch_terms(state, ground, X))
+            return num, den**2
 
         # numerator is linear and the norm-square quadratic in the params
         alpha = np.array([num_q(e)[0] for e in np.eye(dim)])
@@ -237,7 +253,7 @@ class TestRayleighOracle:
         opt = Adam(h_net, lr=5e-3)
         best = -np.inf
         for _ in range(400):
-            grads, loss = adversary_step_grads(state, ground, X, y)
+            grads, loss = adversary_step_grads(state, ground, X, y, *_batch_terms(state, ground, X))
             best = max(best, -loss)
             opt.step(grads)
         assert best <= closed + 1e-9
@@ -275,9 +291,10 @@ class TestAlgorithm1:
         assert last < first
 
     def test_epoch_time_counts_the_steps_only(self, setup, monkeypatch):
-        # a fake clock that the steps advance by 1 s and the record's own
-        # evaluation by 100 s: each epoch of 2 batches and 3 steps per
-        # batch reads exactly 6 s
+        # a fake clock that the steps advance by 1 s, each field build by
+        # 10 s and the record's error evaluations by 100 s: each epoch of 2
+        # batches with 3 steps and 4 builds per batch reads exactly 86 s,
+        # without the record's own 2 builds and 2 error evaluations
         ground, X, y, _, _ = setup
 
         def run():
@@ -293,13 +310,13 @@ class TestAlgorithm1:
         for name, seconds in [
             ("adversary_step_grads", 1),
             ("solution_step_grads", 1),
-            ("loss_solution", 100),
+            ("cylinder_field_batch", 10),
             ("mean_relative_error", 100),
         ]:
             monkeypatch.setattr(adversarial, name, clock.ticking(getattr(adversarial, name), seconds))
         faked = run()
 
-        assert [r["epoch_s"] for r in faked] == [0.0, 6.0, 6.0, 6.0]
+        assert [r["epoch_s"] for r in faked] == [0.0, 86.0, 86.0, 86.0]
         assert real[0]["epoch_s"] == 0.0
         assert all(r["epoch_s"] > 0.0 for r in real[1:])
         keys = [
@@ -327,3 +344,67 @@ class TestAlgorithm1:
             )
             finals.append(trace[-1]["solution_loss"])
         assert finals[0] == finals[1]
+
+
+class TestAlgorithm1AgainstReference:
+    """``run_algorithm1`` builds a net's terms only after it changes; the
+    oracle rebuilds both nets' terms before every step."""
+
+    @staticmethod
+    def _state(n_xi, n_theta, norm, zero_adversary):
+        f_net = random_head_network(d=4, k=2, seed=21).set_all_trainable(True)
+        if zero_adversary:  # every step is skipped
+            h_net = ReluNetwork([Layer(np.zeros((1, 4)), np.zeros(1), "none")])
+        else:
+            h_net = random_head_network(d=4, k=2, seed=22)
+        h_net.set_all_trainable(True)
+        return SaddleState(f_net, h_net, lam=0.01, n_xi=n_xi, n_theta=n_theta, norm=norm)
+
+    @pytest.mark.parametrize(
+        "n_xi, n_theta, batch_size, norm, zero_adversary",
+        [
+            (2, 1, 5, "h12", False),
+            (1, 2, None, "h12", False),
+            (2, 2, 7, "l2", False),
+            (1, 2, 5, "h12", True),
+        ],
+        ids=["short-last-batch", "two-solution-steps", "two-each-l2", "skipped-adversary"],
+    )
+    def test_trace_and_parameters_bitwise(self, setup, n_xi, n_theta, batch_size, norm, zero_adversary):
+        ground, X, y, _, _ = setup
+        cfg = AdversarialConfig(epochs=4, lr=1e-2, lr_xi=3e-2, batch_size=batch_size, seed=9)
+        X_test, y_test = X[:5], y[:5]
+        ran = self._state(n_xi, n_theta, norm, zero_adversary)
+        trace = run_algorithm1(ran, X, y, ground, cfg, X_test, y_test)
+        ref = self._state(n_xi, n_theta, norm, zero_adversary)
+        expected = algorithm1_reference(ref, X, y, ground, cfg, X_test, y_test)
+
+        assert (sum(r["skipped_steps"] for r in trace) > 0) == zero_adversary
+        for r, e in zip(trace, expected, strict=True):
+            assert list(r) == list(e) + ["epoch_s"]
+            np.testing.assert_array_equal([r[k] for k in e], list(e.values()))
+        for net, ref_net in ((ran.f_net, ref.f_net), (ran.h_net, ref.h_net)):
+            for lay, ref_lay in zip(net.layers, ref_net.layers, strict=True):
+                np.testing.assert_array_equal(lay.W, ref_lay.W)
+                np.testing.assert_array_equal(lay.b, ref_lay.b)
+
+    def test_field_builds_per_batch(self, setup, monkeypatch):
+        # per batch: the solution net once before the adversary steps, the
+        # adversary before each of its steps and once before the solution
+        # steps, the solution net before each later solution step; per
+        # record: both nets on the train split
+        ground, X, y, _, _ = setup
+        builds = []
+        build = adversarial.cylinder_field_batch
+
+        def counting(net, ground, X):
+            builds.append(len(X))
+            return build(net, ground, X)
+
+        monkeypatch.setattr(adversarial, "cylinder_field_batch", counting)
+        n_xi, n_theta, epochs = 3, 2, 2
+        state = self._state(n_xi, n_theta, "h12", False)
+        run_algorithm1(state, X, y, ground, AdversarialConfig(epochs=epochs, batch_size=5, seed=9))
+        batches = 3  # 12 rows: 5, 5, 2
+        assert len(builds) == epochs * batches * (n_xi + n_theta + 1) + 2 * (epochs + 1)
+        assert builds.count(len(X)) == 2 * (epochs + 1)

@@ -344,16 +344,34 @@ class TestCli:
             (["maxnet", "train", "--init", "random:5", "--batch-size", "0"], "batch size"),
             (["adversarial", "train", "--nxi", "0"], "inner step counts"),
             (["adversarial", "train", "--epochs", "-1"], "epochs"),
+            (["adversarial", "train", "--batch-size", "-1"], "batch size must be at least 1, got -1"),
+            (["adversarial", "train", "--batch-size", "0"], "batch size must be at least 1, got 0"),
+            (["subcover", "--eps", "nan"], "eps must be positive, got nan"),
+            (["erm", "fit", "--n", "-1"], "--n must be at least 1, got -1"),
+            (["erm", "fit", "--n", "0"], "--n must be at least 1, got 0"),
             (["dataset", "make", "--rows", "20", "--cols", "3", "--n-train", "2", "--n-test", "1"], "16x16"),
             (["ot", "--ref", "nofile.txt"], "No such file or directory: 'nofile.txt'"),
         ],
-        ids=["maxnet-batch-size", "adversarial-nxi", "adversarial-epochs", "dataset-rows", "ot-ref-file"],
+        ids=[
+            "maxnet-batch-size",
+            "adversarial-nxi",
+            "adversarial-epochs",
+            "adversarial-batch-size-negative",
+            "adversarial-batch-size-zero",
+            "subcover-eps-nan",
+            "erm-n-negative",
+            "erm-n-zero",
+            "dataset-rows",
+            "ot-ref-file",
+        ],
     )
     def test_invalid_inputs_exit_with_an_error(self, workdir, tmp_path, args, message):
         out = tmp_path / "out"
         inputs = ["--dataset", str(workdir / "ds.txt")]
         if args[0] in ("maxnet", "adversarial"):
             inputs += ["--targets", str(workdir / "distances.csv"), "--k", "2"]
+        if args[0] == "erm":
+            inputs += ["--target", "wpp:0", "--basis", f"bank:{workdir / 'bank.txt'}"]
         if args[0] == "dataset":
             inputs = []
         with pytest.raises(SystemExit) as exc:

@@ -110,6 +110,14 @@ class TestMonteCarlo:
         assert a == b
 
 
+@pytest.mark.parametrize("eps", [np.nan, -0.1, 0.0])
+def test_both_probabilities_reject_an_eps_that_is_not_positive(two_atoms, eps):
+    with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+        p_eps_k_closed(two_atoms, eps, 1)
+    with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+        p_eps_k_monte_carlo(two_atoms, eps, 1, trials=10, seed=0)
+
+
 class TestCoveringBound:
     def test_single_atom(self):
         s = MetricSample(distance_matrix=np.zeros((1, 1)))
