@@ -55,19 +55,6 @@ from .ot import exact_ot, sinkhorn
 from .subcover import MetricSample, p_eps_k_closed, p_eps_k_monte_carlo
 
 
-def _split_measures(dataset, split):
-    if split == "train":
-        return dataset.train, dataset.train_matrix
-    if split == "test":
-        return dataset.test, dataset.test_matrix
-    if split == "all":
-        return (
-            dataset.train + dataset.test,
-            np.vstack([dataset.train_matrix, dataset.test_matrix]),
-        )
-    raise SystemExit(f"unknown split {split!r}")
-
-
 def _cmd_dataset_make(args):
     make_synthetic_dataset(
         rows=args.rows,
@@ -94,7 +81,7 @@ def _cmd_ot(args):
             raise SystemExit(f"error: {flag} must be finite and positive")
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
-    measures, _ = _split_measures(dataset, args.split)
+    measures, _ = dataset.split(args.split)
     records = []
     for i, mu in enumerate(measures):
         t0 = time.perf_counter_ns()
@@ -109,16 +96,26 @@ def _cmd_ot(args):
     print(f"wrote {args.out} ({len(records)} rows)")
 
 
+_INDEX_SPECS = "random:<j>[:<seed>] | cover:<delta> | all"
+
+
 def _parse_indices(spec, dataset, theta):
-    if spec == "all":
-        return list(range(len(dataset.train)))
     kind, _, rest = spec.partition(":")
+    j, _, seed = rest.partition(":")
+    try:
+        if kind == "random":
+            j, seed = int(j), int(seed or 0)
+        elif kind == "cover":
+            delta = float(rest)
+        elif spec != "all":
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"invalid index spec {spec!r}: expected {_INDEX_SPECS}") from None
     if kind == "random":
-        j, _, seed = rest.partition(":")
-        return random_indices(len(dataset.train), int(j), int(seed or 0))
+        return random_indices(len(dataset.train), j, seed)
     if kind == "cover":
-        return select_cover_indices(dataset, theta, float(rest))
-    raise SystemExit(f"unknown index spec {spec!r}")
+        return select_cover_indices(dataset, theta, delta)
+    return list(range(len(dataset.train)))
 
 
 def _cmd_bank_build(args):
@@ -134,7 +131,7 @@ def _cmd_bank_eval(args):
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
     bank = read_bank(args.bank, theta)
-    measures, W = _split_measures(dataset, args.split)
+    measures, W = dataset.split(args.split)
     g = eval_G_many(bank, W)
     wpp = wpp_to_reference(measures, theta)
     errs = relative_errors(wpp, g)
@@ -287,9 +284,7 @@ def _cmd_maxnet_train(args):
     if kind == "bank":
         theta = _resolve_reference(dataset, args.ref)
         bank = read_bank(rest, theta)
-        A, b = export_affine(bank)
-        pad = float(eval_G_many(bank, X).min()) - 1.0
-        net = init_from_bank(A, b, k=args.k, pad_bias=pad)
+        net = init_from_bank(*export_affine(bank), k=args.k)
     elif kind == "random":
         # an explicit init seed wins; otherwise the training seed fixes
         # initialization and batch shuffling together
@@ -370,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     bb = bank_sub.add_parser("build")
     bb.add_argument("--dataset", required=True)
     bb.add_argument("--ref", required=True)
-    bb.add_argument(
-        "--indices", required=True, help="random:<j>:<seed> | cover:<delta> | all"
-    )
+    bb.add_argument("--indices", required=True, help=_INDEX_SPECS)
     bb.add_argument("--out", required=True)
     bb.set_defaults(func=_cmd_bank_build)
     be = bank_sub.add_parser("eval")

@@ -173,6 +173,8 @@ def assemble(
     lam: float,
 ) -> GramSystem:
     """Build the Gram system for a fitting sample and target values."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     W = as_weight_matrix(sample)
     values = np.asarray(values, dtype=float)
     N = W.shape[0]

@@ -115,8 +115,7 @@ def run_baseline_decay(
     skip the undefined error of a zero target (see :func:`relative_errors`).
     """
     sizes = sorted(int(j) for j in sizes)
-    eval_measures = dataset.test if split == "test" else dataset.train
-    W = dataset.test_matrix if split == "test" else dataset.train_matrix
+    eval_measures, W = dataset.split(split)
     if true_wpp is None:
         true_wpp = wpp_to_reference(eval_measures, theta)
 
@@ -272,9 +271,8 @@ def run_experiment(config: dict, out_dir) -> dict:
         seeds = [config.get("seed", 0)]
         size = int(config.get("bank_size", 16))
         bank = build_bank(dataset, theta, range(size))
-        A, b = export_affine(bank)
         k = int(np.ceil(np.log2(max(size, 2))))
-        net = init_from_bank(A, b, k=k, pad_bias=float(b.min()) - 1.0)
+        net = init_from_bank(*export_affine(bank), k=k)
         table = run_speed_table(
             dataset, theta, net.forward, reg=config.get("reg", 0.1)
         )

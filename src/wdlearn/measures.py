@@ -226,6 +226,18 @@ class MeasureDataset:
             self._test_matrix = np.array([mu.weights for mu in self.test])
         return self._test_matrix
 
+    def split(self, name: str):
+        """The measures and weight matrix of the ``train``, ``test`` or
+        ``all`` (train, then test) split."""
+        if name == "train":
+            return self.train, self.train_matrix
+        if name == "test":
+            return self.test, self.test_matrix
+        if name == "all":
+            measures = list(self.train) + list(self.test)
+            return measures, np.array([mu.weights for mu in measures])
+        raise ValueError(f"unknown split {name!r}: expected train | test | all")
+
     def __repr__(self):
         return (
             f"MeasureDataset({self.ground!r}, n_train={len(self.train)}, "

@@ -368,41 +368,43 @@ def build_max_network(k: int) -> ReluNetwork:
     return ReluNetwork(layers)
 
 
-def init_from_bank(A: np.ndarray, b: np.ndarray, k: int, pad_bias: Optional[float] = None) -> ReluNetwork:
+def init_from_bank(A: np.ndarray, b: np.ndarray, k: int) -> ReluNetwork:
     """Affine first layer from exported bank rows, then the max tree.
 
-    Missing rows (when the bank is smaller than ``2^k``) are padded with
-    the zero affine form and bias ``pad_bias``, which must be dominated
-    on the data of interest (e.g. ``min G - 1``).
+    A bank with fewer than ``2^k`` rows is padded with the zero form and
+    bias ``L - 1``, ``L = max_i (min_x A[i, x] + b[i])``.  As ``<A_i, mu> >=
+    min_x A[i, x]`` for a probability measure ``mu``, no pad row wins: the
+    network is ``G(mu) = max_i <A_i, mu> + b_i`` on every probability measure.
 
     Raises
     ------
+    ValueError
+        If ``k < 1``, ``A`` is empty, or ``b`` is not one bias per row.
     TooManyRows
         If the bank has more than ``2^k`` rows.
     """
+    tree = build_max_network(k).layers
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
-    rows = A.shape[0]
-    width = 2**k
+    rows, width = A.shape[0], 2**k
+    if A.size == 0 or b.shape[0] != rows:
+        raise ValueError(f"A of shape {A.shape} and b of length {b.shape[0]} do not form a bank")
     if rows > width:
         raise TooManyRows(f"bank has {rows} rows, max network accepts {width}")
-    if rows < width:
-        if pad_bias is None:
-            raise ValueError("padding required: supply pad_bias (e.g. min G - 1)")
-        A = np.vstack([A, np.zeros((width - rows, A.shape[1]))])
-        b = np.concatenate([b, np.full(width - rows, float(pad_bias))])
-    first = Layer(A, b, "none")
-    return ReluNetwork([first] + build_max_network(k).layers)
+    pad = (A.min(axis=1) + b).max() - 1.0
+    A = np.vstack([A, np.zeros((width - rows, A.shape[1]))])
+    b = np.concatenate([b, np.full(width - rows, pad)])
+    return ReluNetwork([Layer(A, b, "none")] + tree)
 
 
 def random_head_network(d: int, k: int, seed: int) -> ReluNetwork:
     """Random affine first layer (uniform in +-1/sqrt(fan_in)) + max tree."""
+    tree = build_max_network(k).layers  # rejects k < 1 before 2**k sizes anything
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d)
     W = rng.uniform(-bound, bound, size=(2**k, d))
     b = rng.uniform(-bound, bound, size=2**k)
-    first = Layer(W, b, "none")
-    return ReluNetwork([first] + build_max_network(k).layers)
+    return ReluNetwork([Layer(W, b, "none")] + tree)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wdlearn import cli, experiments, measures
+from wdlearn.bank import build_bank, eval_G_many, export_affine
 from wdlearn.cli import main
 from wdlearn.measures import read_dataset
 from wdlearn.nets import load_model, mean_relative_error
@@ -39,6 +40,9 @@ def workdir(tmp_path_factory):
         ]
     )
     return root
+
+
+_BAD_INDEX_SPEC = "invalid index spec '{}': expected random:<j>[:<seed>] | cover:<delta> | all"
 
 
 def _read_csv(path):
@@ -351,6 +355,11 @@ class TestCli:
             (["erm", "fit", "--n", "0"], "--n must be at least 1, got 0"),
             (["dataset", "make", "--rows", "20", "--cols", "3", "--n-train", "2", "--n-test", "1"], "16x16"),
             (["ot", "--ref", "nofile.txt"], "No such file or directory: 'nofile.txt'"),
+            (["maxnet", "train", "--init", "random:5", "--k", "-1"], "k must be at least 1"),
+            (["maxnet", "train", "--init", "bank", "--k", "-1"], "k must be at least 1"),
+            (["adversarial", "train", "--k", "-1"], "k must be at least 1"),
+            (["erm", "fit", "--lambda", "-1"], "lambda must be finite and nonnegative, got -1.0"),
+            (["erm", "fit", "--lambda", "nan"], "lambda must be finite and nonnegative, got nan"),
         ],
         ids=[
             "maxnet-batch-size",
@@ -363,15 +372,23 @@ class TestCli:
             "erm-n-zero",
             "dataset-rows",
             "ot-ref-file",
+            "maxnet-random-k",
+            "maxnet-bank-k",
+            "adversarial-k",
+            "erm-lambda-negative",
+            "erm-lambda-nan",
         ],
     )
     def test_invalid_inputs_exit_with_an_error(self, workdir, tmp_path, args, message):
         out = tmp_path / "out"
+        args = [f"bank:{workdir / 'bank.txt'}" if a == "bank" else a for a in args]
         inputs = ["--dataset", str(workdir / "ds.txt")]
         if args[0] in ("maxnet", "adversarial"):
-            inputs += ["--targets", str(workdir / "distances.csv"), "--k", "2"]
+            inputs += ["--targets", str(workdir / "distances.csv")]
+            inputs += [] if "--k" in args else ["--k", "2"]
         if args[0] == "erm":
             inputs += ["--target", "wpp:0", "--basis", f"bank:{workdir / 'bank.txt'}"]
+            inputs += [] if "--n" in args else ["--n", "2"]
         if args[0] == "dataset":
             inputs = []
         with pytest.raises(SystemExit) as exc:
@@ -422,8 +439,12 @@ class TestCli:
             ("cover:nan", "delta must be positive, got nan"),
             ("random:0", "a random index set needs j >= 1, got j=0"),
             ("random:-1", "a random index set needs j >= 1, got j=-1"),
+            ("random:x", _BAD_INDEX_SPEC.format("random:x")),
+            ("random:2:y", _BAD_INDEX_SPEC.format("random:2:y")),
+            ("cover:abc", _BAD_INDEX_SPEC.format("cover:abc")),
+            ("some:3", _BAD_INDEX_SPEC.format("some:3")),
         ],
-        ids=["cover-nan", "random-0", "random-negative"],
+        ids=["cover-nan", "random-0", "random-negative", "random-x", "random-seed-y", "cover-abc", "unknown"],
     )
     def test_bank_build_rejects_a_bad_index_spec(self, workdir, tmp_path, spec, message):
         out = tmp_path / "bank.txt"
@@ -580,3 +601,44 @@ class TestCli:
         assert (tmp_path / "trace.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seeds"] == [0, 1]
+
+    def test_exp_run_rejects_an_unknown_split(self, workdir, tmp_path):
+        cfg = tmp_path / "exp.json"
+        config = {"experiment": "baseline-decay", "dataset": str(workdir / "ds.txt")}
+        cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0], split="tset")))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "run", "--config", str(cfg), "--out-dir", str(out)])
+        assert str(exc.value) == "error: unknown split 'tset': expected train | test | all"
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_exp_run_speed_table_pads_a_short_bank(self, tmp_path, monkeypatch):
+        # on these blobs against the uniform reference, G of one Dirac lies
+        # below b.min() - 1, so a pad row with that bias would win there
+        ds = tmp_path / "blobs.txt"
+        experiments.make_synthetic_dataset(
+            3, 3, n_train=4, n_test=2, generator="blurred-blobs", seed=1, path=ds
+        )
+        ref = tmp_path / "uniform.txt"
+        ref.write_text(" ".join([repr(1 / 9)] * 9))
+        forwards, run_speed_table = [], experiments.run_speed_table
+
+        def spy(dataset, theta, forward, **kwargs):
+            forwards.append(forward)
+            return run_speed_table(dataset, theta, forward, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_speed_table", spy)
+        cfg = tmp_path / "exp.json"
+        config = {"experiment": "speed-table", "dataset": str(ds), "ref": str(ref)}
+        cfg.write_text(json.dumps(dict(config, bank_size=3)))
+        main(["exp", "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+
+        rows = _read_csv(tmp_path / "out" / "trace.csv")
+        assert list(rows[0]) == ["n_eval", "forward", "exact", "sinkhorn", "forward_ns_per_element"]
+        dataset = read_dataset(ds)
+        bank = build_bank(dataset, experiments._resolve_reference(dataset, str(ref)), range(3))
+        diracs = np.eye(9)
+        g = eval_G_many(bank, diracs)
+        assert (g < export_affine(bank)[1].min() - 1.0).any()
+        (forward,) = forwards
+        np.testing.assert_allclose(forward(diracs), g, rtol=1e-12, atol=1e-12)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -293,7 +294,7 @@ class TestInference:
         cases = [
             (_after_identity(k), 2**k),
             (random_head_network(16, k, seed=k), 16),
-            (init_from_bank(A, b, k, pad_bias=b.min() - 10.0), 9),
+            (init_from_bank(A, b, k), 9),
         ]
         inputs = [
             (net, rng.normal(size=(B, d)) * scale)
@@ -390,24 +391,55 @@ class TestBankInit:
         A = rng.normal(size=(3, 6))
         b = rng.normal(size=3)
         X = rng.dirichlet(np.ones(6), size=30)
-        g_min = (X @ A.T + b).max(axis=1).min()
-        net = init_from_bank(A, b, k=2, pad_bias=g_min - 1.0)
+        net = init_from_bank(A, b, k=2)
         np.testing.assert_allclose(
             net.forward(X), (X @ A.T + b).max(axis=1), atol=1e-12
         )
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_short_bank_equals_G_on_every_measure(self, rows):
+        # rows far below their biases: a pad bias of b.min() - 1 or -10
+        # would win on every measure
+        rng = np.random.default_rng(30 + rows)
+        A = rng.normal(size=(rows, 6)) - 100.0
+        b = rng.normal(size=rows)
+        X = np.vstack([rng.dirichlet(np.ones(6), size=40), np.eye(6)])
+        g = (X @ A.T + b).max(axis=1)
+        assert (g < b.min() - 10.0).all()
+        net = init_from_bank(A, b, k=3)
+        np.testing.assert_allclose(net.forward(X), g, rtol=1e-12, atol=1e-12)
 
     def test_too_many_rows(self):
         with pytest.raises(TooManyRows):
             init_from_bank(np.zeros((5, 3)), np.zeros(5), k=2)
 
-    def test_missing_pad_bias(self):
-        with pytest.raises(ValueError):
-            init_from_bank(np.zeros((3, 3)), np.zeros(3), k=2)
+    @pytest.mark.parametrize(
+        "shape, n_biases, message",
+        [
+            ((0, 3), 0, "A of shape (0, 3) and b of length 0"),
+            ((3, 0), 3, "A of shape (3, 0) and b of length 3"),
+            ((3, 3), 2, "A of shape (3, 3) and b of length 2"),
+            ((3, 3), 4, "A of shape (3, 3) and b of length 4"),
+        ],
+        ids=["no-rows", "no-columns", "short-b", "long-b"],
+    )
+    def test_malformed_bank(self, shape, n_biases, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            init_from_bank(np.zeros(shape), np.zeros(n_biases), k=2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        for make in (
+            lambda: init_from_bank(np.zeros((1, 3)), np.zeros(1), k),
+            lambda: random_head_network(3, k, seed=0),
+        ):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                make()
 
     def test_duality_consistency_before_training(self):
         # bank init realizes the lower approximant, so the forward pass
         # never exceeds the exact transport cost before any training
-        from wdlearn.bank import build_bank, eval_G_many, export_affine
+        from wdlearn.bank import build_bank, export_affine
         from wdlearn.measures import DiscreteMeasure, GroundSpace, MeasureDataset
         from wdlearn.ot import exact_ot
 
@@ -418,8 +450,7 @@ class TestBankInit:
         theta = DiscreteMeasure(ground, np.full(9, 1.0 / 9.0))
         bank = build_bank(ds, theta, range(6))
         A, b = export_affine(bank)
-        pad = float(eval_G_many(bank, ds.train_matrix).min()) - 1.0
-        net = init_from_bank(A, b, k=3, pad_bias=pad)
+        net = init_from_bank(A, b, k=3)
         preds = net.forward(ds.train_matrix)
         for mu, pred in zip(ds.train, preds):
             _, _, wpp = exact_ot(theta, mu)

@@ -26,7 +26,7 @@ def test_readme_sketch():
     assert g <= exact_ot(theta, ds.test[0])[2] + 1e-8
 
     A, b = export_affine(bank)
-    net = init_from_bank(A, b, k=3, pad_bias=-10.0)
+    net = init_from_bank(A, b, k=3)
     np.testing.assert_allclose(
         net.forward(ds.test_matrix),
         (ds.test_matrix @ A.T + b).max(axis=1),
