@@ -228,14 +228,22 @@ def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
 
 
 def run_experiment(config: dict, out_dir) -> dict:
-    """Dispatch a config document and emit trace.csv + manifest.json."""
+    """Dispatch a config document and emit trace.csv + manifest.json.
+
+    ``out_dir`` is created at the first write, so a config rejected
+    before that leaves no directory behind.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def out(name):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir / name
+
     kind = config["experiment"]
     outputs = []
 
     if kind == "make-dataset":
-        path = out_dir / config.get("out", "dataset.txt")
+        path = out(config.get("out", "dataset.txt"))
         make_synthetic_dataset(
             rows=config["rows"],
             cols=config["cols"],
@@ -262,7 +270,7 @@ def run_experiment(config: dict, out_dir) -> dict:
             seeds=seeds,
             split=config.get("split", "test"),
         )
-        trace = out_dir / "trace.csv"
+        trace = out("trace.csv")
         write_csv(trace, records)
         outputs.append(str(trace))
     elif kind == "speed-table":
@@ -270,18 +278,22 @@ def run_experiment(config: dict, out_dir) -> dict:
         theta = _resolve_reference(dataset, config.get("ref", 0))
         seeds = [config.get("seed", 0)]
         size = int(config.get("bank_size", 16))
+        if not 1 <= size <= len(dataset.train):
+            raise ValueError(
+                f"bank_size {size} must lie between 1 and the {len(dataset.train)} train measures"
+            )
         bank = build_bank(dataset, theta, range(size))
         k = int(np.ceil(np.log2(max(size, 2))))
         net = init_from_bank(*export_affine(bank), k=k)
         table = run_speed_table(
             dataset, theta, net.forward, reg=config.get("reg", 0.1)
         )
-        trace = out_dir / "trace.csv"
+        trace = out("trace.csv")
         write_csv(trace, [table])
         outputs.append(str(trace))
     else:
         raise ValueError(f"unknown experiment {kind!r}")
 
-    manifest = out_dir / "manifest.json"
+    manifest = out("manifest.json")
     write_manifest(manifest, config, seeds, outputs)
     return {"outputs": outputs, "manifest": str(manifest)}

@@ -612,6 +612,19 @@ class TestCli:
         assert str(exc.value) == "error: unknown split 'tset': expected train | test | all"
         assert not list(tmp_path.glob("out/*"))
 
+    @pytest.mark.parametrize("bank_size", [0, -2, 13])
+    def test_exp_run_speed_table_rejects_a_bank_size_off_the_train_split(self, workdir, tmp_path, bank_size):
+        # the workdir dataset has 12 train measures
+        assert len(read_dataset(workdir / "ds.txt").train) == 12
+        cfg = tmp_path / "exp.json"
+        config = {"experiment": "speed-table", "dataset": str(workdir / "ds.txt")}
+        cfg.write_text(json.dumps(dict(config, bank_size=bank_size)))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "run", "--config", str(cfg), "--out-dir", str(out)])
+        assert str(exc.value) == f"error: bank_size {bank_size} must lie between 1 and the 12 train measures"
+        assert not out.exists()
+
     def test_exp_run_speed_table_pads_a_short_bank(self, tmp_path, monkeypatch):
         # on these blobs against the uniform reference, G of one Dirac lies
         # below b.min() - 1, so a pad row with that bias would win there

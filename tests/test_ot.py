@@ -133,17 +133,23 @@ class TestExactOT:
         assert np.all(np.diag(D) == 0.0)
 
 
-def presolved_exact_ot(mu, nu, p=None):
-    """``exact_ot`` with HiGHS presolve switched on: the reference for
-    the solves without it."""
+def dense_lp(mu, nu, p=None):
+    """``exact_ot`` through the dense LP on any ground space: the
+    reference for the grid flow."""
+    return solve_transport_lp(mu.ground.cost_matrix(p), mu.weights, nu.weights)
+
+
+def presolved(solve, mu, nu, p=None):
+    """``solve`` with HiGHS presolve switched on: the reference for the
+    solves without it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(ot._LP_OPTIONS, "presolve", True)
-        return exact_ot(mu, nu, p)
+        return solve(mu, nu, p)
 
 
-def assert_matches_presolved(mu, nu, p=None, potentials=True):
-    plan, pot, wpp = exact_ot(mu, nu, p)
-    _, ref_pot, ref_wpp = presolved_exact_ot(mu, nu, p)
+def assert_matches_presolved(mu, nu, p=None, potentials=True, solve=exact_ot):
+    plan, pot, wpp = solve(mu, nu, p)
+    _, ref_pot, ref_wpp = presolved(solve, mu, nu, p)
     assert abs(wpp - ref_wpp) <= 1e-12
     if potentials:
         np.testing.assert_allclose(pot.phi, ref_pot.phi, rtol=0, atol=1e-12)
@@ -151,21 +157,23 @@ def assert_matches_presolved(mu, nu, p=None, potentials=True):
     return plan
 
 
-class TestWithoutPresolve:
-    def test_presolve_is_off(self):
-        assert ot._LP_OPTIONS["presolve"] is False
+class PresolveSweeps:
+    """Solves without presolve match the presolved ones; ``solve`` picks
+    the LP form under test."""
+
+    solve = staticmethod(exact_ot)
 
     def test_dirichlet_sweep_against_uniform(self):
         ds = make_synthetic_dataset(8, 8, n_train=40, n_test=0, seed=21)
         theta = DiscreteMeasure(ds.ground, np.full(64, 1.0 / 64))
         for mu in ds.train:
-            assert_matches_presolved(theta, mu)
+            assert_matches_presolved(theta, mu, solve=self.solve)
 
     def test_blurred_blobs_pairs(self):
         ds = make_synthetic_dataset(6, 6, n_train=8, n_test=0, generator="blurred-blobs", seed=5)
         for i in range(len(ds.train)):
             for j in range(i + 1, len(ds.train)):
-                assert_matches_presolved(ds.train[i], ds.train[j])
+                assert_matches_presolved(ds.train[i], ds.train[j], solve=self.solve)
 
     def test_sparse_supports_and_diracs(self):
         # the optimal potentials of such pairs are not unique, so only
@@ -173,20 +181,119 @@ class TestWithoutPresolve:
         rng = np.random.default_rng(4)
         g = GroundSpace.grid((5, 5))
         cost = g.cost_matrix()
+
+        def check(mu, nu):
+            return assert_matches_presolved(mu, nu, potentials=False, solve=self.solve)
+
         for _ in range(10):
             mu = random_measure(g, rng, sparse=True)
             nu = random_measure(g, rng, sparse=True)
-            plan = assert_matches_presolved(mu, nu, potentials=False)
+            plan = check(mu, nu)
             np.testing.assert_array_equal(plan.matrix[mu.weights == 0.0], 0.0)
             np.testing.assert_array_equal(plan.matrix[:, nu.weights == 0.0], 0.0)
         for i, j in [(0, 24), (7, 7), (3, 12)]:
             di, dj = DiscreteMeasure.dirac(g, i), DiscreteMeasure.dirac(g, j)
-            plan = assert_matches_presolved(di, dj, potentials=False)
+            plan = check(di, dj)
             assert plan.cost == pytest.approx(cost[i, j], abs=1e-12)
             assert plan.matrix[i, j] == pytest.approx(1.0, abs=1e-12)
             mu = random_measure(g, rng, sparse=True)
-            assert_matches_presolved(di, mu, potentials=False)
-            assert_matches_presolved(mu, dj, potentials=False)
+            check(di, mu)
+            check(mu, dj)
+
+
+class TestWithoutPresolve(PresolveSweeps):
+    def test_presolve_is_off(self):
+        assert ot._LP_OPTIONS["presolve"] is False
+
+
+class TestDenseWithoutPresolve(PresolveSweeps):
+    # on these grids exact_ot poses the flow, so the dense LP is called
+    # with the cost matrix directly
+    solve = staticmethod(dense_lp)
+
+
+class TestGridFlow:
+    """On a rank-2 grid with ``p = 2`` ``exact_ot`` solves the tripartite
+    flow; it must give the dense LP's value, dual value and a coupling of
+    that cost."""
+
+    @staticmethod
+    def assert_matches_dense(mu, nu, potentials=True):
+        plan, pot, wpp = exact_ot(mu, nu)
+        _, ref_pot, ref_wpp = dense_lp(mu, nu)
+        assert abs(wpp - ref_wpp) <= 1e-12
+        assert abs(pot.dual_value - ref_pot.dual_value) <= 1e-12
+        assert abs(np.vdot(mu.ground.cost_matrix(), plan.matrix) - wpp) <= 1e-12
+        np.testing.assert_array_equal(plan.matrix[mu.weights == 0.0], 0.0)
+        np.testing.assert_array_equal(plan.matrix[:, nu.weights == 0.0], 0.0)
+        if potentials:
+            np.testing.assert_allclose(pot.phi, ref_pot.phi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pot.psi, ref_pot.psi, rtol=0, atol=1e-12)
+        return plan
+
+    def test_dirichlet_sweep_against_uniform(self):
+        ds = make_synthetic_dataset(8, 8, n_train=40, n_test=0, seed=21)
+        theta = DiscreteMeasure(ds.ground, np.full(64, 1.0 / 64))
+        for mu in ds.train:
+            self.assert_matches_dense(theta, mu)
+
+    def test_blurred_blobs_pairs(self):
+        ds = make_synthetic_dataset(6, 6, n_train=8, n_test=0, generator="blurred-blobs", seed=5)
+        for i in range(len(ds.train)):
+            for j in range(i + 1, len(ds.train)):
+                self.assert_matches_dense(ds.train[i], ds.train[j])
+
+    def test_sparse_supports_and_diracs(self):
+        rng = np.random.default_rng(8)
+        g = GroundSpace.grid((5, 5))
+        for _ in range(10):
+            mu = random_measure(g, rng, sparse=True)
+            self.assert_matches_dense(mu, random_measure(g, rng, sparse=True), potentials=False)
+        for i, j in [(0, 24), (7, 7), (3, 12), (20, 4)]:
+            di, dj = DiscreteMeasure.dirac(g, i), DiscreteMeasure.dirac(g, j)
+            plan = self.assert_matches_dense(di, dj, potentials=False)
+            assert plan.matrix[i, j] == 1.0
+            mu = random_measure(g, rng, sparse=True)
+            self.assert_matches_dense(di, mu, potentials=False)
+            self.assert_matches_dense(mu, dj, potentials=False)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 7), (7, 1), (2, 2)])
+    def test_rectangular_and_line_grids(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        g = GroundSpace.grid(shape)
+        for sparse in (False, True):
+            for _ in range(4):
+                mu = random_measure(g, rng, sparse=sparse)
+                self.assert_matches_dense(mu, random_measure(g, rng, sparse=sparse), potentials=False)
+
+    @pytest.mark.parametrize(
+        "ground, p, form",
+        [
+            (GroundSpace.grid((4, 4)), None, "grid-flow"),
+            (GroundSpace.grid((4, 4), p=1.5), None, "dense"),
+            (GroundSpace.grid((4, 4)), 1.5, "dense"),
+            (GroundSpace.grid((4, 4), p=1.5), 2.0, "grid-flow"),
+            (GroundSpace.line(np.arange(6.0)), None, "dense"),
+            (GroundSpace.grid((6,)), None, "dense"),
+            (GroundSpace.grid((2, 2, 3)), None, "dense"),
+        ],
+    )
+    def test_lp_form_follows_ground_and_p(self, caplog, ground, p, form):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(2)
+        mu, nu = random_measure(ground, rng), random_measure(ground, rng)
+        _, _, wpp = exact_ot(mu, nu, p)
+        (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert record.lp_form == form
+        _, _, ref = solve_transport_lp(ground.cost_matrix(p), mu.weights, nu.weights)
+        assert abs(wpp - ref) <= 1e-12
+
+    def test_rejects_a_grid_shape_that_does_not_fit(self):
+        cost = GroundSpace.grid((3, 3)).cost_matrix()
+        w = np.full(9, 1.0 / 9)
+        for shape in [(3, 4), (9,), (1, 3, 3)]:
+            with pytest.raises(ValueError, match="not a rank-2 grid of 9 points"):
+                solve_transport_lp(cost, w, w, grid_shape=shape)
 
 
 class TestTelemetry:
@@ -220,6 +327,17 @@ class TestTelemetry:
             assert f"simplex_iters={r.simplex_iters}" in r.getMessage()
         n_supp = int(np.count_nonzero(mu.weights))
         assert records[-1].getMessage().startswith(f"transport LP {n_supp}x36:")
+        assert (records[-1].lp_form, records[-1].lp_cols) == ("dense", n_supp * 36)
+        assert f"lp_form=dense lp_cols={n_supp * 36} " in records[-1].getMessage()
+
+    def test_record_names_the_lp_form(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(14)
+        g = GroundSpace.grid((8, 8))
+        exact_ot(random_measure(g, rng), random_measure(g, rng))
+        (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert (record.lp_form, record.lp_cols) == ("grid-flow", 1024)
+        assert record.getMessage().startswith("transport LP 64x64: lp_form=grid-flow lp_cols=1024 ")
 
     def test_no_record_above_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="wdlearn.ot")
