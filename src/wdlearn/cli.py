@@ -43,7 +43,7 @@ from .experiments import (
     wpp_to_reference,
     write_csv,
 )
-from .measures import read_dataset, relative_errors
+from .measures import DiscreteMeasure, GroundSpace, MeasureDataset, read_dataset, relative_errors
 from .nets import (
     TrainConfig,
     init_from_bank,
@@ -80,15 +80,19 @@ def _cmd_ot(args):
         if not 0 < value < np.inf:
             raise SystemExit(f"error: {flag} must be finite and positive")
     dataset = read_dataset(args.dataset)
+    if args.p is not None:
+        ground = GroundSpace(dataset.ground.points, args.p, dataset.ground.grid_shape)
+        splits = [[DiscreteMeasure(ground, mu.weights) for mu in ms] for ms in (dataset.train, dataset.test)]
+        dataset = MeasureDataset(ground, *splits)
     theta = _resolve_reference(dataset, args.ref)
     measures, _ = dataset.split(args.split)
     records = []
     for i, mu in enumerate(measures):
         t0 = time.perf_counter_ns()
         if args.method == "exact":
-            _, _, wpp = exact_ot(theta, mu, p=args.p)
+            _, _, wpp = exact_ot(theta, mu)
         else:
-            _, wpp = sinkhorn(theta, mu, p=args.p, reg=reg, tol=tol)
+            _, wpp = sinkhorn(theta, mu, reg=reg, tol=tol)
         records.append(
             {"index": i, "wpp": wpp, "runtime_ns": time.perf_counter_ns() - t0}
         )
@@ -145,7 +149,7 @@ def _cmd_bank_eval(args):
 
 def _cmd_subcover(args):
     dataset = read_dataset(args.dataset)
-    sample = MetricSample(elements=dataset.train, p=dataset.ground.p)
+    sample = MetricSample(elements=dataset.train)
     match = re.fullmatch(r"(\d+):(\d+)", args.k_range)
     ks = range(int(match[1]), int(match[2]) + 1) if match else range(0)
     if not ks:
@@ -352,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     ot_p = sub.add_parser("ot", help="distances of a split to a reference")
     ot_p.add_argument("--dataset", required=True)
     ot_p.add_argument("--ref", required=True, help="train index or measure file")
-    ot_p.add_argument("--p", type=float, default=None)
+    ot_p.add_argument("--p", type=float, default=None, help="re-ground the dataset at this metric order")
     ot_p.add_argument("--method", default="exact", choices=["exact", "sinkhorn"])
     ot_p.add_argument("--reg", type=float, default=None, help="sinkhorn only (default 0.1)")
     ot_p.add_argument("--tol", type=float, default=None, help="sinkhorn only (default 1e-9)")

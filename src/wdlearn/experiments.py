@@ -156,7 +156,7 @@ def run_speed_table(
     the same split.
     """
     measures = dataset.test[:n_eval] if n_eval else dataset.test
-    W = np.array([mu.weights for mu in measures])
+    W = dataset.test_matrix[: len(measures)]
 
     t0 = time.perf_counter_ns()
     forward(W)

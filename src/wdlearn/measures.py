@@ -1,14 +1,16 @@
 """Finite ground spaces, discrete probability measures, and datasets.
 
 A ground space is an explicit list of points in R^d together with the
-exponent of the transport cost ``d(x, y)^p``.  Grids additionally carry
+exponent of the transport cost ``d(x, y)^p``; it is the one source of
+that exponent and of the cost matrix.  Grids additionally carry
 their shape so that spatial finite differences of functions defined on
 the points are well defined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +31,8 @@ class GroundSpace:
     points : (m, d) array_like
         Pairwise distinct coordinate vectors.
     p : float, optional
-        Metric order of the transport cost ``d(x, y)^p``; must exceed 1.
-        Default 2.
+        Metric order of the transport cost ``d(x, y)^p``; must be finite
+        and exceed 1.  Default 2.
     grid_shape : tuple of int, optional
         Present when the points form a regular unit-spacing grid, listed
         row-major.  Required by operations that take spatial gradients.
@@ -40,8 +42,9 @@ class GroundSpace:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2:
             raise ValueError("points must be a (m, d) array")
-        if p <= 1.0:
-            raise ValueError(f"metric order p must exceed 1, got {p}")
+        p = float(p)
+        if not 1.0 < p < np.inf:
+            raise ValueError(f"metric order p must be finite and exceed 1, got {p}")
         if grid_shape is not None:
             grid_shape = tuple(int(s) for s in grid_shape)
             if int(np.prod(grid_shape)) != pts.shape[0]:
@@ -56,9 +59,9 @@ class GroundSpace:
             raise ValueError("ground points must be pairwise distinct")
         self.points = pts
         self.points.setflags(write=False)
-        self.p = float(p)
+        self.p = p
         self.grid_shape = grid_shape
-        self._dist: Optional[np.ndarray] = None
+        self._cost: Optional[np.ndarray] = None
 
     @classmethod
     def grid(cls, shape: Sequence[int], p: float = 2.0) -> "GroundSpace":
@@ -81,18 +84,17 @@ class GroundSpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def distance_matrix(self) -> np.ndarray:
-        """Euclidean distance matrix, cached after the first call."""
-        if self._dist is None:
-            diff = self.points[:, None, :] - self.points[None, :, :]
-            self._dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            self._dist.setflags(write=False)
-        return self._dist
+    def cost_matrix(self) -> np.ndarray:
+        """Transport cost matrix ``d(x, y)^p``, read-only and computed once.
 
-    def cost_matrix(self, p: Optional[float] = None) -> np.ndarray:
-        """Transport cost matrix ``d(x, y)^p``."""
-        return self.distance_matrix ** (self.p if p is None else float(p))
+        It is taken from the exact squared distances as ``sq ** (p / 2)``,
+        so on a unit grid with ``p = 2`` every entry is an integer.
+        """
+        if self._cost is None:
+            diff = self.points[:, None, :] - self.points[None, :, :]
+            self._cost = np.einsum("ijk,ijk->ij", diff, diff) ** (self.p / 2.0)
+            self._cost.setflags(write=False)
+        return self._cost
 
     def distances_to(self, x0) -> np.ndarray:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -206,25 +208,20 @@ class MeasureDataset:
     test: list
     train_labels: Optional[np.ndarray] = None
     test_labels: Optional[np.ndarray] = None
-    _train_matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    _test_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         for mu in list(self.train) + list(self.test):
             ensure_same_ground(self.ground, mu.ground)
 
-    @property
+    @cached_property
     def train_matrix(self) -> np.ndarray:
         """Stacked train weights, shape (n_train, m)."""
-        if self._train_matrix is None:
-            self._train_matrix = np.array([mu.weights for mu in self.train])
-        return self._train_matrix
+        return np.array([mu.weights for mu in self.train])
 
-    @property
+    @cached_property
     def test_matrix(self) -> np.ndarray:
-        if self._test_matrix is None:
-            self._test_matrix = np.array([mu.weights for mu in self.test])
-        return self._test_matrix
+        """Stacked test weights, shape (n_test, m)."""
+        return np.array([mu.weights for mu in self.test])
 
     def split(self, name: str):
         """The measures and weight matrix of the ``train``, ``test`` or

@@ -493,9 +493,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     loss: str = "mae"  # "mae" or "regularized"
     reg_lambda: float = 0.0
@@ -572,7 +569,7 @@ def train(
         raise ValueError("regularized loss requires the ground space")
 
     rng = np.random.default_rng(config.seed)
-    opt = Adam(net, config.lr, config.beta1, config.beta2, config.eps)
+    opt = Adam(net, config.lr)
 
     def record(epoch, loss, epoch_s):
         rec = {

@@ -15,7 +15,8 @@ an ``n x n`` grid (Auricchio, Bassetti, Gualandi & Veneroni 2018); every
 other cost gets the dense LP with one column per pair of support atoms.
 The flow has the dense LP's optimum, its sink duals are optimal dense
 duals, and the extension and certificates run on the dense cost matrix
-either way.
+either way.  The exponent ``p`` and the cost matrix come from the ground
+space; no function here takes its own.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
@@ -30,7 +31,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -169,9 +170,9 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     potentials : PotentialPair
         ``phi`` paired with ``b``, ``psi`` with ``a``; ``psi[0] = 0``.
     value : float
-        The LP's optimal objective.  For the flow it is summed over
-        integer arc costs, which are exact, while ``cost`` holds
-        ``sqrt(.)**2``; the two can differ in the last bits.
+        The LP's optimal objective.  For the flow it is summed over the
+        arcs, in another order than ``<cost, plan>``, so the two can
+        differ in the last bits.
 
     Raises ``ValueError`` if ``grid_shape`` is not a rank-2 shape with
     ``cost.shape[0]`` points, and ``SolverFailure`` if the LP fails or a
@@ -251,20 +252,19 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     return TransportPlan(matrix=gamma, cost=value), pot, value
 
 
-def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: Optional[float] = None):
-    """Exact optimal transport between two measures.
+def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Exact optimal transport between two measures, at the cost
+    ``ground.cost_matrix()`` of their ground space.
 
-    On a rank-2 grid with the effective ``p`` equal to 2 the LP is posed
-    as the tripartite flow of ``solve_transport_lp``; every other ground
-    space and exponent gets the dense LP.  Both give the same optimum
-    and pass the same certificates against the dense cost matrix.
+    On a rank-2 grid with ``ground.p == 2`` the LP is posed as the
+    tripartite flow of ``solve_transport_lp``; every other ground space
+    gets the dense LP.  Both give the same optimum and pass the same
+    certificates against the dense cost matrix.
 
     Parameters
     ----------
     mu, nu : DiscreteMeasure
         Measures on a shared ground space.
-    p : float, optional
-        Cost exponent; defaults to the ground space's metric order.
 
     Returns
     -------
@@ -276,28 +276,27 @@ def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p: Optional[float] = None
     """
     ensure_same_ground(mu.ground, nu.ground)
     ground, shape = mu.ground, mu.ground.grid_shape
-    flow = shape is not None and len(shape) == 2 and (ground.p if p is None else float(p)) == 2.0
+    flow = shape is not None and len(shape) == 2 and ground.p == 2.0
     return solve_transport_lp(
-        ground.cost_matrix(p), mu.weights, nu.weights, grid_shape=shape if flow else None
+        ground.cost_matrix(), mu.weights, nu.weights, grid_shape=shape if flow else None
     )
 
 
-def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: Optional[float] = None) -> float:
-    """``W_p(mu, nu)`` via the exact solver."""
-    p_eff = mu.ground.p if p is None else float(p)
-    _, _, wpp = exact_ot(mu, nu, p)
+def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """``W_p(mu, nu)`` via the exact solver, ``p`` the ground's."""
+    _, _, wpp = exact_ot(mu, nu)
     # a degenerate basic solution may report a cost of -1e-18; the root
     # must not turn that into a NaN
-    return float(max(wpp, 0.0) ** (1.0 / p_eff))
+    return float(max(wpp, 0.0) ** (1.0 / mu.ground.p))
 
 
-def pairwise_wasserstein(measures: Sequence[DiscreteMeasure], p: Optional[float] = None) -> np.ndarray:
+def pairwise_wasserstein(measures: Sequence[DiscreteMeasure]) -> np.ndarray:
     """Symmetric matrix of ``W_p`` distances between the given measures."""
     n = len(measures)
     D = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            D[i, j] = D[j, i] = wasserstein(measures[i], measures[j], p)
+            D[i, j] = D[j, i] = wasserstein(measures[i], measures[j])
     return D
 
 
@@ -322,7 +321,6 @@ def logsumexp(x, axis):
 def sinkhorn(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    p: Optional[float] = None,
     reg: float = 0.1,
     tol: float = 1e-9,
     max_iter: int = 10000,
@@ -358,7 +356,7 @@ def sinkhorn(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     t0 = time.perf_counter_ns()
-    cost = mu.ground.cost_matrix(p)
+    cost = mu.ground.cost_matrix()
     ia = np.flatnonzero(mu.weights > 0)
     ib = np.flatnonzero(nu.weights > 0)
     a = mu.weights[ia]
@@ -396,9 +394,9 @@ def sinkhorn(
     return TransportPlan(matrix=gamma, cost=approx_wpp), approx_wpp
 
 
-def c_transform(f, ground: GroundSpace, p: Optional[float] = None) -> np.ndarray:
+def c_transform(f, ground: GroundSpace) -> np.ndarray:
     """``f^c(x) = min_y d(x, y)^p - f(y)``, computed by enumeration."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] != ground.size:
         raise ValueError("f must be a vector over the ground points")
-    return (ground.cost_matrix(p) - f[None, :]).min(axis=1)
+    return (ground.cost_matrix() - f[None, :]).min(axis=1)

@@ -9,7 +9,7 @@ outside the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,19 +26,18 @@ class MetricSample:
     Parameters
     ----------
     elements : sequence of DiscreteMeasure, optional
-        Points of ``(P(K), W_p)``; the distance matrix is then computed
-        on demand with the exact solver.
+        Points of ``(P(K), W_p)``, ``p`` their ground space's; the
+        distance matrix is then computed on demand with the exact solver.
     distance_matrix : ndarray, optional
         Alternatively, a precomputed metric matrix over abstract points.
     weights : ndarray, optional
         Probability weights; uniform when omitted.
     """
 
-    def __init__(self, elements=None, distance_matrix=None, weights=None, p=None):
+    def __init__(self, elements=None, distance_matrix=None, weights=None):
         if elements is None and distance_matrix is None:
             raise ValueError("provide elements or a distance matrix")
         self.elements = list(elements) if elements is not None else None
-        self._p = p
         self._D = None if distance_matrix is None else np.asarray(distance_matrix, float)
         n = len(self.elements) if self.elements is not None else self._D.shape[0]
         if weights is None:
@@ -56,7 +55,7 @@ class MetricSample:
     @property
     def distance_matrix(self) -> np.ndarray:
         if self._D is None:
-            self._D = pairwise_wasserstein(self.elements, self._p)
+            self._D = pairwise_wasserstein(self.elements)
         return self._D
 
     @property
@@ -236,10 +235,11 @@ def empirical_subcover_measure(sample: MetricSample, centers: Sequence[int], eps
     return out
 
 
-def nested_wasserstein(sample: MetricSample, w1, w2, p: Optional[float] = None) -> float:
+def nested_wasserstein(sample: MetricSample, w1, w2, p: float = 2.0) -> float:
     """``W_p`` between two measures over the sample, using the sample's
-    metric as ground distance; the solve is certified like ``exact_ot``."""
-    p = (sample._p or 2.0) if p is None else float(p)
+    metric as ground distance; ``p`` is the order of this outer space,
+    which has no ground of its own.  The solve is certified like
+    ``exact_ot``."""
     cost = sample.distance_matrix**p
     _, _, value = solve_transport_lp(cost, np.asarray(w1, float), np.asarray(w2, float))
     return float(value ** (1.0 / p))

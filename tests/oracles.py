@@ -63,7 +63,7 @@ def min_cover_size(closed_form_p, one_minus_delta, k_max=10_000):
     raise RuntimeError("no covering k found below k_max")
 
 
-def sinkhorn_reference(mu, nu, p=None, reg=0.1, tol=1e-9, max_iter=10000):
+def sinkhorn_reference(mu, nu, reg=0.1, tol=1e-9, max_iter=10000):
     """Log-domain Sinkhorn as first written, on ``scipy.special.logsumexp``.
 
     Every iteration recomputes ``(g - C) / reg`` and the full plan to
@@ -73,7 +73,7 @@ def sinkhorn_reference(mu, nu, p=None, reg=0.1, tol=1e-9, max_iter=10000):
     """
     from scipy.special import logsumexp
 
-    cost = mu.ground.cost_matrix(p)
+    cost = mu.ground.cost_matrix()
     ia = np.flatnonzero(mu.weights > 0)
     ib = np.flatnonzero(nu.weights > 0)
     a = mu.weights[ia]

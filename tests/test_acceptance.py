@@ -193,7 +193,7 @@ def test_c01_ot_correctness():
         ground = GroundSpace(rng.random((m, 2)) * 3.0)
         mu = DiscreteMeasure(ground, rng.dirichlet(np.ones(m)))
         nu = DiscreteMeasure(ground, rng.dirichlet(np.ones(m)))
-        plan, pot, wpp = exact_ot(mu, nu, p=2)
+        plan, pot, wpp = exact_ot(mu, nu)
         dual = pot.phi @ nu.weights + pot.psi @ mu.weights
         worst_gap = max(worst_gap, abs(dual - wpp) / (1.0 + abs(wpp)))
         worst_marginal = max(
@@ -206,7 +206,7 @@ def test_c01_ot_correctness():
     worst_oracle = 0.0
     for _ in range(100):
         ground = GroundSpace(rng.random((3, 2)))
-        cost = ground.cost_matrix(2)
+        cost = ground.cost_matrix()
         a = rng.dirichlet(np.ones(3))
         b = rng.dirichlet(np.ones(3))
         _, _, value = solve_transport_lp(cost, a, b)
@@ -265,7 +265,7 @@ def test_c03_cover_theorem_and_monotonicity(small_world):
     A, _ = export_affine(sw["bank"])
     vals = W @ A.T
     C_G = float(np.max(np.abs(vals[:, None, :] - vals[None, :, :])[iu] / D[iu][:, None]))
-    analytic = 2.0 * sw["ds"].ground.distance_matrix.max()  # p * dmax^(p-1), p=2
+    analytic = 2.0 * np.sqrt(sw["ds"].ground.cost_matrix().max())  # p * dmax^(p-1), p=2
     assert max(C_F, C_G) <= analytic
 
     details = []

@@ -8,8 +8,9 @@ import pytest
 from wdlearn import cli, experiments, measures
 from wdlearn.bank import build_bank, eval_G_many, export_affine
 from wdlearn.cli import main
-from wdlearn.measures import read_dataset
+from wdlearn.measures import DiscreteMeasure, GroundSpace, read_dataset
 from wdlearn.nets import load_model, mean_relative_error
+from wdlearn.ot import exact_ot
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,17 @@ class TestCli:
         assert list(rows[0].keys()) == ["index", "wpp", "runtime_ns"]
         assert len(rows) == 12
         assert float(rows[0]["wpp"]) == pytest.approx(0.0, abs=1e-12)  # ref is train[0]
+
+    def test_ot_p_regrounds_the_dataset(self, workdir, tmp_path):
+        out = tmp_path / "d3.csv"
+        main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--p", "3", "--split", "test", "--out", str(out)])
+        got = [float(row["wpp"]) for row in _read_csv(out)]
+        dataset = read_dataset(workdir / "ds.txt")
+        ground = GroundSpace.grid((3, 3), p=3.0)
+        theta = DiscreteMeasure(ground, dataset.train[1].weights)
+        want = [exact_ot(theta, DiscreteMeasure(ground, mu.weights))[2] for mu in dataset.test]
+        assert got == want
+        assert not np.allclose(got, [exact_ot(dataset.train[1], mu)[2] for mu in dataset.test])
 
     def test_ot_sinkhorn_method(self, workdir, tmp_path):
         out = tmp_path / "sink.csv"
@@ -114,7 +126,7 @@ class TestCli:
     def test_ot_sinkhorn_defaults(self, workdir, tmp_path, monkeypatch):
         seen = []
 
-        def recording_sinkhorn(mu, nu, p=None, reg=None, tol=None):
+        def recording_sinkhorn(mu, nu, reg=None, tol=None):
             seen.append((reg, tol))
             return None, 0.0
 
@@ -355,6 +367,12 @@ class TestCli:
             (["erm", "fit", "--n", "0"], "--n must be at least 1, got 0"),
             (["dataset", "make", "--rows", "20", "--cols", "3", "--n-train", "2", "--n-test", "1"], "16x16"),
             (["ot", "--ref", "nofile.txt"], "No such file or directory: 'nofile.txt'"),
+            (["ot", "--ref", "0", "--p", "0.5"], "metric order p must be finite and exceed 1, got 0.5"),
+            (["ot", "--ref", "0", "--p", "nan"], "metric order p must be finite and exceed 1, got nan"),
+            (
+                ["dataset", "make", "--rows", "3", "--cols", "3", "--n-train", "2", "--n-test", "1", "--p", "nan"],
+                "metric order p must be finite and exceed 1, got nan",
+            ),
             (["maxnet", "train", "--init", "random:5", "--k", "-1"], "k must be at least 1"),
             (["maxnet", "train", "--init", "bank", "--k", "-1"], "k must be at least 1"),
             (["adversarial", "train", "--k", "-1"], "k must be at least 1"),
@@ -372,6 +390,9 @@ class TestCli:
             "erm-n-zero",
             "dataset-rows",
             "ot-ref-file",
+            "ot-p-half",
+            "ot-p-nan",
+            "dataset-p-nan",
             "maxnet-random-k",
             "maxnet-bank-k",
             "adversarial-k",

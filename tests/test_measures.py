@@ -26,19 +26,30 @@ class TestGroundSpace:
         np.testing.assert_array_equal(g.points[1], [0.0, 1.0])
         np.testing.assert_array_equal(g.points[3], [1.0, 0.0])
 
-    def test_distance_matrix_is_euclidean(self):
-        g = GroundSpace.grid((2, 2))
-        D = g.distance_matrix
-        assert D[0, 3] == pytest.approx(np.sqrt(2.0))
-        assert np.allclose(D, D.T) and np.all(np.diag(D) == 0.0)
+    def test_cost_matrix_is_euclidean_distance_to_the_p(self):
+        g = GroundSpace.grid((2, 2), p=3.0)
+        C = g.cost_matrix()
+        assert C[0, 3] == pytest.approx(np.sqrt(2.0) ** 3)
+        assert np.allclose(C, C.T) and np.all(np.diag(C) == 0.0)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 5)])
+    def test_cost_matrix_on_a_unit_grid_is_exact_and_cached(self, shape):
+        # at p = 2 the cost is the integer squared distance, not sqrt(.)**2
+        g = GroundSpace.grid(shape)
+        C = g.cost_matrix()
+        i, j = np.divmod(np.arange(g.size), shape[1])
+        want = (i[:, None] - i[None, :]) ** 2 + (j[:, None] - j[None, :]) ** 2
+        np.testing.assert_array_equal(C, want)
+        assert not C.flags.writeable and g.cost_matrix() is C
 
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             GroundSpace([[0.0], [0.0]])
 
     def test_rejects_bad_metric_order(self):
-        with pytest.raises(ValueError):
-            GroundSpace.line([0.0, 1.0], p=1.0)
+        for p in (1.0, 0.5, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"metric order p must be finite and exceed 1, got {p}"):
+                GroundSpace.line([0.0, 1.0], p=p)
 
     def test_rejects_mismatched_grid(self):
         with pytest.raises(ValueError):
@@ -156,6 +167,9 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("2 3 2.0 1\n" + " ".join(["0.2"] * 6) + "\n")
         with pytest.raises(ValueError):
+            read_dataset(path)
+        path.write_text("2 3 nan 1 0\n" + " ".join([repr(1 / 6)] * 6) + "\n")
+        with pytest.raises(ValueError, match="line 1: metric order p must be finite and exceed 1, got nan"):
             read_dataset(path)
 
     def test_truncated_file_rejected(self, tmp_path):

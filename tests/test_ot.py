@@ -48,7 +48,7 @@ class TestExactOT:
     def test_single_pairing(self, line01):
         mu = DiscreteMeasure.dirac(line01, 0)
         nu = DiscreteMeasure.dirac(line01, 1)
-        _, _, wpp = exact_ot(mu, nu, p=2)
+        _, _, wpp = exact_ot(mu, nu)
         assert wpp == pytest.approx(1.0)
 
     def test_two_by_two_vertex(self, line01):
@@ -56,7 +56,7 @@ class TestExactOT:
         # moving 0.5 mass from atom 1 to atom 0 costs 0.5 * 1^2
         mu = DiscreteMeasure(line01, [0.5, 0.5])
         nu = DiscreteMeasure(line01, [1.0, 0.0])
-        _, _, wpp = exact_ot(mu, nu, p=2)
+        _, _, wpp = exact_ot(mu, nu)
         assert wpp == pytest.approx(0.5)
 
     def test_duality_and_feasibility(self):
@@ -113,7 +113,7 @@ class TestExactOT:
         # p * dmax^(p-1) * d(x, y); the cover-based guarantees lean on it
         rng = np.random.default_rng(13)
         g = GroundSpace(rng.normal(size=(10, 2)))
-        D = g.distance_matrix
+        D = np.sqrt(g.cost_matrix())
         C = 2.0 * D.max()  # p = 2
         for _ in range(10):
             mu = random_measure(g, rng, sparse=True)
@@ -133,23 +133,23 @@ class TestExactOT:
         assert np.all(np.diag(D) == 0.0)
 
 
-def dense_lp(mu, nu, p=None):
+def dense_lp(mu, nu):
     """``exact_ot`` through the dense LP on any ground space: the
     reference for the grid flow."""
-    return solve_transport_lp(mu.ground.cost_matrix(p), mu.weights, nu.weights)
+    return solve_transport_lp(mu.ground.cost_matrix(), mu.weights, nu.weights)
 
 
-def presolved(solve, mu, nu, p=None):
+def presolved(solve, mu, nu):
     """``solve`` with HiGHS presolve switched on: the reference for the
     solves without it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(ot._LP_OPTIONS, "presolve", True)
-        return solve(mu, nu, p)
+        return solve(mu, nu)
 
 
-def assert_matches_presolved(mu, nu, p=None, potentials=True, solve=exact_ot):
-    plan, pot, wpp = solve(mu, nu, p)
-    _, ref_pot, ref_wpp = presolved(solve, mu, nu, p)
+def assert_matches_presolved(mu, nu, potentials=True, solve=exact_ot):
+    plan, pot, wpp = solve(mu, nu)
+    _, ref_pot, ref_wpp = presolved(solve, mu, nu)
     assert abs(wpp - ref_wpp) <= 1e-12
     if potentials:
         np.testing.assert_allclose(pot.phi, ref_pot.phi, rtol=0, atol=1e-12)
@@ -279,13 +279,15 @@ class TestGridFlow:
         ],
     )
     def test_lp_form_follows_ground_and_p(self, caplog, ground, p, form):
+        if p is not None:  # the same points re-grounded at p, as `wdlearn ot --p` does
+            ground = GroundSpace(ground.points, p, ground.grid_shape)
         caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
         rng = np.random.default_rng(2)
         mu, nu = random_measure(ground, rng), random_measure(ground, rng)
-        _, _, wpp = exact_ot(mu, nu, p)
+        _, _, wpp = exact_ot(mu, nu)
         (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
         assert record.lp_form == form
-        _, _, ref = solve_transport_lp(ground.cost_matrix(p), mu.weights, nu.weights)
+        _, _, ref = solve_transport_lp(ground.cost_matrix(), mu.weights, nu.weights)
         assert abs(wpp - ref) <= 1e-12
 
     def test_rejects_a_grid_shape_that_does_not_fit(self):
@@ -316,8 +318,9 @@ class TestTelemetry:
         g = GroundSpace.grid((6, 6))
         for _ in range(3):
             exact_ot(random_measure(g, rng), random_measure(g, rng))
-        mu = random_measure(g, rng, sparse=True)
-        exact_ot(mu, random_measure(g, rng), p=3.0)
+        g3 = GroundSpace.grid((6, 6), p=3.0)
+        mu = random_measure(g3, rng, sparse=True)
+        exact_ot(mu, random_measure(g3, rng))
         records = [r for r in caplog.records if r.name == "wdlearn.ot"]
         assert [r.simplex_iters for r in records] == iters and len(iters) == 4
         assert min(iters) > 0
@@ -434,7 +437,7 @@ class TestSinkhorn:
     def test_forced_plan(self, line01):
         mu = DiscreteMeasure.dirac(line01, 0)
         nu = DiscreteMeasure.dirac(line01, 1)
-        _, wpp = sinkhorn(mu, nu, p=2, reg=0.1)
+        _, wpp = sinkhorn(mu, nu, reg=0.1)
         assert wpp == pytest.approx(1.0)
 
     def test_reg_sweep_approaches_exact(self):
@@ -557,8 +560,8 @@ class TestCTransform:
         np.testing.assert_allclose(c_transform(np.zeros(3), g), 0.0)
 
     def test_two_point_by_hand(self, line01):
-        # p=1: f^c(x) = min(d(x,0) - 0, d(x,1) - 0.4)
-        fc = c_transform(np.array([0.0, 0.4]), line01, p=1.0)
+        # p=2: f^c(x) = min(d(x,0)^2 - 0, d(x,1)^2 - 0.4), d being 0 or 1
+        fc = c_transform(np.array([0.0, 0.4]), line01)
         np.testing.assert_allclose(fc, [0.0, -0.4])
 
     @settings(max_examples=30, deadline=None)

@@ -22,7 +22,7 @@ def measure_sample():
     rng = np.random.default_rng(10)
     ground = GroundSpace.grid((2, 2))
     elems = [DiscreteMeasure(ground, rng.dirichlet(np.ones(4))) for _ in range(10)]
-    return MetricSample(elements=elems, p=2.0)
+    return MetricSample(elements=elems)
 
 
 @pytest.fixture
