@@ -23,6 +23,21 @@ _RENORM_TOL = 1e-9
 _MASS_TOL = 1e-12
 
 
+def metric_order(p) -> float:
+    """``p`` as a float if it is a metric order of a transport cost
+    ``d(x, y)^p``: finite and above 1.
+
+    Raises
+    ------
+    ValueError
+        Otherwise, NaN included.
+    """
+    p = float(p)
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"metric order p must be finite and exceed 1, got {p}")
+    return p
+
+
 class GroundSpace:
     """Finite set of points in R^d with Euclidean distances.
 
@@ -42,9 +57,7 @@ class GroundSpace:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2:
             raise ValueError("points must be a (m, d) array")
-        p = float(p)
-        if not 1.0 < p < np.inf:
-            raise ValueError(f"metric order p must be finite and exceed 1, got {p}")
+        p = metric_order(p)
         if grid_shape is not None:
             grid_shape = tuple(int(s) for s in grid_shape)
             if int(np.prod(grid_shape)) != pts.shape[0]:
@@ -157,9 +170,10 @@ class DiscreteMeasure:
         """Integral of a function given by its vector of point values."""
         return float(np.dot(np.asarray(values, dtype=float), self.weights))
 
-    def moment(self, x0, p: Optional[float] = None) -> float:
-        """p-th moment ``(sum_x d(x, x0)^p mu(x))^(1/p)`` about ``x0``."""
-        p = self.ground.p if p is None else float(p)
+    def moment(self, x0) -> float:
+        """p-th moment ``(sum_x d(x, x0)^p mu(x))^(1/p)`` about ``x0``, ``p``
+        the ground's."""
+        p = self.ground.p
         d = self.ground.distances_to(x0)
         return float(np.dot(d**p, self.weights) ** (1.0 / p))
 

@@ -32,7 +32,13 @@ row sums.  The reverse sweep runs the levels top down at pair width: with
 ``g * ([b != 0] - up)``, the derivatives of ``relu(a-b) + relu(b) -
 relu(-b)``.  Every factor is in {-1, 0, 1}, so all sums are exact in any
 order, and ``[R > 0]`` and ``[b != 0]`` are the dense layers' masks
-``[z > 0]``: the sweep is bitwise the dense one.
+``[z > 0]``: the sweep is bitwise the dense one.  From a seed of 1, a pair
+with ``b != 0`` passes its ``g`` whole to one side, its winner (``a`` if
+``R > 0``), and 0 to the other; so where no pair on a row's path of
+winners carries ``b == 0``, the tree input's sensitivity is the one-hot
+of the row's winner, found by one walk down the levels.  A batch with such
+a pair (a row of zeros, a tie at 0) runs the sweep, whose result there is
+not one-hot.  Only the training pass keeps the levels.
 """
 
 from __future__ import annotations
@@ -122,15 +128,16 @@ class ReluNetwork:
         """Outputs and the cache of the training pass: the ``input`` and each
         layer's pre-activation ``z`` and activation ``a``, up to the frozen
         max tree (:meth:`_tree_start`), whose pair levels ``(R, b)`` are kept
-        as ``tree``.  A batch whose tree input is not all finite, or that
+        as ``tree`` for the winners' one-hot or the reverse sweep of
+        :func:`backward`.  A batch whose tree input is not all finite, or that
         overflows or forms an invalid value before, reruns through the dense
         layer loop, which gives its values and ``RuntimeWarning``s."""
         return _forward(self, X)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batch outputs, shape (B,): the pass of :meth:`forward_cached`,
-        its cache dropped."""
-        return _forward(self, X)[0]
+        bitwise, without keeping the tree's levels."""
+        return _forward(self, X, levels=False)[0]
 
     def _tree_start(self) -> Optional[int]:
         """Index of the first layer of the frozen, canonical max tree that
@@ -178,8 +185,9 @@ class ReluNetwork:
         )
 
 
-def _forward(net: ReluNetwork, X: np.ndarray):
-    """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`."""
+def _forward(net: ReluNetwork, X: np.ndarray, levels: bool = True):
+    """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`;
+    without ``levels``, the tree's are not kept."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     start = net._tree_start()
     if start is not None:
@@ -187,8 +195,8 @@ def _forward(net: ReluNetwork, X: np.ndarray):
             with np.errstate(over="raise", invalid="raise"):
                 cache = _layer_loop(net.layers[:start], X)
                 if np.isfinite(cache["a"][-1]).all():
-                    y, cache["tree"] = _max_tree(cache["a"][-1])
-                    return y, cache
+                    cache["tree"] = [] if levels else None
+                    return _max_tree(cache["a"][-1], cache["tree"]), cache
         except FloatingPointError:
             pass  # the layer loop emits the warnings of this batch
     cache = _layer_loop(net.layers, X)
@@ -206,18 +214,19 @@ def _layer_loop(layers: Sequence[Layer], X: np.ndarray) -> dict:
     return {"input": X, "z": zs, "a": acts}
 
 
-def _max_tree(x: np.ndarray):
-    """The frozen max tree on ``x``, shape (B, 2^k), as its pair recursion
-    (see the module docstring): the outputs, and ``(R, b)`` per level, the
-    widest first; ``D`` and ``b`` hold each pair's ``a - b`` and ``b``."""
+def _max_tree(x: np.ndarray, levels: Optional[list] = None) -> np.ndarray:
+    """The outputs of the frozen max tree on ``x``, shape (B, 2^k), as its
+    pair recursion (see the module docstring); ``D`` and ``b`` hold each
+    pair's ``a - b`` and ``b``.  ``(R, b)`` per level, the widest first, is
+    appended to ``levels`` if given."""
     D = x[:, 0::2] - x[:, 1::2]
     b = x[:, 1::2]
-    levels = []
     while True:
         R = np.maximum(D, 0.0, out=D)
-        levels.append((R, b))
+        if levels is not None:
+            levels.append((R, b))
         if R.shape[1] == 1:
-            return R[:, 0] + b[:, 0], levels
+            return R[:, 0] + b[:, 0]
         c = R + b  # each pair's relu(a - b) + b
         # D' = ((R[:, 0::2] + b[:, 0::2]) - R[:, 1::2]) - b[:, 1::2]
         D = c[:, 0::2] - R[:, 1::2]
@@ -234,16 +243,20 @@ def _sensitivities(net: ReluNetwork, cache) -> list:
     """Unit-seeded reverse sweep: ``hat[i]``, shape (B, n_i), is the
     per-sample gradient of the output w.r.t. layer i's pre-activation, for
     the layers in ``cache["z"]``; a tree cache starts from the tree input,
-    whose sensitivity its levels give (see the module docstring).
+    whose sensitivity its levels give: the winners' one-hot, or the pair
+    sweep where that is not one-hot (see the module docstring).
 
     The sweep runs once per forward pass; its result is kept in ``cache``.
     """
     if "hat" not in cache:
-        d = np.ones((len(cache["input"]), 1))
-        for R, b in reversed(cache.get("tree", ())):
-            up = d * (R > 0.0)
-            pairs = np.stack((up, d * (b != 0.0) - up), axis=2)
-            d = pairs.reshape(len(d), 2 * R.shape[1])
+        levels = cache.get("tree", ())
+        d = _winner_one_hot(levels) if levels else None
+        if d is None:
+            d = np.ones((len(cache["input"]), 1))
+            for R, b in reversed(levels):
+                up = d * (R > 0.0)
+                pairs = np.stack((up, d * (b != 0.0) - up), axis=2)
+                d = pairs.reshape(len(d), 2 * R.shape[1])
         hat = [None] * len(cache["z"])
         for i in range(len(hat) - 1, -1, -1):
             lay = net.layers[i]
@@ -252,6 +265,22 @@ def _sensitivities(net: ReluNetwork, cache) -> list:
                 d = d @ lay.W
         cache["hat"] = hat
     return cache["hat"]
+
+
+def _winner_one_hot(levels: list) -> Optional[np.ndarray]:
+    """The tree input's sensitivity from its ``(R, b)`` levels as the one-hot
+    of each row's winner, found top down (``R > 0``: the pair's ``a``), or
+    None if a carried ``b`` on a winner's path is 0, where the reverse sweep
+    is not one-hot (see the module docstring)."""
+    rows = np.arange(len(levels[0][0]))
+    win = np.zeros(len(rows), dtype=np.intp)
+    for R, b in reversed(levels):
+        if not b[rows, win].all():
+            return None
+        win = 2 * win + (R[rows, win] <= 0.0)
+    d = np.zeros((len(rows), 2 * levels[0][0].shape[1]))
+    d[rows, win] = 1.0
+    return d
 
 
 def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
@@ -475,15 +504,24 @@ class Adam:
     def step(self, grads: dict) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for key in self.m:
-            g = grads[key]
-            self.m[key] = b1 * self.m[key] + (1 - b1) * g
-            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
-            mhat = self.m[key] / (1 - b1**self.t)
-            vhat = self.v[key] / (1 - b2**self.t)
+        for key, m in self.m.items():
+            g, v = grads[key], self.v[key]
+            # in place, the operations and order of b1 * m + (1 - b1) * g,
+            # b2 * v + (1 - b2) * g * g and lr * mhat / (sqrt(vhat) + eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            step = m / (1 - b1**self.t)
+            step *= self.lr
+            vhat = v / (1 - b2**self.t)
+            np.sqrt(vhat, out=vhat)
+            vhat += self.eps
+            step /= vhat
+            # into a new array: a layer recognised as a frozen tree (and
+            # since made trainable) has read-only ones
             layer = self.net.layers[key[0]]
-            updated = getattr(layer, key[1]) - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            setattr(layer, key[1], updated)
+            setattr(layer, key[1], np.subtract(getattr(layer, key[1]), step, out=step))
 
 
 @dataclass
@@ -514,9 +552,11 @@ class TrainConfig:
 
 def mean_relative_error(predictions, targets) -> float:
     """``mean |F - NN| / F`` over the entries where it is defined (nonzero
-    target), see :func:`wdlearn.measures.relative_errors`."""
+    target), see :func:`wdlearn.measures.relative_errors`; NaN if there are
+    none."""
     errs = relative_errors(targets, predictions)
-    return float(np.mean(errs[~np.isnan(errs)]))
+    errs = errs[~np.isnan(errs)]
+    return float(errs.mean()) if errs.size else float("nan")
 
 
 def _mae_loss_and_grads(net, X, y):

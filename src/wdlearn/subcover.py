@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificateViolation, EmptyCover
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, metric_order
 from .ot import pairwise_wasserstein, solve_transport_lp
 
 _FORM_AGREEMENT_TOL = 1e-12
@@ -238,8 +238,10 @@ def empirical_subcover_measure(sample: MetricSample, centers: Sequence[int], eps
 def nested_wasserstein(sample: MetricSample, w1, w2, p: float = 2.0) -> float:
     """``W_p`` between two measures over the sample, using the sample's
     metric as ground distance; ``p`` is the order of this outer space,
-    which has no ground of its own.  The solve is certified like
-    ``exact_ot``."""
+    which has no ground of its own, and must be finite and exceed 1, as a
+    ground's (:func:`wdlearn.measures.metric_order`).  The solve is
+    certified like ``exact_ot``."""
+    p = metric_order(p)
     cost = sample.distance_matrix**p
     _, _, value = solve_transport_lp(cost, np.asarray(w1, float), np.asarray(w2, float))
     return float(value ** (1.0 / p))
@@ -247,7 +249,9 @@ def nested_wasserstein(sample: MetricSample, w1, w2, p: float = 2.0) -> float:
 
 def subcover_distance_bound(sample: MetricSample, eps: float, k: int, p: float = 2.0) -> float:
     """Mean-distance bound ``C * (eps * p_ek + 2 (1 - p_ek))`` with
-    ``C = 2 (diam + 2 eps)^((p-1)/p) (diam + 2 eps + 1)``."""
+    ``C = 2 (diam + 2 eps)^((p-1)/p) (diam + 2 eps + 1)``, for an outer
+    order ``p`` as :func:`nested_wasserstein` takes it."""
+    p = metric_order(p)
     pek = p_eps_k_closed(sample, eps, k)
     diam = sample.diameter
     c = 2.0 * (diam + 2 * eps) ** ((p - 1.0) / p) * (diam + 2 * eps + 1.0)

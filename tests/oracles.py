@@ -10,7 +10,9 @@ three-operand einsum contractions against the per-row spatial gradients,
 kept as written so that the potential-gradient path can be held to them.
 The in-order layer loop is the rounding the max tree's pair recursion
 must reproduce bitwise, and Algorithm 1's first schedule, which rebuilt
-both nets' terms before every step, the trace its training must.
+both nets' terms before every step, the trace its training must.  The
+Adam step as first written, on new moment arrays every step, is the
+rounding the in-place step must reproduce bitwise.
 """
 
 import itertools
@@ -211,3 +213,19 @@ def layer_loop_in_order(net, X):
                 z = z + a[:, cols[:, t]] * weights[:, t]
         a = np.maximum(z, 0.0) if lay.activation == "relu" else z
     return a[:, 0]
+
+
+def adam_step_reference(opt, grads):
+    """``nets.Adam.step`` as first written: new moment and parameter arrays
+    every step.  Same arguments as the method, ``opt`` its ``self``."""
+    opt.t += 1
+    b1, b2 = opt.beta1, opt.beta2
+    for key in opt.m:
+        g = grads[key]
+        opt.m[key] = b1 * opt.m[key] + (1 - b1) * g
+        opt.v[key] = b2 * opt.v[key] + (1 - b2) * g * g
+        mhat = opt.m[key] / (1 - b1**opt.t)
+        vhat = opt.v[key] / (1 - b2**opt.t)
+        layer = opt.net.layers[key[0]]
+        updated = getattr(layer, key[1]) - opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+        setattr(layer, key[1], updated)

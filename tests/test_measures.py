@@ -123,21 +123,25 @@ class TestMoment:
 
     def test_dirac_unit_distance(self, line01):
         mu = DiscreteMeasure.dirac(line01, 1)
-        assert mu.moment([0.0], p=2) == pytest.approx(1.0)
+        assert mu.moment([0.0]) == pytest.approx(1.0)
 
     def test_uniform_on_unit_pair(self, line01):
-        # direct sum: (0.5 * 0^2 + 0.5 * 1^2)^(1/2)
+        # direct sum: (0.5 * 0^2 + 0.5 * 1^2)^(1/2), the ground's p = 2
         mu = DiscreteMeasure(line01, [0.5, 0.5])
-        assert mu.moment([0.0], p=2) == pytest.approx(np.sqrt(0.5))
+        assert mu.moment([0.0]) == pytest.approx(np.sqrt(0.5))
+
+    def test_order_is_the_grounds(self):
+        mu = DiscreteMeasure(GroundSpace.line([0.0, 1.0], p=3), [0.5, 0.5])
+        assert mu.moment([0.0]) == pytest.approx(0.5 ** (1 / 3))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        g = GroundSpace(rng.normal(size=(6, 2)))
+        g = GroundSpace(rng.normal(size=(6, 2)), p=3)
         w = rng.dirichlet(np.ones(6))
         perm = rng.permutation(6)
-        g2 = GroundSpace(g.points[perm])
-        m1 = DiscreteMeasure(g, w).moment([0.3, -0.2], p=3)
-        m2 = DiscreteMeasure(g2, w[perm]).moment([0.3, -0.2], p=3)
+        g2 = GroundSpace(g.points[perm], p=3)
+        m1 = DiscreteMeasure(g, w).moment([0.3, -0.2])
+        m2 = DiscreteMeasure(g2, w[perm]).moment([0.3, -0.2])
         assert m1 == pytest.approx(m2, rel=1e-12)
 
 

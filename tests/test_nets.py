@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdlearn import nets
+from wdlearn.adversarial import AdversarialConfig, SaddleState, run_algorithm1
 from wdlearn.errors import Diverged, TooManyRows
 from wdlearn.measures import GroundSpace
 from wdlearn.nets import (
@@ -40,6 +41,7 @@ from .helpers import (
     field_net,
 )
 from .oracles import (
+    adam_step_reference,
     backward_with_pairing_reference,
     cylinder_field_batch_reference,
     layer_loop_in_order,
@@ -373,6 +375,167 @@ class TestInference:
                 with pytest.warns(RuntimeWarning) as caught:
                     net.forward(X)
                 assert [str(w.message) for w in caught] == messages
+
+
+def _sweep_only(monkeypatch):
+    """Every frozen tree's input sensitivity from the reverse sweep."""
+    monkeypatch.setattr(nets, "_winner_one_hot", lambda levels: None)
+
+
+class TestWinnerOneHot:
+    """With no zero carried ``b`` on a winner's path, the tree input's
+    sensitivity is the one-hot of each row's winner, bitwise the reverse
+    sweep's; with one, the sweep runs, as its result is not one-hot."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_equals_the_sweep(self, k, monkeypatch):
+        rng = np.random.default_rng(300 + k)
+        rows = max(1, 2**k - 3)  # a short bank: the pad rows tie
+        cases = [
+            init_from_bank(rng.normal(size=(2**k, 9)), rng.normal(size=2**k), k),
+            init_from_bank(rng.normal(size=(rows, 9)), rng.normal(size=rows), k),
+            random_head_network(9, k, seed=k),
+        ]
+        for net in cases:
+            for B in (0, 1, 2, 17, 64, 320):
+                X = rng.dirichlet(np.ones(9), size=B)
+                cache = net.forward_cached(X)[1]
+                one_hot = nets._winner_one_hot(cache["tree"])
+                assert one_hot.shape == (B, 2**k)
+                assert np.isin(one_hot, (0.0, 1.0)).all() and (one_hot.sum(axis=1) == 1.0).all()
+                hat = _sensitivities(net, cache)
+                np.testing.assert_array_equal(hat[0], one_hot)
+                with monkeypatch.context() as m:
+                    _sweep_only(m)
+                    swept = _sensitivities(net, net.forward_cached(X)[1])
+                for h, h_swept in zip(hat, swept, strict=True):
+                    np.testing.assert_array_equal(h, h_swept)
+
+    @pytest.mark.parametrize(
+        "X, expected",
+        [
+            ([[0.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]]),
+            ([[-1.0, 0.0, 0.0, -2.0]], [[0.0, 0.0, 0.0, 0.0]]),
+            ([[3.0, 0.0, 1.0, 2.0]], [[1.0, -1.0, 0.0, 0.0]]),
+            ([[3.0, 1.0, 2.0, 0.0], [3.0, 0.0, 1.0, 2.0]], [[1.0, 0, 0, 0], [1.0, -1.0, 0, 0]]),
+            ([[3.0, 1.0, 2.0, 0.0]], None),
+            ([[1.0, 1.0, 1.0, 1.0]], None),
+        ],
+        ids=[
+            "zero-row",
+            "tie-at-0",
+            "zero-b-under-winner",
+            "one-row-of-two",
+            "zero-b-off-path",
+            "tie",
+        ],
+    )
+    def test_zero_carried_b_on_a_winner_path_takes_the_sweep(self, X, expected):
+        # expected: the sweep's sensitivity, or None where the one-hot runs
+        net, X = _after_identity(2), np.array(X)
+        cache = net.forward_cached(X)[1]
+        one_hot = nets._winner_one_hot(cache["tree"])
+        hat = _sensitivities(net, cache)[0]
+        if expected is None:
+            np.testing.assert_array_equal(hat, one_hot)
+        else:
+            assert one_hot is None
+            np.testing.assert_array_equal(hat, expected)
+        _assert_paths_agree(net, _dense(net), X, exact=True)
+
+
+class TestFrozenTreeStep:
+    """Training takes the winner one-hot and the in-place Adam step with
+    traces and weights bitwise those of the reverse sweep and the Adam step
+    as first written."""
+
+    @staticmethod
+    def _reference_path(monkeypatch):
+        _sweep_only(monkeypatch)
+        monkeypatch.setattr(Adam, "step", adam_step_reference)
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(61)
+        X = rng.dirichlet(np.ones(9), size=40)
+        A, b = rng.normal(size=(6, 9)), rng.normal(size=6)
+        y = (X @ A.T + b).max(axis=1) + 0.1 * rng.random(40)
+        return GroundSpace.grid((3, 3)), X, y, lambda: init_from_bank(A, b, 3)
+
+    @staticmethod
+    def _assert_same_run(trace, expected, *net_pairs):
+        """The records but ``epoch_s`` and the weights of each ``(net, ref)``
+        bitwise equal."""
+        for r, e in zip(trace, expected, strict=True):
+            r.pop("epoch_s"), e.pop("epoch_s")
+            assert list(r) == list(e)
+            np.testing.assert_array_equal(list(r.values()), list(e.values()))
+        for net, ref in net_pairs:
+            for lay, ref_lay in zip(net.layers, ref.layers, strict=True):
+                np.testing.assert_array_equal(lay.W, ref_lay.W)
+                np.testing.assert_array_equal(lay.b, ref_lay.b)
+
+    @staticmethod
+    def _counting_one_hots(monkeypatch):
+        taken, one_hot = [], nets._winner_one_hot
+
+        def counted(levels):
+            d = one_hot(levels)
+            taken.append(d is not None)
+            return d
+
+        monkeypatch.setattr(nets, "_winner_one_hot", counted)
+        return taken
+
+    @pytest.mark.parametrize("loss", ["mae", "regularized"])
+    def test_train(self, loss, monkeypatch):
+        ground, X, y, make = self._problem()
+        cfg = TrainConfig(epochs=4, batch_size=8, lr=1e-2, seed=3, loss=loss, reg_lambda=0.1)
+        taken = self._counting_one_hots(monkeypatch)
+        net = make()
+        trace = train(net, X[:32], y[:32], cfg, ground, X[32:], y[32:])
+        assert len(taken) == 4 * 4 and all(taken)
+        self._reference_path(monkeypatch)
+        ref = make()
+        expected = train(ref, X[:32], y[:32], cfg, ground, X[32:], y[32:])
+        self._assert_same_run(trace, expected, (net, ref))
+
+    @pytest.mark.parametrize("frozen_trees", [True, False])
+    def test_run_algorithm1(self, frozen_trees, monkeypatch):
+        ground, X, y, make = self._problem()
+        cfg = AdversarialConfig(epochs=3, lr=1e-2, lr_xi=3e-2, batch_size=16, seed=5)
+
+        def state():
+            f_net, h_net = make(), random_head_network(9, 3, seed=4)
+            if not frozen_trees:
+                f_net.set_all_trainable(True), h_net.set_all_trainable(True)
+            return SaddleState(f_net, h_net, lam=0.1, n_xi=2)
+
+        taken = self._counting_one_hots(monkeypatch)
+        ran = state()
+        trace = run_algorithm1(ran, X[:32], y[:32], ground, cfg, X[32:], y[32:])
+        assert all(taken) and (len(taken) > 0) == frozen_trees
+        self._reference_path(monkeypatch)
+        ref = state()
+        expected = run_algorithm1(ref, X[:32], y[:32], ground, cfg, X[32:], y[32:])
+        self._assert_same_run(trace, expected, (ran.f_net, ref.f_net), (ran.h_net, ref.h_net))
+
+    def test_adam_never_writes_into_a_layers_arrays(self):
+        net = random_head_network(4, 2, seed=7)
+        X = np.random.default_rng(8).dirichlet(np.ones(4), size=6)
+        net.forward(X)  # the tree's arrays are recognised, and read-only
+        net.set_all_trainable(True)
+        opt = Adam(net, lr=1e-2)
+        moments = [(opt.m[key], opt.v[key]) for key in net.trainable()]
+        for _ in range(3):
+            old = [(lay.W, lay.W.copy(), lay.b, lay.b.copy()) for lay in net.layers]
+            opt.step(backward(net, net.forward_cached(X)[1], np.ones(len(X))))
+            for lay, (W, W_copy, b, b_copy) in zip(net.layers, old):
+                assert lay.W is not W and lay.b is not b
+                np.testing.assert_array_equal(W, W_copy)
+                np.testing.assert_array_equal(b, b_copy)
+        # the moments are updated in place
+        assert moments == [(opt.m[key], opt.v[key]) for key in net.trainable()]
 
 
 class TestBankInit:
@@ -838,6 +1001,25 @@ class TestModelIO:
 class TestMisc:
     def test_mean_relative_error(self):
         assert mean_relative_error([1.0, 3.0], [2.0, 2.0]) == pytest.approx(0.5)
+
+    def test_all_zero_targets_give_nan_without_warnings(self):
+        # numpy's "Mean of empty slice" warning would fail the test
+        assert np.isnan(mean_relative_error([1.0, 2.0], [0.0, 0.0]))
+        assert np.isnan(mean_relative_error([], []))
+        X = np.random.default_rng(9).dirichlet(np.ones(4), size=8)
+        trace = train(
+            random_head_network(4, 2, seed=1),
+            X,
+            np.zeros(8),
+            TrainConfig(epochs=2, batch_size=4),
+            X_test=X[:3],
+            y_test=np.zeros(3),
+        )
+        assert all(np.isnan([r["train_rel_err"], r["test_rel_err"]]).all() for r in trace)
+        state = SaddleState(random_head_network(4, 2, seed=1), random_head_network(4, 2, seed=2))
+        ground, cfg = GroundSpace.grid((2, 2)), AdversarialConfig(epochs=2)
+        trace = run_algorithm1(state, X, np.zeros(8), ground, cfg, X[:3], np.zeros(3))
+        assert all(np.isnan([r["train_rel_err"], r["test_rel_err"]]).all() for r in trace)
 
     def test_adam_moves_toward_minimum(self):
         net = ReluNetwork([Layer(np.array([[1.0]]), np.array([0.0]), "none")])

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from wdlearn import ot
 from wdlearn.errors import CertificateViolation, EmptyCover
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.subcover import (
@@ -203,6 +206,19 @@ class TestNestedBound:
                 nested_wasserstein(measure_sample, measure_sample.weights, w, p=2.0)
             )
         assert np.mean(dists) <= bound
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, 1.0, np.nan, np.inf])
+    def test_outer_order_is_checked_before_any_lp(self, p, monkeypatch):
+        line = MetricSample(distance_matrix=np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        ground = GroundSpace.line([0.0, 1.0])
+        lazy = MetricSample(elements=[DiscreteMeasure.dirac(ground, i) for i in (0, 1)])
+        assert nested_wasserstein(line, [1, 0, 0], [0, 0, 1], 2.0) == pytest.approx(2.0)
+        monkeypatch.setattr(ot, "linprog", lambda *args, **kwargs: pytest.fail("an LP ran"))
+        message = re.escape(f"metric order p must be finite and exceed 1, got {p}")
+        with pytest.raises(ValueError, match=message):
+            nested_wasserstein(line, [1, 0, 0], [0, 0, 1], p)
+        with pytest.raises(ValueError, match=message):
+            subcover_distance_bound(lazy, 0.5, 2, p)
 
     def test_expected_penalty_bound(self):
         # capped-distance bound with L(r) = min(r, 1): the expectation is at
