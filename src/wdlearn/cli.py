@@ -73,12 +73,12 @@ def _cmd_ot(args):
     if args.method != "sinkhorn":
         for flag, value in (("--reg", args.reg), ("--tol", args.tol)):
             if value is not None:
-                raise SystemExit(f"{flag} applies only to --method sinkhorn")
+                raise ValueError(f"{flag} applies only to --method sinkhorn")
     reg = 0.1 if args.reg is None else args.reg
     tol = 1e-9 if args.tol is None else args.tol
     for flag, value in (("--reg", reg), ("--tol", tol)):
         if not 0 < value < np.inf:
-            raise SystemExit(f"error: {flag} must be finite and positive")
+            raise ValueError(f"{flag} must be finite and positive")
     dataset = read_dataset(args.dataset)
     if args.p is not None:
         ground = GroundSpace(dataset.ground.points, args.p, dataset.ground.grid_shape)
@@ -192,9 +192,9 @@ def _load_features(spec, dataset, theta, n):
                 raise ValueError(f"features file, line {no}: {exc}") from None
         feats = np.array(rows).reshape(-1, m)[:n]
     else:
-        raise SystemExit(f"unknown basis spec {spec!r}")
+        raise ValueError(f"unknown basis spec {spec!r}")
     if feats.shape[0] < n:
-        raise SystemExit(f"basis source provides {feats.shape[0]} < n={n} features")
+        raise ValueError(f"basis source provides {feats.shape[0]} < n={n} features")
     return feats
 
 
@@ -202,7 +202,7 @@ def _cmd_erm_fit(args):
     dataset = read_dataset(args.dataset)
     kind, _, ref = args.target.partition(":")
     if kind != "wpp":
-        raise SystemExit(f"unknown target spec {args.target!r}")
+        raise ValueError(f"unknown target spec {args.target!r}")
     theta = _resolve_reference(dataset, ref)
     values = wpp_to_reference(dataset.train, theta)
     noisy = add_noise(values, args.noise, args.seed)
@@ -239,7 +239,7 @@ def _parse_loss(spec):
     except ValueError:
         value = np.nan
     if not 0 <= value < np.inf:
-        raise SystemExit(
+        raise ValueError(
             f"invalid loss spec {spec!r}: expected mae | reg:<lambda>, lambda finite and >= 0"
         )
     return {"loss": "regularized", "reg_lambda": value}
@@ -266,7 +266,7 @@ def _read_targets(path, n):
                 )
             vals.append(value)
     if len(vals) < n:
-        raise SystemExit(f"targets file has {len(vals)} rows, need {n}")
+        raise ValueError(f"targets file has {len(vals)} rows, need {n}")
     return np.array(vals[:n])
 
 
@@ -286,15 +286,17 @@ def _cmd_maxnet_train(args):
     y = _read_targets(args.targets, X.shape[0])
     kind, _, rest = args.init.partition(":")
     if kind == "bank":
-        theta = _resolve_reference(dataset, args.ref)
+        theta = _resolve_reference(dataset, "0" if args.ref is None else args.ref)
         bank = read_bank(rest, theta)
         net = init_from_bank(*export_affine(bank), k=args.k)
     elif kind == "random":
+        if args.ref is not None:
+            raise ValueError("--ref applies only to --init bank:<file>")
         # an explicit init seed wins; otherwise the training seed fixes
         # initialization and batch shuffling together
         net = random_head_network(X.shape[1], args.k, int(rest) if rest else args.seed)
     else:
-        raise SystemExit(f"unknown init spec {args.init!r}")
+        raise ValueError(f"unknown init spec {args.init!r}")
     if args.trainable_tree:
         net.set_all_trainable(True)
 
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--dataset", required=True)
     mt.add_argument("--targets", required=True, help="distances.csv from `ot`")
     mt.add_argument("--init", required=True, help="bank:<file> | random:<seed>")
-    mt.add_argument("--ref", default="0", help="reference for bank init")
+    mt.add_argument("--ref", help="reference for bank init (default 0)")
     mt.add_argument("--k", type=int, required=True)
     mt.add_argument("--loss", default="mae", help="mae | reg:<lambda>")
     mt.add_argument("--epochs", type=int, default=100)

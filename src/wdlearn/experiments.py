@@ -109,10 +109,10 @@ def run_baseline_decay(
 ) -> list:
     """Mean relative error of the bank approximant over a nested schedule.
 
-    For every seed a nested family of random index sets is drawn; for
-    every size the bank restricted to that set is evaluated on the
-    chosen split.  Returns one record per (seed, size); the mean and max
-    skip the undefined error of a zero target (see :func:`relative_errors`).
+    For every seed a nested family of random index sets is drawn; for every
+    size the bank restricted to that set is evaluated on the chosen split.
+    Returns one record per (seed, size); the mean and max skip a zero
+    target's undefined error (see :func:`relative_errors`), NaN if all are 0.
     """
     sizes = sorted(int(j) for j in sizes)
     eval_measures, W = dataset.split(split)
@@ -132,8 +132,8 @@ def run_baseline_decay(
                 {
                     "seed": int(seed),
                     "size": int(j),
-                    "mean_rel_err": float(errs.mean()),
-                    "max_rel_err": float(errs.max()),
+                    "mean_rel_err": float(errs.mean()) if errs.size else np.nan,
+                    "max_rel_err": float(errs.max()) if errs.size else np.nan,
                 }
             )
     return records

@@ -27,18 +27,13 @@ row sums of the tree's layers reduce to sums of ``R = relu(a - b)`` and
 each level maps ``(D, b)`` to ``D' = ((R[:, 0::2] + b[:, 0::2]) - R[:,
 1::2]) - b[:, 1::2]`` and ``b' = R[:, 1::2] + b[:, 1::2]``, and the output
 is ``relu(D) + b`` at width 1; only the sign of a zero can differ from the
-row sums.  The reverse sweep runs the levels top down at pair width: with
-``up = [R > 0]``, a pair's ``a`` side gets ``g * up`` and its ``b`` side
-``g * ([b != 0] - up)``, the derivatives of ``relu(a-b) + relu(b) -
-relu(-b)``.  Every factor is in {-1, 0, 1}, so all sums are exact in any
-order, and ``[R > 0]`` and ``[b != 0]`` are the dense layers' masks
-``[z > 0]``: the sweep is bitwise the dense one.  From a seed of 1, a pair
-with ``b != 0`` passes its ``g`` whole to one side, its winner (``a`` if
-``R > 0``), and 0 to the other; so where no pair on a row's path of
-winners carries ``b == 0``, the tree input's sensitivity is the one-hot
-of the row's winner, found by one walk down the levels.  A batch with such
-a pair (a row of zeros, a tie at 0) runs the sweep, whose result there is
-not one-hot.  Only the training pass keeps the levels.
+row sums.  As ``relu(a - b) + relu(b) - relu(-b)`` has derivatives
+``[R > 0]`` in ``a`` and ``[b != 0] - [R > 0]`` in ``b``, a pair with
+``b != 0`` passes its whole sensitivity to its winner (``a`` if ``R > 0``);
+where no pair on a row's path of winners carries ``b == 0``, the tree
+input's sensitivity is the one-hot of the row's winner, found by one walk
+down the levels.  A batch with such a pair (a row of zeros, a tie at 0)
+keeps the dense layer loop's cache, as its sensitivity is not one-hot.
 """
 
 from __future__ import annotations
@@ -127,17 +122,23 @@ class ReluNetwork:
     def forward_cached(self, X: np.ndarray):
         """Outputs and the cache of the training pass: the ``input`` and each
         layer's pre-activation ``z`` and activation ``a``, up to the frozen
-        max tree (:meth:`_tree_start`), whose pair levels ``(R, b)`` are kept
-        as ``tree`` for the winners' one-hot or the reverse sweep of
-        :func:`backward`.  A batch whose tree input is not all finite, or that
-        overflows or forms an invalid value before, reruns through the dense
-        layer loop, which gives its values and ``RuntimeWarning``s."""
-        return _forward(self, X)
+        max tree (:meth:`_tree_start`), and each row's ``winners`` there; a
+        batch with a zero carried ``b`` on a winner's path keeps the dense
+        layer loop's cache.  A batch whose tree input is not all finite, or
+        that overflows or forms an invalid value before, reruns through the
+        dense layer loop, which gives its values and ``RuntimeWarning``s."""
+        levels = []
+        y, cache = _forward(self, X, levels)
+        if len(cache["z"]) < len(self.layers):  # the tree ran as its recursion
+            cache["winners"] = _winners(levels)
+            if cache["winners"] is None:  # a zero b on a winner's path
+                cache = _layer_loop(self.layers, cache["input"])
+        return y, cache
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batch outputs, shape (B,): the pass of :meth:`forward_cached`,
-        bitwise, without keeping the tree's levels."""
-        return _forward(self, X, levels=False)[0]
+        bitwise, without finding the winners."""
+        return _forward(self, X)[0]
 
     def _tree_start(self) -> Optional[int]:
         """Index of the first layer of the frozen, canonical max tree that
@@ -185,9 +186,9 @@ class ReluNetwork:
         )
 
 
-def _forward(net: ReluNetwork, X: np.ndarray, levels: bool = True):
+def _forward(net: ReluNetwork, X: np.ndarray, levels: Optional[list] = None):
     """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`;
-    without ``levels``, the tree's are not kept."""
+    the tree's ``(R, b)`` levels are appended to ``levels`` if given."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     start = net._tree_start()
     if start is not None:
@@ -195,8 +196,7 @@ def _forward(net: ReluNetwork, X: np.ndarray, levels: bool = True):
             with np.errstate(over="raise", invalid="raise"):
                 cache = _layer_loop(net.layers[:start], X)
                 if np.isfinite(cache["a"][-1]).all():
-                    cache["tree"] = [] if levels else None
-                    return _max_tree(cache["a"][-1], cache["tree"]), cache
+                    return _max_tree(cache["a"][-1], levels), cache
         except FloatingPointError:
             pass  # the layer loop emits the warnings of this batch
     cache = _layer_loop(net.layers, X)
@@ -242,21 +242,18 @@ def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _sensitivities(net: ReluNetwork, cache) -> list:
     """Unit-seeded reverse sweep: ``hat[i]``, shape (B, n_i), is the
     per-sample gradient of the output w.r.t. layer i's pre-activation, for
-    the layers in ``cache["z"]``; a tree cache starts from the tree input,
-    whose sensitivity its levels give: the winners' one-hot, or the pair
-    sweep where that is not one-hot (see the module docstring).
+    the layers in ``cache["z"]``; a cache with ``winners`` starts from the
+    tree input, whose sensitivity is their one-hot (see the module
+    docstring).
 
     The sweep runs once per forward pass; its result is kept in ``cache``.
     """
     if "hat" not in cache:
-        levels = cache.get("tree", ())
-        d = _winner_one_hot(levels) if levels else None
-        if d is None:
+        if "winners" in cache:
+            d = np.zeros_like(cache["a"][-1])
+            d[np.arange(len(d)), cache["winners"]] = 1.0
+        else:
             d = np.ones((len(cache["input"]), 1))
-            for R, b in reversed(levels):
-                up = d * (R > 0.0)
-                pairs = np.stack((up, d * (b != 0.0) - up), axis=2)
-                d = pairs.reshape(len(d), 2 * R.shape[1])
         hat = [None] * len(cache["z"])
         for i in range(len(hat) - 1, -1, -1):
             lay = net.layers[i]
@@ -267,20 +264,18 @@ def _sensitivities(net: ReluNetwork, cache) -> list:
     return cache["hat"]
 
 
-def _winner_one_hot(levels: list) -> Optional[np.ndarray]:
-    """The tree input's sensitivity from its ``(R, b)`` levels as the one-hot
-    of each row's winner, found top down (``R > 0``: the pair's ``a``), or
-    None if a carried ``b`` on a winner's path is 0, where the reverse sweep
-    is not one-hot (see the module docstring)."""
+def _winners(levels: list) -> Optional[np.ndarray]:
+    """Each row's winner, the index of the tree input its output takes,
+    found top down from the ``(R, b)`` levels (``R > 0``: the pair's ``a``),
+    or None if a carried ``b`` on some winner's path is 0, where the tree
+    input's sensitivity is not their one-hot (see the module docstring)."""
     rows = np.arange(len(levels[0][0]))
     win = np.zeros(len(rows), dtype=np.intp)
     for R, b in reversed(levels):
         if not b[rows, win].all():
             return None
         win = 2 * win + (R[rows, win] <= 0.0)
-    d = np.zeros((len(rows), 2 * levels[0][0].shape[1]))
-    d[rows, win] = 1.0
-    return d
+    return win
 
 
 def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
@@ -490,9 +485,10 @@ def backward_with_pairing(net, ground, cache, S, X, value_seeds, other):
 class Adam:
     """Adaptive-moment estimation over a network's trainable arrays."""
 
-    def __init__(self, net: ReluNetwork, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.net = net
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, net: ReluNetwork, lr=1e-3):
+        self.net, self.lr = net, lr
         self.t = 0
         self.m = {}
         self.v = {}

@@ -378,6 +378,15 @@ class TestCli:
             (["adversarial", "train", "--k", "-1"], "k must be at least 1"),
             (["erm", "fit", "--lambda", "-1"], "lambda must be finite and nonnegative, got -1.0"),
             (["erm", "fit", "--lambda", "nan"], "lambda must be finite and nonnegative, got nan"),
+            (["ot", "--ref", "0", "--reg", "0.5"], "--reg applies only to --method sinkhorn"),
+            (["ot", "--ref", "0", "--method", "sinkhorn", "--tol", "0"], "--tol must be finite and positive"),
+            (["erm", "fit", "--basis", "weights:w.txt"], "unknown basis spec 'weights:w.txt'"),
+            (["erm", "fit", "--n", "5"], "basis source provides 4 < n=5 features"),
+            (["erm", "fit", "--target", "w1:0"], "unknown target spec 'w1:0'"),
+            (["maxnet", "train", "--init", "random:5", "--loss", "l2"], "invalid loss spec 'l2'"),
+            (["maxnet", "train", "--init", "random:5", "--targets", "short"], "targets file has 1 rows, need 12"),
+            (["maxnet", "train", "--init", "zeros"], "unknown init spec 'zeros'"),
+            (["maxnet", "train", "--init", "random:5", "--ref", "0"], "--ref applies only to --init bank:<file>"),
         ],
         ids=[
             "maxnet-batch-size",
@@ -398,18 +407,33 @@ class TestCli:
             "adversarial-k",
             "erm-lambda-negative",
             "erm-lambda-nan",
+            "ot-reg-for-exact",
+            "ot-tol-zero",
+            "erm-basis-spec",
+            "erm-basis-too-short",
+            "erm-target-spec",
+            "maxnet-loss-spec",
+            "maxnet-targets-too-short",
+            "maxnet-init-spec",
+            "maxnet-ref-with-random-init",
         ],
     )
     def test_invalid_inputs_exit_with_an_error(self, workdir, tmp_path, args, message):
         out = tmp_path / "out"
-        args = [f"bank:{workdir / 'bank.txt'}" if a == "bank" else a for a in args]
+        short = tmp_path / "short.csv"
+        short.write_text("index,wpp\n0,0.0\n")
+        files = {"bank": f"bank:{workdir / 'bank.txt'}", "short": str(short)}
+        args = [files.get(a, a) for a in args]
         inputs = ["--dataset", str(workdir / "ds.txt")]
+
+        def default(flag, *value):
+            return [] if flag in args else [flag, *value]
+
         if args[0] in ("maxnet", "adversarial"):
-            inputs += ["--targets", str(workdir / "distances.csv")]
-            inputs += [] if "--k" in args else ["--k", "2"]
+            inputs += default("--targets", str(workdir / "distances.csv")) + default("--k", "2")
         if args[0] == "erm":
-            inputs += ["--target", "wpp:0", "--basis", f"bank:{workdir / 'bank.txt'}"]
-            inputs += [] if "--n" in args else ["--n", "2"]
+            inputs += default("--target", "wpp:0") + default("--basis", files["bank"])
+            inputs += default("--n", "2")
         if args[0] == "dataset":
             inputs = []
         with pytest.raises(SystemExit) as exc:

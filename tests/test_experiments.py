@@ -82,6 +82,16 @@ class TestBaselineDecay:
         ).mean()
         assert records[0]["mean_rel_err"] == pytest.approx(expected)
 
+    def test_all_zero_targets_give_nan(self):
+        # every error is undefined: NaN quietly, under filterwarnings = error
+        dataset = make_synthetic_dataset(2, 2, n_train=3, n_test=3, seed=5)
+        records = run_baseline_decay(
+            dataset, dataset.train[0], sizes=[1, 3], seeds=[0], true_wpp=np.zeros(3)
+        )
+        assert [r["size"] for r in records] == [1, 3]
+        for r in records:
+            assert np.isnan(r["mean_rel_err"]) and np.isnan(r["max_rel_err"])
+
 
 class TestSpeedTable:
     def test_normalization_and_ordering(self, tiny_dataset):

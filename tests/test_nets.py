@@ -142,15 +142,17 @@ def _assert_paths_agree(net, dense, X, exact=False, scale=None):
     layer loop, and to the dense ones within 1e-15 of ``scale`` (default:
     the largest output), or bitwise when ``exact``; the sensitivities of
     the layers before the tree, the gradients with value and
-    first-pre-activation seeds, and the gradient fields bitwise."""
+    first-pre-activation seeds, and the gradient fields bitwise.  A batch
+    with a zero carried ``b`` on a winner's path keeps the dense cache."""
     ys, cs = net.forward_cached(X)
     yd, cd = dense.forward_cached(X)
-    assert "tree" in cs and "tree" not in cd
+    assert "winners" not in cd and len(cd["z"]) == len(net.layers)
+    assert len(cs["z"]) == (net._tree_start() if "winners" in cs else len(net.layers))
     np.testing.assert_array_equal(ys, layer_loop_in_order(net, X))
     tol = 0.0 if exact else 1e-15 * (np.abs(yd).max() if scale is None else scale)
     assert np.abs(ys - yd).max() <= tol
     hat = _sensitivities(net, cs)
-    assert len(hat) == len(cs["z"]) < len(net.layers)
+    assert len(hat) == len(cs["z"])
     for hs, hd in zip(hat, _sensitivities(dense, cd)):
         np.testing.assert_array_equal(hs, hd)
     rng = np.random.default_rng(len(X))
@@ -377,18 +379,25 @@ class TestInference:
                 assert [str(w.message) for w in caught] == messages
 
 
-def _sweep_only(monkeypatch):
-    """Every frozen tree's input sensitivity from the reverse sweep."""
-    monkeypatch.setattr(nets, "_winner_one_hot", lambda levels: None)
+def _dense_only(monkeypatch):
+    """Every frozen tree's training pass on the dense layer loop's cache."""
+    monkeypatch.setattr(nets, "_winners", lambda levels: None)
+
+
+def _one_hot(winners, width):
+    d = np.zeros((len(winners), width))
+    d[np.arange(len(winners)), winners] = 1.0
+    return d
 
 
 class TestWinnerOneHot:
-    """With no zero carried ``b`` on a winner's path, the tree input's
-    sensitivity is the one-hot of each row's winner, bitwise the reverse
-    sweep's; with one, the sweep runs, as its result is not one-hot."""
+    """With no zero carried ``b`` on a winner's path, the training pass keeps
+    each row's winner, and the tree input's sensitivity is their one-hot,
+    bitwise the dense copy's reverse sweep; with one, the batch keeps the
+    dense cache and takes that sweep, as its result is not one-hot."""
 
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_equals_the_sweep(self, k, monkeypatch):
+    def test_equals_the_sweep(self, k):
         rng = np.random.default_rng(300 + k)
         rows = max(1, 2**k - 3)  # a short bank: the pad rows tie
         cases = [
@@ -397,19 +406,18 @@ class TestWinnerOneHot:
             random_head_network(9, k, seed=k),
         ]
         for net in cases:
+            dense = _dense(net)
             for B in (0, 1, 2, 17, 64, 320):
                 X = rng.dirichlet(np.ones(9), size=B)
                 cache = net.forward_cached(X)[1]
-                one_hot = nets._winner_one_hot(cache["tree"])
-                assert one_hot.shape == (B, 2**k)
-                assert np.isin(one_hot, (0.0, 1.0)).all() and (one_hot.sum(axis=1) == 1.0).all()
+                winners = cache["winners"]
+                assert winners.shape == (B,) and ((0 <= winners) & (winners < 2**k)).all()
+                one_hot = _one_hot(winners, 2**k)
+                # the first layer has no ReLU: its sensitivity is the tree input's
                 hat = _sensitivities(net, cache)
+                dense_hat = _sensitivities(dense, dense.forward_cached(X)[1])
+                np.testing.assert_array_equal(dense_hat[0], one_hot)
                 np.testing.assert_array_equal(hat[0], one_hot)
-                with monkeypatch.context() as m:
-                    _sweep_only(m)
-                    swept = _sensitivities(net, net.forward_cached(X)[1])
-                for h, h_swept in zip(hat, swept, strict=True):
-                    np.testing.assert_array_equal(h, h_swept)
 
     @pytest.mark.parametrize(
         "X, expected",
@@ -431,27 +439,28 @@ class TestWinnerOneHot:
         ],
     )
     def test_zero_carried_b_on_a_winner_path_takes_the_sweep(self, X, expected):
-        # expected: the sweep's sensitivity, or None where the one-hot runs
+        # expected: the dense sweep's sensitivity, or None where the winners are kept
         net, X = _after_identity(2), np.array(X)
         cache = net.forward_cached(X)[1]
-        one_hot = nets._winner_one_hot(cache["tree"])
         hat = _sensitivities(net, cache)[0]
+        assert ("winners" in cache) == (expected is None)
         if expected is None:
-            np.testing.assert_array_equal(hat, one_hot)
+            assert len(cache["z"]) == 1
+            np.testing.assert_array_equal(hat, _one_hot(cache["winners"], 4))
         else:
-            assert one_hot is None
+            assert len(cache["z"]) == len(net.layers)
             np.testing.assert_array_equal(hat, expected)
         _assert_paths_agree(net, _dense(net), X, exact=True)
 
 
 class TestFrozenTreeStep:
-    """Training takes the winner one-hot and the in-place Adam step with
-    traces and weights bitwise those of the reverse sweep and the Adam step
-    as first written."""
+    """Training takes the winners' one-hot and the in-place Adam step with
+    traces and weights bitwise those of the dense layer loop's cache and the
+    Adam step as first written."""
 
     @staticmethod
     def _reference_path(monkeypatch):
-        _sweep_only(monkeypatch)
+        _dense_only(monkeypatch)
         monkeypatch.setattr(Adam, "step", adam_step_reference)
 
     @staticmethod
@@ -476,25 +485,25 @@ class TestFrozenTreeStep:
                 np.testing.assert_array_equal(lay.b, ref_lay.b)
 
     @staticmethod
-    def _counting_one_hots(monkeypatch):
-        taken, one_hot = [], nets._winner_one_hot
+    def _counting_winners(monkeypatch):
+        kept, winners = [], nets._winners
 
         def counted(levels):
-            d = one_hot(levels)
-            taken.append(d is not None)
-            return d
+            win = winners(levels)
+            kept.append(win is not None)
+            return win
 
-        monkeypatch.setattr(nets, "_winner_one_hot", counted)
-        return taken
+        monkeypatch.setattr(nets, "_winners", counted)
+        return kept
 
     @pytest.mark.parametrize("loss", ["mae", "regularized"])
     def test_train(self, loss, monkeypatch):
         ground, X, y, make = self._problem()
         cfg = TrainConfig(epochs=4, batch_size=8, lr=1e-2, seed=3, loss=loss, reg_lambda=0.1)
-        taken = self._counting_one_hots(monkeypatch)
+        kept = self._counting_winners(monkeypatch)
         net = make()
         trace = train(net, X[:32], y[:32], cfg, ground, X[32:], y[32:])
-        assert len(taken) == 4 * 4 and all(taken)
+        assert len(kept) == 4 * 4 and all(kept)
         self._reference_path(monkeypatch)
         ref = make()
         expected = train(ref, X[:32], y[:32], cfg, ground, X[32:], y[32:])
@@ -511,10 +520,10 @@ class TestFrozenTreeStep:
                 f_net.set_all_trainable(True), h_net.set_all_trainable(True)
             return SaddleState(f_net, h_net, lam=0.1, n_xi=2)
 
-        taken = self._counting_one_hots(monkeypatch)
+        kept = self._counting_winners(monkeypatch)
         ran = state()
         trace = run_algorithm1(ran, X[:32], y[:32], ground, cfg, X[32:], y[32:])
-        assert all(taken) and (len(taken) > 0) == frozen_trees
+        assert all(kept) and (len(kept) > 0) == frozen_trees
         self._reference_path(monkeypatch)
         ref = state()
         expected = run_algorithm1(ref, X[:32], y[:32], ground, cfg, X[32:], y[32:])
