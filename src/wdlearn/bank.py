@@ -45,9 +45,6 @@ class PotentialBank:
         self.theta = theta
         self.ground = theta.ground
         self.entries = list(entries)
-        self._refresh()
-
-    def _refresh(self):
         if self.entries:
             self._A = np.array([e.phi for e in self.entries])
             self._b = np.array([e.psi_bar for e in self.entries])

@@ -204,10 +204,10 @@ def _cmd_erm_fit(args):
     if kind != "wpp":
         raise ValueError(f"unknown target spec {args.target!r}")
     theta = _resolve_reference(dataset, ref)
+    feats = _load_features(args.basis, dataset, theta, args.n)
     values = wpp_to_reference(dataset.train, theta)
     noisy = add_noise(values, args.noise, args.seed)
 
-    feats = _load_features(args.basis, dataset, theta, args.n)
     raw = CylinderSubspace(dataset.ground, feats)
     ortho = double_orthogonalize(raw, dataset.train_matrix)
     system = assemble(ortho, dataset.train_matrix, noisy, lam=args.lam)
@@ -281,32 +281,28 @@ def _write_model_and_trace(out, net, config_hash, trace):
 
 
 def _cmd_maxnet_train(args):
-    dataset = read_dataset(args.dataset)
-    X = dataset.train_matrix
-    y = _read_targets(args.targets, X.shape[0])
+    loss = _parse_loss(args.loss)
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed, **loss)
     kind, _, rest = args.init.partition(":")
-    if kind == "bank":
-        theta = _resolve_reference(dataset, "0" if args.ref is None else args.ref)
-        bank = read_bank(rest, theta)
-        net = init_from_bank(*export_affine(bank), k=args.k)
-    elif kind == "random":
+    if kind == "random":
         if args.ref is not None:
             raise ValueError("--ref applies only to --init bank:<file>")
         # an explicit init seed wins; otherwise the training seed fixes
         # initialization and batch shuffling together
-        net = random_head_network(X.shape[1], args.k, int(rest) if rest else args.seed)
-    else:
+        init_seed = int(rest) if rest else args.seed
+    elif kind != "bank":
         raise ValueError(f"unknown init spec {args.init!r}")
+
+    dataset = read_dataset(args.dataset)
+    X = dataset.train_matrix
+    if kind == "bank":
+        theta = _resolve_reference(dataset, "0" if args.ref is None else args.ref)
+        net = init_from_bank(*export_affine(read_bank(rest, theta)), k=args.k)
+    else:
+        net = random_head_network(X.shape[1], args.k, init_seed)
     if args.trainable_tree:
         net.set_all_trainable(True)
-
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        seed=args.seed,
-        **_parse_loss(args.loss),
-    )
+    y = _read_targets(args.targets, X.shape[0])
     trace = train(net, X, y, cfg, ground=dataset.ground)
     _write_model_and_trace(args.out, net, cfg.hash(), trace)
 

@@ -207,13 +207,9 @@ class FitResult:
     subspace: CylinderSubspace
     system: GramSystem = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
-    truncation: Optional[float] = None
 
     def predict(self, sample) -> np.ndarray:
-        out = self.subspace.evaluate(sample) @ self.coefficients
-        if self.truncation is not None:
-            out = np.clip(out, -self.truncation, self.truncation)
-        return out
+        return self.subspace.evaluate(sample) @ self.coefficients
 
 
 def _probes_do_not_descend(grad, curvature, obj: float) -> bool:
@@ -267,20 +263,11 @@ def solve_regularized(subspace: CylinderSubspace, system: GramSystem) -> FitResu
     return FitResult(coefficients=w, subspace=subspace, system=system, diagnostics=diag)
 
 
-def truncate(fit: FitResult, M: float) -> FitResult:
-    """Clamp the fitted function to ``[-M, M]`` pointwise."""
-    if M <= 0:
-        raise ValueError("truncation level must be positive")
-    return FitResult(
-        coefficients=fit.coefficients,
-        subspace=fit.subspace,
-        system=fit.system,
-        diagnostics=dict(fit.diagnostics),
-        truncation=float(M),
-    )
-
-
 def truncate_values(values, M: float) -> np.ndarray:
+    """The truncation ``T_M`` of the ERM bounds, ``values`` clamped to
+    ``[-M, M]``; raises ``ValueError`` unless ``M > 0``."""
+    if not M > 0:
+        raise ValueError(f"truncation level must be positive, got {M!r}")
     return np.clip(np.asarray(values, dtype=float), -M, M)
 
 

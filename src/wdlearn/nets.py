@@ -319,7 +319,7 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
             grads[(i, "b")] = delta.sum(axis=0)
             if u is not None:
                 grads[(i, "W")] += hat[i].T @ u
-        if sgrad_seeds is not None:
+        if sgrad_seeds is not None and i < top:  # only a later layer reads u
             u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else u @ lay.W.T
             u = _through_mask(lay, cache["z"][i], u)
     return grads
@@ -466,12 +466,14 @@ def backward_with_pairing(net, ground, cache, S, X, value_seeds, other):
     pairing is ``sum_j (S @ W0)_j . Q_j`` for the adjoint field ``Q = sum_ax
     (X * other[:, :, ax]) @ G_ax``, shape (B, m), with ``G_ax`` the grid's
     finite-difference operators.  It reaches the parameters through ``S``
-    (seeds ``Q @ W0.T`` into :func:`backward`) and, when the first layer
-    trains, directly through ``W0`` (``S.T @ Q``).
+    (seeds ``Q @ W0.T`` into :func:`backward`, read only by later layers
+    that train) and, when the first layer trains, directly through ``W0``
+    (``S.T @ Q``).
     """
     weighted = other * X[:, :, None]
     Q = sum(weighted[:, :, ax] @ op for ax, op in enumerate(gradient_operators(ground)))
-    grads = backward(net, cache, value_seeds, Q @ net.layers[0].W.T)
+    later = any(lay.trainable for lay in net.layers[1:])
+    grads = backward(net, cache, value_seeds, Q @ net.layers[0].W.T if later else None)
     if net.layers[0].trainable:
         grads[(0, "W")] += S.T @ Q
     return grads
@@ -555,11 +557,26 @@ def mean_relative_error(predictions, targets) -> float:
     return float(errs.mean()) if errs.size else float("nan")
 
 
+_MAE_ZONE = 1e-12
+
+
 def _mae_loss_and_grads(net, X, y):
+    """Mean absolute error and its gradients, seeded ``sign(pred - y) / B``
+    outside the zone ``|pred - y| <= _MAE_ZONE * max(1, |y|)`` and 0 in it.
+
+    At its bank anchors a bank-initialized network's residual is 0 in exact
+    arithmetic (the anchor's potential attains ``wpp``, which weak duality
+    bounds ``G`` by), so its sign would come from the last bits of
+    ``forward``.  With 256 anchors among 320 8x8 measures those residuals
+    were at most 5.3e-15 of ``max(1, |y|)`` and all others at least 0.20:
+    the zone lies 2 orders of magnitude above the one and 11 below the other.
+    """
     pred, cache = net.forward_cached(X)
     resid = pred - y
-    loss = float(np.mean(np.abs(resid)))
+    dist = np.abs(resid)
+    loss = float(np.mean(dist))
     seeds = np.sign(resid) / len(y)
+    seeds[dist <= _MAE_ZONE * np.maximum(1.0, np.abs(y))] = 0.0
     return loss, backward(net, cache, seeds)
 
 

@@ -38,7 +38,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import NotConverged, SolverFailure
-from .measures import DiscreteMeasure, GroundSpace, ensure_same_ground
+from .measures import DiscreteMeasure, ensure_same_ground
 
 _FEAS_TOL = 1e-9
 _MARGINAL_TOL = 1e-9
@@ -146,8 +146,8 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
 
     The LP is restricted to support atoms and solved from scratch by the
     HiGHS dual simplex, without presolve.  The duals ``v`` on ``b``'s
-    support are extended by c-transform, ``psi(x) = min_{y in supp b}
-    cost[x, y] - v(y)`` and ``phi(y) = min_x cost[x, y] - psi(x)``, a
+    support are extended by :func:`c_transform`, ``psi(x) = min_{y in supp
+    b} cost[x, y] - v(y)`` and ``phi(y) = min_x cost[x, y] - psi(x)``, a
     pair feasible everywhere with the same dual value.
 
     With ``grid_shape = (nr, nc)``, ``cost`` must be the squared
@@ -230,11 +230,9 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     value = float(res.fun)
     v = res.eqlin.marginals[ma + n_transit:]
 
-    psi = (cost[:, ib] - v[None, :]).min(axis=1)
-    phi = (cost - psi[:, None]).min(axis=0)
-    shift = psi[0]
-    psi = psi - shift
-    phi = phi + shift
+    psi = c_transform(v, cost[:, ib])
+    phi = c_transform(psi, cost.T)
+    psi, phi = psi - psi[0], phi + psi[0]  # the gauge psi[0] = 0
 
     dual_value = float(np.dot(phi, b) + np.dot(psi, a))
     if abs(dual_value - value) > _FEAS_TOL * (1.0 + abs(value)):
@@ -394,9 +392,11 @@ def sinkhorn(
     return TransportPlan(matrix=gamma, cost=approx_wpp), approx_wpp
 
 
-def c_transform(f, ground: GroundSpace) -> np.ndarray:
-    """``f^c(x) = min_y d(x, y)^p - f(y)``, computed by enumeration."""
+def c_transform(f, cost: np.ndarray) -> np.ndarray:
+    """``f^c(x) = min_y cost[x, y] - f(y)`` by enumeration, for ``f`` over the
+    columns of ``cost`` (over its rows with ``cost.T``); raises ``ValueError``
+    if ``f`` is not such a vector."""
     f = np.asarray(f, dtype=float)
-    if f.shape[0] != ground.size:
-        raise ValueError("f must be a vector over the ground points")
-    return (ground.cost_matrix() - f[None, :]).min(axis=1)
+    if f.shape != cost.shape[1:]:
+        raise ValueError(f"f of shape {f.shape} is not a vector over {cost.shape[1]} columns")
+    return (cost - f[None, :]).min(axis=1)

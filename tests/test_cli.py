@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wdlearn import cli, experiments, measures
-from wdlearn.bank import build_bank, eval_G_many, export_affine
+from wdlearn.bank import build_bank, eval_G_many, export_affine, read_bank
+from wdlearn.erm import CylinderSubspace, assemble, double_orthogonalize, solve_regularized
 from wdlearn.cli import main
 from wdlearn.measures import DiscreteMeasure, GroundSpace, read_dataset
 from wdlearn.nets import load_model, mean_relative_error
@@ -199,6 +200,25 @@ class TestCli:
         header = out.read_text().splitlines()[0].split()
         assert header[0] == "1"  # one center covers everything at huge delta
 
+    def test_bank_build_all_indices(self, workdir, tmp_path):
+        ds = read_dataset(workdir / "ds.txt")
+        out = tmp_path / "all_bank.txt"
+        args = ["bank", "build", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        main(args + ["--indices", "all", "--out", str(out)])
+        bank = read_bank(out, ds.train[0])
+        assert [e.source_index for e in bank.entries] == list(range(12))
+        want = build_bank(ds, ds.train[0], range(12))
+        np.testing.assert_array_equal(eval_G_many(bank, ds.test_matrix), eval_G_many(want, ds.test_matrix))
+
+    def test_ot_split_all_is_train_then_test(self, workdir, tmp_path):
+        rows = {}
+        for split in ("all", "test"):
+            out = tmp_path / f"{split}.csv"
+            main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "0", "--split", split, "--out", str(out)])
+            rows[split] = [r["wpp"] for r in _read_csv(out)]
+        train = [r["wpp"] for r in _read_csv(workdir / "distances.csv")]
+        assert rows["all"] == train + rows["test"] and len(rows["all"]) == 17
+
     def test_subcover(self, workdir, tmp_path):
         out = tmp_path / "pek.csv"
         main(
@@ -250,6 +270,20 @@ class TestCli:
         fit = json.loads(out.read_text())
         assert len(fit["coefficients"]) == 3
         assert "condition_check" in fit and "satisfied" in fit["condition_check"]
+
+    def test_erm_fit_features_file(self, workdir, tmp_path):
+        # four feature rows, of which --n 3 takes the first three
+        F = np.random.default_rng(5).normal(size=(4, 9))
+        feats = tmp_path / "feats.txt"
+        feats.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in F))
+        out = tmp_path / "fit.json"
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        main(args + ["--basis", f"features:{feats}", "--n", "3", "--lambda", "0.001", "--out", str(out)])
+        ds = read_dataset(workdir / "ds.txt")
+        values = experiments.wpp_to_reference(ds.train, ds.train[0])
+        ortho = double_orthogonalize(CylinderSubspace(ds.ground, F[:3]), ds.train_matrix)
+        want = solve_regularized(ortho, assemble(ortho, ds.train_matrix, values, lam=0.001))
+        assert json.loads(out.read_text())["coefficients"] == want.coefficients.tolist()
 
     def test_maxnet_train_from_bank(self, workdir, tmp_path):
         model = tmp_path / "model.bin"
@@ -305,6 +339,14 @@ class TestCli:
         )
         net, _ = load_model(model)
         assert net.layers[0].W.shape == (4, 9)
+
+    def test_maxnet_train_trainable_tree(self, workdir, tmp_path):
+        model = tmp_path / "model.bin"
+        args = ["maxnet", "train", "--dataset", str(workdir / "ds.txt")]
+        args += ["--targets", str(workdir / "distances.csv"), "--init", "random:5", "--k", "2"]
+        main(args + ["--epochs", "1", "--trainable-tree", "--out", str(model)])
+        net, _ = load_model(model)
+        assert len(net.layers) == 4 and all(lay.trainable for lay in net.layers)
 
     @pytest.mark.parametrize("command", ["maxnet", "adversarial"])
     def test_train_names_the_default_trace_path(self, workdir, tmp_path, capsys, command):
@@ -440,6 +482,42 @@ class TestCli:
             main(args + inputs + ["--out", str(out)])
         assert str(exc.value).startswith("error: ") and message in str(exc.value)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ("weights:w.txt", "unknown basis spec 'weights:w.txt'"),
+            ("features:nofile.txt", "[Errno 2] No such file or directory: 'nofile.txt'"),
+            ("bank", "basis source provides 4 < n=5 features"),
+        ],
+        ids=["unknown", "no-file", "too-short"],
+    )
+    def test_erm_fit_checks_the_basis_before_any_solve(self, workdir, tmp_path, monkeypatch, basis, message):
+        calls = []
+        monkeypatch.setattr(cli, "wpp_to_reference", lambda *args: calls.append(args))
+        basis = {"bank": f"bank:{workdir / 'bank.txt'}"}.get(basis, basis)
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--basis", basis, "--n", "5", "--out", str(tmp_path / "fit.json")])
+        assert str(exc.value) == f"error: {message}" and calls == []
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--init", "zeros"], "unknown init spec 'zeros'"),
+            (["--init", "random:5", "--ref", "0"], "--ref applies only to --init bank:<file>"),
+            (["--init", "random:5", "--loss", "l2"], "invalid loss spec 'l2'"),
+        ],
+        ids=["init-spec", "ref-with-random-init", "loss-spec"],
+    )
+    def test_maxnet_train_checks_its_specs_before_reading(self, workdir, tmp_path, monkeypatch, extra, message):
+        calls = []
+        monkeypatch.setattr(cli, "read_dataset", lambda path: calls.append(path))
+        args = ["maxnet", "train", "--dataset", str(workdir / "ds.txt")]
+        args += ["--targets", str(workdir / "distances.csv"), "--k", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + extra + ["--out", str(tmp_path / "m.bin")])
+        assert str(exc.value).startswith(f"error: {message}") and calls == []
 
     @pytest.mark.parametrize("ref", ["12", "99", "-1"])
     @pytest.mark.parametrize("command", ["ot", "bank-build", "exp-run"])

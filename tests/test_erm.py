@@ -14,7 +14,6 @@ from wdlearn.erm import (
     _probes_do_not_descend,
     double_orthogonalize,
     solve_regularized,
-    truncate,
     truncate_values,
 )
 from wdlearn.errors import RankDeficient
@@ -187,6 +186,16 @@ class TestSolve:
         fit = solve_regularized(sub, sys)
         np.testing.assert_allclose(fit.coefficients, [1.0])
 
+    def test_singular_system_is_solved_with_jitter(self):
+        from wdlearn.erm import GramSystem
+
+        # L^T L = [[1, 1], [1, 1]] has an exact zero pivot; the jitter
+        # 1e-12 * trace / n = 1e-12 gives the minimum-norm solution
+        sys = GramSystem(L=np.ones((1, 2)), D=np.zeros((2, 2)), lam=0.0, yF=np.ones(2))
+        fit = solve_regularized(CylinderSubspace(GroundSpace.grid((2,)), np.eye(2)), sys)
+        assert fit.diagnostics["jitter"] == 1e-12
+        np.testing.assert_allclose(fit.coefficients, [0.5, 0.5], rtol=1e-10)
+
     def test_in_span_recovery(self, population, ortho):
         _, pop = population
         w_true = np.array([0.4, -0.9, 0.25])
@@ -283,12 +292,10 @@ class TestTruncate:
             err_clamped = np.mean((truncate_values(vals, M) - target) ** 2)
             assert err_clamped <= err_raw + 1e-15
 
-    def test_fit_result_truncation(self, population, ortho):
-        _, pop = population
-        vals = 5.0 * np.ones(len(pop))
-        fit = solve_regularized(ortho, assemble(ortho, pop, vals, lam=0.0))
-        clamped = truncate(fit, 0.5)
-        assert np.all(np.abs(clamped.predict(pop)) <= 0.5)
+    @pytest.mark.parametrize("M", [0.0, -1.0, float("nan")])
+    def test_rejects_a_level_that_is_not_positive(self, M):
+        with pytest.raises(ValueError, match="truncation level must be positive"):
+            truncate_values([1.0], M)
 
 
 class TestConditionAndBound:

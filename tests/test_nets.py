@@ -819,6 +819,20 @@ class TestFieldAgainstReference:
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert_grads_close_at_scale(grads, ref_grads)
 
+    @pytest.mark.parametrize("kind", FIELD_NETS)
+    def test_sensitivity_seeds_only_for_a_later_trained_layer(self, kind, monkeypatch):
+        # no layer but a trained one after the first reads Q @ W0.T
+        ground, net, X, y = self._problem((3, 4), kind)
+        seen = []
+
+        def spy(net, cache, value_seeds, sgrad_seeds=None):
+            seen.append(sgrad_seeds)
+            return backward(net, cache, value_seeds, sgrad_seeds)
+
+        monkeypatch.setattr(nets, "backward", spy)
+        _regularized_loss_and_grads(net, ground, X, y, lam=0.3)
+        assert [s is None for s in seen] == [kind == "bank_init"]
+
 
 class TestTraining:
     def test_zero_epochs_initial_record_only(self):
@@ -840,6 +854,44 @@ class TestTraining:
         y = net.forward(X)
         trace = train(net, X, y.copy(), TrainConfig(epochs=1, lr=1e-12, seed=2))
         assert trace[1]["loss"] <= 1e-9
+
+    def test_mae_run_from_a_bank_ignores_a_one_ulp_nudge(self, monkeypatch):
+        # at its bank anchors a bank-initialized network's residual is 0 up
+        # to rounding; a one-ulp nudge of every training output, in a
+        # seeded random direction, must leave the MAE run bitwise unchanged
+        from wdlearn.bank import build_bank, export_affine
+        from wdlearn.experiments import make_synthetic_dataset, wpp_to_reference
+        from wdlearn.measures import DiscreteMeasure
+
+        ds = make_synthetic_dataset(4, 4, n_train=48, n_test=0, seed=9)
+        theta = DiscreteMeasure(ds.ground, np.full(16, 1.0 / 16))
+        A, b = export_affine(build_bank(ds, theta, range(16)))
+        X, y = ds.train_matrix, wpp_to_reference(ds.train, theta)
+        resid = init_from_bank(A, b, k=4).forward(X) - y
+        assert np.count_nonzero(np.abs(resid) <= nets._MAE_ZONE * np.maximum(1.0, y)) >= 16
+        cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=1)
+        forward_cached = ReluNetwork.forward_cached
+
+        def run(nudge):
+            rng = np.random.default_rng(3)
+
+            def nudged(net, X):
+                pred, cache = forward_cached(net, X)
+                return np.nextafter(pred, rng.choice([-np.inf, np.inf], size=pred.shape)), cache
+
+            with monkeypatch.context() as mp:
+                if nudge:
+                    mp.setattr(ReluNetwork, "forward_cached", nudged)
+                net = init_from_bank(A, b, k=4)
+                trace = train(net, X, y, cfg)
+            # the loss column averages the nudged outputs themselves
+            return [[r["train_rel_err"] for r in trace], net.layers[0].W, net.layers[0].b]
+
+        for got, want in zip(run(nudge=True), run(nudge=False)):
+            np.testing.assert_array_equal(got, want)
+        # the nudge does reach the seeds without the zone
+        monkeypatch.setattr(nets, "_MAE_ZONE", 0.0)
+        assert not np.array_equal(run(nudge=True)[1], run(nudge=False)[1])
 
     def test_learns_linear_target(self):
         rng = np.random.default_rng(37)

@@ -372,6 +372,47 @@ class TestCertificates:
             else:
                 nested_wasserstein(sample, sample.weights, w, p=2.0)
 
+    @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
+    def test_an_lp_that_is_not_optimal_is_rejected(self, shape):
+        # marginals of unequal mass: HiGHS reports the LP infeasible
+        cost = GroundSpace.grid((3, 3)).cost_matrix()
+        with pytest.raises(SolverFailure, match="transport LP failed: .*infeasible"):
+            solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 0.5 / 9), grid_shape=shape)
+
+    def test_infeasible_potentials_are_rejected(self, monkeypatch):
+        # phi raised where nu has no mass: the dual value and the gap stay,
+        # but phi(y) + psi(x) exceeds cost[x, y] there by 1
+        g = GroundSpace.grid((3, 3))
+        rng = np.random.default_rng(6)
+        mu = random_measure(g, rng)
+        nu = DiscreteMeasure(g, np.r_[0.0, rng.dirichlet(np.ones(8))])
+        calls = []
+
+        def raised_phi(f, cost):
+            calls.append(f)
+            out = c_transform(f, cost)
+            return out + (nu.weights == 0.0) if len(calls) == 2 else out
+
+        monkeypatch.setattr(ot, "c_transform", raised_phi)
+        with pytest.raises(SolverFailure, match="dual feasibility violated by 1.000e\\+00"):
+            exact_ot(mu, nu)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5], ids=["grid-flow", "dense"])
+    def test_a_plan_off_its_marginals_is_rejected(self, monkeypatch, p):
+        # the LP's value and duals stay, but its flow carries 1e-6 too much
+        def scaled_plan_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.x = res.x * (1.0 + 1e-6)
+            return res
+
+        linprog = ot.linprog
+        g = GroundSpace.grid((3, 3), p=p)
+        rng = np.random.default_rng(7)
+        mu, nu = random_measure(g, rng), random_measure(g, rng)
+        monkeypatch.setattr(ot, "linprog", scaled_plan_linprog)
+        with pytest.raises(SolverFailure, match="plan marginals violated by"):
+            exact_ot(mu, nu)
+
 
 def sinkhorn_records(caplog):
     return [
@@ -557,12 +598,23 @@ class TestSinkhorn:
 class TestCTransform:
     def test_zero_is_fixed(self):
         g = GroundSpace.line([0.0, 1.0, 2.5])
-        np.testing.assert_allclose(c_transform(np.zeros(3), g), 0.0)
+        np.testing.assert_allclose(c_transform(np.zeros(3), g.cost_matrix()), 0.0)
 
     def test_two_point_by_hand(self, line01):
         # p=2: f^c(x) = min(d(x,0)^2 - 0, d(x,1)^2 - 0.4), d being 0 or 1
-        fc = c_transform(np.array([0.0, 0.4]), line01)
+        fc = c_transform(np.array([0.0, 0.4]), line01.cost_matrix())
         np.testing.assert_allclose(fc, [0.0, -0.4])
+
+    def test_rectangular_cost_and_its_transpose(self):
+        # a potential over the columns of a sub-block, then one over its rows
+        C = GroundSpace.grid((3, 3)).cost_matrix()[:4, [0, 5, 8]]
+        v = np.array([0.5, -1.0, 2.0])
+        psi = c_transform(v, C)
+        assert psi.tolist() == [min(C[x, y] - v[y] for y in range(3)) for x in range(4)]
+        phi = c_transform(psi, C.T)
+        assert phi.tolist() == [min(C[x, y] - psi[x] for x in range(4)) for y in range(3)]
+        with pytest.raises(ValueError, match=r"f of shape \(4,\) is not a vector over 3 columns"):
+            c_transform(psi, C)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -573,6 +625,7 @@ class TestCTransform:
     def test_triple_transform_idempotent(self, vals):
         g = GroundSpace.line(np.arange(len(vals), dtype=float))
         f = np.asarray(vals)
-        fc = c_transform(f, g)
-        fccc = c_transform(c_transform(fc, g), g)
+        cost = g.cost_matrix()
+        fc = c_transform(f, cost)
+        fccc = c_transform(c_transform(fc, cost), cost)
         np.testing.assert_allclose(fccc, fc, atol=1e-12)

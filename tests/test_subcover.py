@@ -107,6 +107,12 @@ class TestMonteCarlo:
         )
         assert est == 1.0 and se == 0.0
 
+    def test_no_centers_cover_nothing(self, measure_sample):
+        # p(eps, 0) = 0 even where one center would cover every point
+        eps = measure_sample.diameter + 1.0
+        assert p_eps_k_monte_carlo(measure_sample, eps, 0, trials=200, seed=0) == (0.0, 0.0)
+        assert p_eps_k_closed(measure_sample, eps, 0) == 0.0
+
     def test_deterministic_given_seed(self, measure_sample):
         a = p_eps_k_monte_carlo(measure_sample, 0.2, 2, trials=500, seed=9)
         b = p_eps_k_monte_carlo(measure_sample, 0.2, 2, trials=500, seed=9)
