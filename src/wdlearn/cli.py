@@ -199,6 +199,10 @@ def _load_features(spec, dataset, theta, n):
 
 
 def _cmd_erm_fit(args):
+    if not 0 <= args.lam < np.inf:
+        raise ValueError(f"--lambda must be finite and nonnegative, got {args.lam}")
+    if not 0 <= args.noise < np.inf:
+        raise ValueError(f"--noise must be finite and nonnegative, got {args.noise}")
     dataset = read_dataset(args.dataset)
     kind, _, ref = args.target.partition(":")
     if kind != "wpp":
@@ -289,7 +293,14 @@ def _cmd_maxnet_train(args):
             raise ValueError("--ref applies only to --init bank:<file>")
         # an explicit init seed wins; otherwise the training seed fixes
         # initialization and batch shuffling together
-        init_seed = int(rest) if rest else args.seed
+        init_seed = args.seed
+        if rest:
+            if not re.fullmatch(r"\d+", rest):
+                raise ValueError(
+                    f"invalid init spec {args.init!r}: --init expects bank:<file> | random:<seed>,"
+                    " the seed a nonnegative integer"
+                )
+            init_seed = int(rest)
     elif kind != "bank":
         raise ValueError(f"unknown init spec {args.init!r}")
 

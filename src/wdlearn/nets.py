@@ -16,24 +16,18 @@ gradients only for the layers that train.  At ReLU kinks the subgradient
 convention is derivative 0 at exactly 0.
 
 A network that ends in the frozen, canonical max tree after at least one
-layer (:meth:`ReluNetwork._tree_start`) runs the tree as a recursion over
-its pair levels, in inference and training alike; any other network, the
-tree included when it trains or differs from the canonical blocks (see
-:meth:`Layer.tree_block`), runs as its dense layer loop.  A pair ``(a, b)``
-enters the tree as ``z = (a - b, b, -b)``; one of ``relu(b)`` and
-``relu(-b)`` is 0, and adding or subtracting 0 is exact, so the in-order
-row sums of the tree's layers reduce to sums of ``R = relu(a - b)`` and
-``b`` alone.  With ``D = x[:, 0::2] - x[:, 1::2]`` and ``b = x[:, 1::2]``,
-each level maps ``(D, b)`` to ``D' = ((R[:, 0::2] + b[:, 0::2]) - R[:,
-1::2]) - b[:, 1::2]`` and ``b' = R[:, 1::2] + b[:, 1::2]``, and the output
-is ``relu(D) + b`` at width 1; only the sign of a zero can differ from the
-row sums.  As ``relu(a - b) + relu(b) - relu(-b)`` has derivatives
-``[R > 0]`` in ``a`` and ``[b != 0] - [R > 0]`` in ``b``, a pair with
-``b != 0`` passes its whole sensitivity to its winner (``a`` if ``R > 0``);
-where no pair on a row's path of winners carries ``b == 0``, the tree
-input's sensitivity is the one-hot of the row's winner, found by one walk
-down the levels.  A batch with such a pair (a row of zeros, a tie at 0)
-keeps the dense layer loop's cache, as its sensitivity is not one-hot.
+layer (:meth:`ReluNetwork._tree_start`) computes the tree's output as the
+row maximum of its input, in inference and training alike, which is exact
+and cannot overflow; the training pass keeps each row's winner, its
+``argmax``, and the tree input's sensitivity is the winner's one-hot.  At a
+tie ``argmax`` takes the first maximizer, whose one-hot is a subgradient of
+``max``.  The dense layer loop's sensitivity is not one where a ReLU of the
+tree sits at its kink (a tie, or a zero): ``[1, -1, 0, 0]`` at ``[3, 0, 1,
+2]`` and all zeros at a row of zeros do not sum to 1.  Any other network,
+the tree included when it trains, differs from the canonical blocks (see
+:meth:`Layer.tree_block`) or has no layer before it, runs as its dense
+layer loop, as does a batch that overflows or forms an invalid value
+before the tree, with that loop's values and warnings.
 """
 
 from __future__ import annotations
@@ -75,10 +69,10 @@ class Layer:
         Only a frozen layer whose ``W`` repeats a canonical max-tree block (as
         :func:`max_tree_matrices` builds it) and whose bias is zero is
         recognised; :meth:`ReluNetwork._tree_start` runs a tree of such
-        layers as its pair recursion.  The comparison runs once per pair of
-        ``W`` and ``b`` arrays and its verdict is cached; a recognised layer's
-        arrays become read-only, so an in-place edit cannot leave the verdict
-        stale (assign a new array instead, as :class:`Adam` does).
+        layers as the row maximum of its input.  The comparison runs once per
+        pair of ``W`` and ``b`` arrays and its verdict is cached; a recognised
+        layer's arrays become read-only, so an in-place edit cannot leave the
+        verdict stale (assign a new array instead, as :class:`Adam` does).
         """
         if self.trainable:
             return None
@@ -122,17 +116,14 @@ class ReluNetwork:
     def forward_cached(self, X: np.ndarray):
         """Outputs and the cache of the training pass: the ``input`` and each
         layer's pre-activation ``z`` and activation ``a``, up to the frozen
-        max tree (:meth:`_tree_start`), and each row's ``winners`` there; a
-        batch with a zero carried ``b`` on a winner's path keeps the dense
-        layer loop's cache.  A batch whose tree input is not all finite, or
-        that overflows or forms an invalid value before, reruns through the
-        dense layer loop, which gives its values and ``RuntimeWarning``s."""
-        levels = []
-        y, cache = _forward(self, X, levels)
-        if len(cache["z"]) < len(self.layers):  # the tree ran as its recursion
-            cache["winners"] = _winners(levels)
-            if cache["winners"] is None:  # a zero b on a winner's path
-                cache = _layer_loop(self.layers, cache["input"])
+        max tree (:meth:`_tree_start`), and each row's ``winners`` there, the
+        first maximizer of the tree input.  A batch whose tree input is not
+        all finite, or that overflows or forms an invalid value before,
+        reruns through the dense layer loop, which gives its values and
+        ``RuntimeWarning``s."""
+        y, cache = _forward(self, X)
+        if len(cache["z"]) < len(self.layers):  # the tree ran as max
+            cache["winners"] = cache["a"][-1].argmax(axis=1)
         return y, cache
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -186,9 +177,8 @@ class ReluNetwork:
         )
 
 
-def _forward(net: ReluNetwork, X: np.ndarray, levels: Optional[list] = None):
-    """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`;
-    the tree's ``(R, b)`` levels are appended to ``levels`` if given."""
+def _forward(net: ReluNetwork, X: np.ndarray):
+    """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     start = net._tree_start()
     if start is not None:
@@ -196,7 +186,7 @@ def _forward(net: ReluNetwork, X: np.ndarray, levels: Optional[list] = None):
             with np.errstate(over="raise", invalid="raise"):
                 cache = _layer_loop(net.layers[:start], X)
                 if np.isfinite(cache["a"][-1]).all():
-                    return _max_tree(cache["a"][-1], levels), cache
+                    return cache["a"][-1].max(axis=1), cache
         except FloatingPointError:
             pass  # the layer loop emits the warnings of this batch
     cache = _layer_loop(net.layers, X)
@@ -212,26 +202,6 @@ def _layer_loop(layers: Sequence[Layer], X: np.ndarray) -> dict:
         zs.append(z)
         acts.append(a)
     return {"input": X, "z": zs, "a": acts}
-
-
-def _max_tree(x: np.ndarray, levels: Optional[list] = None) -> np.ndarray:
-    """The outputs of the frozen max tree on ``x``, shape (B, 2^k), as its
-    pair recursion (see the module docstring); ``D`` and ``b`` hold each
-    pair's ``a - b`` and ``b``.  ``(R, b)`` per level, the widest first, is
-    appended to ``levels`` if given."""
-    D = x[:, 0::2] - x[:, 1::2]
-    b = x[:, 1::2]
-    while True:
-        R = np.maximum(D, 0.0, out=D)
-        if levels is not None:
-            levels.append((R, b))
-        if R.shape[1] == 1:
-            return R[:, 0] + b[:, 0]
-        c = R + b  # each pair's relu(a - b) + b
-        # D' = ((R[:, 0::2] + b[:, 0::2]) - R[:, 1::2]) - b[:, 1::2]
-        D = c[:, 0::2] - R[:, 1::2]
-        D -= b[:, 1::2]
-        b = c[:, 1::2]
 
 
 def _through_mask(lay: Layer, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -262,20 +232,6 @@ def _sensitivities(net: ReluNetwork, cache) -> list:
                 d = d @ lay.W
         cache["hat"] = hat
     return cache["hat"]
-
-
-def _winners(levels: list) -> Optional[np.ndarray]:
-    """Each row's winner, the index of the tree input its output takes,
-    found top down from the ``(R, b)`` levels (``R > 0``: the pair's ``a``),
-    or None if a carried ``b`` on some winner's path is 0, where the tree
-    input's sensitivity is not their one-hot (see the module docstring)."""
-    rows = np.arange(len(levels[0][0]))
-    win = np.zeros(len(rows), dtype=np.intp)
-    for R, b in reversed(levels):
-        if not b[rows, win].all():
-            return None
-        win = 2 * win + (R[rows, win] <= 0.0)
-    return win
 
 
 def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
@@ -380,7 +336,7 @@ def build_max_network(k: int) -> ReluNetwork:
     Hidden layer i has width ``3 * 2^(k-i)``; weights are not trainable.
     After at least one layer (:func:`init_from_bank`,
     :func:`random_head_network`) and while they stay frozen and unchanged,
-    the forward and training passes run the tree as its pair recursion
+    the forward and training passes run the tree as ``max`` and ``argmax``
     instead of its ``kron`` matrices; alone, made trainable or changed in
     any entry, it runs dense (see :meth:`Layer.tree_block`).
     """

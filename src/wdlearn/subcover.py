@@ -133,6 +133,8 @@ def p_eps_k_monte_carlo(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)

@@ -8,11 +8,12 @@ first loop, kept as written so that a faster loop can be held to the
 same iterates.  The network gradient-field references are the first
 three-operand einsum contractions against the per-row spatial gradients,
 kept as written so that the potential-gradient path can be held to them.
-The in-order layer loop is the rounding the max tree's pair recursion
-must reproduce bitwise, and Algorithm 1's first schedule, which rebuilt
-both nets' terms before every step, the trace its training must.  The
-Adam step as first written, on new moment arrays every step, is the
-rounding the in-place step must reproduce bitwise.
+A head and a frozen max tree, written as a matrix product, ``np.max``
+and the one-hot of ``np.argmax``, is the pass the tree's training must
+reproduce bitwise, and Algorithm 1's first schedule, which rebuilt both
+nets' terms before every step, the trace its training must.  The Adam
+step as first written, on new moment arrays every step, is the rounding
+the in-place step must reproduce bitwise.
 """
 
 import itertools
@@ -194,25 +195,18 @@ def algorithm1_reference(state, X, y, ground, config, X_test=None, y_test=None):
     return trace
 
 
-def layer_loop_in_order(net, X):
-    """Outputs of ``net`` on ``X``, shape (B,), by its layer loop with every
-    dot product of a frozen max-tree layer (``tree_block()`` not None)
-    summed left to right; the other layers run as matrix products.  The sum
-    skips the terms of zero weight, which add exact zeros."""
-    a = np.atleast_2d(np.asarray(X, dtype=float))
-    for lay in net.layers:
-        if lay.tree_block() is None:
-            z = a @ lay.W.T + lay.b
-        else:  # a recognised tree layer has no bias
-            # each row's nonzero columns in order, padded with weight-0 ones
-            cols = np.argsort(lay.W == 0, axis=1, kind="stable")
-            cols = cols[:, : (lay.W != 0).sum(axis=1).max()]
-            weights = np.take_along_axis(lay.W, cols, axis=1)
-            z = np.zeros((len(a), lay.W.shape[0]))
-            for t in range(cols.shape[1]):
-                z = z + a[:, cols[:, t]] * weights[:, t]
-        a = np.maximum(z, 0.0) if lay.activation == "relu" else z
-    return a[:, 0]
+def max_head_forward_cached(net, X):
+    """``nets.ReluNetwork.forward_cached`` of an affine first layer without
+    ReLU, ``net.layers[0]``, and the frozen max tree after it, written
+    plainly: the first layer by matrix product, the output the ``np.max``
+    of its rows, and their sensitivity the one-hot of ``np.argmax``, the
+    first maximizer, kept in the cache as ``hat``.  Returns ``(y, cache)``."""
+    head = net.layers[0]
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    z = X @ head.W.T + head.b
+    hat = np.zeros_like(z)
+    hat[np.arange(len(z)), np.argmax(z, axis=1)] = 1.0
+    return np.max(z, axis=1), {"input": X, "z": [z], "a": [z], "hat": [hat]}
 
 
 def adam_step_reference(opt, grads):

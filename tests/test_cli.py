@@ -502,13 +502,37 @@ class TestCli:
         assert str(exc.value) == f"error: {message}" and calls == []
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lambda", "-1", "--lambda must be finite and nonnegative, got -1.0"),
+            ("--lambda", "inf", "--lambda must be finite and nonnegative, got inf"),
+            ("--noise", "-1", "--noise must be finite and nonnegative, got -1.0"),
+            ("--noise", "nan", "--noise must be finite and nonnegative, got nan"),
+        ],
+        ids=["lambda-negative", "lambda-inf", "noise-negative", "noise-nan"],
+    )
+    def test_erm_fit_checks_lambda_and_noise_before_any_solve(self, workdir, tmp_path, monkeypatch, flag, value, message):
+        calls = []
+        monkeypatch.setattr(cli, "wpp_to_reference", lambda *args: calls.append(args))
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        args += ["--basis", f"bank:{workdir / 'bank.txt'}", "--n", "2", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "fit.json")])
+        assert str(exc.value) == f"error: {message}" and calls == []
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             (["--init", "zeros"], "unknown init spec 'zeros'"),
+            (
+                ["--init", "random:abc"],
+                "invalid init spec 'random:abc': --init expects bank:<file> | random:<seed>",
+            ),
+            (["--init", "random:-1"], "invalid init spec 'random:-1': --init expects"),
             (["--init", "random:5", "--ref", "0"], "--ref applies only to --init bank:<file>"),
             (["--init", "random:5", "--loss", "l2"], "invalid loss spec 'l2'"),
         ],
-        ids=["init-spec", "ref-with-random-init", "loss-spec"],
+        ids=["init-spec", "init-seed", "init-seed-negative", "ref-with-random-init", "loss-spec"],
     )
     def test_maxnet_train_checks_its_specs_before_reading(self, workdir, tmp_path, monkeypatch, extra, message):
         calls = []

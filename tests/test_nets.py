@@ -44,7 +44,7 @@ from .oracles import (
     adam_step_reference,
     backward_with_pairing_reference,
     cylinder_field_batch_reference,
-    layer_loop_in_order,
+    max_head_forward_cached,
 )
 
 
@@ -131,28 +131,50 @@ def _dense_layers(net):
 
 def _after_identity(k):
     """The max tree of ``2^k`` inputs after an identity layer, so that it runs
-    as its pair recursion on the inputs themselves."""
+    as ``max`` and ``argmax`` on the inputs themselves."""
     eye = Layer(np.eye(2**k), np.zeros(2**k), "none")
     return ReluNetwork([eye] + build_max_network(k).layers)
 
 
+def _one_hot(winners, width):
+    d = np.zeros((len(winners), width))
+    d[np.arange(len(winners)), winners] = 1.0
+    return d
+
+
+def _off_the_kinks(x):
+    """The rows of the tree input ``x`` where no ReLU of the dense tree sits
+    at its kink: no two entries equal and none zero."""
+    s = np.sort(x, axis=1)
+    return (s[:, 1:] != s[:, :-1]).all(axis=1) & (x != 0.0).all(axis=1)
+
+
 def _assert_paths_agree(net, dense, X, exact=False, scale=None):
-    """The training pass of ``net``, its tree run as the pair recursion,
-    against its dense ``kron`` copy: outputs bitwise equal to the in-order
-    layer loop, and to the dense ones within 1e-15 of ``scale`` (default:
-    the largest output), or bitwise when ``exact``; the sensitivities of
-    the layers before the tree, the gradients with value and
-    first-pre-activation seeds, and the gradient fields bitwise.  A batch
-    with a zero carried ``b`` on a winner's path keeps the dense cache."""
+    """The training pass of ``net``, its tree run as ``max`` and ``argmax``,
+    against its dense ``kron`` copy: outputs bitwise the row maxima of the
+    tree input, and within 1e-15 of ``scale`` (default: the largest output)
+    of the dense ones, or bitwise when ``exact``; on every row, the tree
+    input's sensitivity the one-hot of the first maximizer.  On the rows
+    off the dense tree's kinks (:func:`_off_the_kinks`), the sensitivities
+    of the layers before the tree, the gradients with value and
+    first-pre-activation seeds, and the gradient fields are bitwise the
+    dense copy's."""
     ys, cs = net.forward_cached(X)
     yd, cd = dense.forward_cached(X)
+    start = net._tree_start()
     assert "winners" not in cd and len(cd["z"]) == len(net.layers)
-    assert len(cs["z"]) == (net._tree_start() if "winners" in cs else len(net.layers))
-    np.testing.assert_array_equal(ys, layer_loop_in_order(net, X))
+    assert len(cs["z"]) == start and net.layers[start - 1].activation == "none"
+    x = cs["a"][-1]  # the tree input
+    np.testing.assert_array_equal(ys, np.max(x, axis=1))
     tol = 0.0 if exact else 1e-15 * (np.abs(yd).max() if scale is None else scale)
     assert np.abs(ys - yd).max() <= tol
+    one_hot = _one_hot(np.argmax(x, axis=1), x.shape[1])
+    np.testing.assert_array_equal(_sensitivities(net, cs)[-1], one_hot)
+
+    X = X[_off_the_kinks(x)]
+    cs, cd = net.forward_cached(X)[1], dense.forward_cached(X)[1]
     hat = _sensitivities(net, cs)
-    assert len(hat) == len(cs["z"])
+    assert len(hat) == start
     for hs, hd in zip(hat, _sensitivities(dense, cd)):
         np.testing.assert_array_equal(hs, hd)
     rng = np.random.default_rng(len(X))
@@ -287,8 +309,8 @@ def _recorded(f, X):
 
 class TestInference:
     """``forward`` runs a frozen, canonical tree after at least one layer as
-    its pair recursion, bitwise equal to the in-order layer loop and to
-    ``forward_cached(X)[0]``."""
+    the row maximum of its input, bitwise equal to the plain oracle's
+    ``np.max`` and to ``forward_cached(X)[0]``."""
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_recursion_equals_layer_loop(self, k, monkeypatch):
@@ -315,7 +337,7 @@ class TestInference:
         for net, X in inputs:
             y = net.forward(X)
             assert calls == [1]  # the layer before the tree
-            np.testing.assert_array_equal(y, layer_loop_in_order(net, X))
+            np.testing.assert_array_equal(y, max_head_forward_cached(net, X)[0])
             np.testing.assert_array_equal(y, net.forward_cached(X)[0])
             calls.clear()
         np.testing.assert_array_equal(tree.forward(T), T.max(axis=1))
@@ -361,40 +383,35 @@ class TestInference:
     def test_non_finite_batches_keep_the_layer_loop(self, pair, messages, monkeypatch):
         X = np.arange(24.0).reshape(3, 8)
         X[1, 2:4] = pair
-        # alone, the tree takes the layer loop at once; after a layer, the
-        # recursion is tried first and the batch reruns through the loop
+        # alone, the tree takes the layer loop at once; after a layer, max is
+        # tried first, and a tree input that is not all finite reruns
+        # through the loop, where a finite one that overflows the loop's
+        # pair differences gets its exact max with no warning
         calls = _forward_spy(monkeypatch)
         for net, tried in ((build_max_network(3), []), (_after_identity(3), [1])):
             y_loop, loop_messages = _recorded(
                 lambda X: nets._layer_loop(net.layers, X)["a"][-1][:, 0], X
             )
             assert loop_messages == messages
+            rerun = [len(net.layers)]
+            if tried and np.isfinite(X).all():
+                y_loop, loop_messages, rerun = X.max(axis=1), [], []
             calls.clear()
             y, got = _recorded(net.forward, X)
             np.testing.assert_array_equal(y, y_loop)
-            assert got == messages and calls == tried + [len(net.layers)]
-            if messages:
+            assert got == loop_messages and calls == tried + rerun
+            if loop_messages:
                 with pytest.warns(RuntimeWarning) as caught:
                     net.forward(X)
                 assert [str(w.message) for w in caught] == messages
 
 
-def _dense_only(monkeypatch):
-    """Every frozen tree's training pass on the dense layer loop's cache."""
-    monkeypatch.setattr(nets, "_winners", lambda levels: None)
-
-
-def _one_hot(winners, width):
-    d = np.zeros((len(winners), width))
-    d[np.arange(len(winners)), winners] = 1.0
-    return d
-
-
 class TestWinnerOneHot:
-    """With no zero carried ``b`` on a winner's path, the training pass keeps
-    each row's winner, and the tree input's sensitivity is their one-hot,
-    bitwise the dense copy's reverse sweep; with one, the batch keeps the
-    dense cache and takes that sweep, as its result is not one-hot."""
+    """The training pass keeps each row's winner, the first maximizer of the
+    tree input, and that input's sensitivity is their one-hot, a
+    subgradient of ``max``: bitwise the dense copy's reverse sweep off the
+    dense tree's kinks, and unlike it at a tie or a zero, where the sweep's
+    rows need not sum to 1."""
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_equals_the_sweep(self, k):
@@ -426,8 +443,8 @@ class TestWinnerOneHot:
             ([[-1.0, 0.0, 0.0, -2.0]], [[0.0, 0.0, 0.0, 0.0]]),
             ([[3.0, 0.0, 1.0, 2.0]], [[1.0, -1.0, 0.0, 0.0]]),
             ([[3.0, 1.0, 2.0, 0.0], [3.0, 0.0, 1.0, 2.0]], [[1.0, 0, 0, 0], [1.0, -1.0, 0, 0]]),
-            ([[3.0, 1.0, 2.0, 0.0]], None),
-            ([[1.0, 1.0, 1.0, 1.0]], None),
+            ([[3.0, 1.0, 2.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]]),
+            ([[1.0, 1.0, 1.0, 1.0]], [[0.0, 0.0, 0.0, 1.0]]),
         ],
         ids=[
             "zero-row",
@@ -439,28 +456,33 @@ class TestWinnerOneHot:
         ],
     )
     def test_zero_carried_b_on_a_winner_path_takes_the_sweep(self, X, expected):
-        # expected: the dense sweep's sensitivity, or None where the winners are kept
+        # expected: the dense copy's sweep, which is not the first maximizer's
+        # one-hot at a tie or a zero on the winner's path
         net, X = _after_identity(2), np.array(X)
+        dense = _dense(net)
         cache = net.forward_cached(X)[1]
         hat = _sensitivities(net, cache)[0]
-        assert ("winners" in cache) == (expected is None)
-        if expected is None:
-            assert len(cache["z"]) == 1
-            np.testing.assert_array_equal(hat, _one_hot(cache["winners"], 4))
-        else:
-            assert len(cache["z"]) == len(net.layers)
-            np.testing.assert_array_equal(hat, expected)
-        _assert_paths_agree(net, _dense(net), X, exact=True)
+        assert len(cache["z"]) == 1
+        np.testing.assert_array_equal(cache["winners"], np.argmax(X, axis=1))
+        np.testing.assert_array_equal(hat, _one_hot(np.argmax(X, axis=1), 4))
+        np.testing.assert_array_equal(hat.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(_sensitivities(dense, dense.forward_cached(X)[1])[0], expected)
+        _assert_paths_agree(net, dense, X, exact=True)
 
 
 class TestFrozenTreeStep:
     """Training takes the winners' one-hot and the in-place Adam step with
-    traces and weights bitwise those of the dense layer loop's cache and the
+    traces and weights bitwise those of the plain oracle (the first layer
+    by matrix product, ``np.max``, the one-hot of ``np.argmax``) and the
     Adam step as first written."""
 
     @staticmethod
-    def _reference_path(monkeypatch):
-        _dense_only(monkeypatch)
+    def _reference_path(monkeypatch, frozen_trees=True):
+        if frozen_trees:
+            monkeypatch.setattr(ReluNetwork, "forward_cached", max_head_forward_cached)
+            monkeypatch.setattr(
+                ReluNetwork, "forward", lambda net, X: max_head_forward_cached(net, X)[0]
+            )
         monkeypatch.setattr(Adam, "step", adam_step_reference)
 
     @staticmethod
@@ -486,14 +508,15 @@ class TestFrozenTreeStep:
 
     @staticmethod
     def _counting_winners(monkeypatch):
-        kept, winners = [], nets._winners
+        """Whether each training pass ran the tree as ``max`` and ``argmax``."""
+        kept, forward_cached = [], ReluNetwork.forward_cached
 
-        def counted(levels):
-            win = winners(levels)
-            kept.append(win is not None)
-            return win
+        def counted(net, X):
+            y, cache = forward_cached(net, X)
+            kept.append("winners" in cache)
+            return y, cache
 
-        monkeypatch.setattr(nets, "_winners", counted)
+        monkeypatch.setattr(ReluNetwork, "forward_cached", counted)
         return kept
 
     @pytest.mark.parametrize("loss", ["mae", "regularized"])
@@ -523,8 +546,8 @@ class TestFrozenTreeStep:
         kept = self._counting_winners(monkeypatch)
         ran = state()
         trace = run_algorithm1(ran, X[:32], y[:32], ground, cfg, X[32:], y[32:])
-        assert all(kept) and (len(kept) > 0) == frozen_trees
-        self._reference_path(monkeypatch)
+        assert kept and set(kept) == {frozen_trees}
+        self._reference_path(monkeypatch, frozen_trees)
         ref = state()
         expected = run_algorithm1(ref, X[:32], y[:32], ground, cfg, X[32:], y[32:])
         self._assert_same_run(trace, expected, (ran.f_net, ref.f_net), (ran.h_net, ref.h_net))

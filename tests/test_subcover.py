@@ -127,6 +127,13 @@ def test_both_probabilities_reject_an_eps_that_is_not_positive(two_atoms, eps):
         p_eps_k_monte_carlo(two_atoms, eps, 1, trials=10, seed=0)
 
 
+def test_both_probabilities_reject_a_negative_k(two_atoms):
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        p_eps_k_closed(two_atoms, 0.5, -1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        p_eps_k_monte_carlo(two_atoms, 0.5, -1, trials=10, seed=0)
+
+
 class TestCoveringBound:
     def test_single_atom(self):
         s = MetricSample(distance_matrix=np.zeros((1, 1)))
