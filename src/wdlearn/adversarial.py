@@ -156,6 +156,8 @@ class AdversarialConfig:
             raise ValueError("epochs and learning rates must be positive and finite")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def run_algorithm1(

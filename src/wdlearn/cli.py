@@ -55,6 +55,17 @@ from .ot import exact_ot, sinkhorn
 from .subcover import MetricSample, p_eps_k_closed, p_eps_k_monte_carlo
 
 
+def _seed(text):
+    """The argparse type of every ``--seed``: a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _cmd_dataset_make(args):
     make_synthetic_dataset(
         rows=args.rows,
@@ -109,6 +120,8 @@ def _parse_indices(spec, dataset, theta):
     try:
         if kind == "random":
             j, seed = int(j), int(seed or 0)
+            if seed < 0:
+                raise ValueError
         elif kind == "cover":
             delta = float(rest)
         elif spec != "all":
@@ -319,6 +332,9 @@ def _cmd_maxnet_train(args):
 
 
 def _cmd_adversarial_train(args):
+    cfg = AdversarialConfig(
+        epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed
+    )
     dataset = read_dataset(args.dataset)
     X = dataset.train_matrix
     y = _read_targets(args.targets, X.shape[0])
@@ -326,9 +342,6 @@ def _cmd_adversarial_train(args):
     h_net = random_head_network(X.shape[1], args.k, args.seed + 1).set_all_trainable(True)
     state = SaddleState(
         f_net, h_net, lam=args.lam, n_xi=args.nxi, n_theta=args.ntheta, norm=args.norm
-    )
-    cfg = AdversarialConfig(
-        epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed
     )
     trace = run_algorithm1(state, X, y, dataset.ground, cfg)
     _write_model_and_trace(args.out, f_net, "", trace)
@@ -358,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="random-dirichlet",
         choices=["random-dirichlet", "blurred-blobs"],
     )
-    mk.add_argument("--seed", type=int, default=0)
+    mk.add_argument("--seed", type=_seed, default=0)
     mk.add_argument("--p", type=float, default=2.0)
     mk.set_defaults(func=_cmd_dataset_make)
 
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--eps", type=float, required=True)
     sc.add_argument("--k-range", default="1:64")
     sc.add_argument("--trials", type=int, default=2000)
-    sc.add_argument("--seed", type=int, default=7)
+    sc.add_argument("--seed", type=_seed, default=7)
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=_cmd_subcover)
 
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     ef.add_argument("--n", type=int, default=32)
     ef.add_argument("--lambda", dest="lam", type=float, default=0.001)
     ef.add_argument("--noise", type=float, default=0.0)
-    ef.add_argument("--seed", type=int, default=3)
+    ef.add_argument("--seed", type=_seed, default=3)
     ef.add_argument("--r", type=float, default=1.0)
     ef.add_argument("--out", required=True)
     ef.set_defaults(func=_cmd_erm_fit)
@@ -428,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--epochs", type=int, default=100)
     mt.add_argument("--batch-size", type=int, default=64)
     mt.add_argument("--lr", type=float, default=1e-3)
-    mt.add_argument("--seed", type=int, default=0)
+    mt.add_argument("--seed", type=_seed, default=0)
     mt.add_argument("--trainable-tree", action="store_true")
     mt.add_argument("--out", required=True, help="model path[,trace path]")
     mt.set_defaults(func=_cmd_maxnet_train)
@@ -446,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--epochs", type=int, default=100)
     at.add_argument("--batch-size", type=int, default=None)
     at.add_argument("--lr", type=float, default=1e-3)
-    at.add_argument("--seed", type=int, default=5)
+    at.add_argument("--seed", type=_seed, default=5)
     at.add_argument("--out", required=True, help="model path[,trace path]")
     at.set_defaults(func=_cmd_adversarial_train)
 

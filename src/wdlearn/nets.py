@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -121,14 +122,12 @@ class ReluNetwork:
         all finite, or that overflows or forms an invalid value before,
         reruns through the dense layer loop, which gives its values and
         ``RuntimeWarning``s."""
-        y, cache = _forward(self, X)
-        if len(cache["z"]) < len(self.layers):  # the tree ran as max
-            cache["winners"] = cache["a"][-1].argmax(axis=1)
-        return y, cache
+        return _forward(self, X)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Batch outputs, shape (B,): the pass of :meth:`forward_cached`,
-        bitwise, without finding the winners."""
+        bitwise.  It finds the winners too, as the tree's output is the
+        tree input at each row's winner."""
         return _forward(self, X)[0]
 
     def _tree_start(self) -> Optional[int]:
@@ -185,8 +184,10 @@ def _forward(net: ReluNetwork, X: np.ndarray):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 cache = _layer_loop(net.layers[:start], X)
-                if np.isfinite(cache["a"][-1]).all():
-                    return cache["a"][-1].max(axis=1), cache
+                x = cache["a"][-1]
+                if np.isfinite(x).all():
+                    cache["winners"] = w = x.argmax(axis=1)
+                    return x[np.arange(len(x)), w], cache
         except FloatingPointError:
             pass  # the layer loop emits the warnings of this batch
     cache = _layer_loop(net.layers, X)
@@ -197,7 +198,8 @@ def _layer_loop(layers: Sequence[Layer], X: np.ndarray) -> dict:
     """The cache of ``layers`` run in turn on ``X``, each as its matrix."""
     a, zs, acts = X, [], []
     for lay in layers:
-        z = a @ lay.W.T + lay.b
+        z = a @ lay.W.T
+        z += lay.b
         a = np.maximum(z, 0.0) if lay.activation == "relu" else z
         zs.append(z)
         acts.append(a)
@@ -239,7 +241,13 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
 
     With the ReLU masks fixed, backprop is linear in the output seed, so
     the value-seeded delta at layer i is ``value_seeds[:, None] * hat[i]``
-    with ``hat`` from the one sweep of :func:`_sensitivities`.
+    with ``hat`` from the one sweep of :func:`_sensitivities`.  A row whose
+    value seed is exactly 0 adds nothing to the value-seeded gradients of a
+    layer whose ``W`` has more than one row and column, even when its
+    activations are not finite (its terms are left out, where they would
+    give ``0 * inf = NaN``).  In a layer with a single row or column of
+    ``W`` every row stays in: BLAS ``gemv`` and numpy's pairwise sum group
+    terms by position, so leaving rows out would move the rounding.
 
     Parameters
     ----------
@@ -265,13 +273,16 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
     # the layers past the last one that trains need no work
     top = max((i for i, _ in net.trainable()), default=-1)
     v = np.asarray(value_seeds, dtype=float).reshape(-1, 1)
+    seeded = np.flatnonzero(v)
+    seeded = slice(None) if len(seeded) == len(v) else seeded
     u = None
     grads = {}
     for i, lay in enumerate(net.layers[: top + 1]):
         if lay.trainable:
+            rows = seeded if min(lay.W.shape) > 1 else slice(None)
             prev = cache["input"] if i == 0 else cache["a"][i - 1]
-            delta = v * hat[i]
-            grads[(i, "W")] = delta.T @ prev
+            delta = v[rows] * hat[i][rows]
+            grads[(i, "W")] = delta.T @ prev[rows]
             grads[(i, "b")] = delta.sum(axis=0)
             if u is not None:
                 grads[(i, "W")] += hat[i].T @ u
@@ -441,41 +452,57 @@ def backward_with_pairing(net, ground, cache, S, X, value_seeds, other):
 
 
 class Adam:
-    """Adaptive-moment estimation over a network's trainable arrays."""
+    """Adaptive-moment estimation over a network's trainable arrays.
+
+    The arrays run as one flat vector, in the order of ``net.trainable()``:
+    the moments are flat, and ``m[key]`` and ``v[key]`` are views of them in
+    each array's shape.  Adam is elementwise, so this gives the numbers of
+    one update per array.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, net: ReluNetwork, lr=1e-3):
         self.net, self.lr = net, lr
         self.t = 0
-        self.m = {}
-        self.v = {}
-        for key in net.trainable():
-            shape = getattr(net.layers[key[0]], key[1]).shape
-            self.m[key] = np.zeros(shape)
-            self.v[key] = np.zeros(shape)
+        self._cuts, end = [], 0  # each array's slice of the flat vector, and its shape
+        for i, name in net.trainable():
+            shape = getattr(net.layers[i], name).shape
+            self._cuts.append((slice(end, end + math.prod(shape)), shape))
+            end += math.prod(shape)
+        self._m, self._v = np.zeros(end), np.zeros(end)
+        self.m = dict(zip(net.trainable(), self._views(self._m)))
+        self.v = dict(zip(net.trainable(), self._views(self._v)))
+
+    def _views(self, flat: np.ndarray) -> list:
+        return [flat[cut].reshape(shape) for cut, shape in self._cuts]
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for key, m in self.m.items():
-            g, v = grads[key], self.v[key]
-            # in place, the operations and order of b1 * m + (1 - b1) * g,
-            # b2 * v + (1 - b2) * g * g and lr * mhat / (sqrt(vhat) + eps)
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            step = m / (1 - b1**self.t)
-            step *= self.lr
-            vhat = v / (1 - b2**self.t)
-            np.sqrt(vhat, out=vhat)
-            vhat += self.eps
-            step /= vhat
-            # into a new array: a layer recognised as a frozen tree (and
-            # since made trainable) has read-only ones
-            layer = self.net.layers[key[0]]
-            setattr(layer, key[1], np.subtract(getattr(layer, key[1]), step, out=step))
+        if not self._cuts:
+            return
+        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+        layers = self.net.layers
+        # the layers' current arrays: one may have been reassigned since
+        theta = np.concatenate([getattr(layers[i], name) for i, name in self.m], None)
+        g = np.concatenate([grads[key] for key in self.m], None)
+        # in place, the operations and order of b1 * m + (1 - b1) * g,
+        # b2 * v + (1 - b2) * g * g and lr * mhat / (sqrt(vhat) + eps)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        step = m / (1 - b1**self.t)
+        step *= self.lr
+        vhat = v / (1 - b2**self.t)
+        np.sqrt(vhat, out=vhat)
+        vhat += self.eps
+        step /= vhat
+        # into a new vector: a layer recognised as a frozen tree (and since
+        # made trainable) has read-only arrays
+        theta = np.subtract(theta, step, out=step)
+        for (i, name), new in zip(self.m, self._views(theta)):
+            setattr(layers[i], name, new)
 
 
 @dataclass
@@ -498,6 +525,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if not 0 <= self.reg_lambda < np.inf:
             raise ValueError(f"reg_lambda must be finite and nonnegative, got {self.reg_lambda}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=float)

@@ -13,7 +13,8 @@ and the one-hot of ``np.argmax``, is the pass the tree's training must
 reproduce bitwise, and Algorithm 1's first schedule, which rebuilt both
 nets' terms before every step, the trace its training must.  The Adam
 step as first written, on new moment arrays every step, is the rounding
-the in-place step must reproduce bitwise.
+the flat, in-place step must reproduce bitwise, and the gradients over
+every row of a batch those its seeded rows must.
 """
 
 import itertools
@@ -223,3 +224,27 @@ def adam_step_reference(opt, grads):
         layer = opt.net.layers[key[0]]
         updated = getattr(layer, key[1]) - opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
         setattr(layer, key[1], updated)
+
+
+def backward_reference(net, cache, value_seeds, sgrad_seeds=None):
+    """``nets.backward`` as first written: the value-seeded gradients of
+    every layer that trains are products over all rows of the batch, a
+    zero-seeded one included.  Same arguments and result as the function."""
+    from wdlearn.nets import _sensitivities
+
+    hat = _sensitivities(net, cache)
+    top = max((i for i, _ in net.trainable()), default=-1)
+    v = np.asarray(value_seeds, dtype=float).reshape(-1, 1)
+    u, grads = None, {}
+    for i, lay in enumerate(net.layers[: top + 1]):
+        if lay.trainable:
+            prev = cache["input"] if i == 0 else cache["a"][i - 1]
+            delta = v * hat[i]
+            grads[(i, "W")] = delta.T @ prev
+            grads[(i, "b")] = delta.sum(axis=0)
+            if u is not None:
+                grads[(i, "W")] += hat[i].T @ u
+        if sgrad_seeds is not None and i < top:
+            u = np.asarray(sgrad_seeds, dtype=float) if i == 0 else u @ lay.W.T
+            u = u * (cache["z"][i] > 0.0) if lay.activation == "relu" else u
+    return grads

@@ -77,6 +77,10 @@ class TestStateValidation:
             AdversarialConfig(batch_size=batch_size)
         assert AdversarialConfig(batch_size=None).batch_size is None
 
+    def test_config_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            AdversarialConfig(seed=-1)
+
 
 class TestLosses:
     def test_zero_residual_zero_loss(self, setup):

@@ -543,6 +543,44 @@ class TestCli:
             main(args + extra + ["--out", str(tmp_path / "m.bin")])
         assert str(exc.value).startswith(f"error: {message}") and calls == []
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dataset", "make", "--rows", "3", "--cols", "3", "--n-train", "2", "--n-test", "1"],
+            ["subcover", "--dataset", "ds", "--eps", "0.3"],
+            ["erm", "fit", "--dataset", "ds", "--target", "wpp:0", "--basis", "bank"],
+            ["maxnet", "train", "--dataset", "ds", "--targets", "t", "--init", "random:5", "--k", "2"],
+            ["adversarial", "train", "--dataset", "ds", "--targets", "t"],
+        ],
+        ids=["dataset-make", "subcover", "erm-fit", "maxnet-train", "adversarial-train"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_every_seed_flag_takes_only_a_nonnegative_integer(self, tmp_path, monkeypatch, capsys, args, seed):
+        calls = []
+        monkeypatch.setattr(cli, "read_dataset", lambda path: calls.append(path))
+        monkeypatch.setattr(cli, "make_synthetic_dataset", lambda **kw: calls.append(kw))
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--seed", seed, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2 and calls == []
+        assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epochs", "-1", "epochs and learning rates must be positive and finite"),
+            ("--lr", "nan", "epochs and learning rates must be positive and finite"),
+            ("--batch-size", "0", "batch size must be at least 1, got 0"),
+        ],
+        ids=["epochs", "lr", "batch-size"],
+    )
+    def test_adversarial_train_checks_its_config_before_reading(self, tmp_path, monkeypatch, flag, value, message):
+        calls = []
+        monkeypatch.setattr(cli, "read_dataset", lambda path: calls.append(path))
+        args = ["adversarial", "train", "--dataset", "ds", "--targets", "t", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out")])
+        assert str(exc.value) == f"error: {message}" and calls == []
+
     @pytest.mark.parametrize("ref", ["12", "99", "-1"])
     @pytest.mark.parametrize("command", ["ot", "bank-build", "exp-run"])
     def test_reference_index_outside_the_train_split(self, workdir, tmp_path, command, ref):
@@ -588,10 +626,20 @@ class TestCli:
             ("random:-1", "a random index set needs j >= 1, got j=-1"),
             ("random:x", _BAD_INDEX_SPEC.format("random:x")),
             ("random:2:y", _BAD_INDEX_SPEC.format("random:2:y")),
+            ("random:2:-1", _BAD_INDEX_SPEC.format("random:2:-1")),
             ("cover:abc", _BAD_INDEX_SPEC.format("cover:abc")),
             ("some:3", _BAD_INDEX_SPEC.format("some:3")),
         ],
-        ids=["cover-nan", "random-0", "random-negative", "random-x", "random-seed-y", "cover-abc", "unknown"],
+        ids=[
+            "cover-nan",
+            "random-0",
+            "random-negative",
+            "random-x",
+            "random-seed-y",
+            "random-seed-negative",
+            "cover-abc",
+            "unknown",
+        ],
     )
     def test_bank_build_rejects_a_bad_index_spec(self, workdir, tmp_path, spec, message):
         out = tmp_path / "bank.txt"

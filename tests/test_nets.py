@@ -42,6 +42,7 @@ from .helpers import (
 )
 from .oracles import (
     adam_step_reference,
+    backward_reference,
     backward_with_pairing_reference,
     cylinder_field_batch_reference,
     max_head_forward_cached,
@@ -570,6 +571,60 @@ class TestFrozenTreeStep:
         assert moments == [(opt.m[key], opt.v[key]) for key in net.trainable()]
 
 
+class TestFlatAdam:
+    """One Adam update over the flat vector of every trainable array has
+    the numbers of the update as first written, one array at a time."""
+
+    @staticmethod
+    def _mixed_net(seed):
+        # trainable head, frozen first tree layer, trainable rest: arrays of
+        # five shapes, with a frozen layer between two that train
+        net = random_head_network(6, 3, seed).set_all_trainable(True)
+        net.layers[1].trainable = False
+        return net
+
+    @staticmethod
+    def _assert_same_state(opt, ref):
+        for lay, ref_lay in zip(opt.net.layers, ref.net.layers, strict=True):
+            assert lay.W.tobytes() == ref_lay.W.tobytes()
+            assert lay.b.tobytes() == ref_lay.b.tobytes()
+        assert list(opt.m) == list(ref.m) == opt.net.trainable()
+        for key in ref.m:
+            assert opt.m[key].tobytes() == ref.m[key].tobytes()
+            assert opt.v[key].tobytes() == ref.v[key].tobytes()
+
+    def _run(self, steps, between=lambda net: None):
+        rng = np.random.default_rng(71)
+        X = rng.dirichlet(np.ones(6), size=20)
+        opt, ref = Adam(self._mixed_net(4), lr=3e-2), Adam(self._mixed_net(4), lr=3e-2)
+        moments = [(opt.m[key], opt.v[key]) for key in opt.m]
+        for _ in range(steps):
+            seeds = rng.normal(size=len(X))
+            opt.step(backward(opt.net, opt.net.forward_cached(X)[1], seeds))
+            adam_step_reference(ref, backward(ref.net, ref.net.forward_cached(X)[1], seeds))
+            self._assert_same_state(opt, ref)
+            between(opt.net), between(ref.net)
+        # the moments are views that keep their identity
+        assert all(
+            opt.m[key] is m and opt.v[key] is v for key, (m, v) in zip(opt.m, moments)
+        )
+
+    def test_equals_the_update_per_array(self):
+        self._run(5)
+
+    def test_honours_an_array_reassigned_between_steps(self):
+        self._run(3, lambda net: net.scale_output(-1.5))
+
+    def test_a_net_with_no_trainable_array_steps(self):
+        net = random_head_network(4, 2, seed=3).set_all_trainable(False)
+        before = [(lay.W, lay.b) for lay in net.layers]
+        opt = Adam(net)
+        opt.step({})
+        opt.step({})
+        assert opt.t == 2 and opt.m == {} and opt.v == {}
+        assert all(lay.W is W and lay.b is b for lay, (W, b) in zip(net.layers, before))
+
+
 class TestBankInit:
     def test_exact_bank_realization(self):
         rng = np.random.default_rng(1)
@@ -777,6 +832,87 @@ class TestBackward:
                     2 * h
                 )
                 assert S[j, i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+class TestSeededRows:
+    """``backward`` leaves the rows with a value seed of exactly 0 out of
+    the value-seeded products of a layer with more than one row and column.
+    A batch that fits BLAS's block along the rows gives bitwise the
+    gradients over all rows; a longer one is split into blocks whose sums
+    group its terms otherwise, and agrees within the dot-product bound."""
+
+    KINDS = ["dense", "frozen-tree", "short-bank"]
+
+    @staticmethod
+    def _case(kind, B, zeros, seed):
+        rng = np.random.default_rng(seed)
+        d = 64
+        if kind == "dense":
+            net = random_head_network(d, 4, seed).set_all_trainable(True)
+        elif kind == "frozen-tree":
+            net = random_head_network(d, 4, seed)
+        else:
+            net = init_from_bank(rng.normal(size=(5, d)), rng.normal(size=5), 4)
+        X = rng.dirichlet(np.ones(d), size=B)
+        seeds = rng.normal(size=B)
+        seeds[rng.permutation(B)[: round(zeros * B)]] = 0.0
+        return net, X, seeds, rng.normal(size=(B, 16))
+
+    @pytest.mark.parametrize("B", [1, 17, 64, 320])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bitwise_the_products_over_all_rows(self, kind, B):
+        for zeros in (0.0, 0.3, 0.66, 1.0):
+            for seed in range(3):
+                net, X, seeds, C = self._case(kind, B, zeros, seed)
+                cache = net.forward_cached(X)[1]
+                for sgrad in (None, C):
+                    got = backward(net, cache, seeds, sgrad)
+                    expected = backward_reference(net, cache, seeds, sgrad)
+                    assert list(got) == list(expected) == net.trainable()
+                    for key in expected:
+                        assert got[key].tobytes() == expected[key].tobytes(), (zeros, seed, key)
+
+    @pytest.mark.parametrize("B", [512, 2000])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_within_the_dot_product_bound(self, kind, B):
+        # each entry is a sum of B products; summed in any order it is within
+        # gamma_B * sum |terms| of the exact sum, gamma_B = B u / (1 - B u),
+        # so two orders differ by at most twice that
+        u = np.finfo(float).eps / 2
+        gamma = B * u / (1 - B * u)
+        for zeros in (0.3, 0.66):
+            net, X, seeds, _ = self._case(kind, B, zeros, 1)
+            cache = net.forward_cached(X)[1]
+            hat = _sensitivities(net, cache)
+            got, expected = backward(net, cache, seeds), backward_reference(net, cache, seeds)
+            for i, name in net.trainable():
+                prev = cache["input"] if i == 0 else cache["a"][i - 1]
+                terms = np.abs(seeds[:, None] * hat[i])
+                size = terms.T @ np.abs(prev) if name == "W" else terms.sum(axis=0)
+                assert np.all(np.abs(got[i, name] - expected[i, name]) <= 2 * gamma * size)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_seeded_row_gives_zero_gradients(self, kind):
+        for B in (0, 7):
+            net, X, _, _ = self._case(kind, B, 1.0, 2)
+            grads = backward(net, net.forward_cached(X)[1], np.zeros(B))
+            assert list(grads) == net.trainable()
+            for (i, name), g in grads.items():
+                assert g.shape == getattr(net.layers[i], name).shape and not g.any()
+
+    def test_a_zero_seeded_row_with_infinite_activations_adds_nothing(self):
+        net, X, seeds, _ = self._case("frozen-tree", 9, 0.0, 5)
+        X[4, 2], seeds[4] = np.inf, 0.0
+        with np.errstate(invalid="ignore"):  # the tree's inf - inf in the dense loop
+            cache = net.forward_cached(X)[1]
+        assert not np.isfinite(cache["a"][0][4]).any()
+        grads = backward(net, cache, seeds)
+        with np.errstate(invalid="ignore"):  # 0 * inf over all rows
+            assert np.isnan(backward_reference(net, cache, seeds)[0, "W"]).any()
+        keep = np.arange(len(X)) != 4
+        expected = backward(net, net.forward_cached(X[keep])[1], seeds[keep])
+        for key in expected:
+            np.testing.assert_array_equal(grads[key], expected[key])
 
 
 class TestCylinderField:
@@ -993,6 +1129,10 @@ class TestTraining:
     def test_config_rejects_invalid_lambda_and_lr(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(loss="regularized", **bad)
+
+    def test_config_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            TrainConfig(seed=-1)
 
     def test_regularized_training_runs(self):
         rng = np.random.default_rng(47)
