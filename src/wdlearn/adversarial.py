@@ -36,6 +36,7 @@ from .nets import (
     backward_with_pairing,
     cylinder_field_batch,
     mean_relative_error,
+    _splits,
 )
 
 _NORM_FLOOR = 1e-8
@@ -176,10 +177,10 @@ def run_algorithm1(
     epoch record.  Returns one record per epoch with both losses, the
     mean relative error of the solution net, and ``epoch_s``, the wall
     time of the epoch's steps (0 for the initial record; the record's own
-    evaluation is not counted).
+    evaluation is not counted).  The splits are checked before any step,
+    as :func:`wdlearn.nets.train` checks them.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y, X_test, y_test = _splits(X, y, X_test, y_test, names=("X", "y"))
     n = len(y)
     batch = n if config.batch_size is None else min(config.batch_size, n)
     rng = np.random.default_rng(config.seed)

@@ -33,6 +33,13 @@ from .ot import exact_ot, sinkhorn
 _MAX_GRID = 16
 
 
+def _check_int(value, name: str, low: int):
+    """``value`` if it is an integer (not a ``bool``) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return value
+
+
 def make_synthetic_dataset(
     rows: int,
     cols: int,
@@ -47,8 +54,11 @@ def make_synthetic_dataset(
 
     Generators: ``random-dirichlet`` draws flat Dirichlet weights;
     ``blurred-blobs`` sums Gaussian bumps whose centers live in the left
-    (label 0) or right (label 1) half of the grid.
+    (label 0) or right (label 1) half of the grid.  The sizes must be
+    integers, ``rows`` and ``cols`` at least 1 and the counts at least 0.
     """
+    _check_int(rows, "rows", 1), _check_int(cols, "cols", 1)
+    _check_int(n_train, "n_train", 0), _check_int(n_test, "n_test", 0)
     if rows > _MAX_GRID or cols > _MAX_GRID:
         raise ValueError(f"desk-scale grids are capped at {_MAX_GRID}x{_MAX_GRID}")
     ground = GroundSpace.grid((rows, cols), p=p)
@@ -227,57 +237,88 @@ def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
     return dataset.train[index]
 
 
+# the keys each experiment cannot do without
+_NEEDED_KEYS = {
+    "make-dataset": ("rows", "cols", "n_train", "n_test"),
+    "baseline-decay": ("dataset", "schedule"),
+    "speed-table": ("dataset",),
+}
+
+
 def run_experiment(config: dict, out_dir) -> dict:
     """Dispatch a config document and emit trace.csv + manifest.json.
 
-    ``out_dir`` is created at the first write, so a config rejected
-    before that leaves no directory behind.
+    The config is checked before anything is computed or written: it must
+    be a JSON object naming a known ``experiment`` and holding the keys
+    that experiment needs, and its seeds (``seed`` of ``make-dataset``,
+    each of ``seeds`` of ``baseline-decay``) must be nonnegative integers
+    and each of ``schedule`` a positive one; ``speed-table`` draws nothing
+    and takes no ``seed``.  ``out_dir`` is
+    created at the first write, so a config rejected before that leaves
+    no directory behind.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"an experiment config must be a JSON object, got {type(config).__name__}")
+    if "experiment" not in config:
+        raise ValueError("the config names no 'experiment'")
+    kind = config["experiment"]
+    if not isinstance(kind, str) or kind not in _NEEDED_KEYS:
+        raise ValueError(f"unknown experiment {kind!r}")
+    for key in _NEEDED_KEYS[kind]:
+        if key not in config:
+            raise ValueError(f"experiment {kind!r} needs the key {key!r}")
     out_dir = Path(out_dir)
 
     def out(name):
         out_dir.mkdir(parents=True, exist_ok=True)
         return out_dir / name
 
-    kind = config["experiment"]
     outputs = []
 
     if kind == "make-dataset":
-        path = out(config.get("out", "dataset.txt"))
-        make_synthetic_dataset(
+        seeds = [_check_int(config.get("seed", 0), "seed", 0)]
+        dataset = make_synthetic_dataset(
             rows=config["rows"],
             cols=config["cols"],
             n_train=config["n_train"],
             n_test=config["n_test"],
             generator=config.get("generator", "random-dirichlet"),
-            seed=config.get("seed", 0),
+            seed=seeds[0],
             p=config.get("p", 2.0),
-            path=path,
         )
+        path = out(config.get("out", "dataset.txt"))
+        write_dataset(path, dataset)
         outputs.append(str(path))
-        seeds = [config.get("seed", 0)]
     elif kind == "baseline-decay":
-        schedule = [int(j) for j in config["schedule"]]
+        seeds = config.get("seeds", [0])
+        for key, value in (("seeds", seeds), ("schedule", config["schedule"])):
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+        seeds = [_check_int(seed, "each of seeds", 0) for seed in seeds]
+        schedule = [_check_int(j, "each of schedule", 1) for j in config["schedule"]]
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be strictly increasing")
         dataset = read_dataset(config["dataset"])
         theta = _resolve_reference(dataset, config.get("ref", 0))
-        seeds = config.get("seeds", [0])
         records = run_baseline_decay(
             dataset,
             theta,
-            sizes=config["schedule"],
+            sizes=schedule,
             seeds=seeds,
             split=config.get("split", "test"),
         )
         trace = out("trace.csv")
         write_csv(trace, records)
         outputs.append(str(trace))
-    elif kind == "speed-table":
+    else:  # speed-table
+        if "seed" in config:
+            raise ValueError("speed-table draws nothing and takes no 'seed'")
+        seeds = []
         dataset = read_dataset(config["dataset"])
         theta = _resolve_reference(dataset, config.get("ref", 0))
-        seeds = [config.get("seed", 0)]
-        size = int(config.get("bank_size", 16))
+        size = config.get("bank_size", 16)
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValueError(f"bank_size must be an integer, got {size!r}")
         if not 1 <= size <= len(dataset.train):
             raise ValueError(
                 f"bank_size {size} must lie between 1 and the {len(dataset.train)} train measures"
@@ -291,8 +332,6 @@ def run_experiment(config: dict, out_dir) -> dict:
         trace = out("trace.csv")
         write_csv(trace, [table])
         outputs.append(str(trace))
-    else:
-        raise ValueError(f"unknown experiment {kind!r}")
 
     manifest = out("manifest.json")
     write_manifest(manifest, config, seeds, outputs)

@@ -456,8 +456,23 @@ class Adam:
 
     The arrays run as one flat vector, in the order of ``net.trainable()``:
     the moments are flat, and ``m[key]`` and ``v[key]`` are views of them in
-    each array's shape.  Adam is elementwise, so this gives the numbers of
-    one update per array.
+    each array's shape.  Adam is elementwise, so the moments are bitwise
+    those of one update per array.
+
+    The parameter step takes Kingma & Ba's efficient form (2015, section 2):
+    ``alpha_t * m / (sqrt(v) + eps_hat)`` with
+    ``alpha_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
+    ``eps_hat = eps * sqrt(1 - beta2**t)``, one division per parameter.  In
+    exact arithmetic it is ``lr * mhat / (sqrt(vhat) + eps)``; in floating
+    point the two steps differ by at most ``16 u |step|`` (``u = 2**-53``),
+    and each update of a parameter ``theta`` adds at most ``2 spacing(theta)``
+    of rounding besides (see ``tests/test_nets.py::TestFlatAdam``).
+
+    The new parameters go into a new flat vector whose views the layers
+    receive; Adam never writes into an array it handed out.  While every
+    layer still holds its view, that vector is the next step's parameters;
+    an array reassigned since (``scale_output``) makes the step gather
+    them anew.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -473,6 +488,7 @@ class Adam:
         self._m, self._v = np.zeros(end), np.zeros(end)
         self.m = dict(zip(net.trainable(), self._views(self._m)))
         self.v = dict(zip(net.trainable(), self._views(self._v)))
+        self._theta, self._handed = None, []  # the last flat parameters and their views
 
     def _views(self, flat: np.ndarray) -> list:
         return [flat[cut].reshape(shape) for cut, shape in self._cuts]
@@ -483,25 +499,28 @@ class Adam:
             return
         b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
         layers = self.net.layers
-        # the layers' current arrays: one may have been reassigned since
-        theta = np.concatenate([getattr(layers[i], name) for i, name in self.m], None)
+        held = [getattr(layers[i], name) for i, name in self.m]
+        if self._handed and all(a is b for a, b in zip(held, self._handed)):
+            theta = self._theta  # bitwise the gather of ``held``
+        else:
+            theta = np.concatenate(held, None)
         g = np.concatenate([grads[key] for key in self.m], None)
-        # in place, the operations and order of b1 * m + (1 - b1) * g,
-        # b2 * v + (1 - b2) * g * g and lr * mhat / (sqrt(vhat) + eps)
+        # in place, the operations and order of b1 * m + (1 - b1) * g and
+        # b2 * v + (1 - b2) * g * g
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        step = m / (1 - b1**self.t)
-        step *= self.lr
-        vhat = v / (1 - b2**self.t)
-        np.sqrt(vhat, out=vhat)
-        vhat += self.eps
-        step /= vhat
+        root = math.sqrt(1 - b2**self.t)
+        step = np.sqrt(v)
+        step += self.eps * root
+        np.divide(m, step, out=step)
+        step *= self.lr * root / (1 - b1**self.t)
         # into a new vector: a layer recognised as a frozen tree (and since
         # made trainable) has read-only arrays
-        theta = np.subtract(theta, step, out=step)
-        for (i, name), new in zip(self.m, self._views(theta)):
+        self._theta = np.subtract(theta, step, out=step)
+        self._handed = self._views(self._theta)
+        for (i, name), new in zip(self.m, self._handed):
             setattr(layers[i], name, new)
 
 
@@ -579,6 +598,30 @@ def _regularized_loss_and_grads(net, ground, X, y, lam):
     return loss, grads
 
 
+def _rows_and_targets(X, y, x_name, y_name):
+    """``X`` as a 2-D float array and ``y`` as one float target per row of it."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(X),):
+        raise ValueError(
+            f"{y_name} must hold one target per row of {x_name}: "
+            f"got shape {y.shape} for {len(X)} rows"
+        )
+    return X, y
+
+
+def _splits(X, y, X_test, y_test, names=("X_train", "y_train")):
+    """The training split, and the test split or ``None``s, checked by
+    :func:`_rows_and_targets`; ``names`` are the training arguments'."""
+    if (X_test is None) != (y_test is None):
+        given, missing = ("X_test", "y_test") if y_test is None else ("y_test", "X_test")
+        raise ValueError(f"{given} was given without {missing}")
+    X, y = _rows_and_targets(X, y, *names)
+    if X_test is not None:
+        X_test, y_test = _rows_and_targets(X_test, y_test, "X_test", "y_test")
+    return X, y, X_test, y_test
+
+
 def train(
     net: ReluNetwork,
     X_train: np.ndarray,
@@ -598,11 +641,13 @@ def train(
 
     Raises
     ------
+    ValueError
+        Before any step, if a ``y`` does not hold one target per row of its
+        ``X``, or only one of ``X_test`` and ``y_test`` is given.
     Diverged
         If the loss becomes non-finite.
     """
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    y_train = np.asarray(y_train, dtype=float)
+    X_train, y_train, X_test, y_test = _splits(X_train, y_train, X_test, y_test)
     if config.loss == "regularized" and ground is None:
         raise ValueError("regularized loss requires the ground space")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from wdlearn.adversarial import (
 )
 from wdlearn.errors import DegenerateAdversary
 from wdlearn.measures import GroundSpace
-from wdlearn.nets import Layer, ReluNetwork, random_head_network
+from wdlearn.nets import Adam, Layer, ReluNetwork, random_head_network
 
 from .helpers import (
     FIELD_GRIDS,
@@ -80,6 +82,27 @@ class TestStateValidation:
     def test_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             AdversarialConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "n_y, n_test, message",
+        [
+            (12, {"X_test": 4}, "X_test was given without y_test"),
+            (12, {"y_test": 4}, "y_test was given without X_test"),
+            (11, {}, "y must hold one target per row of X: got shape (11,) for 12 rows"),
+            (12, {"X_test": 4, "y_test": 3}, "y_test must hold one target per row of X_test: got shape (3,) for 4 rows"),
+        ],
+    )
+    def test_run_algorithm1_rejects_a_split_before_any_step(
+        self, setup, n_y, n_test, message, monkeypatch
+    ):
+        ground, X, y, f_net, h_net = setup
+        test = {"X_test": X, "y_test": y}
+        split = {key: test[key][:n] for key, n in n_test.items()}
+        monkeypatch.setattr(Adam, "step", lambda opt, grads: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_algorithm1(
+                SaddleState(f_net, h_net), X, y[:n_y], ground, AdversarialConfig(epochs=2), **split
+            )
 
 
 class TestLosses:
@@ -250,8 +273,6 @@ class TestRayleighOracle:
         closed = float(np.sqrt(alpha @ np.linalg.solve(Q, alpha)))
 
         # gradient ascent on the ratio from a seeded start
-        from wdlearn.nets import Adam
-
         rng = np.random.default_rng(3)
         set_params(rng.normal(size=dim))
         opt = Adam(h_net, lr=5e-3)

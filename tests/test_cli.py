@@ -57,6 +57,21 @@ class TestCli:
         ds = read_dataset(workdir / "ds.txt")
         assert len(ds.train) == 12 and len(ds.test) == 5
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--rows", "0", "rows must be an integer of at least 1, got 0"),
+            ("--n-train", "-4", "n_train must be an integer of at least 0, got -4"),
+        ],
+    )
+    def test_dataset_make_rejects_a_size(self, tmp_path, flag, value, message):
+        sizes = {"--rows": "3", "--cols": "3", "--n-train": "4", "--n-test": "2", flag: value}
+        out = tmp_path / "ds.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["dataset", "make", "--out", str(out)] + [a for kv in sizes.items() for a in kv])
+        assert str(exc.value) == f"error: {message}"
+        assert not out.exists()
+
     def test_ot_distances(self, workdir):
         rows = _read_csv(workdir / "distances.csv")
         assert list(rows[0].keys()) == ["index", "wpp", "runtime_ns"]
@@ -807,6 +822,51 @@ class TestCli:
         assert str(exc.value) == "error: unknown split 'tset': expected train | test | all"
         assert not list(tmp_path.glob("out/*"))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"experiment": "make-dataset", "seed": -1}, "seed must be an integer of at least 0, got -1"),
+            ({"experiment": "make-dataset", "seed": 1.5}, "seed must be an integer of at least 0, got 1.5"),
+            ({"experiment": "make-dataset", "seed": True}, "seed must be an integer of at least 0, got True"),
+            ({"experiment": "baseline-decay", "seeds": [0, -1]}, "each of seeds must be an integer of at least 0, got -1"),
+            ({"experiment": "baseline-decay", "seeds": [1.5]}, "each of seeds must be an integer of at least 0, got 1.5"),
+            ({"experiment": "baseline-decay", "seeds": [False]}, "each of seeds must be an integer of at least 0, got False"),
+            ({"experiment": "baseline-decay", "seeds": 3}, "seeds must be a list, got 3"),
+            ({"experiment": "baseline-decay", "schedule": 4}, "schedule must be a list, got 4"),
+            ({"experiment": "make-dataset", "n_train": -1}, "n_train must be an integer of at least 0, got -1"),
+            ({"experiment": "make-dataset", "rows": "3"}, "rows must be an integer of at least 1, got '3'"),
+            ({"experiment": "baseline-decay", "schedule": [1.7, 3]}, "each of schedule must be an integer of at least 1, got 1.7"),
+            ({"experiment": "baseline-decay", "schedule": [None]}, "each of schedule must be an integer of at least 1, got None"),
+            ({"experiment": "speed-table", "seed": 0}, "speed-table draws nothing and takes no 'seed'"),
+            ({"experiment": "speed-table", "bank_size": 2.7}, "bank_size must be an integer, got 2.7"),
+            ({"experiment": "speed-table", "bank_size": "x"}, "bank_size must be an integer, got 'x'"),
+            ([], "an experiment config must be a JSON object, got list"),
+            ({}, "the config names no 'experiment'"),
+            ({"experiment": ["make-dataset"]}, "unknown experiment ['make-dataset']"),
+            ({"experiment": "make-dataset", "n_test": None}, "experiment 'make-dataset' needs the key 'n_test'"),
+            ({"experiment": "baseline-decay", "dataset": None}, "experiment 'baseline-decay' needs the key 'dataset'"),
+            ({"experiment": "baseline-decay", "schedule": None}, "experiment 'baseline-decay' needs the key 'schedule'"),
+            ({"experiment": "speed-table", "dataset": None}, "experiment 'speed-table' needs the key 'dataset'"),
+        ],
+    )
+    def test_exp_run_rejects_a_config_before_any_directory(self, workdir, tmp_path, config, message):
+        # each row is a valid config of its experiment with one key changed;
+        # a key set to None is left out
+        if isinstance(config, dict) and isinstance(config.get("experiment"), str):
+            valid = {
+                "make-dataset": {"rows": 3, "cols": 3, "n_train": 4, "n_test": 2, "seed": 0},
+                "baseline-decay": {"dataset": str(workdir / "ds.txt"), "schedule": [2], "seeds": [0]},
+                "speed-table": {"dataset": str(workdir / "ds.txt"), "bank_size": 2},
+            }[config["experiment"]]
+            config = {k: v for k, v in dict(valid, **config).items() if v is not None}
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "run", "--config", str(cfg), "--out-dir", str(out)])
+        assert str(exc.value) == f"error: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bank_size", [0, -2, 13])
     def test_exp_run_speed_table_rejects_a_bank_size_off_the_train_split(self, workdir, tmp_path, bank_size):
         # the workdir dataset has 12 train measures
@@ -840,6 +900,8 @@ class TestCli:
         config = {"experiment": "speed-table", "dataset": str(ds), "ref": str(ref)}
         cfg.write_text(json.dumps(dict(config, bank_size=3)))
         main(["exp", "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        # the table draws nothing, so its manifest records no seed
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seeds"] == []
 
         rows = _read_csv(tmp_path / "out" / "trace.csv")
         assert list(rows[0]) == ["n_eval", "forward", "exact", "sinkhorn", "forward_ns_per_element"]

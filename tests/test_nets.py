@@ -472,18 +472,22 @@ class TestWinnerOneHot:
 
 
 class TestFrozenTreeStep:
-    """Training takes the winners' one-hot and the in-place Adam step with
-    traces and weights bitwise those of the plain oracle (the first layer
-    by matrix product, ``np.max``, the one-hot of ``np.argmax``) and the
-    Adam step as first written."""
+    """Training takes the winners' one-hot with traces and weights bitwise
+    those of the plain oracle (the first layer by matrix product,
+    ``np.max``, the one-hot of ``np.argmax``), and within
+    ``1e-12 * max(1, |value|)`` of a run whose Adam step is the one first
+    written, which rounds the parameter step differently."""
 
     @staticmethod
-    def _reference_path(monkeypatch, frozen_trees=True):
-        if frozen_trees:
-            monkeypatch.setattr(ReluNetwork, "forward_cached", max_head_forward_cached)
-            monkeypatch.setattr(
-                ReluNetwork, "forward", lambda net, X: max_head_forward_cached(net, X)[0]
-            )
+    def _reference_path(monkeypatch):
+        monkeypatch.setattr(ReluNetwork, "forward_cached", max_head_forward_cached)
+        monkeypatch.setattr(
+            ReluNetwork, "forward", lambda net, X: max_head_forward_cached(net, X)[0]
+        )
+
+    @staticmethod
+    def _reference_adam(monkeypatch):
+        monkeypatch.undo()
         monkeypatch.setattr(Adam, "step", adam_step_reference)
 
     @staticmethod
@@ -495,17 +499,27 @@ class TestFrozenTreeStep:
         return GroundSpace.grid((3, 3)), X, y, lambda: init_from_bank(A, b, 3)
 
     @staticmethod
-    def _assert_same_run(trace, expected, *net_pairs):
+    def _assert_same_run(trace, expected, *net_pairs, tol=0.0):
         """The records but ``epoch_s`` and the weights of each ``(net, ref)``
-        bitwise equal."""
+        bitwise equal, or with ``tol`` within ``tol * max(1, |value|)``."""
+
+        def check(actual, desired):
+            actual, desired = np.asarray(actual, dtype=float), np.asarray(desired, dtype=float)
+            if tol == 0.0:
+                np.testing.assert_array_equal(actual, desired)
+            else:
+                scale = np.maximum(1.0, np.abs(desired))
+                np.testing.assert_allclose(actual / scale, desired / scale, rtol=0, atol=tol)
+
         for r, e in zip(trace, expected, strict=True):
-            r.pop("epoch_s"), e.pop("epoch_s")
+            r = {k: v for k, v in r.items() if k != "epoch_s"}
+            e = {k: v for k, v in e.items() if k != "epoch_s"}
             assert list(r) == list(e)
-            np.testing.assert_array_equal(list(r.values()), list(e.values()))
+            check(list(r.values()), list(e.values()))
         for net, ref in net_pairs:
             for lay, ref_lay in zip(net.layers, ref.layers, strict=True):
-                np.testing.assert_array_equal(lay.W, ref_lay.W)
-                np.testing.assert_array_equal(lay.b, ref_lay.b)
+                check(lay.W, ref_lay.W)
+                check(lay.b, ref_lay.b)
 
     @staticmethod
     def _counting_winners(monkeypatch):
@@ -528,10 +542,11 @@ class TestFrozenTreeStep:
         net = make()
         trace = train(net, X[:32], y[:32], cfg, ground, X[32:], y[32:])
         assert len(kept) == 4 * 4 and all(kept)
-        self._reference_path(monkeypatch)
-        ref = make()
-        expected = train(ref, X[:32], y[:32], cfg, ground, X[32:], y[32:])
-        self._assert_same_run(trace, expected, (net, ref))
+        for reference, tol in [(self._reference_path, 0.0), (self._reference_adam, 1e-12)]:
+            reference(monkeypatch)
+            ref = make()
+            expected = train(ref, X[:32], y[:32], cfg, ground, X[32:], y[32:])
+            self._assert_same_run(trace, expected, (net, ref), tol=tol)
 
     @pytest.mark.parametrize("frozen_trees", [True, False])
     def test_run_algorithm1(self, frozen_trees, monkeypatch):
@@ -548,10 +563,15 @@ class TestFrozenTreeStep:
         ran = state()
         trace = run_algorithm1(ran, X[:32], y[:32], ground, cfg, X[32:], y[32:])
         assert kept and set(kept) == {frozen_trees}
-        self._reference_path(monkeypatch, frozen_trees)
-        ref = state()
-        expected = run_algorithm1(ref, X[:32], y[:32], ground, cfg, X[32:], y[32:])
-        self._assert_same_run(trace, expected, (ran.f_net, ref.f_net), (ran.h_net, ref.h_net))
+        # without frozen trees the plain oracle is the library's own path
+        references = [(self._reference_path, 0.0)] if frozen_trees else []
+        for reference, tol in references + [(self._reference_adam, 1e-12)]:
+            reference(monkeypatch)
+            ref = state()
+            expected = run_algorithm1(ref, X[:32], y[:32], ground, cfg, X[32:], y[32:])
+            self._assert_same_run(
+                trace, expected, (ran.f_net, ref.f_net), (ran.h_net, ref.h_net), tol=tol
+            )
 
     def test_adam_never_writes_into_a_layers_arrays(self):
         net = random_head_network(4, 2, seed=7)
@@ -572,8 +592,30 @@ class TestFrozenTreeStep:
 
 
 class TestFlatAdam:
-    """One Adam update over the flat vector of every trainable array has
-    the numbers of the update as first written, one array at a time."""
+    """One Adam update over the flat vector of every trainable array, fed
+    the gradients of the update as first written (one array at a time, in
+    :func:`adam_step_reference`), keeps its moments bitwise, and each
+    parameter within ``sum_t (16 u |step_t| + 2 spacing(theta_t))`` of the
+    reference's, ``u = 2**-53``.
+
+    The bound: let ``c1 = fl(1 - b1**t)`` and ``c2 = fl(1 - b2**t)``, the
+    same floats on both sides, and ``s = lr * (m / c1) / (sqrt(v / c2) + eps)``
+    the exact step.  The reference rounds ``m / c1``, ``lr * .``, ``v / c2``,
+    the square root (which halves the relative error of its argument), the
+    sum with ``eps`` (of two positive terms, so no cancellation) and the
+    quotient: within ``5.5 u |s|`` to first order.  The efficient form
+    ``lr sqrt(c2) / c1 * m / (sqrt(v) + eps sqrt(c2))`` rounds ``sqrt(c2)``,
+    ``lr * .`` and ``/ c1`` in ``alpha_t``, ``eps * .`` in ``eps_hat``, then
+    ``sqrt(v)``, the sum, the quotient and the product: within ``8 u |s|``.
+    So the two steps lie within ``13.5 u |s|``, below ``16 u |step_t|``
+    with the higher orders.  Each side then rounds ``theta - step`` by at
+    most half an ulp of its result, and the two results lie in the same or
+    a neighbouring binade of ``theta_t``: at most ``2 spacing(theta_t)``
+    together.  The errors of the steps add up over the steps, since the
+    moments stay equal and a parameter's error passes on unchanged.
+    """
+
+    U = 2.0**-53
 
     @staticmethod
     def _mixed_net(seed):
@@ -584,36 +626,68 @@ class TestFlatAdam:
         return net
 
     @staticmethod
-    def _assert_same_state(opt, ref):
-        for lay, ref_lay in zip(opt.net.layers, ref.net.layers, strict=True):
-            assert lay.W.tobytes() == ref_lay.W.tobytes()
-            assert lay.b.tobytes() == ref_lay.b.tobytes()
-        assert list(opt.m) == list(ref.m) == opt.net.trainable()
-        for key in ref.m:
-            assert opt.m[key].tobytes() == ref.m[key].tobytes()
-            assert opt.v[key].tobytes() == ref.v[key].tobytes()
+    def _reference_step(ref, key):
+        """The parameter step of :func:`adam_step_reference` that ran last."""
+        b1, b2, t = ref.beta1, ref.beta2, ref.t
+        mhat, vhat = ref.m[key] / (1 - b1**t), ref.v[key] / (1 - b2**t)
+        return ref.lr * mhat / (np.sqrt(vhat) + ref.eps)
 
-    def _run(self, steps, between=lambda net: None):
-        rng = np.random.default_rng(71)
+    def _run(self, steps, lr, scale, seed, output_scale=None):
+        """``steps`` updates of both, the gradients ``scale`` times those of
+        random seeds; ``output_scale`` reassigns the output layer's arrays
+        of both nets after each step.  Returns the largest error over bound."""
+        rng = np.random.default_rng(seed)
         X = rng.dirichlet(np.ones(6), size=20)
-        opt, ref = Adam(self._mixed_net(4), lr=3e-2), Adam(self._mixed_net(4), lr=3e-2)
+        opt, ref = Adam(self._mixed_net(seed), lr=lr), Adam(self._mixed_net(seed), lr=lr)
         moments = [(opt.m[key], opt.v[key]) for key in opt.m]
+        bound = {key: 0.0 for key in opt.m}
+        worst = 0.0
         for _ in range(steps):
-            seeds = rng.normal(size=len(X))
-            opt.step(backward(opt.net, opt.net.forward_cached(X)[1], seeds))
-            adam_step_reference(ref, backward(ref.net, ref.net.forward_cached(X)[1], seeds))
-            self._assert_same_state(opt, ref)
-            between(opt.net), between(ref.net)
+            cache = opt.net.forward_cached(X)[1]
+            grads = backward(opt.net, cache, scale * rng.normal(size=len(X)))
+            opt.step(grads)
+            adam_step_reference(ref, grads)
+            assert list(opt.m) == list(ref.m) == opt.net.trainable()
+            for i, name in ref.m:
+                assert opt.m[i, name].tobytes() == ref.m[i, name].tobytes()
+                assert opt.v[i, name].tobytes() == ref.v[i, name].tobytes()
+                theta = getattr(ref.net.layers[i], name)
+                bound[i, name] = bound[i, name] + (
+                    16 * self.U * np.abs(self._reference_step(ref, (i, name)))
+                    + 2 * np.abs(np.spacing(theta))
+                )
+                err = np.abs(getattr(opt.net.layers[i], name) - theta)
+                assert (err <= bound[i, name]).all()
+                worst = max(worst, float((err / bound[i, name]).max()))
+            if output_scale is not None:
+                # both sides round their own product: the error grows by
+                # |c| and each rounding adds at most 2 spacing of the result
+                opt.net.scale_output(output_scale), ref.net.scale_output(output_scale)
+                top = len(ref.net.layers) - 1
+                for name in ("W", "b"):
+                    theta = getattr(ref.net.layers[top], name)
+                    bound[top, name] = (
+                        abs(output_scale) * bound[top, name] + 2 * np.abs(np.spacing(theta))
+                    )
         # the moments are views that keep their identity
         assert all(
             opt.m[key] is m and opt.v[key] is v for key, (m, v) in zip(opt.m, moments)
         )
+        return worst
 
     def test_equals_the_update_per_array(self):
-        self._run(5)
+        worst = max(
+            self._run(29, lr, scale, seed)
+            for seed in (4, 5)
+            for lr in (1e-3, 3e-2, 1.0)
+            for scale in (1e-6, 1.0, 1e2)
+        )
+        # the rounding does differ, and stays within the bound
+        assert 0.0 < worst <= 1.0
 
     def test_honours_an_array_reassigned_between_steps(self):
-        self._run(3, lambda net: net.scale_output(-1.5))
+        for lr in (1e-3, 3e-2):
+            self._run(6, lr, 1.0, seed=4, output_scale=-1.5)
 
     def test_a_net_with_no_trainable_array_steps(self):
         net = random_head_network(4, 2, seed=3).set_all_trainable(False)
@@ -1133,6 +1207,24 @@ class TestTraining:
     def test_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "n_y, n_test, message",
+        [
+            (12, {"X_test": 4}, "X_test was given without y_test"),
+            (12, {"y_test": 4}, "y_test was given without X_test"),
+            (11, {}, "y_train must hold one target per row of X_train: got shape (11,) for 12 rows"),
+            (12, {"X_test": 4, "y_test": 3}, "y_test must hold one target per row of X_test: got shape (3,) for 4 rows"),
+        ],
+    )
+    def test_rejects_a_split_before_any_step(self, n_y, n_test, message, monkeypatch):
+        rng = np.random.default_rng(5)
+        X, y = rng.dirichlet(np.ones(4), size=12), rng.random(12)
+        test = {"X_test": X, "y_test": y}
+        split = {key: test[key][:n] for key, n in n_test.items()}
+        monkeypatch.setattr(Adam, "step", lambda opt, grads: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(random_head_network(4, 2, seed=1), X, y[:n_y], TrainConfig(epochs=2), **split)
 
     def test_regularized_training_runs(self):
         rng = np.random.default_rng(47)

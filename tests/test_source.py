@@ -1,4 +1,6 @@
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import wdlearn
@@ -34,3 +36,31 @@ def test_cli_exits_only_in_main():
         and "SystemExit" in ast.unparse(node.exc)
     }
     assert raisers == {"main"}
+
+
+def test_the_names_the_benchmark_rebinds_resolve(monkeypatch):
+    # bench/ lies outside the test paths and wraps these names by module and
+    # attribute path, a dotted one in its class's own __dict__: a renamed
+    # name would fail only a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    added = [name for name in ("harness", "workloads") if name not in sys.modules]
+    try:
+        harness = importlib.import_module("harness")
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
+    targets = [(module, path) for _, module, path, _ in harness.SPAN_TARGETS]
+    targets += [(module, path) for _, module, path in harness.COUNT_TARGETS]
+    targets += [point for w in workloads.WORKLOADS.values() for point in w.clock_points]
+    targets.append(("wdlearn.ot", "exact_ot"))
+    assert ("wdlearn.nets", "Adam.step") in targets
+    missing = []
+    for module, path in targets:
+        owner_path, _, attr = path.rpartition(".")
+        owner = importlib.import_module(module)
+        for part in owner_path.split(".") if owner_path else []:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}:{path}")
+    assert not missing, f"names the benchmark rebinds do not resolve: {missing}"
