@@ -192,8 +192,9 @@ def read_bank(path, theta: DiscreteMeasure) -> PotentialBank:
         If the file belongs to another reference or ground space, and,
         naming the line, when the file ends before the header's count of
         entries or without a final newline, when a line has the wrong
-        number of fields (a ``phi`` line needs ``d``), and when non-blank
-        data follows the last entry.
+        number of fields (a ``phi`` line needs ``d``), when a source index
+        is negative or a ``wpp``, ``psi_bar`` or ``phi`` value is not
+        finite, and when non-blank data follows the last entry.
     """
     lines = LineReader(path, "bank")
     count, d, p, ref_hash = lines.fields(
@@ -209,7 +210,13 @@ def read_bank(path, theta: DiscreteMeasure) -> PotentialBank:
     for i in range(count):
         entry = f"entry {i + 1} of {count}"
         k, wpp, psi_bar = lines.fields(f"{entry}: 'k wpp psi_bar'", (int, float, float))
+        if k < 0:
+            raise lines.error(f"{entry}: negative source index {k}")
+        if not np.isfinite([wpp, psi_bar]).all():
+            raise lines.error(f"{entry}: wpp and psi_bar must be finite, got {wpp} and {psi_bar}")
         phi = np.array(lines.fields(f"{entry}: phi", [float] * d))
+        if not np.isfinite(phi).all():
+            raise lines.error(f"{entry}: phi must be finite")
         entries.append(BankEntry(source_index=k, phi=phi, psi_bar=psi_bar, wpp=wpp))
     lines.finish()
     return PotentialBank(theta, entries)

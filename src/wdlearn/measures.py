@@ -133,15 +133,17 @@ def ensure_same_ground(a: GroundSpace, b: GroundSpace) -> None:
 class DiscreteMeasure:
     """Probability measure on a finite ground space.
 
-    Weights must be nonnegative and sum to 1 within 1e-12; sums off by at
-    most 1e-9 are silently renormalized (float ingestion noise), anything
-    worse raises.
+    Weights must be finite, nonnegative and sum to 1 within 1e-12; sums
+    off by at most 1e-9 are silently renormalized (float ingestion noise),
+    anything worse raises.
     """
 
     def __init__(self, ground: GroundSpace, weights):
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != ground.size:
             raise ValueError("weight vector length does not match the ground space")
+        if not np.isfinite(w).all():
+            raise ValueError("measure weights must be finite")
         if np.any(w < -_MASS_TOL):
             raise NegativeEntry("measure weights must be nonnegative")
         w = np.where(w < 0.0, 0.0, w)
@@ -186,12 +188,16 @@ def normalize_to_measure(ground: GroundSpace, raw) -> DiscreteMeasure:
 
     Raises
     ------
+    ValueError
+        If any entry is not finite.
     NegativeEntry
         If any entry is negative.
     AllZero
         If the vector sums to zero.
     """
     r = np.asarray(raw, dtype=float).reshape(-1)
+    if not np.isfinite(r).all():
+        raise ValueError("raw vector has a non-finite entry")
     if np.any(r < 0.0):
         raise NegativeEntry("raw vector has a negative entry")
     s = float(r.sum())
@@ -327,7 +333,7 @@ def read_dataset(path) -> MeasureDataset:
     ValueError
         Naming the line, when the file ends before the header's count of
         measures or without a final newline, when a line has the wrong
-        number of fields or is not a probability vector, and when
+        number of fields or is not a finite probability vector, and when
         non-blank data follows the last measure.
     """
     lines = LineReader(path, "dataset")

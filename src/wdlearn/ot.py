@@ -15,8 +15,16 @@ an ``n x n`` grid (Auricchio, Bassetti, Gualandi & Veneroni 2018); every
 other cost gets the dense LP with one column per pair of support atoms.
 The flow has the dense LP's optimum, its sink duals are optimal dense
 duals, and the extension and certificates run on the dense cost matrix
-either way.  The exponent ``p`` and the cost matrix come from the ground
-space; no function here takes its own.
+either way.  The exponent ``p`` and the cost matrix come from the
+ground space; no function here takes its own.
+
+Both forms run the HiGHS dual simplex with devex pricing (Harris 1973),
+which takes fewer iterations on these LPs than the default.  The flow's
+structure (arc costs, constraint matrix and the plan's scatter indices,
+all read-only) depends only on the grid and the two supports, so the
+last one built is kept in a single slot and reused while that key
+repeats, as it does between full-support measures.  No result is kept:
+every solve makes its own ``linprog`` call and passes every certificate.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
@@ -47,11 +55,16 @@ _MARGINAL_TOL = 1e-9
 # precision); the automatic choice may fall back to interior point on
 # larger instances and miss the 1e-10 marginal requirement.  Presolve
 # has little to remove from a transportation LP, and on an 8x8 grid it
-# takes about twice as long as the simplex run that follows.
+# takes about twice as long as the simplex run that follows.  Devex
+# pricing (Harris 1973) takes fewer iterations than HiGHS's default
+# steepest-edge start: per flow LP, 239 against 255 on 8x8 Dirichlet
+# measures against uniform and 188 against 213 on 6x6 blob pairs; per
+# dense 8x8 LP with p = 1.5, 198 against 212.
 _LP_OPTIONS = {
     "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+    "simplex_dual_edge_weight_strategy": "devex",
 }
 
 _log = logging.getLogger(__name__)
@@ -94,6 +107,9 @@ def _grid_flow(grid_shape, ia, ib):
 
     Returns the arc costs, ``A_eq``, the number of transit rows and a
     function that takes a flow to its coupling on the ground points.
+    Every array of it, the plan's scatter indices included, is
+    read-only, so the whole may be reused for any solve on the same
+    grid and supports.
     """
     nr, nc = grid_shape
     si, sj = np.divmod(ia, nc)
@@ -120,6 +136,16 @@ def _grid_flow(grid_shape, ia, ib):
         ((si[:, None] - rows[None, :]) ** 2).ravel(),
         ((cols[None, :] - tl[:, None]) ** 2).ravel(),
     ]).astype(float)
+    # flat positions of the arcs in x_in[i, j, k] (from (i, j) into
+    # (k, j)) and x_out[j, k, l] (from (k, j) out to (k, l))
+    scatter_in = np.ravel_multi_index(
+        (si[:, None], sj[:, None], rows[None, :]), (nr, nc, nr)
+    ).ravel()
+    scatter_out = np.ravel_multi_index(
+        (cols[None, :], tk[:, None], tl[:, None]), (nc, nr, nc)
+    ).ravel()
+    for arr in (c, A_eq.data, A_eq.indices, A_eq.indptr, scatter_in, scatter_out):
+        arr.setflags(write=False)
 
     def plan(x):
         # At each transit node (k, j) the inflows from (i, j), in order of
@@ -127,11 +153,12 @@ def _grid_flow(grid_shape, ia, ib):
         # north-west-corner merge: the overlap of two stacks of intervals.
         # A source-sink pair meets at one node only, so the merge is a
         # coupling with the flow's cost.
-        x_in = np.zeros((nr, nc, nr))  # [i, j, k]: from (i, j) into (k, j)
-        x_in[si[:, None], sj[:, None], rows[None, :]] = x[:n_in].reshape(ma, n_rows)
-        x_out = np.zeros((nc, nr, nc))  # [j, k, l]: from (k, j) out to (k, l)
-        x_out[cols[None, :], tk[:, None], tl[:, None]] = x[n_in:].reshape(mb, n_cols)
-        hi_in, hi_out = x_in.cumsum(axis=0), x_out.cumsum(axis=2)
+        x_in = np.zeros(nr * nc * nr)
+        x_in[scatter_in] = x[:n_in]
+        x_out = np.zeros(nc * nr * nc)
+        x_out[scatter_out] = x[n_in:]
+        hi_in = x_in.reshape(nr, nc, nr).cumsum(axis=0)
+        hi_out = x_out.reshape(nc, nr, nc).cumsum(axis=2)
         lo_in = np.concatenate([np.zeros((1, nc, nr)), hi_in[:-1]], axis=0)
         lo_out = np.concatenate([np.zeros((nc, nr, 1)), hi_out[:, :, :-1]], axis=2)
         overlap = np.minimum(hi_in[..., None], hi_out) - np.maximum(lo_in[..., None], lo_out)
@@ -140,15 +167,46 @@ def _grid_flow(grid_shape, ia, ib):
     return c, A_eq, n_transit, plan
 
 
+# The last grid flow built, as ``(key, structure)`` with the key
+# ``(grid_shape, supp a, supp b)``.  One slot holds a run whose supports
+# repeat, such as every solve between full-support measures on one grid,
+# and costs a rebuild only when the key changes.  It holds the LP's
+# structure, never a result: every solve still runs and is certified.
+_flow_slot = None
+
+
+def _reused_grid_flow(grid_shape, ia, ib):
+    """:func:`_grid_flow` of the key, from the slot when the key repeats."""
+    global _flow_slot
+    key = (tuple(grid_shape), ia.tobytes(), ib.tobytes())
+    slot = _flow_slot
+    if slot is None or slot[0] != key:
+        slot = _flow_slot = (key, _grid_flow(grid_shape, ia, ib))
+    return slot[1]
+
+
+def _marginal(name, w, n):
+    """``w`` as a float vector if it is a marginal for a cost side of ``n``
+    points: finite, nonnegative and of length ``n``; raises ``ValueError``
+    naming the argument otherwise."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"{name} of shape {w.shape} is not a vector over {n} points")
+    if not (np.isfinite(w) & (w >= 0.0)).all():
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return w
+
+
 def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shape=None):
     """Certified exact solve of ``min <cost, gamma>`` over couplings of
     ``a`` and ``b``.
 
     The LP is restricted to support atoms and solved from scratch by the
-    HiGHS dual simplex, without presolve.  The duals ``v`` on ``b``'s
-    support are extended by :func:`c_transform`, ``psi(x) = min_{y in supp
-    b} cost[x, y] - v(y)`` and ``phi(y) = min_x cost[x, y] - psi(x)``, a
-    pair feasible everywhere with the same dual value.
+    HiGHS dual simplex with devex pricing, without presolve.  The duals
+    ``v`` on ``b``'s support are extended by :func:`c_transform`,
+    ``psi(x) = min_{y in supp b} cost[x, y] - v(y)`` and ``phi(y) =
+    min_x cost[x, y] - psi(x)``, a pair feasible everywhere with the same
+    dual value.
 
     With ``grid_shape = (nr, nc)``, ``cost`` must be the squared
     Euclidean cost of that unit grid, listed row-major.  The cost from
@@ -162,7 +220,10 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     give ``u(x) + v(y) <= cost[x, y]``: the sink duals are dual feasible
     and, by strong duality, optimal for the dense LP.  The extension,
     gauge and certificates below then run on ``cost`` unchanged.
-    Without ``grid_shape`` the LP has one column per support pair.
+    The flow's structure is kept for the last grid and pair of supports
+    and reused while they repeat; only ``b_eq`` changes between such
+    solves.  Without ``grid_shape`` the LP has one column per support
+    pair.
 
     Returns
     -------
@@ -174,13 +235,15 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         arcs, in another order than ``<cost, plan>``, so the two can
         differ in the last bits.
 
-    Raises ``ValueError`` if ``grid_shape`` is not a rank-2 shape with
-    ``cost.shape[0]`` points, and ``SolverFailure`` if the LP fails or a
-    certificate (gap, feasibility, marginals) misses its tolerance.
+    Raises ``ValueError``, before any LP, if ``a`` or ``b`` is not a
+    finite, nonnegative vector over its side of ``cost``, or if
+    ``grid_shape`` is not a rank-2 shape with ``cost.shape[0]`` points;
+    raises ``SolverFailure`` if the LP fails or a certificate (gap,
+    feasibility, marginals) misses its tolerance or reads NaN.
     """
     t0 = time.perf_counter_ns()
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _marginal("a", a, cost.shape[0])
+    b = _marginal("b", b, cost.shape[1])
     ia = np.flatnonzero(a > 0.0)
     ib = np.flatnonzero(b > 0.0)
     ma, mb = len(ia), len(ib)
@@ -195,7 +258,7 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         if len(grid_shape) != 2 or int(np.prod(grid_shape)) != cost.shape[0]:
             raise ValueError(f"grid shape {grid_shape} is not a rank-2 grid of {cost.shape[0]} points")
         lp_form = "grid-flow"
-        c, A_eq, n_transit, flow_plan = _grid_flow(grid_shape, ia, ib)
+        c, A_eq, n_transit, flow_plan = _reused_grid_flow(grid_shape, ia, ib)
     b_eq = np.concatenate([a[ia], np.zeros(n_transit), b[ib]])
 
     res = linprog(
@@ -235,15 +298,15 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     psi, phi = psi - psi[0], phi + psi[0]  # the gauge psi[0] = 0
 
     dual_value = float(np.dot(phi, b) + np.dot(psi, a))
-    if abs(dual_value - value) > _FEAS_TOL * (1.0 + abs(value)):
+    if not abs(dual_value - value) <= _FEAS_TOL * (1.0 + abs(value)):
         raise SolverFailure(
             f"primal-dual gap {abs(dual_value - value):.3e} exceeds tolerance"
         )
     feas = (phi[None, :] + psi[:, None] - cost).max()
-    if feas > _FEAS_TOL:
+    if not feas <= _FEAS_TOL:
         raise SolverFailure(f"dual feasibility violated by {feas:.3e}")
     marginal = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
-    if marginal > _MARGINAL_TOL:
+    if not marginal <= _MARGINAL_TOL:
         raise SolverFailure(f"plan marginals violated by {marginal:.3e}")
 
     pot = PotentialPair(phi=phi, psi=psi, dual_value=dual_value)

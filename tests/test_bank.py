@@ -315,6 +315,12 @@ class TestBankFileProperties:
             ("1 9 2.0 {h}\n0 1.0", "line 2: entry 1 of 1: 'k wpp psi_bar' needs 3 fields"),
             ("1 9 2.0 {h}\n0 1.0 2.0\n" + "0.0 " * 8, "line 3: entry 1 of 1: phi needs 9"),
             ("-1 9 2.0 {h}", "line 1: negative entry count"),
+            ("1 9 2.0 {h}\n-1 1.0 2.0", "line 2: entry 1 of 1: negative source index -1"),
+            ("1 9 2.0 {h}\n0 nan 2.0", "line 2: entry 1 of 1: wpp and psi_bar must be finite"),
+            ("1 9 2.0 {h}\n0 1.0 -inf", "line 2: entry 1 of 1: wpp and psi_bar must be finite"),
+            ("2 9 2.0 {h}\n0 1.0 2.0\n" + "0.0 " * 9 + "\n1 1.0 2.0\n" + "0.0 " * 8 + "nan",
+             "line 5: entry 2 of 2: phi must be finite"),
+            ("1 9 2.0 {h}\n0 1.0 2.0\ninf " + "0.0 " * 8, "line 3: entry 1 of 1: phi must be finite"),
         ],
     )
     def test_malformed_lines_name_their_line(self, tmp_path, text, message):

@@ -177,6 +177,19 @@ class TestCli:
         for r in rows:
             assert float(r["G"]) <= float(r["true_wpp"]) + 1e-8
 
+    def test_bank_eval_rejects_a_non_finite_potential(self, workdir, tmp_path):
+        # a nan in one phi line would otherwise make every row's G nan
+        lines = (workdir / "bank.txt").read_text().split("\n")
+        lines[2] = " ".join(["nan"] + lines[2].split()[1:])
+        bank = tmp_path / "nan_bank.txt"
+        bank.write_text("\n".join(lines))
+        out = tmp_path / "errors.csv"
+        args = ["bank", "eval", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--bank", str(bank), "--split", "test", "--out", str(out)])
+        assert str(exc.value) == "error: bank file, line 3: entry 1 of 4: phi must be finite"
+        assert not out.exists()
+
     def test_ot_reference_from_file(self, workdir, tmp_path):
         ref = tmp_path / "ref.txt"
         ref.write_text(" ".join(["0.1111111111111111"] * 9))

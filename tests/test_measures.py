@@ -69,6 +69,12 @@ class TestDiscreteMeasure:
         with pytest.raises(NegativeEntry):
             DiscreteMeasure(line01, [1.1, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, line01, bad):
+        # a ValueError up front, not a failed renormalization certificate
+        with pytest.raises(ValueError, match="^measure weights must be finite$"):
+            DiscreteMeasure(line01, [bad, 0.5])
+
     def test_integrate(self, line01):
         mu = DiscreteMeasure(line01, [0.25, 0.75])
         assert mu.integrate([1.0, 3.0]) == pytest.approx(2.5)
@@ -96,6 +102,11 @@ class TestNormalize:
     def test_negative(self, line01):
         with pytest.raises(NegativeEntry):
             normalize_to_measure(line01, [1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, line01, bad):
+        with pytest.raises(ValueError, match="^raw vector has a non-finite entry$"):
+            normalize_to_measure(line01, [1.0, bad])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -174,6 +185,14 @@ class TestDatasetIO:
             read_dataset(path)
         path.write_text("2 3 nan 1 0\n" + " ".join([repr(1 / 6)] * 6) + "\n")
         with pytest.raises(ValueError, match="line 1: metric order p must be finite and exceed 1, got nan"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_weight_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        good = " ".join([repr(1 / 6)] * 6)
+        path.write_text(f"2 3 2.0 2 0\n{good}\n{bad} " + " ".join([repr(1 / 5)] * 5) + "\n")
+        with pytest.raises(ValueError, match="^dataset file, line 3: measure weights must be finite$"):
             read_dataset(path)
 
     def test_truncated_file_rejected(self, tmp_path):

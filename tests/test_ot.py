@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -412,6 +413,109 @@ class TestCertificates:
         monkeypatch.setattr(ot, "linprog", scaled_plan_linprog)
         with pytest.raises(SolverFailure, match="plan marginals violated by"):
             exact_ot(mu, nu)
+
+
+class TestMarginalsAreChecked:
+    """``a`` and ``b`` are checked before any LP, on both paths into
+    ``solve_transport_lp``."""
+
+    line = MetricSample(distance_matrix=np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([np.nan, 0.5, 0.5], [0.5, 0.5, 0], "a must be finite and nonnegative"),
+            ([0.5, 0.5], [0.5, 0.5, 0], "a of shape (2,) is not a vector over 3 points"),
+            ([0.5, 0.5, 0], [np.inf, 0, 0], "b must be finite and nonnegative"),
+            ([0.5, 0.5, 0], [-0.1, 1.1, 0], "b must be finite and nonnegative"),
+            ([0.5, 0.5, 0], [[0.5], [0.5], [0]], "b of shape (3, 1) is not a vector over 3 points"),
+        ],
+        ids=["nan-a", "short-a", "inf-b", "negative-b", "column-b"],
+    )
+    @pytest.mark.parametrize("path", ["solve_transport_lp", "nested_wasserstein"])
+    def test_bad_marginal_is_named_before_any_lp(self, monkeypatch, path, a, b, message):
+        monkeypatch.setattr(ot, "linprog", lambda *args, **kwargs: pytest.fail("an LP ran"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if path == "solve_transport_lp":
+                solve_transport_lp(self.line.distance_matrix**2, a, b)
+            else:
+                nested_wasserstein(self.line, a, b, p=2.0)
+
+
+class TestSolvePath:
+    """Every exact solve makes its own ``linprog`` call, the name the
+    benchmark's tracer wraps; only the grid flow's structure is reused."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        iters = []
+        linprog = ot.linprog
+
+        def counted_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            iters.append(res.nit)
+            return res
+
+        monkeypatch.setattr(ot, "linprog", counted_linprog)
+        return iters
+
+    @pytest.mark.parametrize("p", [2.0, 1.5], ids=["grid-flow", "dense"])
+    def test_each_solve_of_a_repeated_pair_calls_linprog(self, calls, p):
+        rng = np.random.default_rng(31)
+        g = GroundSpace.grid((4, 4), p=p)
+        mu, nu = random_measure(g, rng), random_measure(g, rng)
+        first = exact_ot(mu, nu)
+        for _ in range(4):
+            plan, pot, wpp = exact_ot(mu, nu)
+            assert wpp == first[2]
+            np.testing.assert_array_equal(plan.matrix, first[0].matrix)
+            np.testing.assert_array_equal(pot.phi, first[1].phi)
+        assert len(calls) == 5 and min(calls) > 0
+
+    def test_reused_structure_is_a_fresh_one(self):
+        rng = np.random.default_rng(32)
+        g = GroundSpace.grid((5, 4))
+        mu, nu = random_measure(g, rng, sparse=True), random_measure(g, rng, sparse=True)
+        ia, ib = np.flatnonzero(mu.weights), np.flatnonzero(nu.weights)
+        exact_ot(mu, nu)
+        held = ot._reused_grid_flow((5, 4), ia, ib)
+        exact_ot(mu, nu)
+        assert ot._reused_grid_flow((5, 4), ia, ib) is held
+        c, A_eq, n_transit, _ = held
+        fresh_c, fresh_A, fresh_transit, _ = ot._grid_flow((5, 4), ia, ib)
+        assert n_transit == fresh_transit
+        for mine, theirs in [
+            (c, fresh_c),
+            (A_eq.indptr, fresh_A.indptr),
+            (A_eq.indices, fresh_A.indices),
+            (A_eq.data, fresh_A.data),
+        ]:
+            assert mine.dtype == theirs.dtype and not mine.flags.writeable
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_alternating_supports_match_a_cold_slot(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        g = GroundSpace.grid((5, 5))
+        pairs = []
+        for _ in range(2):
+            # supports of one size, so only their atoms tell them apart
+            w = np.zeros(g.size)
+            w[rng.choice(g.size, 15, replace=False)] = rng.dirichlet(np.ones(15))
+            pairs.append((DiscreteMeasure(g, w), random_measure(g, rng)))
+        assert not np.array_equal(pairs[0][0].support, pairs[1][0].support)
+        # each support pattern twice in a row, so the warm run both hits
+        # and replaces the slot
+        sequence = [pairs[i // 2 % 2] for i in range(8)]
+        warm = [exact_ot(mu, nu) for mu, nu in sequence]
+        cold = []
+        for mu, nu in sequence:
+            monkeypatch.setattr(ot, "_flow_slot", None)
+            cold.append(exact_ot(mu, nu))
+        for (plan, pot, wpp), (cplan, cpot, cwpp) in zip(warm, cold):
+            assert wpp == cwpp
+            np.testing.assert_array_equal(plan.matrix, cplan.matrix)
+            np.testing.assert_array_equal(pot.phi, cpot.phi)
+            np.testing.assert_array_equal(pot.psi, cpot.psi)
 
 
 def sinkhorn_records(caplog):
