@@ -161,6 +161,8 @@ def _cmd_bank_eval(args):
 
 
 def _cmd_subcover(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     dataset = read_dataset(args.dataset)
     sample = MetricSample(elements=dataset.train)
     match = re.fullmatch(r"(\d+):(\d+)", args.k_range)
@@ -200,9 +202,12 @@ def _load_features(spec, dataset, theta, n):
                     f"features file, line {no}: {len(words)} entries, the ground has {m} points"
                 )
             try:
-                rows.append([float(w) for w in words])
+                row = [float(w) for w in words]
             except ValueError as exc:
                 raise ValueError(f"features file, line {no}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"features file, line {no}: entries must be finite")
+            rows.append(row)
         feats = np.array(rows).reshape(-1, m)[:n]
     else:
         raise ValueError(f"unknown basis spec {spec!r}")
@@ -216,6 +221,8 @@ def _cmd_erm_fit(args):
         raise ValueError(f"--lambda must be finite and nonnegative, got {args.lam}")
     if not 0 <= args.noise < np.inf:
         raise ValueError(f"--noise must be finite and nonnegative, got {args.noise}")
+    if not 0 < args.r < np.inf:
+        raise ValueError(f"--r must be finite and positive, got {args.r}")
     dataset = read_dataset(args.dataset)
     kind, _, ref = args.target.partition(":")
     if kind != "wpp":

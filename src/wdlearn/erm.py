@@ -9,7 +9,9 @@ generalized eigenproblem.  The basis fields are the grid gradients of the
 features (:func:`wdlearn.cylinder.grid_gradients`), constant in the
 measure, so the energy Gram pairs them once against the mean sample
 measure through :func:`wdlearn.cylinder.field_pairing`, the pairing of the
-network and adversarial losses.
+network and adversarial losses.  Integrals over the sample are quadratures
+with one nonnegative weight per measure, ``1/N`` each by default.  A basis
+function is one feature row, evaluated on a sample as ``W @ features.T``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .cylinder import (
-    CylinderFunction,
-    _quad_weights,
-    field_pairing,
-    grid_gradients,
-    identity_outer,
-)
+from .cylinder import field_pairing, grid_gradients
 from .errors import CertificateViolation, RankDeficient, Singular
 from .measures import GroundSpace
 
@@ -39,6 +35,17 @@ def as_weight_matrix(sample) -> np.ndarray:
     if isinstance(sample, np.ndarray):
         return sample
     return np.array([mu.weights for mu in sample])
+
+
+def _quad_weights(n: int, weights) -> np.ndarray:
+    """Quadrature weights over ``n`` sample measures; ``1/n`` each when
+    ``weights`` is omitted."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape[0] != n or np.any(w < 0):
+        raise ValueError("quadrature weights must be nonnegative, one per measure")
+    return w
 
 
 def _mean_measure(sample, weights) -> np.ndarray:
@@ -90,13 +97,6 @@ class CylinderSubspace:
         """Per-basis-function quadratic energies on the given data."""
         g = self.basis_fields()
         return field_pairing(g, g, _mean_measure(sample, weights))
-
-    @property
-    def basis(self) -> list:
-        """The basis as explicit cylinder functions (identity outer maps)."""
-        return [
-            CylinderFunction(self.ground, f[None, :], identity_outer()) for f in self.features
-        ]
 
 
 def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> CylinderSubspace:
@@ -317,8 +317,12 @@ def condition_check(
 
     ``K`` is the max over the sample of
     ``sum_i (l_i(mu)^2 + lam int |D l_i|^2 dmu)``; ``gamma`` defaults to
-    the per-function energies on the same sample.
+    the per-function energies on the same sample.  Raises ``ValueError``
+    unless ``0 < r < inf``, the range in which the bound's ``N^{-r}`` term
+    decays.
     """
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be finite and positive, got {r}")
     W = as_weight_matrix(sample)
     N = W.shape[0]
     E = subspace.evaluate(W)

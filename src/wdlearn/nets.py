@@ -292,11 +292,6 @@ def backward(net: ReluNetwork, cache, value_seeds, sgrad_seeds=None) -> dict:
     return grads
 
 
-def output_input_sensitivity(net: ReluNetwork, X: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the output w.r.t. the first pre-activation."""
-    return _sensitivities(net, net.forward_cached(X)[1])[0]
-
-
 # ---------------------------------------------------------------------------
 # max-of-2^k tree construction
 # ---------------------------------------------------------------------------
@@ -415,13 +410,6 @@ def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
     S = _sensitivities(net, cache)[0]
     field = grid_gradients(ground, S @ net.layers[0].W)
     return y, cache, S, field
-
-
-def network_energy(net: ReluNetwork, ground: GroundSpace, X: np.ndarray) -> np.ndarray:
-    """Per-sample energies ``int |D NN(mu_j, x)|^2 dmu_j(x)``."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    field = cylinder_field_batch(net, ground, X)[3]
-    return field_pairing(field, field, X)
 
 
 def backward_with_pairing(net, ground, cache, S, X, value_seeds, other):

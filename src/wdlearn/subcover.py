@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificateViolation, EmptyCover
-from .measures import DiscreteMeasure, metric_order
+from .measures import metric_order
 from .ot import pairwise_wasserstein, solve_transport_lp
 
 _FORM_AGREEMENT_TOL = 1e-12
@@ -44,6 +44,8 @@ class MetricSample:
             self.weights = np.full(n, 1.0 / n)
         else:
             w = np.asarray(weights, dtype=float)
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite")
             if w.shape[0] != n or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("weights must be a probability vector over the sample")
             self.weights = w / w.sum()

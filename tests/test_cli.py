@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wdlearn import cli, experiments, measures
+from wdlearn import cli, experiments, measures, ot
 from wdlearn.bank import build_bank, eval_G_many, export_affine, read_bank
 from wdlearn.erm import CylinderSubspace, assemble, double_orthogonalize, solve_regularized
 from wdlearn.cli import main
@@ -536,8 +536,12 @@ class TestCli:
             ("--lambda", "inf", "--lambda must be finite and nonnegative, got inf"),
             ("--noise", "-1", "--noise must be finite and nonnegative, got -1.0"),
             ("--noise", "nan", "--noise must be finite and nonnegative, got nan"),
+            ("--r", "nan", "--r must be finite and positive, got nan"),
+            ("--r", "inf", "--r must be finite and positive, got inf"),
+            ("--r", "0", "--r must be finite and positive, got 0.0"),
+            ("--r", "-5", "--r must be finite and positive, got -5.0"),
         ],
-        ids=["lambda-negative", "lambda-inf", "noise-negative", "noise-nan"],
+        ids=["lambda-negative", "lambda-inf", "noise-negative", "noise-nan", "r-nan", "r-inf", "r-zero", "r-negative"],
     )
     def test_erm_fit_checks_lambda_and_noise_before_any_solve(self, workdir, tmp_path, monkeypatch, flag, value, message):
         calls = []
@@ -686,6 +690,18 @@ class TestCli:
         assert str(exc.value) == "error: --k-range must be lo:hi with 0 <= lo <= hi"
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_subcover_checks_trials_before_any_solve(self, workdir, tmp_path, monkeypatch, trials):
+        solves = []
+        solve = ot.solve_transport_lp
+        monkeypatch.setattr(ot, "solve_transport_lp", lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+        out = tmp_path / "pek.csv"
+        args = ["subcover", "--dataset", str(workdir / "ds.txt"), "--eps", "0.3"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--trials", trials, "--out", str(out)])
+        assert str(exc.value) == f"error: --trials must be at least 1, got {trials}"
+        assert len(solves) == 0 and not out.exists()
+
     def test_multi_output_model_file_exits_with_an_error(self, tmp_path, monkeypatch):
         path = tmp_path / "model.bin"
         with open(path, "wb") as fh:
@@ -726,8 +742,10 @@ class TestCli:
         [
             ("1 " * 9 + "\n\n0 0 0\n", "features file, line 3: 3 entries, the ground has 9 points"),
             ("1 " * 9 + "\n" + "1 " * 8 + "x\n", "features file, line 2: could not convert string to float: 'x'"),
+            ("1 " * 9 + "\n" + "1 " * 8 + "nan\n", "features file, line 2: entries must be finite"),
+            ("1 " * 8 + "-inf\n" + "1 " * 9 + "\n", "features file, line 1: entries must be finite"),
         ],
-        ids=["wrong-width", "non-numeric"],
+        ids=["wrong-width", "non-numeric", "nan-entry", "inf-entry"],
     )
     def test_malformed_features_file(self, workdir, tmp_path, text, message):
         feats = tmp_path / "feats.txt"

@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
-from wdlearn.cylinder import (
-    CylinderFunction,
-    affine_outer,
-    grid_gradients,
-    gradient_operators,
-    identity_outer,
-    poly_outer,
-    pre_cheeger,
-    pre_cheeger_inner,
-)
+from wdlearn.cylinder import field_pairing, grid_gradients, gradient_operators
 from wdlearn.errors import NoSpatialGradient
-from wdlearn.measures import DiscreteMeasure, GroundSpace
-
-from .helpers import assert_close_at_scale
+from wdlearn.measures import GroundSpace
 
 
 @pytest.fixture
@@ -76,137 +65,51 @@ class TestGridGradients:
             grid_gradients(ground, np.zeros(2))
 
 
-class TestEval:
-    def test_constant_feature(self, line):
-        F = CylinderFunction(line, np.full((1, 2), 3.7), identity_outer())
-        for w in ([1, 0], [0.5, 0.5], [0.2, 0.8]):
-            assert F(DiscreteMeasure(line, w)) == pytest.approx(3.7)
-
-    def test_indicator_reads_weight(self, line5):
-        ind = np.zeros((1, 5))
-        ind[0, 2] = 1.0
-        F = CylinderFunction(line5, ind, identity_outer())
-        mu = DiscreteMeasure(line5, [0.1, 0.2, 0.4, 0.2, 0.1])
-        assert F(mu) == pytest.approx(0.4)
-
-    def test_square_of_mean(self, line):
-        # psi(v) = v^2, phi(x) = x on {0,1}: (0.5)^2
-        F = CylinderFunction(line, line.points[:, 0][None, :], poly_outer([0, 0, 1]))
-        mu = DiscreteMeasure(line, [0.5, 0.5])
-        assert F(mu) == pytest.approx(0.25)
-
-    def test_partials_against_finite_differences(self, line5):
-        rng = np.random.default_rng(2)
-        feats = rng.normal(size=(3, 5))
-        F = CylinderFunction(line5, feats, affine_outer([0.3, -1.2, 0.5], 0.1))
-        assert F.check_partials(rng=3) < 1e-5
-        G = CylinderFunction(line5, feats[:1], poly_outer([0.0, 1.0, 2.0, -0.5]))
-        assert G.check_partials(rng=4) < 1e-5
-
-
-class TestGradField:
-    def test_constant_feature_zero_field(self, line5):
-        F = CylinderFunction(line5, np.ones((1, 5)), identity_outer())
-        mu = DiscreteMeasure(line5, np.full(5, 0.2))
-        np.testing.assert_allclose(F.grad_field(mu), 0.0, atol=1e-14)
-
-    def test_linear_feature_unit_field(self, line5):
-        F = CylinderFunction(line5, line5.points[:, 0][None, :], identity_outer())
-        mu = DiscreteMeasure(line5, np.full(5, 0.2))
-        np.testing.assert_allclose(F.grad_field(mu)[:, 0], 1.0)
-
-    def test_first_order_prediction_of_mass_shift(self, line5):
-        # moving delta mass from atom 2 to atom 3 changes eval by
-        # delta * dpsi * (phi(3) - phi(2)) + O(delta^2)
-        rng = np.random.default_rng(5)
-        feats = rng.normal(size=(1, 5))
-        F = CylinderFunction(line5, feats, poly_outer([0.0, 0.0, 1.0]))
-        w = np.full(5, 0.2)
-        mu = DiscreteMeasure(line5, w)
-        delta = 1e-5
-        w2 = w.copy()
-        w2[2] -= delta
-        w2[3] += delta
-        actual = F(DiscreteMeasure(line5, w2)) - F(mu)
-        dpsi = F.outer.partials(F.linear_part(mu))[0]
-        predicted = delta * dpsi * (feats[0, 3] - feats[0, 2])
-        assert actual == pytest.approx(predicted, abs=10 * delta**2)
-
-    @pytest.mark.parametrize(
-        "n, outer",
-        [(3, affine_outer([0.3, -1.2, 0.5], 0.1)), (1, poly_outer([0.5, -1.0, 2.0, 0.7]))],
-        ids=["affine", "poly"],
-    )
-    def test_potential_gradient_matches_feature_gradients(self, n, outer):
-        # reference: the partials contracted against each feature's gradient
-        rng = np.random.default_rng(9)
-        ground = GroundSpace.grid((4, 3))
-        F = CylinderFunction(ground, rng.normal(size=(n, ground.size)), outer)
-        for _ in range(5):
-            mu = DiscreteMeasure(ground, rng.dirichlet(np.ones(ground.size)))
-            parts = F.outer.partials(F.linear_part(mu))
-            expected = np.einsum("n,nmd->md", parts, grid_gradients(ground, F.features))
-            assert_close_at_scale(F.grad_field(mu), expected)
-
-    def test_no_grid_raises(self):
-        ground = GroundSpace([[0.0], [3.0]])
-        F = CylinderFunction(ground, np.ones((1, 2)), identity_outer())
-        with pytest.raises(NoSpatialGradient):
-            F.grad_field(DiscreteMeasure(ground, [0.5, 0.5]))
-
-
 class TestPreCheeger:
+    """The pre-Cheeger pairing ``field_pairing`` of grid-gradient fields."""
+
     def test_constant_function_zero_energy(self, line5):
-        F = CylinderFunction(line5, np.full((1, 5), 2.0), identity_outer())
-        data = [DiscreteMeasure(line5, np.full(5, 0.2)) for _ in range(3)]
-        assert pre_cheeger(F, data) == pytest.approx(0.0, abs=1e-14)
+        field = grid_gradients(line5, np.full(5, 2.0))
+        W = np.full((3, 5), 0.2)
+        np.testing.assert_allclose(field_pairing(field, field, W), 0.0, atol=1e-14)
 
     def test_linear_feature_counts_mass(self, line5):
         # |grad phi| = 1 everywhere, so the energy is the total weight
-        F = CylinderFunction(line5, line5.points[:, 0][None, :], identity_outer())
-        rng = np.random.default_rng(6)
-        data = [DiscreteMeasure(line5, rng.dirichlet(np.ones(5))) for _ in range(4)]
+        field = grid_gradients(line5, line5.points[:, 0])
+        W = np.random.default_rng(6).dirichlet(np.ones(5), size=4)
         w = np.array([0.1, 0.2, 0.3, 0.4])
-        assert pre_cheeger(F, data, w) == pytest.approx(w.sum())
+        assert w @ field_pairing(field, field, W) == pytest.approx(w.sum())
 
     def test_hand_quadrature(self, line):
-        # psi(v)=v^2, phi(x)=x on {0,1}, mu uniform: DF = 2*0.5*1 = 1
-        F = CylinderFunction(line, line.points[:, 0][None, :], poly_outer([0, 0, 1]))
-        mu = DiscreteMeasure(line, [0.5, 0.5])
-        assert pre_cheeger(F, [mu], [1.0]) == pytest.approx(1.0)
+        # F(mu) = <phi, mu>^2, phi(x) = x on {0,1}, mu uniform: the field is
+        # the gradient of 2 <phi, mu> phi, which is 1
+        phi, mu = line.points[:, 0], np.array([0.5, 0.5])
+        field = grid_gradients(line, 2.0 * (phi @ mu) * phi)
+        assert field_pairing(field, field, mu) == pytest.approx(1.0)
 
     def test_inner_matches_energy_and_is_bilinear(self, line5):
         rng = np.random.default_rng(8)
-        feats = rng.normal(size=(2, 5))
-        data = [DiscreteMeasure(line5, rng.dirichlet(np.ones(5))) for _ in range(3)]
+        potentials = rng.normal(size=(3, 5))
+        W = rng.dirichlet(np.ones(5), size=3)
         a, b = 0.7, -1.3
-        F = CylinderFunction(line5, feats, affine_outer([1.0, 0.5]))
-        G = CylinderFunction(line5, feats, affine_outer([-0.2, 1.0]))
-        H = CylinderFunction(line5, feats, affine_outer([0.4, -0.9]))
-        comb = CylinderFunction(
-            line5, feats, affine_outer([a * 1.0 + b * -0.2, a * 0.5 + b * 1.0])
-        )
-        assert pre_cheeger_inner(F, F, data) == pytest.approx(pre_cheeger(F, data))
-        lhs = pre_cheeger_inner(comb, H, data)
-        rhs = a * pre_cheeger_inner(F, H, data) + b * pre_cheeger_inner(G, H, data)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-        assert pre_cheeger_inner(F, H, data) == pytest.approx(
-            pre_cheeger_inner(H, F, data)
-        )
+        F, G, H = grid_gradients(line5, potentials)
+        comb = grid_gradients(line5, a * potentials[0] + b * potentials[1])
+        np.testing.assert_allclose(field_pairing(F, F, W), W @ (F**2).sum(axis=1))
+        lhs = field_pairing(comb, H, W)
+        rhs = a * field_pairing(F, H, W) + b * field_pairing(G, H, W)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(field_pairing(F, H, W), field_pairing(H, F, W))
 
     def test_inner_against_hand_quadrature(self):
-        # sum_j w_j sum_x mu_j(x) <DF(mu_j, x), DG(mu_j, x)>, written out
+        # sum_j w_j sum_x mu_j(x) <F_j(x), G_j(x)>, written out, with one
+        # field per measure as a measure-dependent potential gives
         rng = np.random.default_rng(10)
         ground = GroundSpace.grid((3, 4))
-        feats = rng.normal(size=(2, ground.size))
-        F = CylinderFunction(ground, feats[:1], poly_outer([0.0, 1.0, -1.5]))
-        G = CylinderFunction(ground, feats, affine_outer([0.8, -0.4]))
-        data = [DiscreteMeasure(ground, rng.dirichlet(np.ones(ground.size))) for _ in range(6)]
-        w = rng.uniform(0.1, 2.0, size=len(data))
+        W = rng.dirichlet(np.ones(ground.size), size=6)
+        F = grid_gradients(ground, rng.normal(size=(6, ground.size)))
+        G = grid_gradients(ground, rng.normal(size=(6, ground.size)))
+        w = rng.uniform(0.1, 2.0, size=6)
         expected = 0.0
-        for wj, mu in zip(w, data):
-            df, dg = F.grad_field(mu), G.grad_field(mu)
-            expected += wj * sum(
-                mu.weights[x] * np.dot(df[x], dg[x]) for x in range(ground.size)
-            )
-        assert pre_cheeger_inner(F, G, data, w) == pytest.approx(expected, rel=1e-12)
+        for wj, mu, f, g in zip(w, W, F, G):
+            expected += wj * sum(mu[x] * np.dot(f[x], g[x]) for x in range(ground.size))
+        assert w @ field_pairing(F, G, W) == pytest.approx(expected, rel=1e-12)

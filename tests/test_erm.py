@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wdlearn.cylinder import pre_cheeger, pre_cheeger_inner
+from wdlearn.cylinder import grid_gradients
 from wdlearn.erm import (
     CylinderSubspace,
     as_weight_matrix,
@@ -20,6 +20,18 @@ from wdlearn.errors import RankDeficient
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 
 from .helpers import assert_close_at_scale, grid_population, smooth_feature_subspace
+
+
+def pairings_by_hand(fields, W, weights):
+    """``sum_j w_j sum_x mu_j(x) <g_i(x), g_h(x)>`` by explicit loops over
+    the basis fields ``g`` and the sample measures."""
+    n = len(fields)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for h in range(n):
+            dots = (fields[i] * fields[h]).sum(axis=1)
+            out[i, h] = sum(wj * np.dot(mu, dots) for wj, mu in zip(weights, W))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -57,19 +69,23 @@ class TestDoubleOrthogonalize:
         np.testing.assert_allclose(again.l2_gram(pop), np.eye(3), atol=1e-8)
 
     def test_grams_verified_by_generic_quadratures(self, population, ortho):
-        # independent slow path: the explicit cylinder functions and the
-        # generic pre-Cheeger quadrature must reproduce the fast Grams
-        _, pop = population
-        fns = ortho.basis
-        n = len(fns)
+        # independent slow path: each basis function evaluated measure by
+        # measure, and each field on its own, paired by explicit loops,
+        # must reproduce the fast Grams
+        ground, pop = population
+        feats = ortho.features
+        n = len(feats)
+        fields = [grid_gradients(ground, f) for f in feats]
+        W = as_weight_matrix(pop)
+        energy = pairings_by_hand(fields, W, np.full(len(pop), 1.0 / len(pop)))
+        values = np.array([[f @ mu.weights for f in feats] for mu in pop])
         for i in range(n):
             for j in range(n):
-                l2 = float(np.mean([fns[i](mu) * fns[j](mu) for mu in pop]))
+                l2 = float(np.mean(values[:, i] * values[:, j]))
                 expected = 1.0 if i == j else 0.0
                 assert l2 == pytest.approx(expected, abs=1e-8)
                 if i != j:
-                    en = pre_cheeger_inner(fns[i], fns[j], pop)
-                    assert en == pytest.approx(0.0, abs=1e-8)
+                    assert energy[i, j] == pytest.approx(0.0, abs=1e-8)
 
     def test_rank_deficient_raises(self, population):
         ground, pop = population
@@ -95,15 +111,7 @@ class TestEnergyPairings:
 
     @pytest.fixture(scope="class")
     def by_hand(self, population, raw, weights):
-        """``sum_j w_j sum_x mu_j(x) <g_i(x), g_h(x)>`` by explicit loops."""
-        g, W = raw.basis_fields(), as_weight_matrix(population[1])
-        n = len(g)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for h in range(n):
-                dots = (g[i] * g[h]).sum(axis=1)
-                out[i, h] = sum(wj * np.dot(mu, dots) for wj, mu in zip(weights, W))
-        return out
+        return pairings_by_hand(raw.basis_fields(), as_weight_matrix(population[1]), weights)
 
     def test_energy_gram_against_hand_quadrature(self, population, raw, weights, by_hand):
         assert_close_at_scale(raw.energy_gram(population[1], weights), by_hand)
@@ -114,12 +122,6 @@ class TestEnergyPairings:
             energies, np.diag(raw.energy_gram(population[1], weights)), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(energies, np.diag(by_hand), rtol=1e-12)
-
-    def test_energies_match_the_generic_pre_cheeger(self, population, raw, weights, by_hand):
-        _, pop = population
-        generic = [pre_cheeger(F, pop, weights) for F in raw.basis]
-        np.testing.assert_allclose(raw.energies(pop, weights), generic, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(generic, np.diag(by_hand), rtol=1e-12)
 
 
 class TestAssemble:
@@ -302,6 +304,11 @@ class TestConditionAndBound:
     def test_c_delta_values(self):
         assert c_delta(0.0) == 0.0
         assert c_delta(0.5) == pytest.approx(1.5 * np.log(1.5) - 0.5)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, 0.0, -5.0], ids=["nan", "inf", "zero", "negative"])
+    def test_condition_check_takes_only_a_finite_positive_r(self, population, ortho, r):
+        with pytest.raises(ValueError, match="r must be finite and positive"):
+            condition_check(ortho, population[1], lam=0.01, r=r)
 
     def test_K_at_least_n_flag(self, population, ortho):
         _, pop = population

@@ -64,3 +64,31 @@ def test_the_names_the_benchmark_rebinds_resolve(monkeypatch):
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}:{path}")
     assert not missing, f"names the benchmark rebinds do not resolve: {missing}"
+
+
+def test_every_attribute_the_benchmark_reads_resolves():
+    # bench/workloads.py calls wdlearn through module attributes
+    # (`ot.sinkhorn`), re-exports among them: a name dropped from a module
+    # would fail only a benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {
+        alias.asname or alias.name: f"wdlearn.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "wdlearn"
+        for alias in node.names
+    }
+    reads = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("wdlearn.experiments", "relative_errors") in reads and len(reads) >= 30
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(reads)
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert not missing, f"names the benchmark reads do not resolve: {missing}"

@@ -50,6 +50,12 @@ class TestMetricSample:
         with pytest.raises(CertificateViolation, match=what):
             MetricSample(distance_matrix=np.array(D)).check_metric(seed=0)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan]], ids=["first", "second"])
+    def test_non_finite_weights_are_rejected(self, weights):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            MetricSample(distance_matrix=D, weights=weights)
+
     def test_ball_masses_use_open_balls(self, two_atoms):
         # at eps exactly 1 the other atom is excluded
         np.testing.assert_allclose(two_atoms.ball_masses(1.0), [0.5, 0.5])
