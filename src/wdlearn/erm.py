@@ -43,7 +43,7 @@ def _quad_weights(n: int, weights) -> np.ndarray:
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
-    if w.shape[0] != n or np.any(w < 0):
+    if w.shape[0] != n or not (np.isfinite(w) & (w >= 0)).all():
         raise ValueError("quadrature weights must be nonnegative, one per measure")
     return w
 
@@ -371,8 +371,11 @@ def bound_rhs(
     + 2 M^2 N^{-r}``, with ``mu_min = min(gamma)``.  ``proj_energy`` is
     the energy of the subspace projection of the target; with a
     double-orthogonal basis it is ``sum_i z_i^2 gamma_i`` for projection
-    coefficients ``z``.
+    coefficients ``z``.  Raises ``ValueError`` unless ``0 < r < inf``, as
+    :func:`condition_check` does.
     """
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be finite and positive, got {r}")
     mu_min = float(np.min(np.asarray(gamma, dtype=float)))
     t1 = 2.0 * e * (1.0 + c_delta(0.5) / (np.log(N) * (1.0 + r) * (0.5 + lam * mu_min) ** 2))
     t2 = 8.0 * lam * proj_energy

@@ -18,20 +18,33 @@ duals, and the extension and certificates run on the dense cost matrix
 either way.  The exponent ``p`` and the cost matrix come from the
 ground space; no function here takes its own.
 
-Both forms run the HiGHS dual simplex with devex pricing (Harris 1973),
-which takes fewer iterations on these LPs than the default.  The flow's
-structure (arc costs, constraint matrix and the plan's scatter indices,
-all read-only) depends only on the grid and the two supports, so the
-last one built is kept in a single slot and reused while that key
-repeats, as it does between full-support measures.  No result is kept:
-every solve makes its own ``linprog`` call and passes every certificate.
+Both forms run the HiGHS dual simplex (Huangfu & Hall 2018) with devex
+pricing (Harris 1973), which takes fewer iterations on these LPs than
+the default.  Each solve hands one fresh HiGHS model, built from the
+LP's column-wise arrays, to the solver and reads back only the status,
+the solution, the objective, the row duals and the iteration count.
+Settings and results are bitwise those of ``scipy.optimize.linprog``
+with ``method="highs-ds"``, without that wrapper's input checks and the
+bound duals it fills column by column.  The model is built through
+scipy's private HiGHS bindings.  They are used only by :func:`linprog`
+and imported in one guarded block; where they do not import,
+:func:`linprog` calls scipy's public ``linprog`` with the same settings.
+
+The flow's structure (arc costs, constraint matrix and the plan's
+scatter indices, all read-only) depends only on the grid and the two
+supports, so the last one built is kept in a single slot and reused
+while that key repeats, as it does between full-support measures.  The
+dense LP's constraint matrix depends only on the two support sizes and
+is built directly in the column-wise form.  No result or basis is kept:
+every solve runs its own LP and passes every certificate.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
-column count, the HiGHS status, the simplex iterations and the
-nanoseconds spent.  Each Sinkhorn solve logs one such record too:
-the support sizes, the iterations, the final marginal violation and the
-nanoseconds spent.
+column count, the path of the solve (``highs`` for the direct model,
+``linprog`` for scipy's wrapper), the HiGHS status, the simplex
+iterations and the nanoseconds spent.  Each Sinkhorn solve logs one
+such record too: the support sizes, the iterations, the final marginal
+violation and the nanoseconds spent.
 """
 
 from __future__ import annotations
@@ -43,7 +56,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog as _scipy_linprog
 
 from .errors import NotConverged, SolverFailure
 from .measures import DiscreteMeasure, ensure_same_ground
@@ -66,6 +80,26 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
     "simplex_dual_edge_weight_strategy": "devex",
 }
+# ``linprog``'s names for HiGHS's dual edge weight strategies
+_EDGE_WEIGHT_STRATEGY = {"steepest-devex": -1, "dantzig": 0, "devex": 1, "steepest": 2}
+
+# scipy's private HiGHS bindings.  Every name :func:`linprog` takes from
+# them is bound here, so a scipy without one of them is found at import
+# and every solve goes through scipy's public ``linprog`` instead.
+try:
+    from scipy.optimize._highspy import _core as _highs_core
+
+    _Highs = _highs_core._Highs
+    _HIGHS_COLWISE = int(_highs_core.MatrixFormat.kColwise)
+    _HIGHS_MINIMIZE = int(_highs_core.ObjSense.kMinimize)
+    _HIGHS_ERROR = _highs_core.HighsStatus.kError
+    # ``linprog``'s status code and message for the model statuses it names
+    _HIGHS_STATUS = {
+        _highs_core.HighsModelStatus.kOptimal: (0, "Optimization terminated successfully."),
+        _highs_core.HighsModelStatus.kInfeasible: (2, "The problem is infeasible."),
+    }
+except (ImportError, AttributeError):
+    _highs_core = None
 
 _log = logging.getLogger(__name__)
 
@@ -91,6 +125,21 @@ class PotentialPair:
     phi: np.ndarray
     psi: np.ndarray
     dual_value: float
+
+
+def _two_entry_columns(upper, lower, lower_value, n_rows):
+    """The CSC matrix whose column ``j`` holds 1 in row ``upper[j]`` and
+    ``lower_value[j]`` in row ``lower[j] > upper[j]``, built directly in the
+    column-wise form HiGHS takes: both LP forms have two entries a column."""
+    n_cols = len(upper)
+    return sparse.csc_matrix(
+        (
+            np.column_stack([np.ones(n_cols), lower_value]).ravel(),
+            np.column_stack([upper, lower]).ravel(),
+            np.arange(0, 2 * n_cols + 1, 2),
+        ),
+        shape=(n_rows, n_cols),
+    )
 
 
 def _grid_flow(grid_shape, ia, ib):
@@ -124,14 +173,7 @@ def _grid_flow(grid_shape, ia, ib):
     upper = np.concatenate([np.repeat(np.arange(ma), n_rows), ma + out_of.ravel()])
     lower = np.concatenate([ma + into.ravel(), ma + n_transit + np.repeat(np.arange(mb), n_cols)])
     sign = np.concatenate([-np.ones(n_in), np.ones(n_out)])
-    A_eq = sparse.csc_matrix(
-        (
-            np.column_stack([np.ones(n_in + n_out), sign]).ravel(),
-            np.column_stack([upper, lower]).ravel(),
-            np.arange(0, 2 * (n_in + n_out) + 1, 2),
-        ),
-        shape=(ma + n_transit + mb, n_in + n_out),
-    )
+    A_eq = _two_entry_columns(upper, lower, sign, ma + n_transit + mb)
     c = np.concatenate([
         ((si[:, None] - rows[None, :]) ** 2).ravel(),
         ((cols[None, :] - tl[:, None]) ** 2).ravel(),
@@ -187,23 +229,96 @@ def _reused_grid_flow(grid_shape, ia, ib):
 
 def _marginal(name, w, n):
     """``w`` as a float vector if it is a marginal for a cost side of ``n``
-    points: finite, nonnegative and of length ``n``; raises ``ValueError``
-    naming the argument otherwise."""
+    points: finite, nonnegative, of length ``n`` and not all zero; raises
+    ``ValueError`` naming the argument otherwise."""
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"{name} of shape {w.shape} is not a vector over {n} points")
     if not (np.isfinite(w) & (w >= 0.0)).all():
         raise ValueError(f"{name} must be finite and nonnegative")
+    if not w.any():
+        raise ValueError(f"{name} has no mass")
     return w
+
+
+def _highs_options():
+    """``_LP_OPTIONS`` in HiGHS's own names and values, read afresh at each
+    solve, with the settings ``linprog`` adds for "highs-ds": no output
+    (set first, so that nothing after it prints) and the dual simplex."""
+    options = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1}
+    for key, value in _LP_OPTIONS.items():
+        if key == "presolve":
+            value = "on" if value else "off"
+        elif key == "simplex_dual_edge_weight_strategy":
+            value = _EDGE_WEIGHT_STRATEGY[value]
+        options[key] = value
+    return options
+
+
+def linprog(c, A_eq, b_eq):
+    """``min <c, x>`` subject to ``A_eq x = b_eq`` and ``x >= 0``, by the
+    HiGHS dual simplex with the settings of ``_LP_OPTIONS``.
+
+    ``A_eq`` is a CSC matrix.  Returns the fields of
+    ``scipy.optimize.linprog(..., method="highs-ds")`` that wdlearn
+    reads: ``status`` (0 at an optimum), ``message``, ``nit`` (the simplex
+    iterations), and ``x``, ``fun`` and ``eqlin.marginals`` (the row
+    duals), which are None unless the LP was solved to optimality, and
+    ``lp_path``, the path the solve took: ``"highs"`` or ``"linprog"``.
+
+    One fresh HiGHS model is built from the arrays and run, bitwise as
+    ``linprog`` would run it; where scipy's private HiGHS bindings did
+    not import, the call goes to ``linprog`` itself.  The benchmark's
+    tracer wraps this name and reads ``nit``.
+    """
+    if _highs_core is None:
+        res = _scipy_linprog(
+            c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
+        )
+        res.lp_path = "linprog"
+        return res
+    highs = _Highs()
+    for key, value in _highs_options().items():
+        if highs.setOptionValue(key, value) == _HIGHS_ERROR:
+            raise SolverFailure(f"HiGHS rejected the option {key}={value!r}")
+    res = OptimizeResult(
+        status=4, nit=0, x=None, fun=None, eqlin=OptimizeResult(marginals=None), lp_path="highs"
+    )
+    # passModel's array form reads each array whole; a HighsLp built
+    # field by field from Python would convert its arrays element by
+    # element.  The starts are one per column, without the end that
+    # ``indptr`` adds.  The integrality array must be given in full (an
+    # empty one made passModel fail): every column is continuous, 0.
+    n_rows, n_cols = A_eq.shape
+    model = (
+        n_cols, n_rows, A_eq.nnz, _HIGHS_COLWISE, _HIGHS_MINIMIZE, 0.0,
+        c, np.zeros(n_cols), np.full(n_cols, np.inf), b_eq, b_eq,
+        A_eq.indptr[:-1], A_eq.indices, A_eq.data, np.zeros(n_cols, dtype=np.int32),
+    )
+    if highs.passModel(*model) == _HIGHS_ERROR:
+        res.message = "HiGHS rejected the model."
+        return res
+    highs.run()
+    model_status, info = highs.getModelStatus(), highs.getInfo()
+    res.status, text = _HIGHS_STATUS.get(model_status, (4, "HiGHS stopped without an optimum."))
+    res.message = f"{text} (HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)})"
+    res.nit = info.simplex_iteration_count
+    if res.status == 0:
+        solution = highs.getSolution()
+        res.x = np.array(solution.col_value)
+        res.fun = info.objective_function_value
+        res.eqlin.marginals = np.array(solution.row_dual)
+    return res
 
 
 def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shape=None):
     """Certified exact solve of ``min <cost, gamma>`` over couplings of
     ``a`` and ``b``.
 
-    The LP is restricted to support atoms and solved from scratch by the
-    HiGHS dual simplex with devex pricing, without presolve.  The duals
-    ``v`` on ``b``'s support are extended by :func:`c_transform`,
+    The LP is restricted to support atoms and solved from scratch by
+    :func:`linprog`, the HiGHS dual simplex with devex pricing, without
+    presolve.  The duals ``v`` on ``b``'s support are extended by
+    :func:`c_transform`,
     ``psi(x) = min_{y in supp b} cost[x, y] - v(y)`` and ``phi(y) =
     min_x cost[x, y] - psi(x)``, a pair feasible everywhere with the same
     dual value.
@@ -235,13 +350,16 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         arcs, in another order than ``<cost, plan>``, so the two can
         differ in the last bits.
 
-    Raises ``ValueError``, before any LP, if ``a`` or ``b`` is not a
-    finite, nonnegative vector over its side of ``cost``, or if
+    Raises ``ValueError``, before any LP, if ``cost`` is not finite, if
+    ``a`` or ``b`` is not a finite, nonnegative vector over its side of
+    ``cost`` with some mass, or if
     ``grid_shape`` is not a rank-2 shape with ``cost.shape[0]`` points;
     raises ``SolverFailure`` if the LP fails or a certificate (gap,
     feasibility, marginals) misses its tolerance or reads NaN.
     """
     t0 = time.perf_counter_ns()
+    if not np.isfinite(cost).all():
+        raise ValueError("cost must be finite")
     a = _marginal("a", a, cost.shape[0])
     b = _marginal("b", b, cost.shape[1])
     ia = np.flatnonzero(a > 0.0)
@@ -251,9 +369,10 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     if grid_shape is None:
         lp_form, n_transit = "dense", 0
         c = np.ascontiguousarray(cost[np.ix_(ia, ib)]).ravel()
-        rows = np.concatenate([np.repeat(np.arange(ma), mb), ma + np.tile(np.arange(mb), ma)])
-        cols = np.tile(np.arange(ma * mb), 2)
-        A_eq = sparse.coo_matrix((np.ones(2 * ma * mb), (rows, cols)), shape=(ma + mb, ma * mb)).tocsr()
+        # column i * mb + j carries a[i] to b[j]
+        A_eq = _two_entry_columns(
+            np.repeat(np.arange(ma), mb), ma + np.tile(np.arange(mb), ma), np.ones(ma * mb), ma + mb
+        )
     else:
         if len(grid_shape) != 2 or int(np.prod(grid_shape)) != cost.shape[0]:
             raise ValueError(f"grid shape {grid_shape} is not a rank-2 grid of {cost.shape[0]} points")
@@ -261,22 +380,16 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         c, A_eq, n_transit, flow_plan = _reused_grid_flow(grid_shape, ia, ib)
     b_eq = np.concatenate([a[ia], np.zeros(n_transit), b[ib]])
 
-    res = linprog(
-        c,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs-ds",
-        options=_LP_OPTIONS,
-    )
+    res = linprog(c, A_eq, b_eq)
     if _log.isEnabledFor(logging.DEBUG):
         ns = time.perf_counter_ns() - t0
         _log.debug(
-            "transport LP %dx%d: lp_form=%s lp_cols=%d status=%s simplex_iters=%d ns=%d",
-            ma, mb, lp_form, len(c), res.message, res.nit, ns,
+            "transport LP %dx%d: lp_form=%s lp_cols=%d lp_path=%s status=%s simplex_iters=%d ns=%d",
+            ma, mb, lp_form, len(c), res.lp_path, res.message, res.nit, ns,
             extra={
                 "lp_form": lp_form,
                 "lp_cols": len(c),
+                "lp_path": res.lp_path,
                 "lp_status": res.message,
                 "simplex_iters": int(res.nit),
                 "ns": ns,

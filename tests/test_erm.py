@@ -95,6 +95,20 @@ class TestDoubleOrthogonalize:
             double_orthogonalize(raw, pop)
         assert exc.value.rank == 1
 
+    def test_a_nan_quadrature_weight_is_named(self):
+        # NaN < 0 is false: a NaN weight once reached the Grams and read as
+        # a rank-0 basis, or as NaN energies without an error
+        ground = GroundSpace.grid((5,))
+        rng = np.random.default_rng(8)
+        raw = CylinderSubspace(ground, rng.standard_normal((2, 5)))
+        sample = [DiscreteMeasure(ground, rng.dirichlet(np.ones(5))) for _ in range(20)]
+        w = np.full(20, 1.0 / 20)
+        w[7] = np.nan
+        for solve in (double_orthogonalize, CylinderSubspace.energies):
+            with pytest.raises(ValueError, match="^quadrature weights must be nonnegative") as exc:
+                solve(raw, sample, w)
+            assert not isinstance(exc.value, RankDeficient)
+
 
 class TestEnergyPairings:
     """The energy Gram and the energies pair the basis fields through
@@ -315,6 +329,12 @@ class TestConditionAndBound:
         rep = condition_check(ortho, pop, lam=0.01, r=1.0)
         assert rep.K_at_least_n
         assert rep.K >= 3.0
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_bound_takes_only_a_finite_positive_r(self, r):
+        # r = -1 once divided by 1 + r = 0 and returned NaN
+        with pytest.raises(ValueError, match="r must be finite and positive"):
+            bound_rhs(e=0.0, lam=0.0, gamma=[1.0], sigma=0.0, M=1.0, N=100, n=3, r=r)
 
     def test_bound_collapse(self):
         # sigma = 0, lam = 0, e = 0 leaves only the truncation tail

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +299,17 @@ class TestGridFlow:
             with pytest.raises(ValueError, match="not a rank-2 grid of 9 points"):
                 solve_transport_lp(cost, w, w, grid_shape=shape)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_cost_that_is_not_finite(self, monkeypatch, bad):
+        # scipy's linprog refused such a cost; HiGHS's own model takes it,
+        # so it is refused before any LP on either path
+        cost = GroundSpace.grid((3, 3)).cost_matrix().copy()
+        cost[4, 0] = bad
+        w = np.full(9, 1.0 / 9)
+        monkeypatch.setattr(ot, "linprog", lambda *args, **kwargs: pytest.fail("an LP ran"))
+        with pytest.raises(ValueError, match="^cost must be finite$"):
+            solve_transport_lp(cost, w, w)
+
 
 class TestTelemetry:
     def test_silent_by_default(self):
@@ -329,6 +341,8 @@ class TestTelemetry:
             assert r.levelno == logging.DEBUG
             assert "Optimal" in r.lp_status and r.ns > 0
             assert f"simplex_iters={r.simplex_iters}" in r.getMessage()
+            assert r.lp_path == ("linprog" if ot._highs_core is None else "highs")
+            assert f" lp_path={r.lp_path} " in r.getMessage()
         n_supp = int(np.count_nonzero(mu.weights))
         assert records[-1].getMessage().startswith(f"transport LP {n_supp}x36:")
         assert (records[-1].lp_form, records[-1].lp_cols) == ("dense", n_supp * 36)
@@ -429,8 +443,9 @@ class TestMarginalsAreChecked:
             ([0.5, 0.5, 0], [np.inf, 0, 0], "b must be finite and nonnegative"),
             ([0.5, 0.5, 0], [-0.1, 1.1, 0], "b must be finite and nonnegative"),
             ([0.5, 0.5, 0], [[0.5], [0.5], [0]], "b of shape (3, 1) is not a vector over 3 points"),
+            ([0.0, 0.0, 0.0], [0.5, 0.5, 0], "a has no mass"),
         ],
-        ids=["nan-a", "short-a", "inf-b", "negative-b", "column-b"],
+        ids=["nan-a", "short-a", "inf-b", "negative-b", "column-b", "empty-a"],
     )
     @pytest.mark.parametrize("path", ["solve_transport_lp", "nested_wasserstein"])
     def test_bad_marginal_is_named_before_any_lp(self, monkeypatch, path, a, b, message):
@@ -516,6 +531,105 @@ class TestSolvePath:
             np.testing.assert_array_equal(plan.matrix, cplan.matrix)
             np.testing.assert_array_equal(pot.phi, cpot.phi)
             np.testing.assert_array_equal(pot.psi, cpot.psi)
+
+
+def lp_pair(name):
+    """A measure pair whose exact solve runs the named LP."""
+    if name == "blobs-6x6":
+        return make_synthetic_dataset(6, 6, 2, 0, generator="blurred-blobs", seed=41).train
+    g = GroundSpace.grid((8, 8), p=1.5 if name == "dense-p1.5" else 2.0)
+    rng = np.random.default_rng(42)
+    return random_measure(g, rng), random_measure(g, rng)
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestLpPaths:
+    """The LP step builds HiGHS's own model where scipy's private bindings
+    import and calls scipy's ``linprog`` where they do not: the two give
+    the same solve bitwise, and each solve's record names its path."""
+
+    lps = ["flow-8x8", "blobs-6x6", "dense-p1.5"]
+
+    @staticmethod
+    def captured_lp(monkeypatch, name):
+        seen = []
+        linprog = ot.linprog
+        with monkeypatch.context() as mp:
+            mp.setattr(ot, "linprog", lambda *args: seen.append(args) or linprog(*args))
+            exact_ot(*lp_pair(name))
+        ((c, A_eq, b_eq),) = seen
+        return c, A_eq, b_eq
+
+    @pytest.mark.parametrize("name", lps)
+    def test_the_direct_model_is_linprog_bitwise(self, monkeypatch, name):
+        if ot._highs_core is None:
+            pytest.skip("scipy's private HiGHS bindings did not import")
+        c, A_eq, b_eq = self.captured_lp(monkeypatch, name)
+        mine = ot.linprog(c, A_eq, b_eq)
+        ref = scipy.optimize.linprog(
+            c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
+        )
+        assert mine.status == ref.status == 0
+        assert mine.nit == ref.nit > 0
+        assert mine.fun == ref.fun
+        assert same_bits(mine.x, ref.x)
+        assert same_bits(mine.eqlin.marginals, ref.eqlin.marginals)
+
+    @pytest.mark.parametrize(
+        "setting", [("presolve", True), ("simplex_dual_edge_weight_strategy", "steepest")]
+    )
+    @pytest.mark.parametrize("name", lps)
+    def test_the_direct_model_follows_the_settings(self, monkeypatch, name, setting):
+        # the direct model reads its settings from _LP_OPTIONS at each
+        # solve, so a changed setting changes its run as it changes linprog's
+        if ot._highs_core is None:
+            pytest.skip("scipy's private HiGHS bindings did not import")
+        c, A_eq, b_eq = self.captured_lp(monkeypatch, name)
+        default = ot.linprog(c, A_eq, b_eq)
+        monkeypatch.setitem(ot._LP_OPTIONS, *setting)
+        mine = ot.linprog(c, A_eq, b_eq)
+        ref = scipy.optimize.linprog(
+            c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
+        )
+        assert mine.nit == ref.nit != default.nit
+        assert same_bits(mine.x, ref.x)
+        assert same_bits(mine.eqlin.marginals, ref.eqlin.marginals)
+
+    @pytest.mark.parametrize("name", lps)
+    def test_both_paths_give_the_same_solve(self, monkeypatch, caplog, name):
+        if ot._highs_core is None:
+            pytest.skip("scipy's private HiGHS bindings did not import")
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        mu, nu = lp_pair(name)
+        first = exact_ot(mu, nu)
+        monkeypatch.setattr(ot, "_highs_core", None)
+        second = exact_ot(mu, nu)
+        records = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert [r.lp_path for r in records] == ["highs", "linprog"]
+        assert [f"lp_path={r.lp_path} " in r.getMessage() for r in records] == [True, True]
+        assert records[0].simplex_iters == records[1].simplex_iters
+        (plan, pot, wpp), (plan2, pot2, wpp2) = first, second
+        assert wpp == wpp2 and plan.cost == plan2.cost and pot.dual_value == pot2.dual_value
+        for x, y in [(plan.matrix, plan2.matrix), (pot.phi, pot2.phi), (pot.psi, pot2.psi)]:
+            assert same_bits(x, y)
+
+    @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
+    def test_an_lp_that_is_not_optimal_is_rejected_through_linprog(self, monkeypatch, shape):
+        # TestCertificates runs the same LP through the direct model
+        monkeypatch.setattr(ot, "_highs_core", None)
+        cost = GroundSpace.grid((3, 3)).cost_matrix()
+        with pytest.raises(SolverFailure, match="transport LP failed: .*infeasible"):
+            solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 0.5 / 9), grid_shape=shape)
+
+    def test_a_rejected_option_fails_the_solve(self, monkeypatch):
+        if ot._highs_core is None:
+            pytest.skip("scipy's private HiGHS bindings did not import")
+        monkeypatch.setitem(ot._LP_OPTIONS, "no_such_option", 1)
+        with pytest.raises(SolverFailure, match="^HiGHS rejected the option no_such_option=1$"):
+            exact_ot(*lp_pair("flow-8x8"))
 
 
 def sinkhorn_records(caplog):

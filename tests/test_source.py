@@ -38,6 +38,31 @@ def test_cli_exits_only_in_main():
     assert raisers == {"main"}
 
 
+def test_private_highs_bindings_are_imported_by_ot_alone():
+    # scipy.optimize._highspy is not scipy's public API: it is named in one
+    # module, imported once there, inside a try whose ImportError handler
+    # sends every solve to scipy's public linprog
+    package = Path(wdlearn.__file__).parent
+    naming = [path.name for path in sorted(package.rglob("*.py")) if "_highspy" in path.read_text()]
+    assert naming == ["ot.py"]
+    tree = ast.parse((package / "ot.py").read_text())
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and "_highspy" in (node.module or "")
+        or isinstance(node, ast.Import) and any("_highspy" in a.name for a in node.names)
+    ]
+    assert len(imports) == 1
+    fences = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Try)
+        and imports[0] in node.body
+        and any("ImportError" in ast.unparse(h.type) for h in node.handlers if h.type is not None)
+    ]
+    assert len(fences) == 1
+
+
 def test_the_names_the_benchmark_rebinds_resolve(monkeypatch):
     # bench/ lies outside the test paths and wraps these names by module and
     # attribute path, a dotted one in its class's own __dict__: a renamed
