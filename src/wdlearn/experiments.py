@@ -123,9 +123,12 @@ def run_baseline_decay(
     size the bank restricted to that set is evaluated on the chosen split.
     Returns one record per (seed, size); the mean and max skip a zero
     target's undefined error (see :func:`relative_errors`), NaN if all are 0.
+    An empty split raises ``ValueError``.
     """
     sizes = sorted(int(j) for j in sizes)
     eval_measures, W = dataset.split(split)
+    if not eval_measures:
+        raise ValueError(f"baseline decay needs a nonempty {split} split")
     if true_wpp is None:
         true_wpp = wpp_to_reference(eval_measures, theta)
 
@@ -163,9 +166,12 @@ def run_speed_table(
     When the training wall time ``train_ns`` is supplied, the table also
     reports the whole-pipeline comparison (train once, then evaluate the
     split by forward passes) against running the entropic solver over
-    the same split.
+    the same split.  An empty test split raises ``ValueError`` before any
+    timing.
     """
     measures = dataset.test[:n_eval] if n_eval else dataset.test
+    if not measures:
+        raise ValueError("the speed table needs a nonempty test split")
     W = dataset.test_matrix[: len(measures)]
 
     t0 = time.perf_counter_ns()

@@ -109,12 +109,6 @@ class GroundSpace:
             self._cost.setflags(write=False)
         return self._cost
 
-    def distances_to(self, x0) -> np.ndarray:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape[0] != self.dim:
-            raise ValueError("x0 does not have the ground-space dimension")
-        return np.linalg.norm(self.points - x0[None, :], axis=1)
-
     def same_as(self, other: "GroundSpace") -> bool:
         return self is other or (
             self.p == other.p and np.array_equal(self.points, other.points)
@@ -167,17 +161,6 @@ class DiscreteMeasure:
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0.0)
-
-    def integrate(self, values) -> float:
-        """Integral of a function given by its vector of point values."""
-        return float(np.dot(np.asarray(values, dtype=float), self.weights))
-
-    def moment(self, x0) -> float:
-        """p-th moment ``(sum_x d(x, x0)^p mu(x))^(1/p)`` about ``x0``, ``p``
-        the ground's."""
-        p = self.ground.p
-        d = self.ground.distances_to(x0)
-        return float(np.dot(d**p, self.weights) ** (1.0 / p))
 
     def __repr__(self):
         return f"DiscreteMeasure(m={self.ground.size}, support={len(self.support)})"
@@ -233,15 +216,19 @@ class MeasureDataset:
         for mu in list(self.train) + list(self.test):
             ensure_same_ground(self.ground, mu.ground)
 
+    def _stack(self, measures) -> np.ndarray:
+        """Stacked weights, shape (n, m), also for n = 0."""
+        return np.array([mu.weights for mu in measures]).reshape(len(measures), self.ground.size)
+
     @cached_property
     def train_matrix(self) -> np.ndarray:
         """Stacked train weights, shape (n_train, m)."""
-        return np.array([mu.weights for mu in self.train])
+        return self._stack(self.train)
 
     @cached_property
     def test_matrix(self) -> np.ndarray:
         """Stacked test weights, shape (n_test, m)."""
-        return np.array([mu.weights for mu in self.test])
+        return self._stack(self.test)
 
     def split(self, name: str):
         """The measures and weight matrix of the ``train``, ``test`` or
@@ -252,7 +239,7 @@ class MeasureDataset:
             return self.test, self.test_matrix
         if name == "all":
             measures = list(self.train) + list(self.test)
-            return measures, np.array([mu.weights for mu in measures])
+            return measures, self._stack(measures)
         raise ValueError(f"unknown split {name!r}: expected train | test | all")
 
     def __repr__(self):

@@ -26,8 +26,11 @@ tree sits at its kink (a tie, or a zero): ``[1, -1, 0, 0]`` at ``[3, 0, 1,
 2]`` and all zeros at a row of zeros do not sum to 1.  Any other network,
 the tree included when it trains, differs from the canonical blocks (see
 :meth:`Layer.tree_block`) or has no layer before it, runs as its dense
-layer loop, as does a batch that overflows or forms an invalid value
-before the tree, with that loop's values and warnings.
+layer loop, with that loop's values and warnings.  The rule depends on the
+network alone, never on the batch: a tree input that is not finite gives
+its true row maximum (NaN if the row holds a NaN, ``+inf`` if it holds
+``+inf``, and its finite maximum if its only non-finite entries are
+``-inf``), and the only warnings are those of the layers before the tree.
 """
 
 from __future__ import annotations
@@ -107,10 +110,6 @@ class ReluNetwork:
         return self.layers[0].W.shape[1]
 
     @property
-    def output_dim(self) -> int:
-        return self.layers[-1].W.shape[0]
-
-    @property
     def hidden_widths(self) -> list:
         return [lay.W.shape[0] for lay in self.layers[:-1]]
 
@@ -118,10 +117,10 @@ class ReluNetwork:
         """Outputs and the cache of the training pass: the ``input`` and each
         layer's pre-activation ``z`` and activation ``a``, up to the frozen
         max tree (:meth:`_tree_start`), and each row's ``winners`` there, the
-        first maximizer of the tree input.  A batch whose tree input is not
-        all finite, or that overflows or forms an invalid value before,
-        reruns through the dense layer loop, which gives its values and
-        ``RuntimeWarning``s."""
+        first maximizer of the tree input (``argmax``, so a NaN wins its row).
+        Every batch takes the same path, finite or not: a non-finite tree
+        input gives its row maximum, with only the warnings of the layers
+        before the tree."""
         return _forward(self, X)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -180,18 +179,13 @@ def _forward(net: ReluNetwork, X: np.ndarray):
     """Outputs and cache of ``net`` on ``X``, see :meth:`ReluNetwork.forward_cached`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     start = net._tree_start()
-    if start is not None:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                cache = _layer_loop(net.layers[:start], X)
-                x = cache["a"][-1]
-                if np.isfinite(x).all():
-                    cache["winners"] = w = x.argmax(axis=1)
-                    return x[np.arange(len(x)), w], cache
-        except FloatingPointError:
-            pass  # the layer loop emits the warnings of this batch
-    cache = _layer_loop(net.layers, X)
-    return cache["a"][-1][:, 0], cache
+    if start is None:
+        cache = _layer_loop(net.layers, X)
+        return cache["a"][-1][:, 0], cache
+    cache = _layer_loop(net.layers[:start], X)
+    x = cache["a"][-1]
+    cache["winners"] = w = x.argmax(axis=1)
+    return x[np.arange(len(x)), w], cache
 
 
 def _layer_loop(layers: Sequence[Layer], X: np.ndarray) -> dict:

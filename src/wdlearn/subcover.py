@@ -29,7 +29,8 @@ class MetricSample:
         Points of ``(P(K), W_p)``, ``p`` their ground space's; the
         distance matrix is then computed on demand with the exact solver.
     distance_matrix : ndarray, optional
-        Alternatively, a precomputed metric matrix over abstract points.
+        Alternatively, a precomputed metric matrix over abstract points:
+        square, one row per point, finite and nonnegative.
     weights : ndarray, optional
         Probability weights; uniform when omitted.
     """
@@ -40,6 +41,11 @@ class MetricSample:
         self.elements = list(elements) if elements is not None else None
         self._D = None if distance_matrix is None else np.asarray(distance_matrix, float)
         n = len(self.elements) if self.elements is not None else self._D.shape[0]
+        if self._D is not None:
+            if self._D.shape != (n, n):
+                raise ValueError(f"the distance matrix must have shape ({n}, {n}), got {self._D.shape}")
+            if not (np.isfinite(self._D).all() and (self._D >= 0).all()):
+                raise ValueError("distances must be finite and nonnegative")
         if weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:

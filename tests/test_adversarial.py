@@ -14,7 +14,7 @@ from wdlearn.adversarial import (
     solution_step_grads,
     _ratio,
 )
-from wdlearn.errors import DegenerateAdversary
+from wdlearn.errors import DegenerateAdversary, Diverged
 from wdlearn.measures import GroundSpace
 from wdlearn.nets import Adam, Layer, ReluNetwork, random_head_network
 
@@ -59,6 +59,11 @@ class TestStateValidation:
         other = random_head_network(d=5, k=2, seed=3)
         with pytest.raises(ValueError):
             SaddleState(f_net, other)
+
+    def test_rejects_an_unknown_norm(self, setup):
+        ground, X, y, f_net, h_net = setup
+        with pytest.raises(ValueError, match="unknown norm mode 'h1'"):
+            SaddleState(f_net, h_net, norm="h1")
 
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
     def test_rejects_invalid_lam(self, setup, lam):
@@ -314,6 +319,21 @@ class TestAlgorithm1:
         first = np.mean([abs(r["solution_loss"]) for r in trace[1:11]])
         last = np.mean([abs(r["solution_loss"]) for r in trace[31:41]])
         assert last < first
+
+    @pytest.mark.parametrize(
+        "rates, n_theta, message",
+        [
+            ({"lr": 1e-3, "lr_xi": 1e200}, 1, "adversary loss non-finite at epoch 1"),
+            ({"lr": 1e200, "lr_xi": 1e-3}, 2, "solution loss non-finite at epoch 1"),
+        ],
+        ids=["adversary", "solution"],
+    )
+    def test_divergence_detected(self, setup, rates, n_theta, message):
+        ground, X, y, f_net, h_net = setup
+        state = SaddleState(f_net, h_net, n_xi=2, n_theta=n_theta)
+        config = AdversarialConfig(epochs=5, seed=0, **rates)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match=message):
+            run_algorithm1(state, X, y, ground, config)
 
     def test_epoch_time_counts_the_steps_only(self, setup, monkeypatch):
         # a fake clock that the steps advance by 1 s, each field build by

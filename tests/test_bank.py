@@ -55,8 +55,14 @@ class TestBuildBank:
     def test_empty(self, small_dataset, theta):
         b = build_bank(small_dataset, theta, [])
         assert len(b) == 0
-        with pytest.raises(EmptyBank):
-            eval_G(b, theta)
+        calls = [
+            lambda: eval_G(b, theta),
+            lambda: eval_G_many(b, small_dataset.test_matrix),
+            lambda: export_affine(b),
+        ]
+        for call in calls:
+            with pytest.raises(EmptyBank, match="bank has no entries"):
+                call()
 
     def test_duality_invariant(self, small_dataset, theta, bank):
         bank.check_duality(small_dataset)
@@ -216,6 +222,10 @@ class TestSchedulesAndIO:
         sched = nested_random_schedule(50, [5, 10, 20], seed=1)
         assert set(sched[5]) <= set(sched[10]) <= set(sched[20])
 
+    def test_nested_schedule_rejects_a_size_above_the_train_set(self):
+        with pytest.raises(ValueError, match="schedule size 51 exceeds the train set"):
+            nested_random_schedule(50, [5, 51], seed=1)
+
     def test_bank_roundtrip(self, tmp_path, small_dataset, theta, bank):
         path = tmp_path / "bank.txt"
         write_bank(path, bank)
@@ -239,6 +249,15 @@ class TestSchedulesAndIO:
         # reference there so only the dimension mismatch can trigger
         other_theta = DiscreteMeasure(other_ground, np.full(4, 0.25))
         with pytest.raises(ValueError):
+            read_bank(path, other_theta)
+
+    def test_bank_rejects_another_metric_order(self, tmp_path, theta, bank):
+        # the same weights hash alike, so only the ground check can trigger
+        path = tmp_path / "bank.txt"
+        write_bank(path, bank)
+        g = theta.ground
+        other_theta = DiscreteMeasure(GroundSpace(g.points, 3.0, g.grid_shape), theta.weights)
+        with pytest.raises(ValueError, match="bank file does not match the ground space"):
             read_bank(path, other_theta)
 
 

@@ -247,6 +247,25 @@ class TestCli:
         train = [r["wpp"] for r in _read_csv(workdir / "distances.csv")]
         assert rows["all"] == train + rows["test"] and len(rows["all"]) == 17
 
+    def test_an_empty_test_split_exits_with_an_error(self, tmp_path):
+        ds = tmp_path / "no_test.txt"
+        main(["dataset", "make", "--out", str(ds), "--rows", "3", "--cols", "3", "--n-train", "4", "--n-test", "0"])
+        bank = str(tmp_path / "bank.txt")
+        main(["bank", "build", "--dataset", str(ds), "--ref", "0", "--indices", "all", "--out", bank])
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "speed-table", "dataset": str(ds), "bank_size": 2}))
+        for argv, message in [
+            (["ot", "--ref", "0", "--split", "test"], "no records to write"),
+            (["bank", "eval", "--ref", "0", "--bank", bank, "--split", "test"], "no records to write"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--dataset", str(ds), "--out", str(tmp_path / "out.csv")])
+            assert str(exc.value) == f"error: {message}"
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert str(exc.value) == "error: the speed table needs a nonempty test split"
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
     def test_subcover(self, workdir, tmp_path):
         out = tmp_path / "pek.csv"
         main(

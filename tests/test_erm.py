@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,21 @@ class TestAssemble:
         ]
         sys = assemble(sub, mus, np.array([3.0, 5.0]), lam=0.0)
         np.testing.assert_allclose(sys.yF, [(3.0 + 5.0) / 2.0])
+
+    @pytest.mark.parametrize(
+        "lam, n_values, message",
+        [
+            (-1.0, None, "lambda must be finite and nonnegative, got -1.0"),
+            (np.nan, None, "lambda must be finite and nonnegative, got nan"),
+            (np.inf, None, "lambda must be finite and nonnegative, got inf"),
+            (0.1, -1, "one target value per sample measure is required"),
+        ],
+        ids=["negative", "nan", "inf", "short-values"],
+    )
+    def test_rejects_a_bad_lambda_or_value_count(self, population, ortho, lam, n_values, message):
+        _, pop = population
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assemble(ortho, pop, np.zeros(len(pop))[:n_values], lam=lam)
 
     def test_rank_checked_at_fit_time(self, population):
         ground, pop = population
@@ -356,6 +373,10 @@ class TestNoise:
     def test_zero_sigma_identity(self):
         vals = np.array([1.0, 2.0])
         np.testing.assert_array_equal(add_noise(vals, 0.0, 1), vals)
+
+    def test_rejects_a_negative_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            add_noise(np.zeros(2), -1.0, 1)
 
     def test_seeded_determinism(self):
         vals = np.zeros(10)

@@ -12,6 +12,7 @@ from wdlearn.experiments import (
     run_experiment,
     run_speed_table,
     wpp_to_reference,
+    write_csv,
     write_manifest,
 )
 from wdlearn.measures import read_dataset
@@ -39,6 +40,10 @@ class TestSyntheticData:
     def test_grid_cap(self):
         with pytest.raises(ValueError):
             make_synthetic_dataset(17, 4, 2, 2)
+
+    def test_unknown_generator(self):
+        with pytest.raises(ValueError, match="unknown generator 'stripes'"):
+            make_synthetic_dataset(3, 3, 2, 2, generator="stripes")
 
     def test_blob_classes_are_separated(self):
         ds = make_synthetic_dataset(
@@ -92,6 +97,11 @@ class TestBaselineDecay:
         for r in records:
             assert np.isnan(r["mean_rel_err"]) and np.isnan(r["max_rel_err"])
 
+    def test_an_empty_split_is_rejected(self):
+        ds = make_synthetic_dataset(3, 3, n_train=4, n_test=0, seed=4)
+        with pytest.raises(ValueError, match="^baseline decay needs a nonempty test split$"):
+            run_baseline_decay(ds, ds.train[0], sizes=[1, 2], seeds=[0])
+
 
 class TestSpeedTable:
     def test_normalization_and_ordering(self, tiny_dataset):
@@ -105,6 +115,13 @@ class TestSpeedTable:
         table = run_speed_table(tiny_dataset, theta, net.forward, n_eval=4)
         assert table["forward"] == 1.0
         assert table["exact"] > 1.0 and table["sinkhorn"] > 1.0
+
+    def test_an_empty_test_split_is_rejected_before_any_timing(self):
+        ds = make_synthetic_dataset(3, 3, n_train=4, n_test=0, seed=4)
+        calls = []
+        with pytest.raises(ValueError, match="^the speed table needs a nonempty test split$"):
+            run_speed_table(ds, ds.train[0], calls.append)
+        assert calls == []
 
 
 class TestManifest:
@@ -120,6 +137,12 @@ class TestManifest:
         assert data["seeds"] == [1, 2]
         assert data["outputs"] == ["trace.csv"]
         assert "version" in data and "config_hash" in data
+
+
+def test_write_csv_needs_a_record(tmp_path):
+    with pytest.raises(ValueError, match="no records to write"):
+        write_csv(tmp_path / "out.csv", [])
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestRunExperiment:

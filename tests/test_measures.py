@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,19 @@ class TestGroundSpace:
             with pytest.raises(ValueError, match=f"metric order p must be finite and exceed 1, got {p}"):
                 GroundSpace.line([0.0, 1.0], p=p)
 
+    @pytest.mark.parametrize(
+        "points, grid_shape, message",
+        [
+            (np.zeros((2, 2, 2)), None, "points must be a (m, d) array"),
+            ([[0.0, 0.0], [0.0, 1.0]], (3, 1), "grid shape does not match the number of points"),
+            ([[0.0, 0.0], [0.0, 1.0]], (2,), "grid shape rank does not match point dimension"),
+        ],
+        ids=["points", "count", "rank"],
+    )
+    def test_rejects_malformed_shapes(self, points, grid_shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroundSpace(points, grid_shape=grid_shape)
+
     def test_rejects_mismatched_grid(self):
         with pytest.raises(ValueError):
             GroundSpace([[0.0, 0.0], [1.0, 1.0]], grid_shape=(2, 1))
@@ -74,10 +89,6 @@ class TestDiscreteMeasure:
         # a ValueError up front, not a failed renormalization certificate
         with pytest.raises(ValueError, match="^measure weights must be finite$"):
             DiscreteMeasure(line01, [bad, 0.5])
-
-    def test_integrate(self, line01):
-        mu = DiscreteMeasure(line01, [0.25, 0.75])
-        assert mu.integrate([1.0, 3.0]) == pytest.approx(2.5)
 
 
 class TestNormalize:
@@ -127,35 +138,6 @@ class TestNormalize:
             assert abs(mu.weights.sum() - 1.0) <= 1e-12
 
 
-class TestMoment:
-    def test_dirac_at_center_is_zero(self, line01):
-        mu = DiscreteMeasure.dirac(line01, 1)
-        assert mu.moment([1.0]) == 0.0
-
-    def test_dirac_unit_distance(self, line01):
-        mu = DiscreteMeasure.dirac(line01, 1)
-        assert mu.moment([0.0]) == pytest.approx(1.0)
-
-    def test_uniform_on_unit_pair(self, line01):
-        # direct sum: (0.5 * 0^2 + 0.5 * 1^2)^(1/2), the ground's p = 2
-        mu = DiscreteMeasure(line01, [0.5, 0.5])
-        assert mu.moment([0.0]) == pytest.approx(np.sqrt(0.5))
-
-    def test_order_is_the_grounds(self):
-        mu = DiscreteMeasure(GroundSpace.line([0.0, 1.0], p=3), [0.5, 0.5])
-        assert mu.moment([0.0]) == pytest.approx(0.5 ** (1 / 3))
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        g = GroundSpace(rng.normal(size=(6, 2)), p=3)
-        w = rng.dirichlet(np.ones(6))
-        perm = rng.permutation(6)
-        g2 = GroundSpace(g.points[perm], p=3)
-        m1 = DiscreteMeasure(g, w).moment([0.3, -0.2])
-        m2 = DiscreteMeasure(g2, w[perm]).moment([0.3, -0.2])
-        assert m1 == pytest.approx(m2, rel=1e-12)
-
-
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -170,6 +152,17 @@ class TestDatasetIO:
         assert back.ground.p == 2.0
         np.testing.assert_allclose(back.train_matrix, ds.train_matrix)
         np.testing.assert_allclose(back.test_matrix, ds.test_matrix)
+
+    @pytest.mark.parametrize("n_train, n_test", [(2, 0), (0, 2), (0, 0)])
+    def test_an_empty_split_has_a_row_width(self, n_train, n_test):
+        g = GroundSpace.grid((2, 3))
+        mus = [DiscreteMeasure.dirac(g, i) for i in range(n_train + n_test)]
+        ds = MeasureDataset(g, mus[:n_train], mus[n_train:])
+        assert ds.train_matrix.shape == (n_train, 6)
+        assert ds.test_matrix.shape == (n_test, 6)
+        for name, n in (("train", n_train), ("test", n_test), ("all", n_train + n_test)):
+            measures, W = ds.split(name)
+            assert W.shape == (len(measures), 6) == (n, 6)
 
     def test_mixed_ground_rejected(self):
         g1 = GroundSpace.grid((1, 2))
@@ -194,6 +187,19 @@ class TestDatasetIO:
         path.write_text(f"2 3 2.0 2 0\n{good}\n{bad} " + " ".join([repr(1 / 5)] * 5) + "\n")
         with pytest.raises(ValueError, match="^dataset file, line 3: measure weights must be finite$"):
             read_dataset(path)
+
+    def test_negative_count_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 3 2.0 -1 0\n")
+        with pytest.raises(ValueError, match="^dataset file, line 1: negative measure count -1$"):
+            read_dataset(path)
+
+    def test_write_needs_a_2d_grid(self, tmp_path):
+        for ground in (GroundSpace([[0.0, 0.0], [1.0, 3.0]]), GroundSpace.grid((2,))):
+            ds = MeasureDataset(ground, [DiscreteMeasure.dirac(ground, 0)], [])
+            with pytest.raises(ValueError, match="dataset files require a 2-d pixel-grid ground space"):
+                write_dataset(tmp_path / "ds.txt", ds)
+        assert not (tmp_path / "ds.txt").exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "short.txt"

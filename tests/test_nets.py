@@ -68,7 +68,6 @@ class TestMaxNetwork:
         for k in range(1, 7):
             net = build_max_network(k)
             assert net.hidden_widths == [3 * 2 ** (k - i) for i in range(1, k + 1)]
-            assert net.output_dim == 1
 
     def test_rejects_an_empty_layer_list(self):
         with pytest.raises(ValueError, match="at least one layer"):
@@ -79,6 +78,22 @@ class TestMaxNetwork:
         # would take the first row's gradient
         with pytest.raises(ValueError, match="last layer must have width 1, got 2"):
             ReluNetwork([Layer(np.eye(2), np.zeros(2), "none")])
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Layer(np.eye(2), np.zeros(2), "tanh"), "unknown activation 'tanh'"),
+            (lambda: Layer(np.eye(2), np.zeros(3)), "bias length must match the output width"),
+            (
+                lambda: ReluNetwork([Layer(np.eye(2), np.zeros(2)), Layer(np.ones((1, 3)), np.zeros(1))]),
+                "adjacent layer dimensions are incompatible",
+            ),
+        ],
+        ids=["activation", "bias", "adjacent"],
+    )
+    def test_rejects_malformed_layers(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_block_shapes_match_construction(self):
         # B_{l+1} is 3*2^l x 2^(l+1); the merged D_l is 3*2^(l-1) x 3*2^l
@@ -380,30 +395,28 @@ class TestInference:
         ],
         ids=["inf", "minus-inf", "nan", "overflow-to-nan", "overflow-then-relu"],
     )
-    def test_non_finite_batches_keep_the_layer_loop(self, pair, messages, monkeypatch):
+    def test_non_finite_batches_run_as_max(self, pair, messages, monkeypatch):
         X = np.arange(24.0).reshape(3, 8)
         X[1, 2:4] = pair
-        # alone, the tree takes the layer loop at once; after a layer, max is
-        # tried first, and a tree input that is not all finite reruns
-        # through the loop, where a finite one that overflows the loop's
-        # pair differences gets its exact max with no warning
         calls = _forward_spy(monkeypatch)
-        for net, tried in ((build_max_network(3), []), (_after_identity(3), [1])):
-            y_loop, loop_messages = _recorded(
-                lambda X: nets._layer_loop(net.layers, X)["a"][-1][:, 0], X
-            )
-            assert loop_messages == messages
-            rerun = [len(net.layers)]
-            if tried and np.isfinite(X).all():
-                y_loop, loop_messages, rerun = X.max(axis=1), [], []
-            calls.clear()
-            y, got = _recorded(net.forward, X)
-            np.testing.assert_array_equal(y, y_loop)
-            assert got == loop_messages and calls == tried + rerun
-            if loop_messages:
-                with pytest.warns(RuntimeWarning) as caught:
-                    net.forward(X)
-                assert [str(w.message) for w in caught] == messages
+        # alone, the tree takes the layer loop, with its values and warnings
+        tree = build_max_network(3)
+        y_loop, loop_messages = _recorded(
+            lambda X: nets._layer_loop(tree.layers, X)["a"][-1][:, 0], X
+        )
+        assert loop_messages == messages
+        calls.clear()
+        y, got = _recorded(tree.forward, X)
+        np.testing.assert_array_equal(y, y_loop)
+        assert got == messages and calls == [len(tree.layers)]
+        # after a layer, every batch runs the head once and takes the row max
+        # of the tree input, with only the head's warnings
+        net = _after_identity(3)
+        x, head_messages = _recorded(lambda X: nets._layer_loop(net.layers[:1], X)["a"][-1], X)
+        calls.clear()
+        y, got = _recorded(net.forward, X)
+        np.testing.assert_array_equal(y, np.max(x, axis=1))
+        assert got == head_messages and calls == [1]
 
 
 class TestWinnerOneHot:
@@ -976,7 +989,7 @@ class TestSeededRows:
     def test_a_zero_seeded_row_with_infinite_activations_adds_nothing(self):
         net, X, seeds, _ = self._case("frozen-tree", 9, 0.0, 5)
         X[4, 2], seeds[4] = np.inf, 0.0
-        with np.errstate(invalid="ignore"):  # the tree's inf - inf in the dense loop
+        with np.errstate(invalid="ignore"):  # the head's inf - inf
             cache = net.forward_cached(X)[1]
         assert not np.isfinite(cache["a"][0][4]).any()
         grads = backward(net, cache, seeds)
@@ -1195,11 +1208,12 @@ class TestTraining:
             {"reg_lambda": np.inf},
             {"lr": np.nan},
             {"lr": np.inf},
+            {"loss": "l1"},
         ],
     )
     def test_config_rejects_invalid_lambda_and_lr(self, bad):
         with pytest.raises(ValueError):
-            TrainConfig(loss="regularized", **bad)
+            TrainConfig(**{"loss": "regularized", **bad})
 
     def test_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
@@ -1222,6 +1236,13 @@ class TestTraining:
         monkeypatch.setattr(Adam, "step", lambda opt, grads: pytest.fail("stepped"))
         with pytest.raises(ValueError, match=re.escape(message)):
             train(random_head_network(4, 2, seed=1), X, y[:n_y], TrainConfig(epochs=2), **split)
+
+    def test_regularized_loss_needs_the_ground(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X, y = rng.dirichlet(np.ones(4), size=12), rng.random(12)
+        monkeypatch.setattr(Adam, "step", lambda opt, grads: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="regularized loss requires the ground space"):
+            train(random_head_network(4, 2, seed=1), X, y, TrainConfig(epochs=2, loss="regularized"))
 
     def test_regularized_training_runs(self):
         rng = np.random.default_rng(47)

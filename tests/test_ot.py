@@ -631,6 +631,19 @@ class TestLpPaths:
         with pytest.raises(SolverFailure, match="^HiGHS rejected the option no_such_option=1$"):
             exact_ot(*lp_pair("flow-8x8"))
 
+    def test_a_rejected_model_fails_the_solve(self, monkeypatch):
+        if ot._highs_core is None:
+            pytest.skip("scipy's private HiGHS bindings did not import")
+
+        class Rejecting(ot._Highs):
+            def passModel(self, *model):
+                return ot._HIGHS_ERROR
+
+        monkeypatch.setattr(ot, "_Highs", Rejecting)
+        cost = GroundSpace.grid((3, 3)).cost_matrix()
+        with pytest.raises(SolverFailure, match=r"^transport LP failed: HiGHS rejected the model\.$"):
+            solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 1.0 / 9))
+
 
 def sinkhorn_records(caplog):
     return [

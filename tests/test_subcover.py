@@ -43,17 +43,46 @@ class TestMetricSample:
             ([[0.0, 1.0, 2.0], [1.1, 0.0, 1.0], [2.0, 1.0, 0.0]], "asymmetric"),
             ([[0.5, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "diagonal"),
             ([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]], "triangle"),
-            ([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]], "asymmetric"),
         ],
     )
     def test_check_metric_rejects(self, D, what):
         with pytest.raises(CertificateViolation, match=what):
             MetricSample(distance_matrix=np.array(D)).check_metric(seed=0)
 
+    @pytest.mark.parametrize(
+        "D, message",
+        [
+            ([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]], "distances must be finite"),
+            ([[0.0, -1.0], [-1.0, 0.0]], "distances must be finite and nonnegative"),
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], r"shape \(2, 2\), got \(2, 3\)"),
+            ([0.0, 1.0], r"shape \(2, 2\), got \(2,\)"),
+        ],
+        ids=["nan", "negative", "not-square", "one-d"],
+    )
+    def test_bad_distance_matrices_are_rejected(self, D, message):
+        with pytest.raises(ValueError, match=message):
+            MetricSample(distance_matrix=D)
+
+    def test_a_distance_matrix_needs_one_row_per_element(self, measure_sample):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\), got \(2, 2\)"):
+            MetricSample(elements=measure_sample.elements[:3], distance_matrix=np.eye(2))
+
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan]], ids=["first", "second"])
     def test_non_finite_weights_are_rejected(self, weights):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="weights must be finite"):
+            MetricSample(distance_matrix=D, weights=weights)
+
+    def test_needs_elements_or_a_distance_matrix(self):
+        with pytest.raises(ValueError, match="provide elements or a distance matrix"):
+            MetricSample()
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0], [1.5, -0.5], [0.3, 0.3]], ids=["short", "negative", "sum"]
+    )
+    def test_weights_must_be_a_probability_vector(self, weights):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="weights must be a probability vector over the sample"):
             MetricSample(distance_matrix=D, weights=weights)
 
     def test_ball_masses_use_open_balls(self, two_atoms):
@@ -140,7 +169,17 @@ def test_both_probabilities_reject_a_negative_k(two_atoms):
         p_eps_k_monte_carlo(two_atoms, 0.5, -1, trials=10, seed=0)
 
 
+def test_monte_carlo_needs_a_trial(two_atoms):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        p_eps_k_monte_carlo(two_atoms, 0.5, 1, trials=0, seed=0)
+
+
 class TestCoveringBound:
+    @pytest.mark.parametrize("delta", [0.0, 1.0, np.nan])
+    def test_rejects_a_delta_outside_the_unit_interval(self, two_atoms, delta):
+        with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 1)")):
+            covering_number_bound(two_atoms, 0.5, delta)
+
     def test_single_atom(self):
         s = MetricSample(distance_matrix=np.zeros((1, 1)))
         rep = covering_number_bound(s, 0.5, 0.1)
