@@ -167,12 +167,18 @@ def export_affine(bank: PotentialBank):
 
 
 def reference_hash(theta: DiscreteMeasure) -> str:
-    return hashlib.sha256(np.ascontiguousarray(theta.weights).tobytes()).hexdigest()[:12]
+    """Hash of the reference's weights, its ground's points and ``p``."""
+    h = hashlib.sha256(np.ascontiguousarray(theta.weights).tobytes())
+    h.update(np.ascontiguousarray(theta.ground.points).tobytes())
+    h.update(np.float64(theta.ground.p).tobytes())
+    return h.hexdigest()[:12]
 
 
 def write_bank(path, bank: PotentialBank) -> None:
     """Text bank file: header ``|I| d p ref_hash``, then per entry a
-    ``k wpp psi_bar`` line followed by the phi vector line."""
+    ``k wpp psi_bar`` line followed by the phi vector line.  ``ref_hash``
+    is :func:`reference_hash` of the bank's reference, so it covers the
+    ground's points as well as the reference weights."""
     lines = [
         f"{len(bank)} {bank.ground.size} {bank.ground.p!r} {reference_hash(bank.theta)}"
     ]
@@ -184,12 +190,14 @@ def write_bank(path, bank: PotentialBank) -> None:
 
 
 def read_bank(path, theta: DiscreteMeasure) -> PotentialBank:
-    """Read a bank file; the reference must hash to the stored value.
+    """Read a bank file; ``theta`` must have the stored ground size and
+    ``p``, and its weights and ground points must hash to the stored value.
 
     Raises
     ------
     ValueError
-        If the file belongs to another reference or ground space, and,
+        If the file belongs to another ground space or reference (the
+        same weights on other points count as another reference), and,
         naming the line, when the file ends before the header's count of
         entries or without a final newline, when a line has the wrong
         number of fields (a ``phi`` line needs ``d``), when a source index
@@ -200,10 +208,10 @@ def read_bank(path, theta: DiscreteMeasure) -> PotentialBank:
     count, d, p, ref_hash = lines.fields(
         "the header '|I| d p ref_hash'", (int, int, float, str)
     )
-    if ref_hash != reference_hash(theta):
-        raise ValueError("bank file was built against a different reference")
     if d != theta.ground.size or p != theta.ground.p:
         raise ValueError("bank file does not match the ground space")
+    if ref_hash != reference_hash(theta):
+        raise ValueError("bank file was built against a different reference or ground points")
     if count < 0:
         raise lines.error(f"negative entry count {count}")
     entries = []

@@ -259,7 +259,9 @@ def run_experiment(config: dict, out_dir) -> dict:
     that experiment needs, and its seeds (``seed`` of ``make-dataset``,
     each of ``seeds`` of ``baseline-decay``) must be nonnegative integers
     and each of ``schedule`` a positive one; ``speed-table`` draws nothing
-    and takes no ``seed``.  ``out_dir`` is
+    and takes no ``seed``, and its ``reg`` must be finite and positive,
+    its ``bank_size`` within the train split and its test split nonempty,
+    all checked before the bank's first solve.  ``out_dir`` is
     created at the first write, so a config rejected before that leaves
     no directory behind.
     """
@@ -320,21 +322,24 @@ def run_experiment(config: dict, out_dir) -> dict:
         if "seed" in config:
             raise ValueError("speed-table draws nothing and takes no 'seed'")
         seeds = []
-        dataset = read_dataset(config["dataset"])
-        theta = _resolve_reference(dataset, config.get("ref", 0))
+        reg = config.get("reg", 0.1)
+        if isinstance(reg, bool) or not isinstance(reg, (int, float)) or not 0 < reg < np.inf:
+            raise ValueError(f"reg must be a finite positive number, got {reg!r}")
         size = config.get("bank_size", 16)
         if isinstance(size, bool) or not isinstance(size, int):
             raise ValueError(f"bank_size must be an integer, got {size!r}")
+        dataset = read_dataset(config["dataset"])
+        theta = _resolve_reference(dataset, config.get("ref", 0))
         if not 1 <= size <= len(dataset.train):
             raise ValueError(
                 f"bank_size {size} must lie between 1 and the {len(dataset.train)} train measures"
             )
+        if not dataset.test:
+            raise ValueError("the speed table needs a nonempty test split")
         bank = build_bank(dataset, theta, range(size))
         k = int(np.ceil(np.log2(max(size, 2))))
         net = init_from_bank(*export_affine(bank), k=k)
-        table = run_speed_table(
-            dataset, theta, net.forward, reg=config.get("reg", 0.1)
-        )
+        table = run_speed_table(dataset, theta, net.forward, reg=reg)
         trace = out("trace.csv")
         write_csv(trace, [table])
         outputs.append(str(trace))

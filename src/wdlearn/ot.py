@@ -38,18 +38,27 @@ dense LP's constraint matrix depends only on the two support sizes and
 is built directly in the column-wise form.  No result or basis is kept:
 every solve runs its own LP and passes every certificate.
 
+The entropic solver, :func:`sinkhorn`, is the stabilized scaling
+algorithm of Schmitzer (2019): scaling iterations, two matrix-vector
+products each, on a kernel into which log-domain potentials are
+absorbed.  Log-domain iterations, two log-sum-exp passes each, run only
+to start and whenever the scalings leave a fixed range or a product goes
+non-finite.
+
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
 column count, the path of the solve (``highs`` for the direct model,
 ``linprog`` for scipy's wrapper), the HiGHS status, the simplex
 iterations and the nanoseconds spent.  Each Sinkhorn solve logs one
-such record too: the support sizes, the iterations, the final marginal
-violation and the nanoseconds spent.
+such record too: the support sizes, the iterations, how many of them
+ran in the log domain, the final marginal violation and the
+nanoseconds spent.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -492,6 +501,15 @@ def logsumexp(x, axis):
     return out
 
 
+# Sinkhorn's scalings are absorbed into the log-domain potentials once
+# either leaves [1 / _SCALING_BOUND, _SCALING_BOUND], checked every
+# _ABSORB_EVERY iterations (Schmitzer 2019).  The range lies far inside
+# the float range, so products seldom go non-finite between two checks,
+# and a check costs four reductions, against two for an iteration.
+_SCALING_BOUND = 1e30
+_ABSORB_EVERY = 10
+
+
 def sinkhorn(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -499,19 +517,31 @@ def sinkhorn(
     tol: float = 1e-9,
     max_iter: int = 10000,
 ):
-    """Entropic-regularized transport via log-domain Sinkhorn iterations.
+    """Entropic-regularized transport via stabilized Sinkhorn scaling.
 
     Each iteration updates the potential ``f`` on ``mu``'s support so that
     the plan's row sums match ``mu``, then ``g`` so that its column sums
-    match ``nu``.  The column sums are then exact up to rounding, so the
-    marginal violation is that of the row sums, ``exp(f / reg + r)``,
-    where ``r`` is the row log-sum-exp the next ``f`` update needs
-    anyway.  Once the violation drops below ``tol`` the regularized plan
-    is returned, together with its unregularized cost ``sum d^p gamma``.
+    match ``nu``.  The first iteration runs in the log domain, on
+    potentials ``u = f / reg`` and ``v = g / reg``, and forms the absorbed
+    kernel ``G = exp(u + v - C / reg)`` once; the plan is then
+    ``diag(su) G diag(sv)``, and each further iteration is a scaling step
+    ``su = a / (G sv)``, ``sv = b / (G^T su)``, two matrix-vector
+    products.  Every 10 iterations, if a scaling has left
+    ``[1e-30, 1e30]``, the next iteration runs in the log domain: it
+    absorbs the scalings into ``u`` and ``v`` and rebuilds ``G``.  So does
+    an iteration whose products go non-finite, from the state before it.
+    The costs may lie far above ``reg``: ``G`` is built from the current
+    potentials, where ``exp(-C / reg)`` alone would underflow.
+
+    After a ``g`` update the column sums are exact up to rounding, so the
+    marginal violation is that of the row sums, ``su * (G sv)``, whose
+    product the next update needs anyway.  Once the violation drops below
+    ``tol`` the regularized plan is returned, together with its
+    unregularized cost ``sum d^p gamma``.
 
     Each solve logs one DEBUG record on the ``wdlearn.ot`` logger with
-    the support sizes, the iterations, the final violation and the
-    nanoseconds spent.
+    the support sizes, the iterations, how many of them ran in the log
+    domain, the final violation and the nanoseconds spent.
 
     Raises
     ------
@@ -533,37 +563,64 @@ def sinkhorn(
     cost = mu.ground.cost_matrix()
     ia = np.flatnonzero(mu.weights > 0)
     ib = np.flatnonzero(nu.weights > 0)
-    a = mu.weights[ia]
-    la, lb = np.log(a), np.log(nu.weights[ib])
+    a, b = mu.weights[ia], nu.weights[ib]
+    la, lb = np.log(a), np.log(b)
 
-    # potentials in units of reg (f = reg * u, g = reg * v); both passes
-    # reduce along the last axis of K or its transpose
+    # log-domain potentials in units of reg (f = reg * u, g = reg * v);
+    # both passes reduce along the last axis of K or its transpose
     K = cost[np.ix_(ia, ib)] / -reg
     KT = np.ascontiguousarray(K.T)
     buf, buf_t = np.empty_like(K), np.empty_like(KT)
 
-    v = np.zeros(len(ib))
-    r = logsumexp(np.add(K, v, out=buf), 1)
-    for n_iter in range(1, max_iter + 1):
-        u = la - r
-        v = lb - logsumexp(np.add(KT, u, out=buf_t), 1)
-        r = logsumexp(np.add(K, v, out=buf), 1)
-        violation = float(np.abs(np.exp(u + r) - a).max())
-        if violation < tol:
-            break
+    v, sv = np.zeros(len(ib)), np.ones(len(ib))
+    log_step, log_iters = True, 0
+    # a non-finite product shows as a non-finite violation, not a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n_iter in range(1, max_iter + 1):
+            if not log_step:
+                su_n = a / Gv
+                sv_n = b / (su_n @ G)
+                Gv_n = G @ sv_n
+                violation = float(np.abs(su_n * Gv_n - a).max())
+                # a non-finite product: redo the iteration in the log
+                # domain from the scalings before it
+                log_step = not math.isfinite(violation)
+                if not log_step:
+                    su, sv, Gv = su_n, sv_n, Gv_n
+            if log_step:
+                v += np.log(sv)
+                u = la - logsumexp(np.add(K, v, out=buf), 1)
+                v = lb - logsumexp(np.add(KT, u, out=buf_t), 1)
+                G = np.exp(K + u[:, None] + v[None, :])
+                su, sv = np.ones(len(ia)), np.ones(len(ib))
+                Gv = G.sum(axis=1)
+                violation = float(np.abs(Gv - a).max())
+                log_step, log_iters = False, log_iters + 1
+            if violation < tol:
+                break
+            if n_iter % _ABSORB_EVERY == 0:
+                log_step = not all(
+                    1.0 / _SCALING_BOUND <= s.min() and s.max() <= _SCALING_BOUND
+                    for s in (su, sv)
+                )
 
     if _log.isEnabledFor(logging.DEBUG):
         ns = time.perf_counter_ns() - t0
         _log.debug(
-            "sinkhorn %dx%d: iters=%d violation=%.3e ns=%d",
-            len(ia), len(ib), n_iter, violation, ns,
-            extra={"sinkhorn_iters": n_iter, "violation": violation, "ns": ns},
+            "sinkhorn %dx%d: iters=%d log_iters=%d violation=%.3e ns=%d",
+            len(ia), len(ib), n_iter, log_iters, violation, ns,
+            extra={
+                "sinkhorn_iters": n_iter,
+                "log_iters": log_iters,
+                "violation": violation,
+                "ns": ns,
+            },
         )
     if not violation < tol:
         raise NotConverged(f"sinkhorn stopped after {max_iter} iterations", violation)
 
     gamma = np.zeros_like(cost)
-    gamma[np.ix_(ia, ib)] = np.exp(K + u[:, None] + v[None, :])
+    gamma[np.ix_(ia, ib)] = su[:, None] * G * sv[None, :]
     approx_wpp = float((gamma * cost).sum())
     return TransportPlan(matrix=gamma, cost=approx_wpp), approx_wpp
 

@@ -241,14 +241,21 @@ class TestSchedulesAndIO:
         with pytest.raises(ValueError):
             read_bank(path, other)
 
-    def test_bank_rejects_wrong_ground(self, tmp_path, bank):
+    def test_bank_rejects_wrong_ground(self, tmp_path, theta, bank):
+        # the same weights on another 9-point ground of the same p: only
+        # the points, which the reference hash covers, tell them apart
         path = tmp_path / "bank.txt"
         write_bank(path, bank)
-        other_ground = GroundSpace.grid((2, 2))
-        # same weights cannot exist on a 4-point ground; rebuild a uniform
-        # reference there so only the dimension mismatch can trigger
-        other_theta = DiscreteMeasure(other_ground, np.full(4, 0.25))
-        with pytest.raises(ValueError):
+        other_theta = DiscreteMeasure(GroundSpace.line(np.arange(9.0) * 10), theta.weights)
+        message = "^bank file was built against a different reference or ground points$"
+        with pytest.raises(ValueError, match=message):
+            read_bank(path, other_theta)
+
+    def test_bank_rejects_another_ground_size(self, tmp_path, bank):
+        path = tmp_path / "bank.txt"
+        write_bank(path, bank)
+        other_theta = DiscreteMeasure(GroundSpace.grid((2, 2)), np.full(4, 0.25))
+        with pytest.raises(ValueError, match="^bank file does not match the ground space$"):
             read_bank(path, other_theta)
 
     def test_bank_rejects_another_metric_order(self, tmp_path, theta, bank):

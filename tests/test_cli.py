@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import re
 
 import numpy as np
@@ -897,6 +898,11 @@ class TestCli:
             ({"experiment": "baseline-decay", "dataset": None}, "experiment 'baseline-decay' needs the key 'dataset'"),
             ({"experiment": "baseline-decay", "schedule": None}, "experiment 'baseline-decay' needs the key 'schedule'"),
             ({"experiment": "speed-table", "dataset": None}, "experiment 'speed-table' needs the key 'dataset'"),
+            ({"experiment": "speed-table", "reg": 0.0}, "reg must be a finite positive number, got 0.0"),
+            ({"experiment": "speed-table", "reg": -1}, "reg must be a finite positive number, got -1"),
+            ({"experiment": "speed-table", "reg": float("nan")}, "reg must be a finite positive number, got nan"),
+            ({"experiment": "speed-table", "reg": "0.1"}, "reg must be a finite positive number, got '0.1'"),
+            ({"experiment": "speed-table", "reg": True}, "reg must be a finite positive number, got True"),
         ],
     )
     def test_exp_run_rejects_a_config_before_any_directory(self, workdir, tmp_path, config, message):
@@ -929,6 +935,26 @@ class TestCli:
             main(["exp", "run", "--config", str(cfg), "--out-dir", str(out)])
         assert str(exc.value) == f"error: bank_size {bank_size} must lie between 1 and the 12 train measures"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_test, reg, message",
+        [
+            (0, 0.1, "the speed table needs a nonempty test split"),
+            (2, 0.0, "reg must be a finite positive number, got 0.0"),
+        ],
+    )
+    def test_exp_run_speed_table_fails_before_any_solve(self, tmp_path, caplog, n_test, reg, message):
+        ds = tmp_path / "ds.txt"
+        experiments.make_synthetic_dataset(3, 3, n_train=6, n_test=n_test, seed=3, path=ds)
+        cfg = tmp_path / "exp.json"
+        config = {"experiment": "speed-table", "dataset": str(ds), "bank_size": 6, "reg": reg}
+        cfg.write_text(json.dumps(config))
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert str(exc.value) == f"error: {message}"
+        assert not [r for r in caplog.records if hasattr(r, "lp_form")]
+        assert not (tmp_path / "out").exists()
 
     def test_exp_run_speed_table_pads_a_short_bank(self, tmp_path, monkeypatch):
         # on these blobs against the uniform reference, G of one Dirac lies

@@ -667,7 +667,10 @@ class TestSinkhornTelemetry:
             assert r.levelno == logging.DEBUG
             assert 0.0 <= r.violation < 1e-8 and r.ns > 0
             n_supp = int(np.count_nonzero(nu.weights))
-            assert r.getMessage().startswith(f"sinkhorn 16x{n_supp}: iters={r.sinkhorn_iters} ")
+            assert 1 <= r.log_iters <= r.sinkhorn_iters
+            assert r.getMessage().startswith(
+                f"sinkhorn 16x{n_supp}: iters={r.sinkhorn_iters} log_iters={r.log_iters} "
+            )
 
     def test_record_before_not_converged(self, caplog, line01):
         caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
@@ -675,8 +678,10 @@ class TestSinkhornTelemetry:
         nu = DiscreteMeasure(line01, [0.9, 0.1])
         with pytest.raises(NotConverged) as exc:
             sinkhorn(mu, nu, reg=0.05, tol=1e-14, max_iter=3)
+        # only iteration 1 ran in the log domain: the solve stopped in a
+        # scaling iteration and reports that iteration's violation
         (record,) = sinkhorn_records(caplog)
-        assert record.sinkhorn_iters == 3
+        assert (record.sinkhorn_iters, record.log_iters) == (3, 1)
         assert record.violation == exc.value.violation
 
     def test_no_record_above_debug(self, caplog):
@@ -685,6 +690,32 @@ class TestSinkhornTelemetry:
         g = GroundSpace.grid((3, 3))
         sinkhorn(random_measure(g, rng), random_measure(g, rng), reg=0.3)
         assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
+
+
+def absorbing_input(case):
+    """A measure pair and solver arguments on which the Sinkhorn scalings
+    leave [1e-30, 1e30], or a product of them goes non-finite, mid-solve."""
+    if case == "dirichlet-0.05":
+        # weights down to 4e-46: the scalings leave the range twice
+        g = GroundSpace.grid((8, 8))
+        rng = np.random.default_rng(1)
+        a, b = rng.dirichlet(np.full(64, 0.05), size=2)
+        return DiscreteMeasure(g, a), DiscreteMeasure(g, b), {"reg": 0.1, "tol": 1e-9}
+    if case == "corners":
+        # opposite corners of the 8x8 grid, at costs up to 19,600 reg
+        g = GroundSpace.grid((8, 8))
+        rng = np.random.default_rng(7)
+        a, b = np.zeros(64), np.zeros(64)
+        a[:8] = rng.dirichlet(np.ones(8))
+        b[-8:] = rng.dirichlet(np.ones(8))
+        return DiscreteMeasure(g, a), DiscreteMeasure(g, b), {"reg": 0.005, "tol": 1e-6}
+    # a subnormal weight: a product goes non-finite at iteration 253,
+    # between two range checks, and the scalings never leave the range
+    g = GroundSpace.grid((4, 4))
+    rng = np.random.default_rng(1)
+    a, b = rng.dirichlet(np.ones(16), size=2)
+    b[9] = 1e-318
+    return DiscreteMeasure(g, a), DiscreteMeasure(g, b / b.sum()), {"reg": 0.1, "tol": 1e-9}
 
 
 def assert_matches_reference(caplog, mu, nu, **kwargs):
@@ -775,13 +806,9 @@ class TestSinkhorn:
         # opposite corners of the unnormalised 8x8 pixel grid: costs reach
         # 98, where the Gibbs kernel exp(-C / reg) underflows to 0 but the
         # plan does not
-        g = GroundSpace.grid((8, 8))
-        rng = np.random.default_rng(7)
-        a, b = np.zeros(64), np.zeros(64)
-        a[:8] = rng.dirichlet(np.ones(8))
-        b[-8:] = rng.dirichlet(np.ones(8))
-        mu, nu = DiscreteMeasure(g, a), DiscreteMeasure(g, b)
-        C = g.cost_matrix()[:8, -8:]
+        mu, nu, _ = absorbing_input("corners")
+        a, b = mu.weights, nu.weights
+        C = mu.ground.cost_matrix()[:8, -8:]
         underflow = np.exp(-C / 0.1) == 0.0
         assert C.max() == 98.0 and underflow.any()
         plan = assert_matches_reference(caplog, mu, nu, reg=0.1, tol=1e-6)
@@ -790,10 +817,17 @@ class TestSinkhorn:
         np.testing.assert_allclose(plan.matrix.sum(axis=0), b, atol=1e-12)
         np.testing.assert_allclose(plan.matrix.sum(axis=1), a, atol=1e-6)
 
-    def test_two_logsumexp_calls_per_update(self, caplog, monkeypatch):
-        # each update is one row and one column pass; the last check is
-        # one more row pass.  A solver that stops calling wdlearn.ot.logsumexp
-        # would read as zero iterations to anything counting these calls.
+    @pytest.mark.parametrize("case", ["dirichlet-0.05", "corners", "subnormal"])
+    def test_matches_reference_through_log_steps(self, caplog, case):
+        mu, nu, kwargs = absorbing_input(case)
+        plan = assert_matches_reference(caplog, mu, nu, **kwargs)
+        (record,) = sinkhorn_records(caplog)
+        assert record.log_iters > 1
+        assert np.isfinite(plan.matrix).all()
+
+    def test_two_logsumexp_calls_per_log_iteration(self, caplog, monkeypatch):
+        # a log-domain iteration is one row and one column pass; a scaling
+        # iteration calls no logsumexp
         calls = []
 
         def counted(x, axis):
@@ -805,13 +839,16 @@ class TestSinkhorn:
         caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
         rng = np.random.default_rng(16)
         g = GroundSpace.grid((4, 4))
-        for _ in range(3):
+        inputs = [(random_measure(g, rng), random_measure(g, rng), {"reg": 0.2, "tol": 1e-6})
+                  for _ in range(3)]
+        for mu, nu, kwargs in inputs + [absorbing_input("dirichlet-0.05")]:
             calls.clear()
             caplog.clear()
-            sinkhorn(random_measure(g, rng), random_measure(g, rng), reg=0.2, tol=1e-6)
+            sinkhorn(mu, nu, **kwargs)
             (record,) = sinkhorn_records(caplog)
-            assert record.sinkhorn_iters > 0
-            assert len(calls) == 2 * record.sinkhorn_iters + 1
+            assert 1 <= record.log_iters <= record.sinkhorn_iters
+            assert len(calls) == 2 * record.log_iters
+        assert record.log_iters > 1
 
     def test_logsumexp_matches_scipy(self):
         from scipy.special import logsumexp as scipy_logsumexp
