@@ -1,16 +1,20 @@
 """Adversarial training for the empirical Euler-Lagrange saddle point.
 
 A solution network and an adversary network, both cylinder functions
-realized as affine-head ReLU networks, play the normalized weak-form
-residual
+realized as affine-head ReLU networks, play the magnitude ``|num| / den``
+of the normalized weak-form residual
 
     [ <F - y, H> + lam * pce(F, H) ] / |H|,
 
 where the inner products are empirical means over the batch, ``pce`` is
 the pre-Cheeger pairing of the two gradient fields, and the norm is
 either the discrete Sobolev norm (value plus field energy) or the plain
-L2 norm.  Both losses are homogeneous of degree zero in the adversary's
-output scale.  Gradients are taken through the denominator as well.
+L2 norm.  The adversary maximizes the magnitude and the solution net
+minimizes it: a max network is not closed under negation, so the signed
+residual could be negative at the adversary's best and would then be
+unbounded below for the solution net.  Both losses are homogeneous of
+degree zero in the adversary's output scale.  Gradients are taken
+through the denominator as well.
 
 The step functions take both nets' batch terms, the ``(y, cache, S,
 field)`` of :func:`cylinder_field_batch`, from their caller.  Per batch,
@@ -84,17 +88,19 @@ def _ratio(state: SaddleState, X, y, F, H):
 
 
 def loss_adversary(state: SaddleState, ground: GroundSpace, X, y) -> float:
-    """Negated normalized residual (the adversary minimizes this)."""
+    """Negated magnitude of the normalized residual (the adversary
+    minimizes this)."""
     return -loss_solution(state, ground, X, y)
 
 
 def loss_solution(state: SaddleState, ground: GroundSpace, X, y) -> float:
-    """Normalized residual (the solution net minimizes this)."""
+    """Magnitude ``|num| / den`` of the normalized residual (the solution
+    net minimizes this)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     F = cylinder_field_batch(state.f_net, ground, X)
     H = cylinder_field_batch(state.h_net, ground, X)
     num, den = _ratio(state, X, np.asarray(y, dtype=float), F, H)
-    return num / den
+    return abs(num) / den
 
 
 def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y, F, H):
@@ -102,29 +108,29 @@ def solution_step_grads(state: SaddleState, ground: GroundSpace, X, y, F, H):
     from both nets' terms on the batch (see :func:`_ratio`).
 
     The denominator does not depend on the solution net, so this is the
-    numerator gradient scaled by ``1/|H|``.
+    numerator gradient scaled by ``sign(num) / |H|``.
     """
     (_, cF, SF, _), (yH, _, _, fH) = F, H
     num, den = _ratio(state, X, y, F, H)
     scale = len(y) * den
-    value_seeds = yH / scale
-    other = state.lam / scale * fH
+    value_seeds = np.sign(num) / scale * yH
+    other = np.sign(num) * state.lam / scale * fH
     grads = backward_with_pairing(state.f_net, ground, cF, SF, X, value_seeds, other)
-    return grads, num / den
+    return grads, abs(num) / den
 
 
 def adversary_step_grads(state: SaddleState, ground: GroundSpace, X, y, F, H):
     """Gradient of the adversary loss w.r.t. the adversary parameters,
     from both nets' terms on the batch (see :func:`_ratio`).
 
-    Differentiates through the denominator: for ``L = -num / den`` the
-    seeds combine as ``-(d num)/den + num (d q) / (2 den^3)``.
+    Differentiates through the denominator: for ``L = -|num| / den`` the
+    seeds combine as ``-sign(num) (d num)/den + |num| (d q) / (2 den^3)``.
     """
     (yF, _, _, fF), (yH, cH, SH, fH) = F, H
     num, den = _ratio(state, X, y, F, H)
     B = len(y)
-    c_num = -1.0 / den
-    c_q = num / (2.0 * den**3)
+    c_num = -np.sign(num) / den
+    c_q = abs(num) / (2.0 * den**3)
 
     value_seeds = c_num * (yF - y) / B + c_q * 2.0 * yH / B
     # the pairing is linear in the other field, so the numerator's
@@ -133,7 +139,7 @@ def adversary_step_grads(state: SaddleState, ground: GroundSpace, X, y, F, H):
     if state.norm == "h12":
         other = other + c_q * 2.0 / B * fH
     grads = backward_with_pairing(state.h_net, ground, cH, SH, X, value_seeds, other)
-    return grads, -num / den
+    return grads, -abs(num) / den
 
 
 @dataclass
@@ -192,7 +198,7 @@ def run_algorithm1(
         H = cylinder_field_batch(state.h_net, ground, X)
         try:
             num, den = _ratio(state, X, y, F, H)
-            sol = num / den
+            sol = abs(num) / den
         except DegenerateAdversary:
             sol = float("nan")
         rec = {

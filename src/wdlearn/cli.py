@@ -81,15 +81,11 @@ def _cmd_dataset_make(args):
 
 
 def _cmd_ot(args):
-    if args.method != "sinkhorn":
-        for flag, value in (("--reg", args.reg), ("--tol", args.tol)):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to --method sinkhorn")
-    reg = 0.1 if args.reg is None else args.reg
-    tol = 1e-9 if args.tol is None else args.tol
-    for flag, value in (("--reg", reg), ("--tol", tol)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{flag} must be finite and positive")
+    # reg and tol are sinkhorn's own: passed on only when given, and
+    # checked by sinkhorn before its first iteration
+    options = {k: v for k, v in (("reg", args.reg), ("tol", args.tol)) if v is not None}
+    if options and args.method != "sinkhorn":
+        raise ValueError(f"--{next(iter(options))} applies only to --method sinkhorn")
     dataset = read_dataset(args.dataset)
     if args.p is not None:
         ground = GroundSpace(dataset.ground.points, args.p, dataset.ground.grid_shape)
@@ -103,7 +99,7 @@ def _cmd_ot(args):
         if args.method == "exact":
             _, _, wpp = exact_ot(theta, mu)
         else:
-            _, wpp = sinkhorn(theta, mu, reg=reg, tol=tol)
+            _, wpp = sinkhorn(theta, mu, **options)
         records.append(
             {"index": i, "wpp": wpp, "runtime_ns": time.perf_counter_ns() - t0}
         )
@@ -111,34 +107,50 @@ def _cmd_ot(args):
     print(f"wrote {args.out} ({len(records)} rows)")
 
 
-_INDEX_SPECS = "random:<j>[:<seed>] | cover:<delta> | all"
+# The forms of each kind:arg flag, which are also its help.  A field
+# <file> takes the rest of the text, colons included; <seed> is a
+# nonnegative integer, <j> an integer and any other field a float.  The
+# library checks their ranges.
+_SPECS = {
+    "indices": "random:<j>[:<seed>] | cover:<delta> | all",
+    "basis": "bank:<file> | features:<file>",
+    "loss": "mae | reg:<lambda>",
+    "init": "bank:<file> | random[:<seed>]",
+}
+_FIELD_TYPES = {"<file>": str, "<seed>": _seed, "<j>": int}
 
 
-def _parse_indices(spec, dataset, theta):
-    kind, _, rest = spec.partition(":")
-    j, _, seed = rest.partition(":")
-    try:
-        if kind == "random":
-            j, seed = int(j), int(seed or 0)
-            if seed < 0:
-                raise ValueError
-        elif kind == "cover":
-            delta = float(rest)
-        elif spec != "all":
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"invalid index spec {spec!r}: expected {_INDEX_SPECS}") from None
-    if kind == "random":
-        return random_indices(len(dataset.train), j, seed)
-    if kind == "cover":
-        return select_cover_indices(dataset, theta, delta)
-    return list(range(len(dataset.train)))
+def _spec(flag, text):
+    """``(kind, *fields)`` of ``text`` given to ``--<flag>``, by the form of
+    ``_SPECS[flag]`` it matches; an optional field left out is ``None``."""
+    forms = _SPECS[flag]
+    for form in forms.split(" | "):
+        pattern = form.replace("[", "(?:").replace("]", ")?")
+        pattern = re.sub(r"<\w+>", lambda m: "(.+)" if m[0] == "<file>" else "([^:]+)", pattern)
+        match = re.fullmatch(pattern, text)
+        if match:
+            names = re.findall(r"<\w+>", form)
+            try:
+                return (re.match(r"\w+", form)[0],) + tuple(
+                    None if value is None else _FIELD_TYPES.get(name, float)(value)
+                    for name, value in zip(names, match.groups())
+                )
+            except (ValueError, argparse.ArgumentTypeError):
+                break
+    raise ValueError(f"invalid --{flag} spec {text!r}: expected {forms}")
 
 
 def _cmd_bank_build(args):
+    kind, *fields = _spec("indices", args.indices)
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
-    indices = _parse_indices(args.indices, dataset, theta)
+    if kind == "random":
+        j, seed = fields
+        indices = random_indices(len(dataset.train), j, seed or 0)
+    elif kind == "cover":
+        indices = select_cover_indices(dataset, theta, *fields)
+    else:
+        indices = list(range(len(dataset.train)))
     bank = build_bank(dataset, theta, indices)
     write_bank(args.out, bank)
     print(f"wrote {args.out} (|I|={len(bank)})")
@@ -182,15 +194,12 @@ def _cmd_subcover(args):
     print(f"wrote {args.out} ({len(records)} rows)")
 
 
-def _load_features(spec, dataset, theta, n):
+def _load_features(kind, path, dataset, theta, n):
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    kind, _, path = spec.partition(":")
     if kind == "bank":
-        bank = read_bank(path, theta)
-        A, _ = export_affine(bank)
-        feats = A[:n]
-    elif kind == "features":
+        feats = export_affine(read_bank(path, theta))[0][:n]
+    else:
         m = dataset.ground.size
         rows = []
         for no, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -209,8 +218,6 @@ def _load_features(spec, dataset, theta, n):
                 raise ValueError(f"features file, line {no}: entries must be finite")
             rows.append(row)
         feats = np.array(rows).reshape(-1, m)[:n]
-    else:
-        raise ValueError(f"unknown basis spec {spec!r}")
     if feats.shape[0] < n:
         raise ValueError(f"basis source provides {feats.shape[0]} < n={n} features")
     return feats
@@ -223,12 +230,10 @@ def _cmd_erm_fit(args):
         raise ValueError(f"--noise must be finite and nonnegative, got {args.noise}")
     if not 0 < args.r < np.inf:
         raise ValueError(f"--r must be finite and positive, got {args.r}")
+    basis = _spec("basis", args.basis)
     dataset = read_dataset(args.dataset)
-    kind, _, ref = args.target.partition(":")
-    if kind != "wpp":
-        raise ValueError(f"unknown target spec {args.target!r}")
-    theta = _resolve_reference(dataset, ref)
-    feats = _load_features(args.basis, dataset, theta, args.n)
+    theta = _resolve_reference(dataset, args.ref)
+    feats = _load_features(*basis, dataset, theta, args.n)
     values = wpp_to_reference(dataset.train, theta)
     noisy = add_noise(values, args.noise, args.seed)
 
@@ -254,44 +259,35 @@ def _cmd_erm_fit(args):
     print(f"wrote {args.out}")
 
 
-def _parse_loss(spec):
-    if spec == "mae":
-        return {"loss": "mae"}
-    kind, _, lam = spec.partition(":")
-    try:
-        value = float(lam) if kind == "reg" else np.nan
-    except ValueError:
-        value = np.nan
-    if not 0 <= value < np.inf:
-        raise ValueError(
-            f"invalid loss spec {spec!r}: expected mae | reg:<lambda>, lambda finite and >= 0"
-        )
-    return {"loss": "regularized", "reg_lambda": value}
-
-
 def _read_targets(path, n):
-    """The first ``n`` values of the ``wpp`` column of a CSV file, as
-    ``wdlearn ot`` writes it."""
+    """The ``wpp`` column of a CSV file as ``wdlearn ot --split train``
+    writes it: one row per train measure, ``n`` in all, row ``i`` holding
+    index ``i``."""
     vals = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if "wpp" not in (reader.fieldnames or ()):
-            raise ValueError("targets file, line 1: the header has no 'wpp' column")
+        for column in ("index", "wpp"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"targets file, line 1: the header has no {column!r} column")
         for row in reader:
+            where = f"targets file, line {reader.line_num}"
+            if len(vals) == n:
+                raise ValueError(f"{where}: a row beyond the {n} train measures")
+            if row["index"] != str(len(vals)):
+                raise ValueError(f"{where}: index {row['index']!r} where {len(vals)} belongs")
             try:
                 value = float(row["wpp"])
             except (TypeError, ValueError):  # TypeError: the row ends before the column
-                raise ValueError(
-                    f"targets file, line {reader.line_num}: wpp {row['wpp']!r} is not a number"
-                ) from None
+                raise ValueError(f"{where}: wpp {row['wpp']!r} is not a number") from None
             if not np.isfinite(value):
-                raise ValueError(
-                    f"targets file, line {reader.line_num}: wpp {row['wpp']!r} is not finite"
-                )
+                raise ValueError(f"{where}: wpp {row['wpp']!r} is not finite")
             vals.append(value)
-    if len(vals) < n:
-        raise ValueError(f"targets file has {len(vals)} rows, need {n}")
-    return np.array(vals[:n])
+        if len(vals) < n:
+            raise ValueError(
+                f"targets file, line {reader.line_num + 1}: the file ends after {len(vals)} rows,"
+                f" one per train measure needs {n}"
+            )
+    return np.array(vals)
 
 
 def _write_model_and_trace(out, net, config_hash, trace):
@@ -305,32 +301,22 @@ def _write_model_and_trace(out, net, config_hash, trace):
 
 
 def _cmd_maxnet_train(args):
-    loss = _parse_loss(args.loss)
+    kind, *lam = _spec("loss", args.loss)
+    loss = {"loss": "regularized", "reg_lambda": lam[0]} if kind == "reg" else {"loss": "mae"}
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed, **loss)
-    kind, _, rest = args.init.partition(":")
-    if kind == "random":
-        if args.ref is not None:
-            raise ValueError("--ref applies only to --init bank:<file>")
-        # an explicit init seed wins; otherwise the training seed fixes
-        # initialization and batch shuffling together
-        init_seed = args.seed
-        if rest:
-            if not re.fullmatch(r"\d+", rest):
-                raise ValueError(
-                    f"invalid init spec {args.init!r}: --init expects bank:<file> | random:<seed>,"
-                    " the seed a nonnegative integer"
-                )
-            init_seed = int(rest)
-    elif kind != "bank":
-        raise ValueError(f"unknown init spec {args.init!r}")
+    init, source = _spec("init", args.init)
+    if init == "random" and args.ref is not None:
+        raise ValueError("--ref applies only to --init bank:<file>")
 
     dataset = read_dataset(args.dataset)
     X = dataset.train_matrix
-    if kind == "bank":
+    if init == "bank":
         theta = _resolve_reference(dataset, "0" if args.ref is None else args.ref)
-        net = init_from_bank(*export_affine(read_bank(rest, theta)), k=args.k)
+        net = init_from_bank(*export_affine(read_bank(source, theta)), k=args.k)
     else:
-        net = random_head_network(X.shape[1], args.k, init_seed)
+        # an explicit init seed wins; otherwise the training seed fixes
+        # initialization and batch shuffling together
+        net = random_head_network(X.shape[1], args.k, args.seed if source is None else source)
     if args.trainable_tree:
         net.set_all_trainable(True)
     y = _read_targets(args.targets, X.shape[0])
@@ -387,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     ot_p.add_argument("--ref", required=True, help="train index or measure file")
     ot_p.add_argument("--p", type=float, default=None, help="re-ground the dataset at this metric order")
     ot_p.add_argument("--method", default="exact", choices=["exact", "sinkhorn"])
-    ot_p.add_argument("--reg", type=float, default=None, help="sinkhorn only (default 0.1)")
-    ot_p.add_argument("--tol", type=float, default=None, help="sinkhorn only (default 1e-9)")
+    ot_p.add_argument("--reg", type=float, help="sinkhorn only (default: sinkhorn's)")
+    ot_p.add_argument("--tol", type=float, help="sinkhorn only (default: sinkhorn's)")
     ot_p.add_argument("--split", default="train", choices=["train", "test", "all"])
     ot_p.add_argument("--out", required=True)
     ot_p.set_defaults(func=_cmd_ot)
@@ -398,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     bb = bank_sub.add_parser("build")
     bb.add_argument("--dataset", required=True)
     bb.add_argument("--ref", required=True)
-    bb.add_argument("--indices", required=True, help=_INDEX_SPECS)
+    bb.add_argument("--indices", required=True, help=_SPECS["indices"])
     bb.add_argument("--out", required=True)
     bb.set_defaults(func=_cmd_bank_build)
     be = bank_sub.add_parser("eval")
@@ -426,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     erm_sub = erm_p.add_subparsers(dest="subcommand", required=True)
     ef = erm_sub.add_parser("fit")
     ef.add_argument("--dataset", required=True)
-    ef.add_argument("--target", required=True, help="wpp:<ref>")
-    ef.add_argument("--basis", required=True, help="bank:<file> | features:<file>")
+    ef.add_argument("--ref", required=True, help="train index or measure file")
+    ef.add_argument("--basis", required=True, help=_SPECS["basis"])
     ef.add_argument("--n", type=int, default=32)
     ef.add_argument("--lambda", dest="lam", type=float, default=0.001)
     ef.add_argument("--noise", type=float, default=0.0)
@@ -440,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     mn_sub = mn.add_subparsers(dest="subcommand", required=True)
     mt = mn_sub.add_parser("train")
     mt.add_argument("--dataset", required=True)
-    mt.add_argument("--targets", required=True, help="distances.csv from `ot`")
-    mt.add_argument("--init", required=True, help="bank:<file> | random:<seed>")
+    mt.add_argument("--targets", required=True, help="`ot --split train` output")
+    mt.add_argument("--init", required=True, help=_SPECS["init"])
     mt.add_argument("--ref", help="reference for bank init (default 0)")
     mt.add_argument("--k", type=int, required=True)
-    mt.add_argument("--loss", default="mae", help="mae | reg:<lambda>")
+    mt.add_argument("--loss", default="mae", help=_SPECS["loss"])
     mt.add_argument("--epochs", type=int, default=100)
     mt.add_argument("--batch-size", type=int, default=64)
     mt.add_argument("--lr", type=float, default=1e-3)

@@ -484,21 +484,13 @@ def pairwise_wasserstein(measures: Sequence[DiscreteMeasure]) -> np.ndarray:
 
 
 def logsumexp(x, axis):
-    """``log(sum(exp(x), axis))``, computed in ``x`` as scratch space.
-
-    ``x`` is overwritten.  Entries are shifted by their maximum along
-    ``axis`` (by 0 where that maximum is not finite, so an all ``-inf``
-    slice gives ``-inf``) and exponentiated in place; only the sums are
-    allocated.
-    """
+    """``log(sum(exp(x), axis))``, with the entries shifted by their
+    maximum along ``axis`` (by 0 where that maximum is not finite, so an
+    all ``-inf`` slice gives ``-inf``)."""
     shift = x.max(axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
-    np.subtract(x, shift, out=x)
-    np.exp(x, out=x)
-    out = x.sum(axis=axis)
-    np.log(out, out=out)
-    out += shift.reshape(out.shape)
-    return out
+    out = np.log(np.exp(x - shift).sum(axis=axis))
+    return out + shift.reshape(out.shape)
 
 
 # Sinkhorn's scalings are absorbed into the log-domain potentials once
@@ -567,10 +559,9 @@ def sinkhorn(
     la, lb = np.log(a), np.log(b)
 
     # log-domain potentials in units of reg (f = reg * u, g = reg * v);
-    # both passes reduce along the last axis of K or its transpose
+    # both passes reduce along a contiguous last axis, of K or of its
+    # transpose
     K = cost[np.ix_(ia, ib)] / -reg
-    KT = np.ascontiguousarray(K.T)
-    buf, buf_t = np.empty_like(K), np.empty_like(KT)
 
     v, sv = np.zeros(len(ib)), np.ones(len(ib))
     log_step, log_iters = True, 0
@@ -589,8 +580,8 @@ def sinkhorn(
                     su, sv, Gv = su_n, sv_n, Gv_n
             if log_step:
                 v += np.log(sv)
-                u = la - logsumexp(np.add(K, v, out=buf), 1)
-                v = lb - logsumexp(np.add(KT, u, out=buf_t), 1)
+                u = la - logsumexp(K + v, 1)
+                v = lb - logsumexp(np.add(K.T, u, order="C"), 1)
                 G = np.exp(K + u[:, None] + v[None, :])
                 su, sv = np.ones(len(ia)), np.ones(len(ib))
                 Gv = G.sum(axis=1)

@@ -15,7 +15,8 @@ from wdlearn.adversarial import (
     _ratio,
 )
 from wdlearn.errors import DegenerateAdversary, Diverged
-from wdlearn.measures import GroundSpace
+from wdlearn.experiments import make_synthetic_dataset, wpp_to_reference
+from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.nets import Adam, Layer, ReluNetwork, random_head_network
 
 from .helpers import (
@@ -376,6 +377,22 @@ class TestAlgorithm1:
         for r, f in zip(real, faked):
             assert list(r) == list(f) == keys
             np.testing.assert_array_equal([r[k] for k in keys[:-1]], [f[k] for k in keys[:-1]])
+
+    def test_solution_net_does_not_run_off_against_a_negative_adversary(self):
+        # a max-network adversary is not closed under negation, so its best
+        # signed residual can be negative; minimizing the signed ratio then
+        # drove this run's test error from 0.264 at epoch 6 to 1,750.7
+        ds = make_synthetic_dataset(8, 8, n_train=320, n_test=64, seed=2)
+        theta = DiscreteMeasure(ds.ground, np.full(64, 1 / 64))
+        y, y_test = (wpp_to_reference(ms, theta) for ms in (ds.train, ds.test))
+        f_net = random_head_network(64, 5, seed=2).set_all_trainable(True)
+        h_net = random_head_network(64, 5, seed=3).set_all_trainable(True)
+        state = SaddleState(f_net, h_net, lam=1e-3, n_xi=2, norm="h12")
+        cfg = AdversarialConfig(epochs=30, lr=1e-3, batch_size=64, seed=2)
+        trace = run_algorithm1(state, ds.train_matrix, y, ds.ground, cfg, ds.test_matrix, y_test)
+        errors = [r["test_rel_err"] for r in trace]
+        assert errors[-1] <= 2 * min(errors)
+        assert min(r["solution_loss"] for r in trace) >= 0.0
 
     def test_seeded_reproducibility(self, setup):
         ground, X, y, _, _ = setup

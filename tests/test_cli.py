@@ -45,7 +45,7 @@ def workdir(tmp_path_factory):
     return root
 
 
-_BAD_INDEX_SPEC = "invalid index spec '{}': expected random:<j>[:<seed>] | cover:<delta> | all"
+_BAD_INDEX_SPEC = "invalid --indices spec '{}': expected random:<j>[:<seed>] | cover:<delta> | all"
 
 
 def _read_csv(path):
@@ -128,32 +128,33 @@ class TestCli:
         [("--reg", "nan"), ("--reg", "0"), ("--reg", "-1"), ("--reg", "inf")]
         + [("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf")],
     )
-    def test_ot_rejects_invalid_sinkhorn_values(self, tmp_path, monkeypatch, flag, value):
-        def unread(path):
-            raise AssertionError("the dataset was read")
-
-        monkeypatch.setattr(cli, "read_dataset", unread)
+    def test_ot_rejects_invalid_sinkhorn_values(self, workdir, tmp_path, flag, value):
+        # sinkhorn checks its own options before its first iteration
         out = tmp_path / "sink.csv"
-        args = ["ot", "--dataset", "missing.txt", "--ref", "1", "--method", "sinkhorn"]
+        args = ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--method", "sinkhorn"]
         with pytest.raises(SystemExit) as exc:
             main(args + [f"{flag}={value}", "--out", str(out)])
-        assert str(exc.value) == f"error: {flag} must be finite and positive"
+        assert str(exc.value) == f"error: {flag[2:]} must be finite and positive, got {float(value)!r}"
         assert not out.exists()
 
     def test_ot_sinkhorn_defaults(self, workdir, tmp_path, monkeypatch):
+        # the options not given are left to sinkhorn's defaults
         seen = []
 
-        def recording_sinkhorn(mu, nu, reg=None, tol=None):
-            seen.append((reg, tol))
-            return None, 0.0
+        def recording_sinkhorn(mu, nu, **options):
+            seen.append(options)
+            return ot.sinkhorn(mu, nu, **options)
 
         monkeypatch.setattr(cli, "sinkhorn", recording_sinkhorn)
         out = tmp_path / "sink.csv"
-        main(
-            ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--method", "sinkhorn"]
-            + ["--split", "test", "--out", str(out)]
-        )
-        assert seen == [(0.1, 1e-9)] * 5
+        args = ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--method", "sinkhorn"]
+        main(args + ["--split", "test", "--out", str(out)])
+        assert seen == [{}] * 5
+        ds = read_dataset(workdir / "ds.txt")
+        want = [ot.sinkhorn(ds.train[1], mu)[1] for mu in ds.test]
+        assert [float(row["wpp"]) for row in _read_csv(out)] == want
+        main(args + ["--tol", "1e-6", "--split", "test", "--out", str(out)])
+        assert seen[5:] == [{"tol": 1e-6}] * 5
 
     def test_bank_build_and_eval(self, workdir, tmp_path):
         out = tmp_path / "errors.csv"
@@ -299,8 +300,8 @@ class TestCli:
                 "fit",
                 "--dataset",
                 str(workdir / "ds.txt"),
-                "--target",
-                "wpp:0",
+                "--ref",
+                "0",
                 "--basis",
                 f"bank:{workdir / 'bank.txt'}",
                 "--n",
@@ -325,7 +326,7 @@ class TestCli:
         feats = tmp_path / "feats.txt"
         feats.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in F))
         out = tmp_path / "fit.json"
-        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
         main(args + ["--basis", f"features:{feats}", "--n", "3", "--lambda", "0.001", "--out", str(out)])
         ds = read_dataset(workdir / "ds.txt")
         values = experiments.wpp_to_reference(ds.train, ds.train[0])
@@ -424,6 +425,8 @@ class TestCli:
         "spec", ["reg:", "reg:x", "reg:0.001:2.0", "reg:-5", "reg:nan", "reg:inf"]
     )
     def test_maxnet_train_rejects_malformed_loss(self, workdir, tmp_path, spec):
+        # a malformed spec fails in the parser, a lambda out of range in
+        # TrainConfig
         args = [
             "maxnet",
             "train",
@@ -440,8 +443,14 @@ class TestCli:
             "--out",
             str(tmp_path / "model.bin"),
         ]
-        with pytest.raises(SystemExit, match=re.escape(repr(spec))):
+        message = {
+            "reg:-5": "reg_lambda must be finite and nonnegative, got -5.0",
+            "reg:nan": "reg_lambda must be finite and nonnegative, got nan",
+            "reg:inf": "reg_lambda must be finite and nonnegative, got inf",
+        }.get(spec, f"invalid --loss spec {spec!r}: expected mae | reg:<lambda>")
+        with pytest.raises(SystemExit) as exc:
             main(args)
+        assert str(exc.value) == f"error: {message}"
         assert not (tmp_path / "model.bin").exists()
 
     @pytest.mark.parametrize(
@@ -469,13 +478,15 @@ class TestCli:
             (["erm", "fit", "--lambda", "-1"], "lambda must be finite and nonnegative, got -1.0"),
             (["erm", "fit", "--lambda", "nan"], "lambda must be finite and nonnegative, got nan"),
             (["ot", "--ref", "0", "--reg", "0.5"], "--reg applies only to --method sinkhorn"),
-            (["ot", "--ref", "0", "--method", "sinkhorn", "--tol", "0"], "--tol must be finite and positive"),
-            (["erm", "fit", "--basis", "weights:w.txt"], "unknown basis spec 'weights:w.txt'"),
+            (["ot", "--ref", "0", "--method", "sinkhorn", "--tol", "0"], "tol must be finite and positive, got 0.0"),
+            (["erm", "fit", "--basis", "weights:w.txt"], "invalid --basis spec 'weights:w.txt'"),
             (["erm", "fit", "--n", "5"], "basis source provides 4 < n=5 features"),
-            (["erm", "fit", "--target", "w1:0"], "unknown target spec 'w1:0'"),
-            (["maxnet", "train", "--init", "random:5", "--loss", "l2"], "invalid loss spec 'l2'"),
-            (["maxnet", "train", "--init", "random:5", "--targets", "short"], "targets file has 1 rows, need 12"),
-            (["maxnet", "train", "--init", "zeros"], "unknown init spec 'zeros'"),
+            (["maxnet", "train", "--init", "random:5", "--loss", "l2"], "invalid --loss spec 'l2'"),
+            (
+                ["maxnet", "train", "--init", "random:5", "--targets", "short"],
+                "targets file, line 3: the file ends after 1 rows, one per train measure needs 12",
+            ),
+            (["maxnet", "train", "--init", "zeros"], "invalid --init spec 'zeros'"),
             (["maxnet", "train", "--init", "random:5", "--ref", "0"], "--ref applies only to --init bank:<file>"),
         ],
         ids=[
@@ -501,7 +512,6 @@ class TestCli:
             "ot-tol-zero",
             "erm-basis-spec",
             "erm-basis-too-short",
-            "erm-target-spec",
             "maxnet-loss-spec",
             "maxnet-targets-too-short",
             "maxnet-init-spec",
@@ -522,7 +532,7 @@ class TestCli:
         if args[0] in ("maxnet", "adversarial"):
             inputs += default("--targets", str(workdir / "distances.csv")) + default("--k", "2")
         if args[0] == "erm":
-            inputs += default("--target", "wpp:0") + default("--basis", files["bank"])
+            inputs += default("--ref", "0") + default("--basis", files["bank"])
             inputs += default("--n", "2")
         if args[0] == "dataset":
             inputs = []
@@ -534,7 +544,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "basis, message",
         [
-            ("weights:w.txt", "unknown basis spec 'weights:w.txt'"),
+            ("weights:w.txt", "invalid --basis spec 'weights:w.txt': expected bank:<file> | features:<file>"),
             ("features:nofile.txt", "[Errno 2] No such file or directory: 'nofile.txt'"),
             ("bank", "basis source provides 4 < n=5 features"),
         ],
@@ -544,7 +554,7 @@ class TestCli:
         calls = []
         monkeypatch.setattr(cli, "wpp_to_reference", lambda *args: calls.append(args))
         basis = {"bank": f"bank:{workdir / 'bank.txt'}"}.get(basis, basis)
-        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--basis", basis, "--n", "5", "--out", str(tmp_path / "fit.json")])
         assert str(exc.value) == f"error: {message}" and calls == []
@@ -566,7 +576,7 @@ class TestCli:
     def test_erm_fit_checks_lambda_and_noise_before_any_solve(self, workdir, tmp_path, monkeypatch, flag, value, message):
         calls = []
         monkeypatch.setattr(cli, "wpp_to_reference", lambda *args: calls.append(args))
-        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
         args += ["--basis", f"bank:{workdir / 'bank.txt'}", "--n", "2", flag, value]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "fit.json")])
@@ -575,14 +585,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--init", "zeros"], "unknown init spec 'zeros'"),
-            (
-                ["--init", "random:abc"],
-                "invalid init spec 'random:abc': --init expects bank:<file> | random:<seed>",
-            ),
-            (["--init", "random:-1"], "invalid init spec 'random:-1': --init expects"),
+            (["--init", "zeros"], "invalid --init spec 'zeros': expected bank:<file> | random[:<seed>]"),
+            (["--init", "random:abc"], "invalid --init spec 'random:abc': expected bank:<file> | random[:<seed>]"),
+            (["--init", "random:-1"], "invalid --init spec 'random:-1': expected"),
             (["--init", "random:5", "--ref", "0"], "--ref applies only to --init bank:<file>"),
-            (["--init", "random:5", "--loss", "l2"], "invalid loss spec 'l2'"),
+            (["--init", "random:5", "--loss", "l2"], "invalid --loss spec 'l2': expected mae | reg:<lambda>"),
         ],
         ids=["init-spec", "init-seed", "init-seed-negative", "ref-with-random-init", "loss-spec"],
     )
@@ -600,7 +607,7 @@ class TestCli:
         [
             ["dataset", "make", "--rows", "3", "--cols", "3", "--n-train", "2", "--n-test", "1"],
             ["subcover", "--dataset", "ds", "--eps", "0.3"],
-            ["erm", "fit", "--dataset", "ds", "--target", "wpp:0", "--basis", "bank"],
+            ["erm", "fit", "--dataset", "ds", "--ref", "0", "--basis", "bank"],
             ["maxnet", "train", "--dataset", "ds", "--targets", "t", "--init", "random:5", "--k", "2"],
             ["adversarial", "train", "--dataset", "ds", "--targets", "t"],
         ],
@@ -658,7 +665,7 @@ class TestCli:
         ds = str(workdir / "ds.txt")
         out = tmp_path / "out"
         if command == "erm-fit":
-            args = ["erm", "fit", "--dataset", ds, "--target", f"wpp:{ref}"]
+            args = ["erm", "fit", "--dataset", ds, "--ref", ref]
             args += ["--basis", f"bank:{workdir / 'bank.txt'}", "--n", "3", "--out", str(out)]
         else:
             cfg = tmp_path / "exp.json"
@@ -758,6 +765,73 @@ class TestCli:
         assert str(exc.value) == f"error: {message}"
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("test-split", "line 7: the file ends after 5 rows, one per train measure needs 12"),
+            (list(range(13)), "line 14: a row beyond the 12 train measures"),
+            ([0, 1, 1, 2], "line 4: index '1' where 2 belongs"),
+            ([0, 2, 3], "line 3: index '2' where 1 belongs"),
+            ([1, 0], "line 2: index '1' where 0 belongs"),
+            ("no-index", "line 1: the header has no 'index' column"),
+        ],
+        ids=["test-split", "longer", "duplicate", "missing", "out-of-order", "no-index-column"],
+    )
+    @pytest.mark.parametrize("command", ["maxnet", "adversarial"])
+    def test_targets_file_holds_one_row_per_train_measure(self, workdir, tmp_path, command, rows, message):
+        targets = tmp_path / "targets.csv"
+        if rows == "test-split":
+            main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "0", "--split", "test", "--out", str(targets)])
+        elif rows == "no-index":
+            targets.write_text("wpp\n" + "0.5\n" * 12)
+        else:
+            targets.write_text("index,wpp\n" + "".join(f"{i},0.5\n" for i in rows))
+        args = [command, "train", "--dataset", str(workdir / "ds.txt"), "--targets", str(targets)]
+        args += ["--init", "random:5"] if command == "maxnet" else []
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--k", "2", "--out", str(tmp_path / "m.bin")])
+        assert str(exc.value) == f"error: targets file, {message}"
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, spec",
+        [
+            (["bank", "build", "--ref", "0"], "indices", "random:4:"),
+            (["erm", "fit", "--ref", "0"], "basis", "bank"),
+            (["maxnet", "train", "--targets", "t", "--k", "2", "--init", "random:5"], "loss", "reg:0.1:2"),
+            (["maxnet", "train", "--targets", "t", "--k", "2"], "init", "random:"),
+        ],
+        ids=["indices", "basis", "loss", "init"],
+    )
+    def test_every_spec_flag_names_its_forms_before_reading(self, tmp_path, monkeypatch, command, flag, spec):
+        calls = []
+        monkeypatch.setattr(cli, "read_dataset", lambda path: calls.append(path))
+        args = command + ["--dataset", "ds", f"--{flag}", spec, "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert str(exc.value) == f"error: invalid --{flag} spec {spec!r}: expected {cli._SPECS[flag]}"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "flag, text, fields",
+        [
+            ("indices", "random:4", ("random", 4, None)),
+            ("indices", "random:4:7", ("random", 4, 7)),
+            ("indices", "cover:0.5", ("cover", 0.5)),
+            ("indices", "all", ("all",)),
+            ("basis", "bank:C:/banks/a:b.txt", ("bank", "C:/banks/a:b.txt")),
+            ("basis", "features:f.txt", ("features", "f.txt")),
+            ("loss", "mae", ("mae",)),
+            ("loss", "reg:-1", ("reg", -1.0)),
+            ("init", "random", ("random", None)),
+            ("init", "random:3", ("random", 3)),
+            ("init", "bank:x:y", ("bank", "x:y")),
+        ],
+    )
+    def test_spec_fields(self, flag, text, fields):
+        # a <file> keeps its colons; ranges are left to the library
+        assert cli._spec(flag, text) == fields
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("1 " * 9 + "\n\n0 0 0\n", "features file, line 3: 3 entries, the ground has 9 points"),
@@ -770,7 +844,7 @@ class TestCli:
     def test_malformed_features_file(self, workdir, tmp_path, text, message):
         feats = tmp_path / "feats.txt"
         feats.write_text(text)
-        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--target", "wpp:0"]
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--basis", f"features:{feats}", "--n", "2", "--out", str(tmp_path / "f.json")])
         assert str(exc.value) == f"error: {message}"

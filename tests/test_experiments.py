@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from wdlearn.bank import build_bank, eval_G_many
+from wdlearn import ot
+from wdlearn.bank import build_bank, eval_G_many, nested_random_schedule
 from wdlearn.experiments import (
     config_hash,
     make_synthetic_dataset,
@@ -86,6 +87,30 @@ class TestBaselineDecay:
             true_wpp, eval_G_many(bank, tiny_dataset.test_matrix)
         ).mean()
         assert records[0]["mean_rel_err"] == pytest.approx(expected)
+
+    def test_one_bank_serves_every_seed(self, tiny_dataset, monkeypatch):
+        # each anchor is solved once however many seeds share it, and every
+        # seed's records equal those of a bank built for that seed alone
+        theta = tiny_dataset.train[0]
+        sizes, seeds = [2, 4], [0, 1, 2]
+        expected = []
+        for seed in seeds:
+            schedule = nested_random_schedule(len(tiny_dataset.train), sizes, seed)
+            true_wpp = wpp_to_reference(tiny_dataset.test, theta)
+            for j in sizes:
+                errs = relative_errors(
+                    true_wpp, eval_G_many(build_bank(tiny_dataset, theta, schedule[j]), tiny_dataset.test_matrix)
+                )
+                expected.append({"seed": seed, "size": j, "mean_rel_err": errs.mean(), "max_rel_err": errs.max()})
+        union = set().union(*(nested_random_schedule(10, sizes, seed)[4] for seed in seeds))
+        assert len(union) < len(seeds) * 4
+
+        solves = []
+        solve = ot.solve_transport_lp
+        monkeypatch.setattr(ot, "solve_transport_lp", lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+        records = run_baseline_decay(tiny_dataset, theta, sizes=sizes, seeds=seeds)
+        assert len(solves) == len(union) + len(tiny_dataset.test)
+        assert records == expected
 
     def test_all_zero_targets_give_nan(self):
         # every error is undefined: NaN quietly, under filterwarnings = error

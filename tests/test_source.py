@@ -38,6 +38,25 @@ def test_cli_exits_only_in_main():
     assert raisers == {"main"}
 
 
+def test_cli_splits_kind_arg_specs_in_its_spec_parser_alone():
+    # every kind:arg flag goes through cli._spec, so each reads its
+    # fields and reports a malformed spec the same way
+    path = Path(wdlearn.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    splitters = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name != "_spec"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("partition", "rpartition", "split", "rsplit")
+        and any(isinstance(arg, ast.Constant) and ":" in str(arg.value) for arg in node.args)
+    ]
+    assert "_spec" in {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+    assert not splitters, f"colon splits outside cli._spec: {splitters}"
+
+
 def test_private_highs_bindings_are_imported_by_ot_alone():
     # scipy.optimize._highspy is not scipy's public API: it is named in one
     # module, imported once there, inside a try whose ImportError handler
