@@ -8,7 +8,6 @@ Subcommands: ``dataset make``, ``ot``, ``bank build``, ``bank eval``,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -39,9 +38,10 @@ from .errors import WdlearnError
 from .experiments import (
     _resolve_reference,
     make_synthetic_dataset,
+    read_targets,
     run_experiment,
-    wpp_to_reference,
     write_csv,
+    write_targets,
 )
 from .measures import DiscreteMeasure, GroundSpace, MeasureDataset, read_dataset, relative_errors
 from .nets import (
@@ -92,32 +92,27 @@ def _cmd_ot(args):
         splits = [[DiscreteMeasure(ground, mu.weights) for mu in ms] for ms in (dataset.train, dataset.test)]
         dataset = MeasureDataset(ground, *splits)
     theta = _resolve_reference(dataset, args.ref)
-    measures, _ = dataset.split(args.split)
-    records = []
-    for i, mu in enumerate(measures):
+    rows = []
+    for mu in dataset.split(args.split)[0]:
         t0 = time.perf_counter_ns()
-        if args.method == "exact":
-            _, _, wpp = exact_ot(theta, mu)
-        else:
-            _, wpp = sinkhorn(theta, mu, **options)
-        records.append(
-            {"index": i, "wpp": wpp, "runtime_ns": time.perf_counter_ns() - t0}
-        )
-    write_csv(args.out, records)
-    print(f"wrote {args.out} ({len(records)} rows)")
+        wpp = exact_ot(theta, mu)[2] if args.method == "exact" else sinkhorn(theta, mu, **options)[1]
+        rows.append((wpp, time.perf_counter_ns() - t0))
+    write_targets(args.out, rows, args.method, args.split, theta)
+    print(f"wrote {args.out} ({len(rows)} rows)")
 
 
 # The forms of each kind:arg flag, which are also its help.  A field
 # <file> takes the rest of the text, colons included; <seed> is a
-# nonnegative integer, <j> an integer and any other field a float.  The
-# library checks their ranges.
+# nonnegative integer, <j>, <lo> and <hi> integers and any other field a
+# float.  The library checks their ranges.
 _SPECS = {
     "indices": "random:<j>[:<seed>] | cover:<delta> | all",
     "basis": "bank:<file> | features:<file>",
     "loss": "mae | reg:<lambda>",
     "init": "bank:<file> | random[:<seed>]",
+    "k-range": "<lo>:<hi>",
 }
-_FIELD_TYPES = {"<file>": str, "<seed>": _seed, "<j>": int}
+_FIELD_TYPES = {"<file>": str, "<seed>": _seed, "<j>": int, "<lo>": int, "<hi>": int}
 
 
 def _spec(flag, text):
@@ -131,7 +126,7 @@ def _spec(flag, text):
         if match:
             names = re.findall(r"<\w+>", form)
             try:
-                return (re.match(r"\w+", form)[0],) + tuple(
+                return (re.match(r"\w*", form)[0],) + tuple(
                     None if value is None else _FIELD_TYPES.get(name, float)(value)
                     for name, value in zip(names, match.groups())
                 )
@@ -160,14 +155,10 @@ def _cmd_bank_eval(args):
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
     bank = read_bank(args.bank, theta)
-    measures, W = dataset.split(args.split)
-    g = eval_G_many(bank, W)
-    wpp = wpp_to_reference(measures, theta)
+    split, wpp = read_targets(args.targets, dataset, None, theta)
+    g = eval_G_many(bank, dataset.split(split)[1])
     errs = relative_errors(wpp, g)
-    records = [
-        {"index": i, "true_wpp": wpp[i], "G": g[i], "rel_err": errs[i]}
-        for i in range(len(measures))
-    ]
+    records = [{"index": i, "true_wpp": w, "G": gi, "rel_err": e} for i, (w, gi, e) in enumerate(zip(wpp, g, errs))]
     write_csv(args.out, records)
     print(f"wrote {args.out} ({len(records)} rows)")
 
@@ -175,21 +166,16 @@ def _cmd_bank_eval(args):
 def _cmd_subcover(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    _, lo, hi = _spec("k-range", args.k_range)
+    if not 0 <= lo <= hi:
+        raise ValueError(f"--k-range needs 0 <= lo <= hi, got {args.k_range}")
     dataset = read_dataset(args.dataset)
     sample = MetricSample(elements=dataset.train)
-    match = re.fullmatch(r"(\d+):(\d+)", args.k_range)
-    ks = range(int(match[1]), int(match[2]) + 1) if match else range(0)
-    if not ks:
-        raise ValueError("--k-range must be lo:hi with 0 <= lo <= hi")
     records = []
-    for k in ks:
+    for k in range(lo, hi + 1):
         closed = p_eps_k_closed(sample, args.eps, k)
-        est, se = p_eps_k_monte_carlo(
-            sample, args.eps, k, trials=args.trials, seed=args.seed + k
-        )
-        records.append(
-            {"k": k, "closed": closed, "monte_carlo": est, "stderr": se}
-        )
+        est, se = p_eps_k_monte_carlo(sample, args.eps, k, trials=args.trials, seed=args.seed + k)
+        records.append({"k": k, "closed": closed, "monte_carlo": est, "stderr": se})
     write_csv(args.out, records)
     print(f"wrote {args.out} ({len(records)} rows)")
 
@@ -234,8 +220,7 @@ def _cmd_erm_fit(args):
     dataset = read_dataset(args.dataset)
     theta = _resolve_reference(dataset, args.ref)
     feats = _load_features(*basis, dataset, theta, args.n)
-    values = wpp_to_reference(dataset.train, theta)
-    noisy = add_noise(values, args.noise, args.seed)
+    noisy = add_noise(read_targets(args.targets, dataset, "train", theta)[1], args.noise, args.seed)
 
     raw = CylinderSubspace(dataset.ground, feats)
     ortho = double_orthogonalize(raw, dataset.train_matrix)
@@ -257,37 +242,6 @@ def _cmd_erm_fit(args):
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
     print(f"wrote {args.out}")
-
-
-def _read_targets(path, n):
-    """The ``wpp`` column of a CSV file as ``wdlearn ot --split train``
-    writes it: one row per train measure, ``n`` in all, row ``i`` holding
-    index ``i``."""
-    vals = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("index", "wpp"):
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"targets file, line 1: the header has no {column!r} column")
-        for row in reader:
-            where = f"targets file, line {reader.line_num}"
-            if len(vals) == n:
-                raise ValueError(f"{where}: a row beyond the {n} train measures")
-            if row["index"] != str(len(vals)):
-                raise ValueError(f"{where}: index {row['index']!r} where {len(vals)} belongs")
-            try:
-                value = float(row["wpp"])
-            except (TypeError, ValueError):  # TypeError: the row ends before the column
-                raise ValueError(f"{where}: wpp {row['wpp']!r} is not a number") from None
-            if not np.isfinite(value):
-                raise ValueError(f"{where}: wpp {row['wpp']!r} is not finite")
-            vals.append(value)
-        if len(vals) < n:
-            raise ValueError(
-                f"targets file, line {reader.line_num + 1}: the file ends after {len(vals)} rows,"
-                f" one per train measure needs {n}"
-            )
-    return np.array(vals)
 
 
 def _write_model_and_trace(out, net, config_hash, trace):
@@ -314,12 +268,14 @@ def _cmd_maxnet_train(args):
         theta = _resolve_reference(dataset, "0" if args.ref is None else args.ref)
         net = init_from_bank(*export_affine(read_bank(source, theta)), k=args.k)
     else:
-        # an explicit init seed wins; otherwise the training seed fixes
+        # the network learns whichever reference the targets hold; an
+        # explicit init seed wins, otherwise the training seed fixes
         # initialization and batch shuffling together
+        theta = None
         net = random_head_network(X.shape[1], args.k, args.seed if source is None else source)
     if args.trainable_tree:
         net.set_all_trainable(True)
-    y = _read_targets(args.targets, X.shape[0])
+    y = read_targets(args.targets, dataset, "train", theta)[1]
     trace = train(net, X, y, cfg, ground=dataset.ground)
     _write_model_and_trace(args.out, net, cfg.hash(), trace)
 
@@ -330,7 +286,7 @@ def _cmd_adversarial_train(args):
     )
     dataset = read_dataset(args.dataset)
     X = dataset.train_matrix
-    y = _read_targets(args.targets, X.shape[0])
+    y = read_targets(args.targets, dataset, "train", None)[1]
     f_net = random_head_network(X.shape[1], args.k, args.seed).set_all_trainable(True)
     h_net = random_head_network(X.shape[1], args.k, args.seed + 1).set_all_trainable(True)
     state = SaddleState(
@@ -374,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     ot_p.add_argument("--p", type=float, default=None, help="re-ground the dataset at this metric order")
     ot_p.add_argument("--method", default="exact", choices=["exact", "sinkhorn"])
     ot_p.add_argument("--reg", type=float, help="sinkhorn only (default: sinkhorn's)")
-    ot_p.add_argument("--tol", type=float, help="sinkhorn only (default: sinkhorn's)")
+    ot_p.add_argument("--tol", type=float, help="sinkhorn only (default: sinkhorn's, which a train-index "
+                      "--ref can miss on its own row of its own split, raising NotConverged)")
     ot_p.add_argument("--split", default="train", choices=["train", "test", "all"])
     ot_p.add_argument("--out", required=True)
     ot_p.set_defaults(func=_cmd_ot)
@@ -391,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--dataset", required=True)
     be.add_argument("--ref", required=True)
     be.add_argument("--bank", required=True)
-    be.add_argument("--split", default="test", choices=["train", "test", "all"])
+    be.add_argument("--targets", required=True, help="`ot` output; its split is evaluated")
     be.add_argument("--out", required=True)
     be.set_defaults(func=_cmd_bank_eval)
 
@@ -402,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc.add_argument("--dataset", required=True)
     sc.add_argument("--eps", type=float, required=True)
-    sc.add_argument("--k-range", default="1:64")
+    sc.add_argument("--k-range", default="1:64", help=_SPECS["k-range"])
     sc.add_argument("--trials", type=int, default=2000)
     sc.add_argument("--seed", type=_seed, default=7)
     sc.add_argument("--out", required=True)
@@ -414,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     ef.add_argument("--dataset", required=True)
     ef.add_argument("--ref", required=True, help="train index or measure file")
     ef.add_argument("--basis", required=True, help=_SPECS["basis"])
+    ef.add_argument("--targets", required=True, help="`ot --split train` output")
     ef.add_argument("--n", type=int, default=32)
     ef.add_argument("--lambda", dest="lam", type=float, default=0.001)
     ef.add_argument("--noise", type=float, default=0.0)
@@ -443,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv_sub = adv.add_subparsers(dest="subcommand", required=True)
     at = adv_sub.add_parser("train")
     at.add_argument("--dataset", required=True)
-    at.add_argument("--targets", required=True)
+    at.add_argument("--targets", required=True, help="`ot --split train` output")
     at.add_argument("--lambda", dest="lam", type=float, default=0.001)
     at.add_argument("--nxi", type=int, default=1)
     at.add_argument("--ntheta", type=int, default=1)

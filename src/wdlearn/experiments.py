@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bank import build_bank, eval_G_many, export_affine, nested_random_schedule
+from .bank import build_bank, eval_G_many, export_affine, nested_random_schedule, reference_hash
 from .measures import (
     DiscreteMeasure,
     GroundSpace,
@@ -237,6 +237,62 @@ def write_csv(path, records: Sequence[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
         writer.writeheader()
         writer.writerows(records)
+
+
+_TARGETS_COLUMNS = ("index", "wpp", "runtime_ns", "method", "split", "ref_hash")
+
+
+def write_targets(path, rows: Sequence, method: str, split: str, theta: DiscreteMeasure) -> None:
+    """The targets file of ``wdlearn ot``: a CSV row ``index, wpp,
+    runtime_ns, method, split, ref_hash`` for each ``(wpp, runtime_ns)`` of
+    ``rows``, ``ref_hash`` being the :func:`bank.reference_hash` of ``theta``."""
+    meta = (method, split, reference_hash(theta))
+    write_csv(path, [dict(zip(_TARGETS_COLUMNS, (i, *row, *meta))) for i, row in enumerate(rows)])
+
+
+def read_targets(path, dataset: MeasureDataset, split: Optional[str], theta: Optional[DiscreteMeasure]):
+    """``(split, wpp)`` of a targets file as :func:`write_targets` writes it.
+
+    The file must hold one row per measure of ``split`` (``None``: the
+    split its first row names), row ``i`` holding index ``i``, each with
+    method ``exact``, that split, the ``ref_hash`` of ``theta`` (``None``:
+    unchecked) and a finite ``wpp``.  Anything else raises ``ValueError``
+    naming the file, the line and the field.
+    """
+    want = {"method": "exact", "split": split, "ref_hash": None if theta is None else reference_hash(theta)}
+    values, n = [], None
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in _TARGETS_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"targets file {path}, line 1: the header has no {column!r} column")
+        for row in reader:
+            where = f"targets file {path}, line {reader.line_num}"
+            want["split"] = want["split"] or row["split"]
+            for field, value in want.items():
+                if value is not None and row[field] != value:
+                    raise ValueError(f"{where}: {field} {row[field]!r} where {value!r} belongs")
+            try:
+                n = len(dataset.split(want["split"])[0]) if n is None else n
+            except ValueError as exc:
+                raise ValueError(f"{where}: split: {exc}") from None
+            if len(values) == n:
+                raise ValueError(f"{where}: a row beyond the {n} {want['split']} measures")
+            if row["index"] != str(len(values)):
+                raise ValueError(f"{where}: index {row['index']!r} where {len(values)} belongs")
+            try:
+                value = float(row["wpp"])
+            except (TypeError, ValueError):  # TypeError: the row ends before the column
+                value = np.nan
+            if not np.isfinite(value):
+                raise ValueError(f"{where}: wpp {row['wpp']!r} is not a finite number")
+            values.append(value)
+        end = f"targets file {path}, line {reader.line_num + 1}: the file ends after {len(values)} rows"
+        if n is None:
+            raise ValueError(end)
+        if len(values) < n:
+            raise ValueError(f"{end}, one per {want['split']} measure needs {n}")
+    return want["split"], np.array(values)
 
 
 def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wdlearn import cli, experiments, measures, ot
-from wdlearn.bank import build_bank, eval_G_many, export_affine, read_bank
+from wdlearn.bank import build_bank, eval_G_many, export_affine, read_bank, reference_hash
 from wdlearn.erm import CylinderSubspace, assemble, double_orthogonalize, solve_regularized
 from wdlearn.cli import main
 from wdlearn.measures import DiscreteMeasure, GroundSpace, read_dataset
@@ -17,7 +17,8 @@ from wdlearn.ot import exact_ot
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """Dataset plus distances and a bank, produced through the CLI."""
+    """Dataset plus train and test distances and a bank, produced through
+    the CLI."""
     root = tmp_path_factory.mktemp("cli")
     ds = root / "ds.txt"
     main(
@@ -25,9 +26,8 @@ def workdir(tmp_path_factory):
         + [str(ds)]
         + "--rows 3 --cols 3 --n-train 12 --n-test 5 --seed 3".split()
     )
-    main(
-        ["ot", "--dataset", str(ds), "--ref", "0", "--split", "train", "--out", str(root / "distances.csv")]
-    )
+    for split, name in (("train", "distances.csv"), ("test", "test_distances.csv")):
+        main(["ot", "--dataset", str(ds), "--ref", "0", "--split", split, "--out", str(root / name)])
     main(
         [
             "bank",
@@ -45,6 +45,46 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def mismatch_sources(workdir):
+    """ot's output for each set of flags ``_MISMATCHES`` edits, by those flags."""
+    ds, sources = str(workdir / "ds.txt"), {(): workdir / "distances.csv"}
+    sources[("--split", "test")] = workdir / "test_distances.csv"
+    for flags in (("--ref", "3"), ("--method", "sinkhorn", "--reg", "0.5")):
+        out = workdir / f"mismatch{len(sources)}.csv"
+        main(["ot", "--dataset", ds, "--ref", "0", *flags, "--out", str(out)])
+        sources[flags] = out
+    return sources
+
+
+# each case: the ot flags of the file it edits, the edit of its lines (the
+# header first) and the error; the consumers want exact train rows for
+# reference 0
+_MISMATCHES = {
+    "other-reference": (["--ref", "3"], None, "line 2: ref_hash '{h3}' where '{h0}' belongs"),
+    "test-split": (["--split", "test"], None, "line 2: split 'test' where 'train' belongs"),
+    "test-split-same-size": (
+        [],
+        lambda lines: [line.replace(",train,", ",test,") for line in lines],
+        "line 2: split 'test' where 'train' belongs",
+    ),
+    "sinkhorn": (["--method", "sinkhorn", "--reg", "0.5"], None, "line 2: method 'sinkhorn' where 'exact' belongs"),
+    "short": ([], lambda lines: lines[:6], "line 7: the file ends after 5 rows, one per train measure needs 12"),
+    "long": (
+        [],
+        lambda lines: lines + [lines[-1].replace("11,", "12,", 1)],
+        "line 14: a row beyond the 12 train measures",
+    ),
+    "duplicate": ([], lambda lines: lines[:3] + lines[2:], "line 4: index '1' where 2 belongs"),
+    "missing": ([], lambda lines: lines[:2] + lines[3:], "line 3: index '2' where 1 belongs"),
+    "out-of-order": ([], lambda lines: [lines[0], lines[2], lines[1]] + lines[3:], "line 2: index '1' where 0 belongs"),
+    "before-provenance": (
+        [],
+        lambda lines: [",".join(line.split(",")[:3]).rstrip("\n") + "\n" for line in lines],
+        "line 1: the header has no 'method' column",
+    ),
+}
+_TARGETS_HEADER = "index,wpp,runtime_ns,method,split,ref_hash\n"
 _BAD_INDEX_SPEC = "invalid --indices spec '{}': expected random:<j>[:<seed>] | cover:<delta> | all"
 
 
@@ -75,9 +115,16 @@ class TestCli:
 
     def test_ot_distances(self, workdir):
         rows = _read_csv(workdir / "distances.csv")
-        assert list(rows[0].keys()) == ["index", "wpp", "runtime_ns"]
+        assert list(rows[0].keys()) == ["index", "wpp", "runtime_ns", "method", "split", "ref_hash"]
         assert len(rows) == 12
         assert float(rows[0]["wpp"]) == pytest.approx(0.0, abs=1e-12)  # ref is train[0]
+        ds = read_dataset(workdir / "ds.txt")
+        assert {(r["method"], r["split"], r["ref_hash"]) for r in rows} == {
+            ("exact", "train", reference_hash(ds.train[0]))
+        }
+        # the values read back are bitwise the solver's
+        split, wpp = experiments.read_targets(workdir / "distances.csv", ds, "train", ds.train[0])
+        assert split == "train" and wpp.tolist() == [exact_ot(ds.train[0], mu)[2] for mu in ds.train]
 
     def test_ot_p_regrounds_the_dataset(self, workdir, tmp_path):
         out = tmp_path / "d3.csv"
@@ -168,14 +215,15 @@ class TestCli:
                 "0",
                 "--bank",
                 str(workdir / "bank.txt"),
-                "--split",
-                "test",
+                "--targets",
+                str(workdir / "test_distances.csv"),
                 "--out",
                 str(out),
             ]
         )
         rows = _read_csv(out)
         assert list(rows[0].keys()) == ["index", "true_wpp", "G", "rel_err"]
+        assert [r["true_wpp"] for r in rows] == [r["wpp"] for r in _read_csv(workdir / "test_distances.csv")]
         for r in rows:
             assert float(r["G"]) <= float(r["true_wpp"]) + 1e-8
 
@@ -188,7 +236,7 @@ class TestCli:
         out = tmp_path / "errors.csv"
         args = ["bank", "eval", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--bank", str(bank), "--split", "test", "--out", str(out)])
+            main(args + ["--bank", str(bank), "--targets", str(workdir / "test_distances.csv"), "--out", str(out)])
         assert str(exc.value) == "error: bank file, line 3: entry 1 of 4: phi must be finite"
         assert not out.exists()
 
@@ -254,11 +302,19 @@ class TestCli:
         main(["dataset", "make", "--out", str(ds), "--rows", "3", "--cols", "3", "--n-train", "4", "--n-test", "0"])
         bank = str(tmp_path / "bank.txt")
         main(["bank", "build", "--dataset", str(ds), "--ref", "0", "--indices", "all", "--out", bank])
+        # ot writes no file for an empty split, so the test targets are
+        # its train rows relabelled
+        targets = tmp_path / "test_targets.csv"
+        main(["ot", "--dataset", str(ds), "--ref", "0", "--out", str(targets)])
+        targets.write_text(targets.read_text().replace(",train,", ",test,"))
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"experiment": "speed-table", "dataset": str(ds), "bank_size": 2}))
         for argv, message in [
             (["ot", "--ref", "0", "--split", "test"], "no records to write"),
-            (["bank", "eval", "--ref", "0", "--bank", bank, "--split", "test"], "no records to write"),
+            (
+                ["bank", "eval", "--ref", "0", "--bank", bank, "--targets", str(targets)],
+                f"targets file {targets}, line 2: a row beyond the 0 test measures",
+            ),
         ]:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--dataset", str(ds), "--out", str(tmp_path / "out.csv")])
@@ -304,6 +360,8 @@ class TestCli:
                 "0",
                 "--basis",
                 f"bank:{workdir / 'bank.txt'}",
+                "--targets",
+                str(workdir / "distances.csv"),
                 "--n",
                 "3",
                 "--lambda",
@@ -327,6 +385,7 @@ class TestCli:
         feats.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in F))
         out = tmp_path / "fit.json"
         args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        args += ["--targets", str(workdir / "distances.csv")]
         main(args + ["--basis", f"features:{feats}", "--n", "3", "--lambda", "0.001", "--out", str(out)])
         ds = read_dataset(workdir / "ds.txt")
         values = experiments.wpp_to_reference(ds.train, ds.train[0])
@@ -484,7 +543,7 @@ class TestCli:
             (["maxnet", "train", "--init", "random:5", "--loss", "l2"], "invalid --loss spec 'l2'"),
             (
                 ["maxnet", "train", "--init", "random:5", "--targets", "short"],
-                "targets file, line 3: the file ends after 1 rows, one per train measure needs 12",
+                "line 3: the file ends after 1 rows, one per train measure needs 12",
             ),
             (["maxnet", "train", "--init", "zeros"], "invalid --init spec 'zeros'"),
             (["maxnet", "train", "--init", "random:5", "--ref", "0"], "--ref applies only to --init bank:<file>"),
@@ -521,7 +580,7 @@ class TestCli:
     def test_invalid_inputs_exit_with_an_error(self, workdir, tmp_path, args, message):
         out = tmp_path / "out"
         short = tmp_path / "short.csv"
-        short.write_text("index,wpp\n0,0.0\n")
+        short.write_text("".join((workdir / "distances.csv").read_text().splitlines(keepends=True)[:2]))
         files = {"bank": f"bank:{workdir / 'bank.txt'}", "short": str(short)}
         args = [files.get(a, a) for a in args]
         inputs = ["--dataset", str(workdir / "ds.txt")]
@@ -533,6 +592,7 @@ class TestCli:
             inputs += default("--targets", str(workdir / "distances.csv")) + default("--k", "2")
         if args[0] == "erm":
             inputs += default("--ref", "0") + default("--basis", files["bank"])
+            inputs += default("--targets", str(workdir / "distances.csv"))
             inputs += default("--n", "2")
         if args[0] == "dataset":
             inputs = []
@@ -551,10 +611,11 @@ class TestCli:
         ids=["unknown", "no-file", "too-short"],
     )
     def test_erm_fit_checks_the_basis_before_any_solve(self, workdir, tmp_path, monkeypatch, basis, message):
+        # erm fit solves nothing: the basis is checked before the targets are read
         calls = []
-        monkeypatch.setattr(cli, "wpp_to_reference", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "read_targets", lambda *args: calls.append(args))
         basis = {"bank": f"bank:{workdir / 'bank.txt'}"}.get(basis, basis)
-        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0", "--targets", "t"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--basis", basis, "--n", "5", "--out", str(tmp_path / "fit.json")])
         assert str(exc.value) == f"error: {message}" and calls == []
@@ -575,8 +636,8 @@ class TestCli:
     )
     def test_erm_fit_checks_lambda_and_noise_before_any_solve(self, workdir, tmp_path, monkeypatch, flag, value, message):
         calls = []
-        monkeypatch.setattr(cli, "wpp_to_reference", lambda *args: calls.append(args))
-        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        monkeypatch.setattr(cli, "read_targets", lambda *args: calls.append(args))
+        args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0", "--targets", "t"]
         args += ["--basis", f"bank:{workdir / 'bank.txt'}", "--n", "2", flag, value]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "fit.json")])
@@ -607,7 +668,7 @@ class TestCli:
         [
             ["dataset", "make", "--rows", "3", "--cols", "3", "--n-train", "2", "--n-test", "1"],
             ["subcover", "--dataset", "ds", "--eps", "0.3"],
-            ["erm", "fit", "--dataset", "ds", "--ref", "0", "--basis", "bank"],
+            ["erm", "fit", "--dataset", "ds", "--ref", "0", "--basis", "bank", "--targets", "t"],
             ["maxnet", "train", "--dataset", "ds", "--targets", "t", "--init", "random:5", "--k", "2"],
             ["adversarial", "train", "--dataset", "ds", "--targets", "t"],
         ],
@@ -665,7 +726,7 @@ class TestCli:
         ds = str(workdir / "ds.txt")
         out = tmp_path / "out"
         if command == "erm-fit":
-            args = ["erm", "fit", "--dataset", ds, "--ref", ref]
+            args = ["erm", "fit", "--dataset", ds, "--ref", ref, "--targets", str(workdir / "distances.csv")]
             args += ["--basis", f"bank:{workdir / 'bank.txt'}", "--n", "3", "--out", str(out)]
         else:
             cfg = tmp_path / "exp.json"
@@ -708,13 +769,23 @@ class TestCli:
         assert str(exc.value) == f"error: {message}"
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec", ["5", "5:1"], ids=["no-colon", "lo-above-hi"])
-    def test_subcover_rejects_a_malformed_k_range(self, workdir, tmp_path, spec):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("5", "invalid --k-range spec '5': expected <lo>:<hi>"),
+            ("1:x", "invalid --k-range spec '1:x': expected <lo>:<hi>"),
+            ("1:2:3", "invalid --k-range spec '1:2:3': expected <lo>:<hi>"),
+            ("5:1", "--k-range needs 0 <= lo <= hi, got 5:1"),
+            ("-1:3", "--k-range needs 0 <= lo <= hi, got -1:3"),
+        ],
+        ids=["no-colon", "non-integer", "three-fields", "lo-above-hi", "lo-negative"],
+    )
+    def test_subcover_rejects_a_malformed_k_range(self, workdir, tmp_path, spec, message):
         out = tmp_path / "pek.csv"
         args = ["subcover", "--dataset", str(workdir / "ds.txt"), "--eps", "0.3"]
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--k-range", spec, "--out", str(out)])
-        assert str(exc.value) == "error: --k-range must be lo:hi with 0 <= lo <= hi"
+            main(args + [f"--k-range={spec}", "--out", str(out)])
+        assert str(exc.value) == f"error: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -749,25 +820,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("index,runtime_ns\n0,5\n", "targets file, line 1: the header has no 'wpp' column"),
-            ("index,wpp\n0,0.5\n1,abc\n", "targets file, line 3: wpp 'abc' is not a number"),
-            ("index,wpp\n0,nan\n1,0.5\n", "targets file, line 2: wpp 'nan' is not finite"),
-            ("index,wpp\n0,0.5\n1,-inf\n", "targets file, line 3: wpp '-inf' is not finite"),
+            ("index,runtime_ns,method,split,ref_hash\n0,5,exact,train,h\n", "line 1: the header has no 'wpp' column"),
+            ("0,0.5\n1,abc\n", "line 3: wpp 'abc' is not a finite number"),
+            ("0,nan\n1,0.5\n", "line 2: wpp 'nan' is not a finite number"),
+            ("0,0.5\n1,-inf\n", "line 3: wpp '-inf' is not a finite number"),
         ],
         ids=["no-wpp-column", "unparsable-value", "nan-value", "inf-value"],
     )
     def test_malformed_targets_file(self, workdir, tmp_path, text, message):
+        # rows given as "index,wpp" get the rest of a train row of ot
+        if not text.startswith("index"):
+            rows = text.splitlines()
+            text = _TARGETS_HEADER + "".join(f"{row},1,exact,train,h\n" for row in rows)
         targets = tmp_path / "targets.csv"
         targets.write_text(text)
         args = ["maxnet", "train", "--dataset", str(workdir / "ds.txt"), "--targets", str(targets)]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--init", "random:5", "--k", "2", "--out", str(tmp_path / "m.bin")])
-        assert str(exc.value) == f"error: {message}"
+        assert str(exc.value) == f"error: targets file {targets}, {message}"
 
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ("test-split", "line 7: the file ends after 5 rows, one per train measure needs 12"),
+            ("test-split", "line 2: split 'test' where 'train' belongs"),
             (list(range(13)), "line 14: a row beyond the 12 train measures"),
             ([0, 1, 1, 2], "line 4: index '1' where 2 belongs"),
             ([0, 2, 3], "line 3: index '2' where 1 belongs"),
@@ -780,27 +855,89 @@ class TestCli:
     def test_targets_file_holds_one_row_per_train_measure(self, workdir, tmp_path, command, rows, message):
         targets = tmp_path / "targets.csv"
         if rows == "test-split":
-            main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "0", "--split", "test", "--out", str(targets)])
+            targets = workdir / "test_distances.csv"
         elif rows == "no-index":
-            targets.write_text("wpp\n" + "0.5\n" * 12)
+            targets.write_text(_TARGETS_HEADER.replace("index,", "") + "0.5,1,exact,train,h\n" * 12)
         else:
-            targets.write_text("index,wpp\n" + "".join(f"{i},0.5\n" for i in rows))
+            targets.write_text(_TARGETS_HEADER + "".join(f"{i},0.5,1,exact,train,h\n" for i in rows))
         args = [command, "train", "--dataset", str(workdir / "ds.txt"), "--targets", str(targets)]
         args += ["--init", "random:5"] if command == "maxnet" else []
         with pytest.raises(SystemExit) as exc:
             main(args + ["--k", "2", "--out", str(tmp_path / "m.bin")])
-        assert str(exc.value) == f"error: targets file, {message}"
+        assert str(exc.value) == f"error: targets file {targets}, {message}"
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [
+            (command, case)
+            for command in ("bank-eval", "erm", "maxnet", "adversarial")
+            for case in _MISMATCHES
+            # bank eval evaluates the split its file names; adversarial
+            # train has no reference to check
+            if not (command == "bank-eval" and "split" in case)
+            and not (command == "adversarial" and case == "other-reference")
+        ],
+    )
+    def test_targets_file_must_match_its_consumer(self, workdir, mismatch_sources, tmp_path, command, case):
+        flags, edit, message = _MISMATCHES[case]
+        lines = mismatch_sources[tuple(flags)].read_text().splitlines(keepends=True)
+        targets = tmp_path / "targets.csv"
+        targets.write_text("".join(edit(lines) if edit else lines))
+        bank = str(workdir / "bank.txt")
+        args = {
+            "bank-eval": ["bank", "eval", "--ref", "0", "--bank", bank],
+            "erm": ["erm", "fit", "--ref", "0", "--basis", f"bank:{bank}", "--n", "2"],
+            "maxnet": ["maxnet", "train", "--init", f"bank:{bank}", "--ref", "0", "--k", "2"],
+            "adversarial": ["adversarial", "train", "--k", "2"],
+        }[command]
+        args += ["--dataset", str(workdir / "ds.txt"), "--targets", str(targets)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out")])
+        ds = read_dataset(workdir / "ds.txt")
+        hashes = {"h0": reference_hash(ds.train[0]), "h3": reference_hash(ds.train[3])}
+        assert str(exc.value) == f"error: targets file {targets}, {message.format(**hashes)}"
+        assert [path.name for path in tmp_path.iterdir()] == ["targets.csv"]
+
+    def test_random_init_learns_the_reference_its_targets_hold(self, workdir, mismatch_sources, tmp_path):
+        # only a bank init has a reference to check the file against
+        model = tmp_path / "m.bin"
+        args = ["maxnet", "train", "--dataset", str(workdir / "ds.txt"), "--init", "random:5", "--k", "2"]
+        main(args + ["--targets", str(mismatch_sources[("--ref", "3")]), "--epochs", "1", "--out", str(model)])
+        assert model.exists()
+
+    def test_a_pipeline_solves_each_target_and_anchor_once(self, workdir, tmp_path, caplog):
+        # ot's files are the only source of true values: bank eval, erm fit
+        # and maxnet train read them and solve nothing
+        ds, n_train, n_test, bank_size = str(workdir / "ds.txt"), 12, 5, 4
+        train, test, bank, fit, model = (
+            str(tmp_path / name) for name in ("train.csv", "test.csv", "bank.txt", "fit.json", "m.bin")
+        )
+        common = ["--dataset", ds, "--ref", "0"]
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        for command, flags in [
+            (["ot"], ["--split", "train", "--out", train]),
+            (["ot"], ["--split", "test", "--out", test]),
+            (["bank", "build"], ["--indices", f"random:{bank_size}:1", "--out", bank]),
+            (["bank", "eval"], ["--bank", bank, "--targets", test, "--out", str(tmp_path / "errors.csv")]),
+            (["erm", "fit"], ["--basis", f"bank:{bank}", "--targets", train, "--n", "3", "--out", fit]),
+            (["maxnet", "train"], ["--init", f"bank:{bank}", "--targets", train, "--k", "2", "--epochs", "1", "--out", model]),
+        ]:
+            main(command + common + flags)
+        assert len(read_bank(bank, read_dataset(ds).train[0])) == bank_size
+        solves = [r for r in caplog.records if hasattr(r, "lp_form")]
+        assert len(solves) == n_train + n_test + bank_size
 
     @pytest.mark.parametrize(
         "command, flag, spec",
         [
             (["bank", "build", "--ref", "0"], "indices", "random:4:"),
-            (["erm", "fit", "--ref", "0"], "basis", "bank"),
+            (["erm", "fit", "--ref", "0", "--targets", "t"], "basis", "bank"),
             (["maxnet", "train", "--targets", "t", "--k", "2", "--init", "random:5"], "loss", "reg:0.1:2"),
             (["maxnet", "train", "--targets", "t", "--k", "2"], "init", "random:"),
+            (["subcover", "--eps", "0.3"], "k-range", "1-64"),
         ],
-        ids=["indices", "basis", "loss", "init"],
+        ids=["indices", "basis", "loss", "init", "k-range"],
     )
     def test_every_spec_flag_names_its_forms_before_reading(self, tmp_path, monkeypatch, command, flag, spec):
         calls = []
@@ -825,6 +962,7 @@ class TestCli:
             ("init", "random", ("random", None)),
             ("init", "random:3", ("random", 3)),
             ("init", "bank:x:y", ("bank", "x:y")),
+            ("k-range", "1:64", ("", 1, 64)),
         ],
     )
     def test_spec_fields(self, flag, text, fields):
@@ -845,6 +983,7 @@ class TestCli:
         feats = tmp_path / "feats.txt"
         feats.write_text(text)
         args = ["erm", "fit", "--dataset", str(workdir / "ds.txt"), "--ref", "0"]
+        args += ["--targets", str(workdir / "distances.csv")]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--basis", f"features:{feats}", "--n", "2", "--out", str(tmp_path / "f.json")])
         assert str(exc.value) == f"error: {message}"
@@ -874,8 +1013,8 @@ class TestCli:
                 "0",
                 "--bank",
                 str(workdir / "bank.txt"),
-                "--split",
-                "train",
+                "--targets",
+                str(workdir / "distances.csv"),
                 "--out",
                 str(out),
             ]

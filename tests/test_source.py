@@ -50,11 +50,42 @@ def test_cli_splits_kind_arg_specs_in_its_spec_parser_alone():
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("partition", "rpartition", "split", "rsplit")
-        and any(isinstance(arg, ast.Constant) and ":" in str(arg.value) for arg in node.args)
+        and (
+            node.func.attr in ("partition", "rpartition", "split", "rsplit")
+            and any(isinstance(arg, ast.Constant) and ":" in str(arg.value) for arg in node.args)
+            # a hand-written pattern for a colon format
+            or ast.unparse(node.func) in ("re.fullmatch", "re.match")
+            and isinstance(node.args[0], ast.Constant)
+            and ":" in str(node.args[0].value)
+        )
     ]
     assert "_spec" in {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
     assert not splitters, f"colon splits outside cli._spec: {splitters}"
+
+
+def test_cli_solves_only_in_ot_and_bank_build():
+    # true values come from the targets file ot writes: no other command
+    # solves, so a value is never computed twice or two ways
+    path = Path(wdlearn.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    solvers = {"exact_ot", "sinkhorn", "wpp_to_reference", "build_bank"}
+    naming = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id in solvers
+        or isinstance(node, ast.Attribute) and node.attr in solvers
+    }
+    assert naming == {"_cmd_ot", "_cmd_bank_build"}
+    outside = [
+        node.lineno
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.ImportFrom))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id in solvers
+    ]
+    assert not outside, f"solvers named outside a command in cli.py, lines {outside}"
 
 
 def test_private_highs_bindings_are_imported_by_ot_alone():
