@@ -20,9 +20,10 @@ ground space; no function here takes its own.
 
 Both forms run the HiGHS dual simplex (Huangfu & Hall 2018) with devex
 pricing (Harris 1973), which takes fewer iterations on these LPs than
-the default.  Each solve hands one fresh HiGHS model, built from the
-LP's column-wise arrays, to the solver and reads back only the status,
-the solution, the objective, the row duals and the iteration count.
+the default.  Each solve passes the LP's column-wise arrays as a new
+model to its thread's HiGHS instance, kept across solves, runs it cold
+and reads back only the status, the solution, the objective, the row
+duals and the iteration count.
 Settings and results are bitwise those of ``scipy.optimize.linprog``
 with ``method="highs-ds"``, without that wrapper's input checks and the
 bound duals it fills column by column.  The model is built through
@@ -49,16 +50,17 @@ Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
 column count, the path of the solve (``highs`` for the direct model,
 ``linprog`` for scipy's wrapper), the HiGHS status, the simplex
-iterations and the nanoseconds spent.  Each Sinkhorn solve logs one
-such record too: the support sizes, the iterations, how many of them
-ran in the log domain, the final marginal violation and the
-nanoseconds spent.
+iterations, the certificates' gap, dual infeasibility and marginal
+error, and the nanoseconds spent.  Each Sinkhorn solve logs one such
+record too: the support sizes, the iterations, how many of them ran in
+the log domain, the final marginal violation and the nanoseconds spent.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -111,6 +113,7 @@ except (ImportError, AttributeError):
     _highs_core = None
 
 _log = logging.getLogger(__name__)
+_thread_highs = threading.local()
 
 
 @dataclass(frozen=True)
@@ -218,11 +221,11 @@ def _grid_flow(grid_shape, ia, ib):
     return c, A_eq, n_transit, plan
 
 
-# The last grid flow built, as ``(key, structure)`` with the key
-# ``(grid_shape, supp a, supp b)``.  One slot holds a run whose supports
-# repeat, such as every solve between full-support measures on one grid,
-# and costs a rebuild only when the key changes.  It holds the LP's
-# structure, never a result: every solve still runs and is certified.
+# The last grid flow built, as ``(key, structure, column arrays)`` with
+# the key ``(grid_shape, supp a, supp b)``.  One slot holds a run whose
+# supports repeat, such as every solve between full-support measures on
+# one grid, and costs a rebuild only when the key changes.  It holds the
+# LP's structure, never a result: every solve still runs and is certified.
 _flow_slot = None
 
 
@@ -232,8 +235,20 @@ def _reused_grid_flow(grid_shape, ia, ib):
     key = (tuple(grid_shape), ia.tobytes(), ib.tobytes())
     slot = _flow_slot
     if slot is None or slot[0] != key:
-        slot = _flow_slot = (key, _grid_flow(grid_shape, ia, ib))
+        flow = _grid_flow(grid_shape, ia, ib)
+        slot = _flow_slot = (key, flow, _column_arrays(len(flow[0])))
+        for arr in slot[2]:
+            arr.setflags(write=False)
     return slot[1]
+
+
+def _column_arrays(n_cols):
+    """Zero lower bounds, infinite upper bounds and zero integrality for
+    ``n_cols`` columns: the flow slot's, read-only, when its LP has as many."""
+    slot = _flow_slot
+    if slot is not None and len(slot[2][0]) == n_cols:
+        return slot[2]
+    return np.zeros(n_cols), np.full(n_cols, np.inf), np.zeros(n_cols, dtype=np.int32)
 
 
 def _marginal(name, w, n):
@@ -275,10 +290,10 @@ def linprog(c, A_eq, b_eq):
     duals), which are None unless the LP was solved to optimality, and
     ``lp_path``, the path the solve took: ``"highs"`` or ``"linprog"``.
 
-    One fresh HiGHS model is built from the arrays and run, bitwise as
-    ``linprog`` would run it; where scipy's private HiGHS bindings did
-    not import, the call goes to ``linprog`` itself.  The benchmark's
-    tracer wraps this name and reads ``nit``.
+    The LP is passed as a new model to this thread's HiGHS instance and
+    run cold, bitwise as ``linprog`` would run it; where scipy's private
+    HiGHS bindings did not import, the call goes to ``linprog`` itself.
+    The benchmark's tracer wraps this name and reads ``nit``.
     """
     if _highs_core is None:
         res = _scipy_linprog(
@@ -286,10 +301,7 @@ def linprog(c, A_eq, b_eq):
         )
         res.lp_path = "linprog"
         return res
-    highs = _Highs()
-    for key, value in _highs_options().items():
-        if highs.setOptionValue(key, value) == _HIGHS_ERROR:
-            raise SolverFailure(f"HiGHS rejected the option {key}={value!r}")
+    key, highs = _take_highs()
     res = OptimizeResult(
         status=4, nit=0, x=None, fun=None, eqlin=OptimizeResult(marginals=None), lp_path="highs"
     )
@@ -297,27 +309,45 @@ def linprog(c, A_eq, b_eq):
     # field by field from Python would convert its arrays element by
     # element.  The starts are one per column, without the end that
     # ``indptr`` adds.  The integrality array must be given in full (an
-    # empty one made passModel fail): every column is continuous, 0.
+    # empty one made passModel fail).
     n_rows, n_cols = A_eq.shape
+    lower, upper, integrality = _column_arrays(n_cols)
     model = (
         n_cols, n_rows, A_eq.nnz, _HIGHS_COLWISE, _HIGHS_MINIMIZE, 0.0,
-        c, np.zeros(n_cols), np.full(n_cols, np.inf), b_eq, b_eq,
-        A_eq.indptr[:-1], A_eq.indices, A_eq.data, np.zeros(n_cols, dtype=np.int32),
+        c, lower, upper, b_eq, b_eq, A_eq.indptr[:-1], A_eq.indices, A_eq.data, integrality,
     )
     if highs.passModel(*model) == _HIGHS_ERROR:
         res.message = "HiGHS rejected the model."
         return res
     highs.run()
-    model_status, info = highs.getModelStatus(), highs.getInfo()
+    model_status = highs.getModelStatus()
     res.status, text = _HIGHS_STATUS.get(model_status, (4, "HiGHS stopped without an optimum."))
     res.message = f"{text} (HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)})"
-    res.nit = info.simplex_iteration_count
+    res.nit = highs.getInfoValue("simplex_iteration_count")[1]
     if res.status == 0:
         solution = highs.getSolution()
         res.x = np.array(solution.col_value)
-        res.fun = info.objective_function_value
+        res.fun = highs.getInfoValue("objective_function_value")[1]
         res.eqlin.marginals = np.array(solution.row_dual)
+        _thread_highs.held = key, highs
     return res
+
+
+def _take_highs():
+    """``(key, instance)``: this thread's HiGHS instance for ``_Highs`` and
+    the options read now, taken out of its slot; :func:`linprog` puts it
+    back only at an optimum.  Per thread, so no other solve's passModel
+    lands between a solve's own and its run."""
+    options = _highs_options()
+    key = (_Highs, tuple(options.items()))
+    held = vars(_thread_highs).pop("held", None)
+    if held is not None and held[0] == key:
+        return held
+    highs = _Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) == _HIGHS_ERROR:
+            raise SolverFailure(f"HiGHS rejected the option {name}={value!r}")
+    return key, highs
 
 
 def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shape=None):
@@ -390,44 +420,44 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     b_eq = np.concatenate([a[ia], np.zeros(n_transit), b[ib]])
 
     res = linprog(c, A_eq, b_eq)
+    gap = feas = marginal = math.nan
+    if res.status == 0:
+        if grid_shape is None:
+            gamma = np.zeros_like(cost, dtype=float)
+            gamma[np.ix_(ia, ib)] = res.x.reshape(ma, mb)
+        else:
+            gamma = flow_plan(res.x)
+        value = float(res.fun)
+        v = res.eqlin.marginals[ma + n_transit:]
+        psi = c_transform(v, cost[:, ib])
+        phi = c_transform(psi, cost.T)
+        psi, phi = psi - psi[0], phi + psi[0]  # the gauge psi[0] = 0
+        dual_value = float(np.dot(phi, b) + np.dot(psi, a))
+        gap = abs(dual_value - value)
+        feas = (phi[None, :] + psi[:, None] - cost).max()
+        marginal = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
     if _log.isEnabledFor(logging.DEBUG):
         ns = time.perf_counter_ns() - t0
         _log.debug(
-            "transport LP %dx%d: lp_form=%s lp_cols=%d lp_path=%s status=%s simplex_iters=%d ns=%d",
-            ma, mb, lp_form, len(c), res.lp_path, res.message, res.nit, ns,
+            "transport LP %dx%d: lp_form=%s lp_cols=%d lp_path=%s status=%s simplex_iters=%d "
+            "gap=%.3e dual_infeasibility=%.3e marginal_error=%.3e ns=%d",
+            ma, mb, lp_form, len(c), res.lp_path, res.message, res.nit, gap, feas, marginal, ns,
             extra={
                 "lp_form": lp_form,
                 "lp_cols": len(c),
                 "lp_path": res.lp_path,
                 "lp_status": res.message,
                 "simplex_iters": int(res.nit),
+                "gap": gap, "dual_infeasibility": feas, "marginal_error": marginal,
                 "ns": ns,
             },
         )
     if res.status != 0:
         raise SolverFailure(f"transport LP failed: {res.message}")
-
-    if grid_shape is None:
-        gamma = np.zeros_like(cost, dtype=float)
-        gamma[np.ix_(ia, ib)] = res.x.reshape(ma, mb)
-    else:
-        gamma = flow_plan(res.x)
-    value = float(res.fun)
-    v = res.eqlin.marginals[ma + n_transit:]
-
-    psi = c_transform(v, cost[:, ib])
-    phi = c_transform(psi, cost.T)
-    psi, phi = psi - psi[0], phi + psi[0]  # the gauge psi[0] = 0
-
-    dual_value = float(np.dot(phi, b) + np.dot(psi, a))
-    if not abs(dual_value - value) <= _FEAS_TOL * (1.0 + abs(value)):
-        raise SolverFailure(
-            f"primal-dual gap {abs(dual_value - value):.3e} exceeds tolerance"
-        )
-    feas = (phi[None, :] + psi[:, None] - cost).max()
+    if not gap <= _FEAS_TOL * (1.0 + abs(value)):
+        raise SolverFailure(f"primal-dual gap {gap:.3e} exceeds tolerance")
     if not feas <= _FEAS_TOL:
         raise SolverFailure(f"dual feasibility violated by {feas:.3e}")
-    marginal = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
     if not marginal <= _MARGINAL_TOL:
         raise SolverFailure(f"plan marginals violated by {marginal:.3e}")
 

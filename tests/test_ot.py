@@ -1,5 +1,7 @@
 import logging
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -364,6 +366,59 @@ class TestTelemetry:
         exact_ot(random_measure(g, rng), random_measure(g, rng))
         assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
 
+    @pytest.mark.parametrize("p", [2.0, 1.5], ids=["grid-flow", "dense"])
+    def test_record_carries_the_certificate_values(self, caplog, p):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(15)
+        g = GroundSpace.grid((5, 5), p=p)
+        mu, nu = random_measure(g, rng, sparse=True), random_measure(g, rng)
+        plan, pot, wpp = exact_ot(mu, nu)
+        (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        cost = g.cost_matrix()
+        gap = abs(pot.dual_value - wpp)
+        feas = (pot.phi[None, :] + pot.psi[:, None] - cost).max()
+        marginal = max(
+            np.abs(plan.matrix.sum(axis=1) - mu.weights).max(),
+            np.abs(plan.matrix.sum(axis=0) - nu.weights).max(),
+        )
+        values = (record.gap, record.dual_infeasibility, record.marginal_error)
+        assert values == (gap, feas, marginal) and max(values) <= 1e-9
+        assert (
+            f" gap={gap:.3e} dual_infeasibility={feas:.3e} marginal_error={marginal:.3e} ns="
+            in record.getMessage()
+        )
+
+    def test_a_failing_certificate_leaves_its_record(self, caplog, monkeypatch):
+        # the flow carries 1e-6 too much: the record is written, with the
+        # violation the error names, before the certificate raises
+        def scaled_plan_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.x = res.x * (1.0 + 1e-6)
+            return res
+
+        linprog = ot.linprog
+        monkeypatch.setattr(ot, "linprog", scaled_plan_linprog)
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(16)
+        g = GroundSpace.grid((3, 3))
+        with pytest.raises(SolverFailure, match="plan marginals violated by") as failure:
+            exact_ot(random_measure(g, rng), random_measure(g, rng))
+        (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert record.marginal_error > 1e-9 and record.gap <= 1e-9
+        assert str(failure.value) == f"plan marginals violated by {record.marginal_error:.3e}"
+        assert "Optimal" in record.lp_status and record.ns > 0
+
+    @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
+    def test_an_lp_without_an_optimum_logs_nan_certificates(self, caplog, shape):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        cost = GroundSpace.grid((3, 3)).cost_matrix()
+        with pytest.raises(SolverFailure, match="transport LP failed: .*infeasible"):
+            solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 0.5 / 9), grid_shape=shape)
+        (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert "infeasible" in record.lp_status
+        assert np.isnan([record.gap, record.dual_infeasibility, record.marginal_error]).all()
+        assert "gap=nan dual_infeasibility=nan marginal_error=nan" in record.getMessage()
+
 
 class TestCertificates:
     @pytest.mark.parametrize("solve", ["exact_ot", "nested_wasserstein"])
@@ -643,6 +698,112 @@ class TestLpPaths:
         cost = GroundSpace.grid((3, 3)).cost_matrix()
         with pytest.raises(SolverFailure, match=r"^transport LP failed: HiGHS rejected the model\.$"):
             solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 1.0 / 9))
+
+
+def held_highs():
+    """This thread's kept HiGHS instance, or None."""
+    held = vars(ot._thread_highs).get("held")
+    return None if held is None else held[1]
+
+
+@pytest.mark.skipif(ot._highs_core is None, reason="scipy's private HiGHS bindings did not import")
+class TestSolverReuse:
+    """Each thread keeps one HiGHS instance across solves; every solve on
+    it runs cold, bitwise as on a new instance, and a solve that does not
+    end optimal drops it."""
+
+    def test_reuse_carries_nothing_between_solves(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        g = GroundSpace.grid((8, 8))
+        cost3 = GroundSpace.grid((3, 3)).cost_matrix()
+        lps, instances = [], []
+        linprog = ot.linprog
+
+        def recorded_linprog(*args):
+            res = linprog(*args)
+            lps.append((args, res))
+            return res
+
+        def infeasible():
+            # the LP of TestCertificates: marginals of unequal mass
+            with pytest.raises(SolverFailure, match="infeasible"):
+                solve_transport_lp(cost3, np.full(9, 1 / 9), np.full(9, 0.5 / 9), grid_shape=(3, 3))
+
+        def rejected_option():
+            with monkeypatch.context() as mp:
+                mp.setitem(ot._LP_OPTIONS, "no_such_option", 1)
+                with pytest.raises(SolverFailure, match="rejected the option"):
+                    exact_ot(*lp_pair("flow-8x8"))
+
+        steps = [
+            lambda: exact_ot(*lp_pair("flow-8x8")),
+            lambda: exact_ot(*lp_pair("blobs-6x6")),
+            lambda: exact_ot(*lp_pair("dense-p1.5")),
+            # a support of its own rebuilds the flow slot
+            lambda: exact_ot(random_measure(g, rng, sparse=True), random_measure(g, rng)),
+            infeasible,
+            lambda: exact_ot(*lp_pair("blobs-6x6")),
+            rejected_option,
+            lambda: exact_ot(*lp_pair("dense-p1.5")),
+            lambda: exact_ot(*lp_pair("flow-8x8")),
+        ]
+        monkeypatch.setattr(ot, "linprog", recorded_linprog)
+        for step in steps:
+            step()
+            instances.append(held_highs())
+        monkeypatch.setattr(ot, "linprog", linprog)
+        # kept across optimal solves, dropped by each failure and replaced
+        # by the next solve
+        assert instances[1] is instances[0] and instances[3] is instances[0]
+        assert instances[4] is None and instances[6] is None
+        assert instances[5] is not None and instances[5] is not instances[0]
+        assert instances[7] is not None and instances[7] is not instances[5]
+        assert instances[8] is instances[7]
+        optimal = [(args, res) for args, res in lps if res.status == 0]
+        assert len(optimal) == 7 and len(lps) == 8
+        for args, res in optimal:
+            vars(ot._thread_highs).pop("held", None)
+            new = ot.linprog(*args)
+            assert res.nit == new.nit > 0 and res.fun == new.fun
+            assert same_bits(res.x, new.x)
+            assert same_bits(res.eqlin.marginals, new.eqlin.marginals)
+
+    def test_threads_solve_at_once_on_instances_of_their_own(self):
+        rng = np.random.default_rng(52)
+        g, g3 = GroundSpace.grid((6, 6)), GroundSpace.grid((6, 6), p=1.5)
+        lists = [
+            [(random_measure(g, rng, sparse=True), random_measure(g, rng)) for _ in range(8)],
+            [(random_measure(g3, rng), random_measure(g3, rng)) for _ in range(8)],
+        ]
+        serial = [[exact_ot(mu, nu) for mu, nu in pairs] for pairs in lists]
+        results, instances, errors = [None, None], [None, None], []
+        start = threading.Barrier(2, timeout=30)
+
+        def solve(k):
+            try:
+                start.wait()
+                results[k] = [exact_ot(mu, nu) for mu, nu in lists[k]]
+                instances[k] = held_highs()
+            except Exception as exc:  # read in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert None not in instances and instances[0] is not instances[1]
+        for mine, theirs in zip(results, serial):
+            for (plan, pot, wpp), (splan, spot, swpp) in zip(mine, theirs, strict=True):
+                assert wpp == swpp
+                for x, y in [(plan.matrix, splan.matrix), (pot.phi, spot.phi), (pot.psi, spot.psi)]:
+                    assert same_bits(x, y)
 
 
 def sinkhorn_records(caplog):

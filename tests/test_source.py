@@ -113,6 +113,26 @@ def test_private_highs_bindings_are_imported_by_ot_alone():
     assert len(fences) == 1
 
 
+def test_highs_instances_are_built_by_the_per_thread_getter_alone():
+    # every direct solve runs on its thread's kept instance: a second
+    # place that builds one would bypass the options key and the drop on
+    # failure
+    tree = ast.parse((Path(wdlearn.__file__).parent / "ot.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_Highs"
+    ]
+    builders = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if node in calls
+    ]
+    assert builders == ["_take_highs"] and len(calls) == 1
+
+
 def test_the_names_the_benchmark_rebinds_resolve(monkeypatch):
     # bench/ lies outside the test paths and wraps these names by module and
     # attribute path, a dotted one in its class's own __dict__: a renamed
