@@ -221,11 +221,11 @@ def _grid_flow(grid_shape, ia, ib):
     return c, A_eq, n_transit, plan
 
 
-# The last grid flow built, as ``(key, structure, column arrays)`` with
-# the key ``(grid_shape, supp a, supp b)``.  One slot holds a run whose
-# supports repeat, such as every solve between full-support measures on
-# one grid, and costs a rebuild only when the key changes.  It holds the
-# LP's structure, never a result: every solve still runs and is certified.
+# The last grid flow built, as ``(key, structure)`` with the key
+# ``(grid_shape, supp a, supp b)``.  One slot holds a run whose supports
+# repeat, such as every solve between full-support measures on one grid,
+# and costs a rebuild only when the key changes.  It holds the LP's
+# structure, never a result: every solve still runs and is certified.
 _flow_slot = None
 
 
@@ -235,20 +235,8 @@ def _reused_grid_flow(grid_shape, ia, ib):
     key = (tuple(grid_shape), ia.tobytes(), ib.tobytes())
     slot = _flow_slot
     if slot is None or slot[0] != key:
-        flow = _grid_flow(grid_shape, ia, ib)
-        slot = _flow_slot = (key, flow, _column_arrays(len(flow[0])))
-        for arr in slot[2]:
-            arr.setflags(write=False)
+        slot = _flow_slot = (key, _grid_flow(grid_shape, ia, ib))
     return slot[1]
-
-
-def _column_arrays(n_cols):
-    """Zero lower bounds, infinite upper bounds and zero integrality for
-    ``n_cols`` columns: the flow slot's, read-only, when its LP has as many."""
-    slot = _flow_slot
-    if slot is not None and len(slot[2][0]) == n_cols:
-        return slot[2]
-    return np.zeros(n_cols), np.full(n_cols, np.inf), np.zeros(n_cols, dtype=np.int32)
 
 
 def _marginal(name, w, n):
@@ -293,7 +281,10 @@ def linprog(c, A_eq, b_eq):
     The LP is passed as a new model to this thread's HiGHS instance and
     run cold, bitwise as ``linprog`` would run it; where scipy's private
     HiGHS bindings did not import, the call goes to ``linprog`` itself.
-    The benchmark's tracer wraps this name and reads ``nit``.
+    The instance keeps the memory of the largest model it has solved
+    until a solve fails, the options change or the thread exits: 50-60 MB
+    after a dense 20x20 LP.  The benchmark's tracer wraps this name and
+    reads ``nit``.
     """
     if _highs_core is None:
         res = _scipy_linprog(
@@ -309,12 +300,12 @@ def linprog(c, A_eq, b_eq):
     # field by field from Python would convert its arrays element by
     # element.  The starts are one per column, without the end that
     # ``indptr`` adds.  The integrality array must be given in full (an
-    # empty one made passModel fail).
+    # empty one made passModel fail): every column is continuous, 0.
     n_rows, n_cols = A_eq.shape
-    lower, upper, integrality = _column_arrays(n_cols)
     model = (
         n_cols, n_rows, A_eq.nnz, _HIGHS_COLWISE, _HIGHS_MINIMIZE, 0.0,
-        c, lower, upper, b_eq, b_eq, A_eq.indptr[:-1], A_eq.indices, A_eq.data, integrality,
+        c, np.zeros(n_cols), np.full(n_cols, np.inf), b_eq, b_eq,
+        A_eq.indptr[:-1], A_eq.indices, A_eq.data, np.zeros(n_cols, dtype=np.int32),
     )
     if highs.passModel(*model) == _HIGHS_ERROR:
         res.message = "HiGHS rejected the model."
