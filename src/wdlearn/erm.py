@@ -273,8 +273,8 @@ def truncate_values(values, M: float) -> np.ndarray:
 
 def add_noise(values, sigma: float, seed: int) -> np.ndarray:
     """Seeded i.i.d. Gaussian perturbations of variance ``sigma^2``."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     values = np.asarray(values, dtype=float)
     if sigma == 0.0:
         return values.copy()

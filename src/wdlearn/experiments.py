@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import time
 from pathlib import Path
@@ -297,10 +298,13 @@ def read_targets(path, dataset: MeasureDataset, split: Optional[str], theta: Opt
 
 def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
     """The train measure at index ``ref`` (an ``int`` or a string of
-    digits), or the measure in the file named by any other non-empty string."""
+    digits), or the measure in the file named by any other non-empty string:
+    its weights separated by any whitespace, a malformed one naming the file."""
     if isinstance(ref, str) and ref and not ref.removeprefix("-").isdecimal():
-        weights = np.array(Path(ref).read_text().split(), dtype=float)
-        return DiscreteMeasure(dataset.ground, weights)
+        try:
+            return DiscreteMeasure(dataset.ground, np.array(Path(ref).read_text().split(), dtype=float))
+        except ValueError as exc:
+            raise ValueError(f"reference file {ref}: {exc}") from None
     if isinstance(ref, bool) or not isinstance(ref, (int, str)) or ref == "":
         raise ValueError(f"reference {ref!r} is neither a train index nor a file path")
     index = int(ref)
@@ -310,26 +314,72 @@ def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
     return dataset.train[index]
 
 
-# the keys each experiment cannot do without
-_NEEDED_KEYS = {
-    "make-dataset": ("rows", "cols", "n_train", "n_test"),
-    "baseline-decay": ("dataset", "schedule"),
-    "speed-table": ("dataset",),
-}
+def _check_path(value, name: str) -> str:
+    if not isinstance(value, str) or not value:  # "" would name out_dir itself
+        raise ValueError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
+def _make_dataset(
+    write_to, rows, cols, n_train, n_test, generator="random-dirichlet", seed=0, p=2.0, out="dataset.txt"
+):
+    seed = _check_int(seed, "seed", 0)
+    _check_path(out, "out")
+    dataset = make_synthetic_dataset(rows, cols, n_train, n_test, generator=generator, seed=seed, p=p)
+    path = write_to(out)
+    write_dataset(path, dataset)
+    return [seed], path
+
+
+def _baseline_decay(write_to, dataset, schedule, seeds=(0,), ref=0, split="test"):
+    for key, value in (("seeds", seeds), ("schedule", schedule)):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+    seeds = [_check_int(seed, "each of seeds", 0) for seed in seeds]
+    schedule = [_check_int(j, "each of schedule", 1) for j in schedule]
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    dataset = read_dataset(_check_path(dataset, "dataset"))
+    theta = _resolve_reference(dataset, ref)
+    records = run_baseline_decay(dataset, theta, sizes=schedule, seeds=seeds, split=split)
+    trace = write_to("trace.csv")
+    write_csv(trace, records)
+    return seeds, trace
+
+
+def _speed_table(write_to, dataset, ref=0, reg=0.1, bank_size=16):
+    if isinstance(reg, bool) or not isinstance(reg, (int, float)) or not 0 < reg < np.inf:
+        raise ValueError(f"reg must be a finite positive number, got {reg!r}")
+    if isinstance(bank_size, bool) or not isinstance(bank_size, int):
+        raise ValueError(f"bank_size must be an integer, got {bank_size!r}")
+    dataset = read_dataset(_check_path(dataset, "dataset"))
+    theta = _resolve_reference(dataset, ref)
+    if not 1 <= bank_size <= len(dataset.train):
+        raise ValueError(f"bank_size {bank_size} must lie between 1 and the {len(dataset.train)} train measures")
+    if not dataset.test:
+        raise ValueError("the speed table needs a nonempty test split")
+    bank = build_bank(dataset, theta, range(bank_size))
+    k = int(np.ceil(np.log2(max(bank_size, 2))))
+    net = init_from_bank(*export_affine(bank), k=k)
+    table = run_speed_table(dataset, theta, net.forward, reg=reg)
+    trace = write_to("trace.csv")
+    write_csv(trace, [table])
+    return [], trace
+
+
+_EXPERIMENTS = {"make-dataset": _make_dataset, "baseline-decay": _baseline_decay, "speed-table": _speed_table}
 
 
 def run_experiment(config: dict, out_dir) -> dict:
-    """Dispatch a config document and emit trace.csv + manifest.json.
+    """Run the experiment a config document names; write its output and a
+    manifest.json into ``out_dir``.
 
-    The config is checked before anything is computed or written: it must
-    be a JSON object naming a known ``experiment`` and holding the keys
-    that experiment needs, and its seeds (``seed`` of ``make-dataset``,
-    each of ``seeds`` of ``baseline-decay``) must be nonnegative integers
-    and each of ``schedule`` a positive one; ``speed-table`` draws nothing
-    and takes no ``seed``, and its ``reg`` must be finite and positive,
-    its ``bank_size`` within the train split and its test split nonempty,
-    all checked before the bank's first solve.  ``out_dir`` is
-    created at the first write, so a config rejected before that leaves
+    Each experiment is a function above whose keyword parameters after
+    ``write_to`` are its config keys, those without a default needed.  A
+    config that is not a JSON object, names no known ``experiment``, lacks
+    a needed key or holds any other is rejected before anything is
+    computed, and each function checks its values before its first solve.
+    ``out_dir`` is created at the first write, so a rejected config leaves
     no directory behind.
     """
     if not isinstance(config, dict):
@@ -337,80 +387,24 @@ def run_experiment(config: dict, out_dir) -> dict:
     if "experiment" not in config:
         raise ValueError("the config names no 'experiment'")
     kind = config["experiment"]
-    if not isinstance(kind, str) or kind not in _NEEDED_KEYS:
+    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {kind!r}")
-    for key in _NEEDED_KEYS[kind]:
-        if key not in config:
-            raise ValueError(f"experiment {kind!r} needs the key {key!r}")
+    experiment = _EXPERIMENTS[kind]
+    params = list(inspect.signature(experiment).parameters.values())[1:]
+    args = {key: value for key, value in config.items() if key != "experiment"}
+    for param in params:
+        if param.default is param.empty and param.name not in args:
+            raise ValueError(f"experiment {kind!r} needs the key {param.name!r}")
+    for key in args:
+        if key not in {param.name for param in params}:
+            raise ValueError(f"experiment {kind!r} takes no key {key!r}")
     out_dir = Path(out_dir)
 
-    def out(name):
+    def write_to(name):
         out_dir.mkdir(parents=True, exist_ok=True)
         return out_dir / name
 
-    outputs = []
-
-    if kind == "make-dataset":
-        seeds = [_check_int(config.get("seed", 0), "seed", 0)]
-        dataset = make_synthetic_dataset(
-            rows=config["rows"],
-            cols=config["cols"],
-            n_train=config["n_train"],
-            n_test=config["n_test"],
-            generator=config.get("generator", "random-dirichlet"),
-            seed=seeds[0],
-            p=config.get("p", 2.0),
-        )
-        path = out(config.get("out", "dataset.txt"))
-        write_dataset(path, dataset)
-        outputs.append(str(path))
-    elif kind == "baseline-decay":
-        seeds = config.get("seeds", [0])
-        for key, value in (("seeds", seeds), ("schedule", config["schedule"])):
-            if not isinstance(value, list):
-                raise ValueError(f"{key} must be a list, got {value!r}")
-        seeds = [_check_int(seed, "each of seeds", 0) for seed in seeds]
-        schedule = [_check_int(j, "each of schedule", 1) for j in config["schedule"]]
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("schedule must be strictly increasing")
-        dataset = read_dataset(config["dataset"])
-        theta = _resolve_reference(dataset, config.get("ref", 0))
-        records = run_baseline_decay(
-            dataset,
-            theta,
-            sizes=schedule,
-            seeds=seeds,
-            split=config.get("split", "test"),
-        )
-        trace = out("trace.csv")
-        write_csv(trace, records)
-        outputs.append(str(trace))
-    else:  # speed-table
-        if "seed" in config:
-            raise ValueError("speed-table draws nothing and takes no 'seed'")
-        seeds = []
-        reg = config.get("reg", 0.1)
-        if isinstance(reg, bool) or not isinstance(reg, (int, float)) or not 0 < reg < np.inf:
-            raise ValueError(f"reg must be a finite positive number, got {reg!r}")
-        size = config.get("bank_size", 16)
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise ValueError(f"bank_size must be an integer, got {size!r}")
-        dataset = read_dataset(config["dataset"])
-        theta = _resolve_reference(dataset, config.get("ref", 0))
-        if not 1 <= size <= len(dataset.train):
-            raise ValueError(
-                f"bank_size {size} must lie between 1 and the {len(dataset.train)} train measures"
-            )
-        if not dataset.test:
-            raise ValueError("the speed table needs a nonempty test split")
-        bank = build_bank(dataset, theta, range(size))
-        k = int(np.ceil(np.log2(max(size, 2))))
-        net = init_from_bank(*export_affine(bank), k=k)
-        table = run_speed_table(dataset, theta, net.forward, reg=reg)
-        trace = out("trace.csv")
-        write_csv(trace, [table])
-        outputs.append(str(trace))
-
-    manifest = out("manifest.json")
-    write_manifest(manifest, config, seeds, outputs)
-    return {"outputs": outputs, "manifest": str(manifest)}
+    seeds, output = experiment(write_to, **args)
+    manifest = write_to("manifest.json")
+    write_manifest(manifest, config, seeds, [str(output)])
+    return {"outputs": [str(output)], "manifest": str(manifest)}

@@ -30,12 +30,15 @@ def metric_order(p) -> float:
     Raises
     ------
     ValueError
-        Otherwise, NaN included.
+        Otherwise, NaN and a non-number included.
     """
-    p = float(p)
-    if not 1.0 < p < np.inf:
+    try:
+        value = float(p)
+    except (TypeError, ValueError):  # not a number: [2], None, "x"
+        value = np.nan
+    if not 1.0 < value < np.inf:
         raise ValueError(f"metric order p must be finite and exceed 1, got {p}")
-    return p
+    return value
 
 
 class GroundSpace:

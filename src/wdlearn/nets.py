@@ -526,6 +526,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if not 0 <= self.reg_lambda < np.inf:
             raise ValueError(f"reg_lambda must be finite and nonnegative, got {self.reg_lambda}")
+        if self.reg_lambda and self.loss == "mae":
+            raise ValueError(f"reg_lambda {self.reg_lambda} applies only to the regularized loss, not 'mae'")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

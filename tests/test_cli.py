@@ -259,6 +259,33 @@ class TestCli:
         )
         assert len(_read_csv(out)) == 5
 
+    def test_ot_reference_file_takes_any_whitespace(self, workdir, tmp_path):
+        # tabs, newlines and runs of blanks between weights, no final newline
+        wpp = []
+        for sep in [" ", "\t\n  ", "\r\n"]:
+            ref = tmp_path / "ref.txt"
+            ref.write_text(sep.join(["0.1111111111111111"] * 9))
+            main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", str(ref), "--out", str(tmp_path / "d.csv")])
+            wpp.append([row["wpp"] for row in _read_csv(tmp_path / "d.csv")])
+        assert wpp[0] == wpp[1] == wpp[2] and len(wpp[0]) == 12
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5 x", "could not convert string to float: 'x'"),
+            ("0.5 0.5", "weight vector length does not match the ground space"),
+        ],
+        ids=["not-a-number", "short"],
+    )
+    def test_ot_reference_file_errors_name_the_file(self, workdir, tmp_path, text, message):
+        ref = tmp_path / "ref.txt"
+        ref.write_text(text)
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", str(ref), "--out", str(out)])
+        assert str(exc.value) == f"error: reference file {ref}: {message}"
+        assert not out.exists()
+
     def test_bank_build_cover_indices(self, workdir, tmp_path):
         out = tmp_path / "cover_bank.txt"
         main(
@@ -1101,7 +1128,7 @@ class TestCli:
             ({"experiment": "make-dataset", "rows": "3"}, "rows must be an integer of at least 1, got '3'"),
             ({"experiment": "baseline-decay", "schedule": [1.7, 3]}, "each of schedule must be an integer of at least 1, got 1.7"),
             ({"experiment": "baseline-decay", "schedule": [None]}, "each of schedule must be an integer of at least 1, got None"),
-            ({"experiment": "speed-table", "seed": 0}, "speed-table draws nothing and takes no 'seed'"),
+            ({"experiment": "speed-table", "seed": 0}, "experiment 'speed-table' takes no key 'seed'"),
             ({"experiment": "speed-table", "bank_size": 2.7}, "bank_size must be an integer, got 2.7"),
             ({"experiment": "speed-table", "bank_size": "x"}, "bank_size must be an integer, got 'x'"),
             ([], "an experiment config must be a JSON object, got list"),
@@ -1116,6 +1143,16 @@ class TestCli:
             ({"experiment": "speed-table", "reg": float("nan")}, "reg must be a finite positive number, got nan"),
             ({"experiment": "speed-table", "reg": "0.1"}, "reg must be a finite positive number, got '0.1'"),
             ({"experiment": "speed-table", "reg": True}, "reg must be a finite positive number, got True"),
+            # a key no experiment parameter names: a misspelt one is not dropped
+            ({"experiment": "baseline-decay", "seed": 5}, "experiment 'baseline-decay' takes no key 'seed'"),
+            ({"experiment": "speed-table", "bank_szie": 2}, "experiment 'speed-table' takes no key 'bank_szie'"),
+            ({"experiment": "make-dataset", "n_tset": 2}, "experiment 'make-dataset' takes no key 'n_tset'"),
+            # a path that is not a string: 0 would open standard input
+            ({"experiment": "baseline-decay", "dataset": 0}, "dataset must be a path string, got 0"),
+            ({"experiment": "speed-table", "dataset": 0}, "dataset must be a path string, got 0"),
+            ({"experiment": "make-dataset", "out": 5}, "out must be a path string, got 5"),
+            ({"experiment": "make-dataset", "out": ""}, "out must be a path string, got ''"),
+            ({"experiment": "make-dataset", "p": [2]}, "metric order p must be finite and exceed 1, got [2]"),
         ],
     )
     def test_exp_run_rejects_a_config_before_any_directory(self, workdir, tmp_path, config, message):

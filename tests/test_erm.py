@@ -375,8 +375,13 @@ class TestNoise:
         np.testing.assert_array_equal(add_noise(vals, 0.0, 1), vals)
 
     def test_rejects_a_negative_sigma(self):
-        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative, got -1.0"):
             add_noise(np.zeros(2), -1.0, 1)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_rejects_a_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be finite and nonnegative, got {sigma}"):
+            add_noise(np.array([1.0, 2.0]), sigma, 0)
 
     def test_seeded_determinism(self):
         vals = np.zeros(10)

@@ -49,8 +49,8 @@ class TestGroundSpace:
             GroundSpace([[0.0], [0.0]])
 
     def test_rejects_bad_metric_order(self):
-        for p in (1.0, 0.5, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"metric order p must be finite and exceed 1, got {p}"):
+        for p in (1.0, 0.5, -1.0, np.nan, np.inf, [2], None):
+            with pytest.raises(ValueError, match=re.escape(f"metric order p must be finite and exceed 1, got {p}")):
                 GroundSpace.line([0.0, 1.0], p=p)
 
     @pytest.mark.parametrize(

@@ -549,7 +549,8 @@ class TestFrozenTreeStep:
     @pytest.mark.parametrize("loss", ["mae", "regularized"])
     def test_train(self, loss, monkeypatch):
         ground, X, y, make = self._problem()
-        cfg = TrainConfig(epochs=4, batch_size=8, lr=1e-2, seed=3, loss=loss, reg_lambda=0.1)
+        lam = 0.1 if loss == "regularized" else 0.0
+        cfg = TrainConfig(epochs=4, batch_size=8, lr=1e-2, seed=3, loss=loss, reg_lambda=lam)
         kept = self._counting_winners(monkeypatch)
         net = make()
         trace = train(net, X[:32], y[:32], cfg, ground, X[32:], y[32:])
@@ -1168,7 +1169,8 @@ class TestTraining:
         ground = GroundSpace.grid((2, 2))
         X = rng.dirichlet(np.ones(4), size=30)
         y = rng.random(30) + 1.0
-        cfg = TrainConfig(epochs=3, batch_size=10, seed=7, loss=loss, reg_lambda=0.01)
+        lam = 0.01 if loss == "regularized" else 0.0
+        cfg = TrainConfig(epochs=3, batch_size=10, seed=7, loss=loss, reg_lambda=lam)
         real = train(random_head_network(d=4, k=1, seed=7), X, y, cfg, ground, X, y)
 
         clock = FakeClock()
@@ -1214,6 +1216,11 @@ class TestTraining:
     def test_config_rejects_invalid_lambda_and_lr(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**{"loss": "regularized", **bad})
+
+    def test_config_rejects_a_lambda_with_the_mae_loss(self):
+        # MAE training reads no lambda, so one run would carry two hashes
+        with pytest.raises(ValueError, match="reg_lambda 0.5 applies only to the regularized loss, not 'mae'"):
+            TrainConfig(loss="mae", reg_lambda=0.5)
 
     def test_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):

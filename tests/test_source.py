@@ -63,6 +63,20 @@ def test_cli_splits_kind_arg_specs_in_its_spec_parser_alone():
     assert not splitters, f"colon splits outside cli._spec: {splitters}"
 
 
+def test_experiments_read_config_keys_only_through_signatures():
+    # each experiment's keys and defaults are the keyword parameters of its
+    # function, so run_experiment reads no key of the config but "experiment"
+    path = Path(wdlearn.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "config.get"
+        or isinstance(node, ast.Subscript) and ast.unparse(node.value) == "config"
+    ]
+    assert reads and set(reads) == {"config['experiment']"}, f"config reads in experiments.py: {reads}"
+
+
 def test_cli_solves_only_in_ot_and_bank_build():
     # true values come from the targets file ot writes: no other command
     # solves, so a value is never computed twice or two ways
