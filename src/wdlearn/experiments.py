@@ -58,10 +58,10 @@ def make_synthetic_dataset(
 
     Generators: ``random-dirichlet`` draws flat Dirichlet weights;
     ``blurred-blobs`` sums Gaussian bumps whose centers live in the left
-    (label 0) or right (label 1) half of the grid.  The sizes must be
-    integers, ``rows`` and ``cols`` at least 1 and the counts at least 0.
+    (label 0) or right (label 1) half of the grid.  The sizes and the seed
+    must be integers, ``rows`` and ``cols`` at least 1, the rest at least 0.
     """
-    _check_int(rows, "rows", 1), _check_int(cols, "cols", 1)
+    _check_int(rows, "rows", 1), _check_int(cols, "cols", 1), _check_int(seed, "seed", 0)
     _check_int(n_train, "n_train", 0), _check_int(n_test, "n_test", 0)
     if rows > _MAX_GRID or cols > _MAX_GRID:
         raise ValueError(f"desk-scale grids are capped at {_MAX_GRID}x{_MAX_GRID}")
@@ -118,23 +118,26 @@ def run_baseline_decay(
     theta: DiscreteMeasure,
     sizes: Sequence[int],
     seeds: Sequence[int],
-    split: str = "test",
-    true_wpp: Optional[np.ndarray] = None,
+    split: str,
+    true_wpp: np.ndarray,
 ) -> list:
     """Mean relative error of the bank approximant over a nested schedule.
 
     For every seed a nested family of random index sets is drawn; for every
-    size the bank restricted to that set is evaluated on the chosen split.
+    size the bank restricted to that set is evaluated on the chosen split
+    against ``true_wpp``, one value per measure of the split as
+    :func:`read_targets` reads them; the bank's anchors are the only solves.
     Returns one record per (seed, size); the mean and max skip a zero
     target's undefined error (see :func:`relative_errors`), NaN if all are 0.
-    An empty split raises ``ValueError``.
+    An empty split or a ``true_wpp`` of another shape raises ``ValueError``.
     """
     sizes = sorted(int(j) for j in sizes)
     eval_measures, W = dataset.split(split)
     if not eval_measures:
         raise ValueError(f"baseline decay needs a nonempty {split} split")
-    if true_wpp is None:
-        true_wpp = wpp_to_reference(eval_measures, theta)
+    n = len(eval_measures)
+    if np.shape(true_wpp) != (n,):
+        raise ValueError(f"true_wpp has shape {np.shape(true_wpp)} where the {n} {split} measures need ({n},)")
 
     # one bank over every seed's largest index set: each anchor is solved
     # once, and each sub-bank keeps its sorted index order
@@ -315,39 +318,29 @@ def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
 
 
 def _check_path(value, name: str) -> str:
-    if not isinstance(value, str) or not value:  # "" would name out_dir itself
+    if not isinstance(value, str) or not value:  # 0 would open standard input
         raise ValueError(f"{name} must be a path string, got {value!r}")
     return value
 
 
-def _make_dataset(
-    write_to, rows, cols, n_train, n_test, generator="random-dirichlet", seed=0, p=2.0, out="dataset.txt"
-):
-    seed = _check_int(seed, "seed", 0)
-    _check_path(out, "out")
-    dataset = make_synthetic_dataset(rows, cols, n_train, n_test, generator=generator, seed=seed, p=p)
-    path = write_to(out)
-    write_dataset(path, dataset)
-    return [seed], path
-
-
-def _baseline_decay(write_to, dataset, schedule, seeds=(0,), ref=0, split="test"):
+def _baseline_decay(dataset, targets, schedule, seeds=(0,), ref=0):
     for key, value in (("seeds", seeds), ("schedule", schedule)):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list, got {value!r}")
+        if not value:
+            raise ValueError(f"{key} must not be empty")
     seeds = [_check_int(seed, "each of seeds", 0) for seed in seeds]
     schedule = [_check_int(j, "each of schedule", 1) for j in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
+    targets = _check_path(targets, "targets")
     dataset = read_dataset(_check_path(dataset, "dataset"))
     theta = _resolve_reference(dataset, ref)
-    records = run_baseline_decay(dataset, theta, sizes=schedule, seeds=seeds, split=split)
-    trace = write_to("trace.csv")
-    write_csv(trace, records)
-    return seeds, trace
+    split, true_wpp = read_targets(targets, dataset, None, theta)
+    return seeds, run_baseline_decay(dataset, theta, schedule, seeds, split, true_wpp)
 
 
-def _speed_table(write_to, dataset, ref=0, reg=0.1, bank_size=16):
+def _speed_table(dataset, ref=0, reg=0.1, bank_size=16):
     if isinstance(reg, bool) or not isinstance(reg, (int, float)) or not 0 < reg < np.inf:
         raise ValueError(f"reg must be a finite positive number, got {reg!r}")
     if isinstance(bank_size, bool) or not isinstance(bank_size, int):
@@ -361,26 +354,23 @@ def _speed_table(write_to, dataset, ref=0, reg=0.1, bank_size=16):
     bank = build_bank(dataset, theta, range(bank_size))
     k = int(np.ceil(np.log2(max(bank_size, 2))))
     net = init_from_bank(*export_affine(bank), k=k)
-    table = run_speed_table(dataset, theta, net.forward, reg=reg)
-    trace = write_to("trace.csv")
-    write_csv(trace, [table])
-    return [], trace
+    return [], [run_speed_table(dataset, theta, net.forward, reg=reg)]
 
 
-_EXPERIMENTS = {"make-dataset": _make_dataset, "baseline-decay": _baseline_decay, "speed-table": _speed_table}
+_EXPERIMENTS = {"baseline-decay": _baseline_decay, "speed-table": _speed_table}
 
 
 def run_experiment(config: dict, out_dir) -> dict:
-    """Run the experiment a config document names; write its output and a
-    manifest.json into ``out_dir``.
+    """Run the experiment a config document names; write its records to
+    trace.csv and a manifest.json into ``out_dir``.
 
-    Each experiment is a function above whose keyword parameters after
-    ``write_to`` are its config keys, those without a default needed.  A
-    config that is not a JSON object, names no known ``experiment``, lacks
-    a needed key or holds any other is rejected before anything is
-    computed, and each function checks its values before its first solve.
-    ``out_dir`` is created at the first write, so a rejected config leaves
-    no directory behind.
+    Each experiment is a function above whose keyword parameters are its
+    config keys, those without a default needed, and which returns its
+    seeds and records.  A config that is not a JSON object, names no known
+    ``experiment``, lacks a needed key or holds any other is rejected before
+    anything is computed, and each function checks its values before its
+    first solve.  ``out_dir`` is created once the records are computed, so
+    a rejected config leaves no directory behind.
     """
     if not isinstance(config, dict):
         raise ValueError(f"an experiment config must be a JSON object, got {type(config).__name__}")
@@ -390,7 +380,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     if not isinstance(kind, str) or kind not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {kind!r}")
     experiment = _EXPERIMENTS[kind]
-    params = list(inspect.signature(experiment).parameters.values())[1:]
+    params = inspect.signature(experiment).parameters.values()
     args = {key: value for key, value in config.items() if key != "experiment"}
     for param in params:
         if param.default is param.empty and param.name not in args:
@@ -398,13 +388,10 @@ def run_experiment(config: dict, out_dir) -> dict:
     for key in args:
         if key not in {param.name for param in params}:
             raise ValueError(f"experiment {kind!r} takes no key {key!r}")
+    seeds, records = experiment(**args)
     out_dir = Path(out_dir)
-
-    def write_to(name):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return out_dir / name
-
-    seeds, output = experiment(write_to, **args)
-    manifest = write_to("manifest.json")
-    write_manifest(manifest, config, seeds, [str(output)])
-    return {"outputs": [str(output)], "manifest": str(manifest)}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace, manifest = out_dir / "trace.csv", out_dir / "manifest.json"
+    write_csv(trace, records)
+    write_manifest(manifest, config, seeds, [str(trace)])
+    return {"outputs": [str(trace)], "manifest": str(manifest)}

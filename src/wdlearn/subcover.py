@@ -190,10 +190,16 @@ def covering_number_bound(sample: MetricSample, eps: float, delta: float) -> Cov
     may still coincide after rounding up.  The number of centers that
     provably suffices is
     ``ceil(log(delta) / log(1 - sample.min_ball_mass(eps)))``, from
-    ``sum_i w_i c_i^k <= (max_i c_i)^k``.
+    ``sum_i w_i c_i^k <= (max_i c_i)^k``.  As ``p(eps, k)`` is
+    nondecreasing in k, ``exact_min_k`` is found by doubling then bisection
+    up to that number (at least 1); a ``p`` that misses ``1 - delta`` there
+    by rounding raises ``CertificateViolation``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    m = sample.min_ball_mass(eps)
+    if not m > 0:  # eps <= 0, or a distance matrix whose diagonal reaches eps
+        raise ValueError(f"eps = {eps} leaves an atom of the support outside its own open ball")
     w = sample.weights
     complement = ((sample.distance_matrix >= eps) * w[None, :]).sum(axis=1)
     supp = w > 0
@@ -201,17 +207,19 @@ def covering_number_bound(sample: MetricSample, eps: float, delta: float) -> Cov
     if unbounded:
         bound = 1
     else:
+        # below 0, as every c_i <= 1 - m < 1
         denom = float(np.dot(w[supp], np.log(complement[supp])))
-        bound = int(np.ceil(np.log(delta) / denom)) if denom < 0 else np.iinfo(int).max
-    exact = _exact_min_k(sample, eps, delta)
-    return CoveringBoundReport(bound=bound, exact_min_k=exact, unbounded=unbounded)
-
-
-def _exact_min_k(sample: MetricSample, eps: float, delta: float, k_max: int = 100_000) -> int:
-    for k in range(k_max + 1):
-        if p_eps_k_closed(sample, eps, k) >= 1.0 - delta:
-            return k
-    raise RuntimeError("exact covering search exceeded k_max")
+        bound = int(np.ceil(np.log(delta) / denom))
+    cap = 1 if m >= 1.0 else max(1, int(np.ceil(np.log(delta) / np.log1p(-m))))
+    target, lo, hi = 1.0 - delta, 0, 1  # p(eps, 0) = 0
+    while p_eps_k_closed(sample, eps, hi) < target:
+        if hi == cap:
+            raise CertificateViolation(f"p(eps, k) misses 1 - delta at the worst-case bound k = {cap}")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if p_eps_k_closed(sample, eps, mid) >= target else (mid, hi)
+    return CoveringBoundReport(bound=bound, exact_min_k=hi, unbounded=unbounded)
 
 
 def empirical_subcover_measure(sample: MetricSample, centers: Sequence[int], eps: float):

@@ -741,6 +741,7 @@ class TestCli:
         else:
             cfg = tmp_path / "exp.json"
             config = {"experiment": "baseline-decay", "dataset": ds, "ref": int(ref)}
+            config["targets"] = str(workdir / "test_distances.csv")
             cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0])))
             args = ["exp", "run", "--config", str(cfg), "--out-dir", str(out)]
         with pytest.raises(SystemExit) as exc:
@@ -758,6 +759,7 @@ class TestCli:
         else:
             cfg = tmp_path / "exp.json"
             config = {"experiment": "baseline-decay", "dataset": ds, "ref": ref}
+            config["targets"] = str(workdir / "test_distances.csv")
             cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0])))
             args = ["exp", "run", "--config", str(cfg), "--out-dir", str(out)]
         with pytest.raises(SystemExit) as exc:
@@ -1023,9 +1025,9 @@ class TestCli:
         assert mean_relative_error([0.3, 1.0], [0.0, 2.0]) == 0.5
 
         ds = read_dataset(workdir / "ds.txt")
-        records = experiments.run_baseline_decay(
-            ds, ds.train[0], sizes=[4], seeds=[0], split="train"
-        )
+        split, true_wpp = experiments.read_targets(workdir / "distances.csv", ds, "train", ds.train[0])
+        assert true_wpp[0] == 0.0
+        records = experiments.run_baseline_decay(ds, ds.train[0], [4], [0], split, true_wpp)
         assert np.isfinite(records[0]["mean_rel_err"])
         assert np.isfinite(records[0]["max_rel_err"])
 
@@ -1092,6 +1094,7 @@ class TestCli:
                 {
                     "experiment": "baseline-decay",
                     "dataset": str(workdir / "ds.txt"),
+                    "targets": str(workdir / "test_distances.csv"),
                     "ref": 0,
                     "schedule": [2, 4],
                     "seeds": [0, 1],
@@ -1104,28 +1107,55 @@ class TestCli:
         assert manifest["seeds"] == [0, 1]
 
     def test_exp_run_rejects_an_unknown_split(self, workdir, tmp_path):
+        # baseline-decay evaluates the split its targets file names
+        targets = tmp_path / "targets.csv"
+        lines = (workdir / "test_distances.csv").read_text().splitlines(keepends=True)
+        targets.write_text("".join([lines[0]] + [line.replace(",test,", ",tset,") for line in lines[1:]]))
         cfg = tmp_path / "exp.json"
-        config = {"experiment": "baseline-decay", "dataset": str(workdir / "ds.txt")}
-        cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0], split="tset")))
+        config = {"experiment": "baseline-decay", "dataset": str(workdir / "ds.txt"), "targets": str(targets)}
+        cfg.write_text(json.dumps(dict(config, schedule=[2], seeds=[0])))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["exp", "run", "--config", str(cfg), "--out-dir", str(out)])
-        assert str(exc.value) == "error: unknown split 'tset': expected train | test | all"
-        assert not list(tmp_path.glob("out/*"))
+        message = f"targets file {targets}, line 2: split: unknown split 'tset': expected train | test | all"
+        assert str(exc.value) == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no-targets", "other-reference", "sinkhorn"])
+    def test_exp_run_baseline_decay_reads_matching_targets_before_any_solve(
+        self, workdir, mismatch_sources, tmp_path, caplog, case
+    ):
+        config = {"experiment": "baseline-decay", "dataset": str(workdir / "ds.txt"), "schedule": [2]}
+        if case == "no-targets":
+            message = "experiment 'baseline-decay' needs the key 'targets'"
+        else:
+            flags, _, message = _MISMATCHES[case]
+            config["targets"] = str(mismatch_sources[tuple(flags)])
+            ds = read_dataset(workdir / "ds.txt")
+            hashes = {"h0": reference_hash(ds.train[0]), "h3": reference_hash(ds.train[3])}
+            message = f"targets file {config['targets']}, {message.format(**hashes)}"
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        with pytest.raises(SystemExit) as exc:
+            main(["exp", "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert str(exc.value) == f"error: {message}"
+        assert not [r for r in caplog.records if hasattr(r, "lp_form")]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"experiment": "make-dataset", "seed": -1}, "seed must be an integer of at least 0, got -1"),
-            ({"experiment": "make-dataset", "seed": 1.5}, "seed must be an integer of at least 0, got 1.5"),
-            ({"experiment": "make-dataset", "seed": True}, "seed must be an integer of at least 0, got True"),
+            ({"experiment": "baseline-decay", "seeds": []}, "seeds must not be empty"),
+            ({"experiment": "baseline-decay", "schedule": []}, "schedule must not be empty"),
+            ({"experiment": "make-dataset", "rows": 3, "cols": 3, "n_train": 4, "n_test": 2}, "unknown experiment 'make-dataset'"),
             ({"experiment": "baseline-decay", "seeds": [0, -1]}, "each of seeds must be an integer of at least 0, got -1"),
             ({"experiment": "baseline-decay", "seeds": [1.5]}, "each of seeds must be an integer of at least 0, got 1.5"),
             ({"experiment": "baseline-decay", "seeds": [False]}, "each of seeds must be an integer of at least 0, got False"),
             ({"experiment": "baseline-decay", "seeds": 3}, "seeds must be a list, got 3"),
             ({"experiment": "baseline-decay", "schedule": 4}, "schedule must be a list, got 4"),
-            ({"experiment": "make-dataset", "n_train": -1}, "n_train must be an integer of at least 0, got -1"),
-            ({"experiment": "make-dataset", "rows": "3"}, "rows must be an integer of at least 1, got '3'"),
+            ({"experiment": "baseline-decay", "targets": None}, "experiment 'baseline-decay' needs the key 'targets'"),
+            ({"experiment": "baseline-decay", "split": "test"}, "experiment 'baseline-decay' takes no key 'split'"),
             ({"experiment": "baseline-decay", "schedule": [1.7, 3]}, "each of schedule must be an integer of at least 1, got 1.7"),
             ({"experiment": "baseline-decay", "schedule": [None]}, "each of schedule must be an integer of at least 1, got None"),
             ({"experiment": "speed-table", "seed": 0}, "experiment 'speed-table' takes no key 'seed'"),
@@ -1134,7 +1164,7 @@ class TestCli:
             ([], "an experiment config must be a JSON object, got list"),
             ({}, "the config names no 'experiment'"),
             ({"experiment": ["make-dataset"]}, "unknown experiment ['make-dataset']"),
-            ({"experiment": "make-dataset", "n_test": None}, "experiment 'make-dataset' needs the key 'n_test'"),
+            ({"experiment": "baseline-decay", "targets": 0}, "targets must be a path string, got 0"),
             ({"experiment": "baseline-decay", "dataset": None}, "experiment 'baseline-decay' needs the key 'dataset'"),
             ({"experiment": "baseline-decay", "schedule": None}, "experiment 'baseline-decay' needs the key 'schedule'"),
             ({"experiment": "speed-table", "dataset": None}, "experiment 'speed-table' needs the key 'dataset'"),
@@ -1146,13 +1176,13 @@ class TestCli:
             # a key no experiment parameter names: a misspelt one is not dropped
             ({"experiment": "baseline-decay", "seed": 5}, "experiment 'baseline-decay' takes no key 'seed'"),
             ({"experiment": "speed-table", "bank_szie": 2}, "experiment 'speed-table' takes no key 'bank_szie'"),
-            ({"experiment": "make-dataset", "n_tset": 2}, "experiment 'make-dataset' takes no key 'n_tset'"),
+            ({"experiment": "baseline-decay", "targets": ""}, "targets must be a path string, got ''"),
             # a path that is not a string: 0 would open standard input
             ({"experiment": "baseline-decay", "dataset": 0}, "dataset must be a path string, got 0"),
             ({"experiment": "speed-table", "dataset": 0}, "dataset must be a path string, got 0"),
-            ({"experiment": "make-dataset", "out": 5}, "out must be a path string, got 5"),
-            ({"experiment": "make-dataset", "out": ""}, "out must be a path string, got ''"),
-            ({"experiment": "make-dataset", "p": [2]}, "metric order p must be finite and exceed 1, got [2]"),
+            ({"experiment": "baseline-decay", "schedule": [0]}, "each of schedule must be an integer of at least 1, got 0"),
+            ({"experiment": "baseline-decay", "schedule": [3, 2]}, "schedule must be strictly increasing"),
+            ({"experiment": "speed-table", "bank_size": True}, "bank_size must be an integer, got True"),
         ],
     )
     def test_exp_run_rejects_a_config_before_any_directory(self, workdir, tmp_path, config, message):
@@ -1160,10 +1190,14 @@ class TestCli:
         # a key set to None is left out
         if isinstance(config, dict) and isinstance(config.get("experiment"), str):
             valid = {
-                "make-dataset": {"rows": 3, "cols": 3, "n_train": 4, "n_test": 2, "seed": 0},
-                "baseline-decay": {"dataset": str(workdir / "ds.txt"), "schedule": [2], "seeds": [0]},
+                "baseline-decay": {
+                    "dataset": str(workdir / "ds.txt"),
+                    "targets": str(workdir / "test_distances.csv"),
+                    "schedule": [2],
+                    "seeds": [0],
+                },
                 "speed-table": {"dataset": str(workdir / "ds.txt"), "bank_size": 2},
-            }[config["experiment"]]
+            }.get(config["experiment"], {})
             config = {k: v for k, v in dict(valid, **config).items() if v is not None}
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps(config))

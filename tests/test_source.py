@@ -102,6 +102,31 @@ def test_cli_solves_only_in_ot_and_bank_build():
     assert not outside, f"solvers named outside a command in cli.py, lines {outside}"
 
 
+def test_experiments_solve_for_true_values_only_in_wpp_to_reference():
+    # experiments read true values from ot's targets file; the speed table
+    # times solves and reads none of their values
+    path = Path(wdlearn.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    solvers = {"exact_ot", "sinkhorn", "solve_transport_lp", "wpp_to_reference"}
+    naming = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id in solvers
+        or isinstance(node, ast.Attribute) and node.attr in solvers
+    }
+    assert naming == {"wpp_to_reference", "run_speed_table"}
+    outside = [
+        node.lineno
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.ImportFrom))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id in solvers
+    ]
+    assert not outside, f"solvers named outside a function in experiments.py, lines {outside}"
+
+
 def test_private_highs_bindings_are_imported_by_ot_alone():
     # scipy.optimize._highspy is not scipy's public API: it is named in one
     # module, imported once there, inside a try whose ImportError handler

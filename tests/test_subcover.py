@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from wdlearn import ot
+from wdlearn import ot, subcover
 from wdlearn.errors import CertificateViolation, EmptyCover
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.subcover import (
@@ -199,6 +199,33 @@ class TestCoveringBound:
                 lambda k: p_eps_k_closed(measure_sample, eps, k), 1.0 - delta
             )
             assert rep.exact_min_k == oracle
+
+    def test_exact_search_reaches_millions_of_centers(self):
+        # a light atom far from a heavy one needs k = 6,907,752: the search
+        # bisects below the worst-case bound instead of stepping through k
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        s = MetricSample(distance_matrix=D, weights=np.array([1 - 1e-6, 1e-6]))
+        k = covering_number_bound(s, 0.5, 1e-9).exact_min_k
+        assert k == 6_907_752
+        assert p_eps_k_closed(s, 0.5, k) >= 1 - 1e-9 > p_eps_k_closed(s, 0.5, k - 1)
+
+    def test_a_probability_short_at_the_worst_case_bound_raises(self, two_atoms, monkeypatch):
+        # uniform two atoms: min ball mass 1/2, so the bound for delta = 0.05 is 5
+        ks = []
+        monkeypatch.setattr(subcover, "p_eps_k_closed", lambda sample, eps, k: ks.append(k) or 0.0)
+        with pytest.raises(CertificateViolation, match="^p\\(eps, k\\) misses 1 - delta at the worst-case bound k = 5$"):
+            covering_number_bound(two_atoms, 0.5, 0.05)
+        assert ks == [1, 2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "D, eps", [([[1.0]], 0.5), ([[0.0, 1.0], [1.0, 0.0]], 0.0), ([[0.0]], -0.1), ([[0.0]], np.nan)]
+    )
+    def test_an_atom_outside_its_own_ball_is_rejected(self, D, eps):
+        # a diagonal distance of at least eps, or an eps that is not
+        # positive: no number of centers provably covers the sample
+        message = f"^eps = {eps} leaves an atom of the support outside its own open ball$"
+        with pytest.raises(ValueError, match=message):
+            covering_number_bound(MetricSample(distance_matrix=np.array(D)), eps, 0.1)
 
     def test_homogeneous_instance_bound_is_tight(self):
         # equidistant atoms with uniform weights: the log-mean formula
