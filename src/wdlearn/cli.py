@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc.add_argument("--dataset", required=True)
     sc.add_argument("--eps", type=float, required=True)
-    sc.add_argument("--k-range", default="1:64", help=_SPECS["k-range"])
+    # argparse takes "-1:3" after a space for an option, not a value
+    k_help = f"{_SPECS['k-range']}; a bound starting with - needs the form --k-range=<lo>:<hi>"
+    sc.add_argument("--k-range", default="1:64", help=k_help)
     sc.add_argument("--trials", type=int, default=2000)
     sc.add_argument("--seed", type=_seed, default=7)
     sc.add_argument("--out", required=True)

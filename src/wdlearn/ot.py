@@ -18,18 +18,16 @@ duals, and the extension and certificates run on the dense cost matrix
 either way.  The exponent ``p`` and the cost matrix come from the
 ground space; no function here takes its own.
 
-Both forms run the HiGHS dual simplex (Huangfu & Hall 2018) with devex
-pricing (Harris 1973), which takes fewer iterations on these LPs than
-the default.  Each solve passes the LP's column-wise arrays as a new
-model to its thread's HiGHS instance, kept across solves, runs it cold
-and reads back only the status, the solution, the objective, the row
-duals and the iteration count.
-Settings and results are bitwise those of ``scipy.optimize.linprog``
-with ``method="highs-ds"``, without that wrapper's input checks and the
-bound duals it fills column by column.  The model is built through
-scipy's private HiGHS bindings.  They are used only by :func:`linprog`
-and imported in one guarded block; where they do not import,
-:func:`linprog` calls scipy's public ``linprog`` with the same settings.
+Both forms are uncapacitated min-cost flows, one ``+1`` and one ``+-1``
+a column, and :func:`linprog` solves them by the primal network simplex
+of ``_network_simplex.c`` (after LEMON's, as in the exact EMD of
+Bonneel, van de Panne, Paris & Heidrich 2011) through ``ctypes``, which
+releases the GIL for the call.  The source is compiled once, at import
+and never inside a solve, into ``$XDG_CACHE_HOME/wdlearn`` (or
+``~/.cache/wdlearn``) under the SHA-256 of the source and the command,
+or into a private temporary directory where that one is unsafe; a later
+import loads it from there.  Where none can be built, one WARNING is
+logged and every solve runs scipy's ``linprog`` (HiGHS dual simplex).
 
 The flow's structure (arc costs, constraint matrix and the plan's
 scatter indices, all read-only) depends only on the grid and the two
@@ -48,8 +46,8 @@ non-finite.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
-column count, the path of the solve (``highs`` for the direct model,
-``linprog`` for scipy's wrapper), the HiGHS status, the simplex
+column count, the path of the solve (``network-simplex`` for the
+kernel, ``linprog`` for scipy's), the status, the simplex pivots or
 iterations, the certificates' gap, dual infeasibility and marginal
 error, and the nanoseconds spent.  Each Sinkhorn solve logs one such
 record too: the support sizes, the iterations, how many of them ran in
@@ -58,11 +56,21 @@ the log domain, the final marginal violation and the nanoseconds spent.
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import hashlib
 import logging
 import math
-import threading
+import os
+import shlex
+import shutil
+import stat
+import subprocess
+import sysconfig
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -76,44 +84,69 @@ from .measures import DiscreteMeasure, ensure_same_ground
 _FEAS_TOL = 1e-9
 _MARGINAL_TOL = 1e-9
 
-# The dual simplex returns an exact basic solution (marginals at machine
-# precision); the automatic choice may fall back to interior point on
-# larger instances and miss the 1e-10 marginal requirement.  Presolve
-# has little to remove from a transportation LP, and on an 8x8 grid it
-# takes about twice as long as the simplex run that follows.  Devex
-# pricing (Harris 1973) takes fewer iterations than HiGHS's default
-# steepest-edge start: per flow LP, 239 against 255 on 8x8 Dirichlet
-# measures against uniform and 188 against 213 on 6x6 blob pairs; per
-# dense 8x8 LP with p = 1.5, 198 against 212.
+# Settings of the fallback, scipy's ``linprog``: the dual simplex returns
+# an exact basic solution, presolve has little to remove from a transport
+# LP, and devex pricing (Harris 1973) takes fewer iterations here.
 _LP_OPTIONS = {
     "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
     "simplex_dual_edge_weight_strategy": "devex",
 }
-# ``linprog``'s names for HiGHS's dual edge weight strategies
-_EDGE_WEIGHT_STRATEGY = {"steepest-devex": -1, "dantzig": 0, "devex": 1, "steepest": 2}
-
-# scipy's private HiGHS bindings.  Every name :func:`linprog` takes from
-# them is bound here, so a scipy without one of them is found at import
-# and every solve goes through scipy's public ``linprog`` instead.
-try:
-    from scipy.optimize._highspy import _core as _highs_core
-
-    _Highs = _highs_core._Highs
-    _HIGHS_COLWISE = int(_highs_core.MatrixFormat.kColwise)
-    _HIGHS_MINIMIZE = int(_highs_core.ObjSense.kMinimize)
-    _HIGHS_ERROR = _highs_core.HighsStatus.kError
-    # ``linprog``'s status code and message for the model statuses it names
-    _HIGHS_STATUS = {
-        _highs_core.HighsModelStatus.kOptimal: (0, "Optimization terminated successfully."),
-        _highs_core.HighsModelStatus.kInfeasible: (2, "The problem is infeasible."),
-    }
-except (ImportError, AttributeError):
-    _highs_core = None
+# A kernel solve fails after this many pivots; an 8x8 flow LP takes about
+# 330, and strongly feasible trees do not cycle, so it guards against faults.
+_PIVOT_CAP = 10_000_000
 
 _log = logging.getLogger(__name__)
-_thread_highs = threading.local()
+
+
+def _cache_dir():
+    """``$XDG_CACHE_HOME/wdlearn`` (``~/.cache/wdlearn`` where that is
+    unset) if this user owns it, may write to it and no other user may; a
+    private temporary directory, removed at exit, otherwise."""
+    path = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "wdlearn"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+        if st.st_uid == os.getuid() and not st.st_mode & stat.S_IWOTH and os.access(path, os.W_OK):
+            return path
+    except OSError:
+        pass
+    path = tempfile.mkdtemp(prefix="wdlearn-")
+    atexit.register(shutil.rmtree, path, True)
+    return Path(path)
+
+
+def _load_kernel():
+    """The network simplex ``ns_solve`` of ``_network_simplex.c``, compiled
+    by Python's C compiler into the cache directory under the SHA-256 of
+    the source and the command, or loaded from there when that library
+    exists; None, after one WARNING, where it cannot be built or loaded."""
+    source = Path(__file__).with_name("_network_simplex.c")
+    try:
+        cc = sysconfig.get_config_var("CC")
+        if not cc:
+            raise OSError("Python names no C compiler")
+        command = [*shlex.split(cc), "-O2", "-shared", "-fPIC"]
+        digest = hashlib.sha256(source.read_bytes() + " ".join(command).encode()).hexdigest()
+        lib = _cache_dir() / f"{digest}.so"
+        if not lib.exists():
+            # written under a name of this process's, then moved into place
+            tmp = lib.with_suffix(f".{os.getpid()}.tmp")
+            subprocess.run([*command, "-o", tmp, source], check=True, capture_output=True)
+            os.replace(tmp, lib)
+        kernel = ctypes.CDLL(str(lib)).ns_solve
+    except (OSError, subprocess.CalledProcessError) as exc:
+        _log.warning("network simplex not built (%s); exact solves run scipy's linprog", exc)
+        return None
+    # (n, m, ends, cost, supply, max_pivots, flow, pi): the arrays go as
+    # addresses of contiguous arrays of the C types, which linprog makes
+    kernel.argtypes = [ctypes.c_int] * 2 + [ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_void_p] * 2
+    kernel.restype = ctypes.c_long
+    return kernel
+
+
+_kernel = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -142,7 +175,8 @@ class PotentialPair:
 def _two_entry_columns(upper, lower, lower_value, n_rows):
     """The CSC matrix whose column ``j`` holds 1 in row ``upper[j]`` and
     ``lower_value[j]`` in row ``lower[j] > upper[j]``, built directly in the
-    column-wise form HiGHS takes: both LP forms have two entries a column."""
+    column-wise form, whose indices list each arc's two ends: both LP
+    forms have two entries a column."""
     n_cols = len(upper)
     return sparse.csc_matrix(
         (
@@ -253,92 +287,57 @@ def _marginal(name, w, n):
     return w
 
 
-def _highs_options():
-    """``_LP_OPTIONS`` in HiGHS's own names and values, read afresh at each
-    solve, with the settings ``linprog`` adds for "highs-ds": no output
-    (set first, so that nothing after it prints) and the dual simplex."""
-    options = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1}
-    for key, value in _LP_OPTIONS.items():
-        if key == "presolve":
-            value = "on" if value else "off"
-        elif key == "simplex_dual_edge_weight_strategy":
-            value = _EDGE_WEIGHT_STRATEGY[value]
-        options[key] = value
-    return options
-
-
 def linprog(c, A_eq, b_eq):
-    """``min <c, x>`` subject to ``A_eq x = b_eq`` and ``x >= 0``, by the
-    HiGHS dual simplex with the settings of ``_LP_OPTIONS``.
+    """``min <c, x>`` subject to ``A_eq x = b_eq`` and ``x >= 0`` for an LP
+    of :func:`_two_entry_columns`, by the network simplex of
+    ``_network_simplex.c``, or by scipy's ``linprog`` with ``_LP_OPTIONS``
+    where that could not be built at import.
 
-    ``A_eq`` is a CSC matrix.  Returns the fields of
-    ``scipy.optimize.linprog(..., method="highs-ds")`` that wdlearn
-    reads: ``status`` (0 at an optimum), ``message``, ``nit`` (the simplex
-    iterations), and ``x``, ``fun`` and ``eqlin.marginals`` (the row
-    duals), which are None unless the LP was solved to optimality, and
-    ``lp_path``, the path the solve took: ``"highs"`` or ``"linprog"``.
-
-    The LP is passed as a new model to this thread's HiGHS instance and
-    run cold, bitwise as ``linprog`` would run it; where scipy's private
-    HiGHS bindings did not import, the call goes to ``linprog`` itself.
-    The instance keeps the memory of the largest model it has solved
-    until a solve fails, the options change or the thread exits: 50-60 MB
-    after a dense 20x20 LP.  The benchmark's tracer wraps this name and
-    reads ``nit``.
+    Column ``j`` is read as an arc from its upper row to its lower row,
+    and a row whose lower entries are ``+1`` (a sink's) is negated into a
+    demand.  Returns the fields of ``scipy.optimize.linprog(...,
+    method="highs-ds")`` that wdlearn reads: ``status`` (0 at an optimum,
+    1 at ``_PIVOT_CAP`` pivots, 2 if infeasible: an artificial arc keeps
+    more flow than ``_MARGINAL_TOL``), ``message``, ``nit`` (the pivots),
+    and ``x``, ``fun`` and ``eqlin.marginals`` (the node potentials, with
+    the rows' signs), None unless optimal, and ``lp_path``
+    (``"network-simplex"`` or ``"linprog"``).  The benchmark's tracer
+    wraps this name and reads ``nit``.
     """
-    if _highs_core is None:
+    if _kernel is None:
         res = _scipy_linprog(
             c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
         )
         res.lp_path = "linprog"
         return res
-    key, highs = _take_highs()
-    res = OptimizeResult(
-        status=4, nit=0, x=None, fun=None, eqlin=OptimizeResult(marginals=None), lp_path="highs"
-    )
-    # passModel's array form reads each array whole; a HighsLp built
-    # field by field from Python would convert its arrays element by
-    # element.  The starts are one per column, without the end that
-    # ``indptr`` adds.  The integrality array must be given in full (an
-    # empty one made passModel fail): every column is continuous, 0.
     n_rows, n_cols = A_eq.shape
-    model = (
-        n_cols, n_rows, A_eq.nnz, _HIGHS_COLWISE, _HIGHS_MINIMIZE, 0.0,
-        c, np.zeros(n_cols), np.full(n_cols, np.inf), b_eq, b_eq,
-        A_eq.indptr[:-1], A_eq.indices, A_eq.data, np.zeros(n_cols, dtype=np.int32),
+    if A_eq.nnz != 2 * n_cols or len(c) != n_cols or len(b_eq) != n_rows:
+        raise ValueError("linprog takes two entries a column, c over the columns, b_eq over the rows")
+    ends = np.ascontiguousarray(A_eq.indices, dtype=np.intc)
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    sign = np.ones(n_rows)
+    sign[ends[1::2][A_eq.data[1::2] > 0.0]] = -1.0
+    supply = np.ascontiguousarray(sign * b_eq, dtype=np.float64)
+    flow, pi = np.empty(n_cols + n_rows), np.empty(n_rows)
+    nit = _kernel(
+        n_rows, n_cols, ends.ctypes.data, c.ctypes.data, supply.ctypes.data, _PIVOT_CAP,
+        flow.ctypes.data, pi.ctypes.data,
     )
-    if highs.passModel(*model) == _HIGHS_ERROR:
-        res.message = "HiGHS rejected the model."
-        return res
-    highs.run()
-    model_status = highs.getModelStatus()
-    res.status, text = _HIGHS_STATUS.get(model_status, (4, "HiGHS stopped without an optimum."))
-    res.message = f"{text} (HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)})"
-    res.nit = highs.getInfoValue("simplex_iteration_count")[1]
-    if res.status == 0:
-        solution = highs.getSolution()
-        res.x = np.array(solution.col_value)
-        res.fun = highs.getInfoValue("objective_function_value")[1]
-        res.eqlin.marginals = np.array(solution.row_dual)
-        _thread_highs.held = key, highs
+    res = OptimizeResult(
+        status=4, nit=max(nit, 0), x=None, fun=None, eqlin=OptimizeResult(marginals=None),
+        lp_path="network-simplex", message="The network simplex failed.",
+    )
+    if nit == -1:
+        res.status, res.nit = 1, _PIVOT_CAP
+        res.message = f"The network simplex reached its cap of {_PIVOT_CAP} pivots."
+    elif nit >= 0 and flow[n_cols:].max() > _MARGINAL_TOL:
+        res.status, res.message = 2, "The problem is infeasible."
+    elif nit >= 0:
+        res.status, res.message = 0, "Optimization terminated successfully."
+        res.x = flow[:n_cols]
+        res.fun = float(c @ res.x)
+        res.eqlin.marginals = -sign * pi
     return res
-
-
-def _take_highs():
-    """``(key, instance)``: this thread's HiGHS instance for ``_Highs`` and
-    the options read now, taken out of its slot; :func:`linprog` puts it
-    back only at an optimum.  Per thread, so no other solve's passModel
-    lands between a solve's own and its run."""
-    options = _highs_options()
-    key = (_Highs, tuple(options.items()))
-    held = vars(_thread_highs).pop("held", None)
-    if held is not None and held[0] == key:
-        return held
-    highs = _Highs()
-    for name, value in options.items():
-        if highs.setOptionValue(name, value) == _HIGHS_ERROR:
-            raise SolverFailure(f"HiGHS rejected the option {name}={value!r}")
-    return key, highs
 
 
 def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shape=None):
@@ -346,9 +345,8 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     ``a`` and ``b``.
 
     The LP is restricted to support atoms and solved from scratch by
-    :func:`linprog`, the HiGHS dual simplex with devex pricing, without
-    presolve.  The duals ``v`` on ``b``'s support are extended by
-    :func:`c_transform`,
+    :func:`linprog`, the network simplex.  The duals ``v`` on ``b``'s
+    support are extended by :func:`c_transform`,
     ``psi(x) = min_{y in supp b} cost[x, y] - v(y)`` and ``phi(y) =
     min_x cost[x, y] - psi(x)``, a pair feasible everywhere with the same
     dual value.

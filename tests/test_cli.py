@@ -817,6 +817,19 @@ class TestCli:
         assert str(exc.value) == f"error: {message}"
         assert not out.exists()
 
+    def test_subcover_help_names_the_form_for_a_negative_bound(self, workdir, tmp_path, capsys):
+        # after a space argparse takes "-1:3" for an option; joined by "=",
+        # as the help says, it reaches the range check (the lo-negative row
+        # above)
+        args = ["subcover", "--dataset", str(workdir / "ds.txt"), "--eps", "0.3"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--k-range", "-1:3", "--out", str(tmp_path / "pek.csv")])
+        assert exc.value.code == 2 and "--k-range: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["subcover", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "a bound starting with - needs the form --k-range=<lo>:<hi>" in help_text
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_subcover_checks_trials_before_any_solve(self, workdir, tmp_path, monkeypatch, trials):
         solves = []
@@ -1143,46 +1156,48 @@ class TestCli:
         assert not [r for r in caplog.records if hasattr(r, "lp_form")]
         assert not (tmp_path / "out").exists()
 
+    # Each row names its own id, so that a row comes or goes without
+    # renaming another; these rows keep the ids their positions gave them.
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"experiment": "baseline-decay", "seeds": []}, "seeds must not be empty"),
-            ({"experiment": "baseline-decay", "schedule": []}, "schedule must not be empty"),
-            ({"experiment": "make-dataset", "rows": 3, "cols": 3, "n_train": 4, "n_test": 2}, "unknown experiment 'make-dataset'"),
-            ({"experiment": "baseline-decay", "seeds": [0, -1]}, "each of seeds must be an integer of at least 0, got -1"),
-            ({"experiment": "baseline-decay", "seeds": [1.5]}, "each of seeds must be an integer of at least 0, got 1.5"),
-            ({"experiment": "baseline-decay", "seeds": [False]}, "each of seeds must be an integer of at least 0, got False"),
-            ({"experiment": "baseline-decay", "seeds": 3}, "seeds must be a list, got 3"),
-            ({"experiment": "baseline-decay", "schedule": 4}, "schedule must be a list, got 4"),
-            ({"experiment": "baseline-decay", "targets": None}, "experiment 'baseline-decay' needs the key 'targets'"),
-            ({"experiment": "baseline-decay", "split": "test"}, "experiment 'baseline-decay' takes no key 'split'"),
-            ({"experiment": "baseline-decay", "schedule": [1.7, 3]}, "each of schedule must be an integer of at least 1, got 1.7"),
-            ({"experiment": "baseline-decay", "schedule": [None]}, "each of schedule must be an integer of at least 1, got None"),
-            ({"experiment": "speed-table", "seed": 0}, "experiment 'speed-table' takes no key 'seed'"),
-            ({"experiment": "speed-table", "bank_size": 2.7}, "bank_size must be an integer, got 2.7"),
-            ({"experiment": "speed-table", "bank_size": "x"}, "bank_size must be an integer, got 'x'"),
-            ([], "an experiment config must be a JSON object, got list"),
-            ({}, "the config names no 'experiment'"),
-            ({"experiment": ["make-dataset"]}, "unknown experiment ['make-dataset']"),
-            ({"experiment": "baseline-decay", "targets": 0}, "targets must be a path string, got 0"),
-            ({"experiment": "baseline-decay", "dataset": None}, "experiment 'baseline-decay' needs the key 'dataset'"),
-            ({"experiment": "baseline-decay", "schedule": None}, "experiment 'baseline-decay' needs the key 'schedule'"),
-            ({"experiment": "speed-table", "dataset": None}, "experiment 'speed-table' needs the key 'dataset'"),
-            ({"experiment": "speed-table", "reg": 0.0}, "reg must be a finite positive number, got 0.0"),
-            ({"experiment": "speed-table", "reg": -1}, "reg must be a finite positive number, got -1"),
-            ({"experiment": "speed-table", "reg": float("nan")}, "reg must be a finite positive number, got nan"),
-            ({"experiment": "speed-table", "reg": "0.1"}, "reg must be a finite positive number, got '0.1'"),
-            ({"experiment": "speed-table", "reg": True}, "reg must be a finite positive number, got True"),
+            pytest.param({"experiment": "baseline-decay", "seeds": []}, "seeds must not be empty", id="config0-seeds must not be empty"),
+            pytest.param({"experiment": "baseline-decay", "schedule": []}, "schedule must not be empty", id="config1-schedule must not be empty"),
+            pytest.param({"experiment": "make-dataset", "rows": 3, "cols": 3, "n_train": 4, "n_test": 2}, "unknown experiment 'make-dataset'", id="config2-unknown experiment 'make-dataset'"),
+            pytest.param({"experiment": "baseline-decay", "seeds": [0, -1]}, "each of seeds must be an integer of at least 0, got -1", id="config3-each of seeds must be an integer of at least 0, got -1"),
+            pytest.param({"experiment": "baseline-decay", "seeds": [1.5]}, "each of seeds must be an integer of at least 0, got 1.5", id="config4-each of seeds must be an integer of at least 0, got 1.5"),
+            pytest.param({"experiment": "baseline-decay", "seeds": [False]}, "each of seeds must be an integer of at least 0, got False", id="config5-each of seeds must be an integer of at least 0, got False"),
+            pytest.param({"experiment": "baseline-decay", "seeds": 3}, "seeds must be a list, got 3", id="config6-seeds must be a list, got 3"),
+            pytest.param({"experiment": "baseline-decay", "schedule": 4}, "schedule must be a list, got 4", id="config7-schedule must be a list, got 4"),
+            pytest.param({"experiment": "baseline-decay", "targets": None}, "experiment 'baseline-decay' needs the key 'targets'", id="config8-experiment 'baseline-decay' needs the key 'targets'"),
+            pytest.param({"experiment": "baseline-decay", "split": "test"}, "experiment 'baseline-decay' takes no key 'split'", id="config9-experiment 'baseline-decay' takes no key 'split'"),
+            pytest.param({"experiment": "baseline-decay", "schedule": [1.7, 3]}, "each of schedule must be an integer of at least 1, got 1.7", id="config10-each of schedule must be an integer of at least 1, got 1.7"),
+            pytest.param({"experiment": "baseline-decay", "schedule": [None]}, "each of schedule must be an integer of at least 1, got None", id="config11-each of schedule must be an integer of at least 1, got None"),
+            pytest.param({"experiment": "speed-table", "seed": 0}, "experiment 'speed-table' takes no key 'seed'", id="config12-experiment 'speed-table' takes no key 'seed'"),
+            pytest.param({"experiment": "speed-table", "bank_size": 2.7}, "bank_size must be an integer, got 2.7", id="config13-bank_size must be an integer, got 2.7"),
+            pytest.param({"experiment": "speed-table", "bank_size": "x"}, "bank_size must be an integer, got 'x'", id="config14-bank_size must be an integer, got 'x'"),
+            pytest.param([], "an experiment config must be a JSON object, got list", id="config15-an experiment config must be a JSON object, got list"),
+            pytest.param({}, "the config names no 'experiment'", id="config16-the config names no 'experiment'"),
+            pytest.param({"experiment": ["make-dataset"]}, "unknown experiment ['make-dataset']", id="config17-unknown experiment ['make-dataset']"),
+            pytest.param({"experiment": "baseline-decay", "targets": 0}, "targets must be a path string, got 0", id="config18-targets must be a path string, got 0"),
+            pytest.param({"experiment": "baseline-decay", "dataset": None}, "experiment 'baseline-decay' needs the key 'dataset'", id="config19-experiment 'baseline-decay' needs the key 'dataset'"),
+            pytest.param({"experiment": "baseline-decay", "schedule": None}, "experiment 'baseline-decay' needs the key 'schedule'", id="config20-experiment 'baseline-decay' needs the key 'schedule'"),
+            pytest.param({"experiment": "speed-table", "dataset": None}, "experiment 'speed-table' needs the key 'dataset'", id="config21-experiment 'speed-table' needs the key 'dataset'"),
+            pytest.param({"experiment": "speed-table", "reg": 0.0}, "reg must be a finite positive number, got 0.0", id="config22-reg must be a finite positive number, got 0.0"),
+            pytest.param({"experiment": "speed-table", "reg": -1}, "reg must be a finite positive number, got -1", id="config23-reg must be a finite positive number, got -1"),
+            pytest.param({"experiment": "speed-table", "reg": float("nan")}, "reg must be a finite positive number, got nan", id="config24-reg must be a finite positive number, got nan"),
+            pytest.param({"experiment": "speed-table", "reg": "0.1"}, "reg must be a finite positive number, got '0.1'", id="config25-reg must be a finite positive number, got '0.1'"),
+            pytest.param({"experiment": "speed-table", "reg": True}, "reg must be a finite positive number, got True", id="config26-reg must be a finite positive number, got True"),
             # a key no experiment parameter names: a misspelt one is not dropped
-            ({"experiment": "baseline-decay", "seed": 5}, "experiment 'baseline-decay' takes no key 'seed'"),
-            ({"experiment": "speed-table", "bank_szie": 2}, "experiment 'speed-table' takes no key 'bank_szie'"),
-            ({"experiment": "baseline-decay", "targets": ""}, "targets must be a path string, got ''"),
+            pytest.param({"experiment": "baseline-decay", "seed": 5}, "experiment 'baseline-decay' takes no key 'seed'", id="config27-experiment 'baseline-decay' takes no key 'seed'"),
+            pytest.param({"experiment": "speed-table", "bank_szie": 2}, "experiment 'speed-table' takes no key 'bank_szie'", id="config28-experiment 'speed-table' takes no key 'bank_szie'"),
+            pytest.param({"experiment": "baseline-decay", "targets": ""}, "targets must be a path string, got ''", id="config29-targets must be a path string, got ''"),
             # a path that is not a string: 0 would open standard input
-            ({"experiment": "baseline-decay", "dataset": 0}, "dataset must be a path string, got 0"),
-            ({"experiment": "speed-table", "dataset": 0}, "dataset must be a path string, got 0"),
-            ({"experiment": "baseline-decay", "schedule": [0]}, "each of schedule must be an integer of at least 1, got 0"),
-            ({"experiment": "baseline-decay", "schedule": [3, 2]}, "schedule must be strictly increasing"),
-            ({"experiment": "speed-table", "bank_size": True}, "bank_size must be an integer, got True"),
+            pytest.param({"experiment": "baseline-decay", "dataset": 0}, "dataset must be a path string, got 0", id="config30-dataset must be a path string, got 0"),
+            pytest.param({"experiment": "speed-table", "dataset": 0}, "dataset must be a path string, got 0", id="config31-dataset must be a path string, got 0"),
+            pytest.param({"experiment": "baseline-decay", "schedule": [0]}, "each of schedule must be an integer of at least 1, got 0", id="config32-each of schedule must be an integer of at least 1, got 0"),
+            pytest.param({"experiment": "baseline-decay", "schedule": [3, 2]}, "schedule must be strictly increasing", id="config33-schedule must be strictly increasing"),
+            pytest.param({"experiment": "speed-table", "bank_size": True}, "bank_size must be an integer, got True", id="config34-bank_size must be an integer, got True"),
         ],
     )
     def test_exp_run_rejects_a_config_before_any_directory(self, workdir, tmp_path, config, message):

@@ -1,7 +1,15 @@
 import logging
+import os
 import re
+import shlex
+import shutil
+import stat
+import subprocess
 import sys
+import sysconfig
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,9 +152,11 @@ def dense_lp(mu, nu):
 
 
 def presolved(solve, mu, nu):
-    """``solve`` with HiGHS presolve switched on: the reference for the
-    solves without it."""
+    """``solve`` through scipy's ``linprog`` with HiGHS presolve switched
+    on: the reference for the solves without it, which run the network
+    simplex where it was built."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ot, "_kernel", None)
         mp.setitem(ot._LP_OPTIONS, "presolve", True)
         return solve(mu, nu)
 
@@ -303,7 +313,7 @@ class TestGridFlow:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_cost_that_is_not_finite(self, monkeypatch, bad):
-        # scipy's linprog refused such a cost; HiGHS's own model takes it,
+        # scipy's linprog refuses such a cost and the kernel would take it,
         # so it is refused before any LP on either path
         cost = GroundSpace.grid((3, 3)).cost_matrix().copy()
         cost[4, 0] = bad
@@ -341,9 +351,9 @@ class TestTelemetry:
         assert min(iters) > 0
         for r in records:
             assert r.levelno == logging.DEBUG
-            assert "Optimal" in r.lp_status and r.ns > 0
+            assert r.lp_status.startswith("Optimization terminated successfully.") and r.ns > 0
             assert f"simplex_iters={r.simplex_iters}" in r.getMessage()
-            assert r.lp_path == ("linprog" if ot._highs_core is None else "highs")
+            assert r.lp_path == ("linprog" if ot._kernel is None else "network-simplex")
             assert f" lp_path={r.lp_path} " in r.getMessage()
         n_supp = int(np.count_nonzero(mu.weights))
         assert records[-1].getMessage().startswith(f"transport LP {n_supp}x36:")
@@ -406,7 +416,7 @@ class TestTelemetry:
         (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
         assert record.marginal_error > 1e-9 and record.gap <= 1e-9
         assert str(failure.value) == f"plan marginals violated by {record.marginal_error:.3e}"
-        assert "Optimal" in record.lp_status and record.ns > 0
+        assert record.lp_status.startswith("Optimization terminated successfully.") and record.ns > 0
 
     @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
     def test_an_lp_without_an_optimum_logs_nan_certificates(self, caplog, shape):
@@ -444,7 +454,8 @@ class TestCertificates:
 
     @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
     def test_an_lp_that_is_not_optimal_is_rejected(self, shape):
-        # marginals of unequal mass: HiGHS reports the LP infeasible
+        # marginals of unequal mass: artificial arcs keep flow, and the LP
+        # is reported infeasible
         cost = GroundSpace.grid((3, 3)).cost_matrix()
         with pytest.raises(SolverFailure, match="transport LP failed: .*infeasible"):
             solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 0.5 / 9), grid_shape=shape)
@@ -540,7 +551,8 @@ class TestSolvePath:
             assert wpp == first[2]
             np.testing.assert_array_equal(plan.matrix, first[0].matrix)
             np.testing.assert_array_equal(pot.phi, first[1].phi)
-        assert len(calls) == 5 and min(calls) > 0
+        # the benchmark's test that exact counts repeat relies on equal nit
+        assert len(calls) == 5 and min(calls) > 0 and len(set(calls)) == 1
 
     def test_reused_structure_is_a_fresh_one(self):
         rng = np.random.default_rng(32)
@@ -597,126 +609,129 @@ def lp_pair(name):
     return random_measure(g, rng), random_measure(g, rng)
 
 
+def kernel_cases(name):
+    """The measure pairs of one case of the kernel's comparison with HiGHS."""
+    rng = np.random.default_rng(61)
+    g5 = GroundSpace.grid((5, 5))
+    if name == "flow-8x8":
+        ds = make_synthetic_dataset(8, 8, n_train=12, n_test=0, seed=61)
+        theta = DiscreteMeasure(ds.ground, np.full(64, 1.0 / 64))
+        return [(theta, mu) for mu in ds.train]
+    if name == "blobs-6x6":
+        ds = make_synthetic_dataset(6, 6, n_train=5, n_test=0, generator="blurred-blobs", seed=61)
+        return [(mu, nu) for i, mu in enumerate(ds.train) for nu in ds.train[i + 1:]]
+    if name == "dense-p1.5":
+        g = GroundSpace.grid((8, 8), p=1.5)
+        return [(random_measure(g, rng), random_measure(g, rng)) for _ in range(6)]
+    if name == "sparse-flow":
+        # a support pair of its own each time: the flow slot is rebuilt
+        return [(random_measure(g5, rng, True), random_measure(g5, rng, True)) for _ in range(8)]
+    if name == "one-atom":
+        mu = random_measure(g5, rng)
+        dirac = [DiscreteMeasure.dirac(g5, i) for i in (0, 12, 24)]
+        return [(dirac[0], mu), (mu, dirac[1]), (dirac[0], dirac[2]), (dirac[1], dirac[1])]
+    if name == "identical":
+        mu, g3 = random_measure(g5, rng, sparse=True), GroundSpace.grid((6, 6), p=1.5)
+        nu = random_measure(g3, rng)
+        return [(mu, mu), (nu, nu)]
+    line = GroundSpace.line(np.sort(rng.random(12)))
+    return [(random_measure(line, rng), random_measure(line, rng)) for _ in range(6)]
+
+
 def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+needs_kernel = pytest.mark.skipif(ot._kernel is None, reason="the network simplex was not built")
+
+
 class TestLpPaths:
-    """The LP step builds HiGHS's own model where scipy's private bindings
-    import and calls scipy's ``linprog`` where they do not: the two give
-    the same solve bitwise, and each solve's record names its path."""
+    """The LP step runs the compiled network simplex where it was built and
+    scipy's ``linprog`` where it was not: the two give the same optimum,
+    and each solve's record names its path."""
 
     lps = ["flow-8x8", "blobs-6x6", "dense-p1.5"]
 
-    @staticmethod
-    def captured_lp(monkeypatch, name):
+    @needs_kernel
+    @pytest.mark.parametrize("name", lps + ["sparse-flow", "one-atom", "identical", "line"])
+    def test_the_kernel_matches_highs_ds(self, monkeypatch, name):
         seen = []
         linprog = ot.linprog
-        with monkeypatch.context() as mp:
-            mp.setattr(ot, "linprog", lambda *args: seen.append(args) or linprog(*args))
-            exact_ot(*lp_pair(name))
-        ((c, A_eq, b_eq),) = seen
-        return c, A_eq, b_eq
+        monkeypatch.setattr(ot, "linprog", lambda *args: seen.append(args) or linprog(*args))
+        for mu, nu in kernel_cases(name):
+            seen.clear()
+            _, _, wpp = exact_ot(mu, nu)
+            ((c, A_eq, b_eq),) = seen
+            ref = scipy.optimize.linprog(
+                c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
+            )
+            assert ref.status == 0 and abs(wpp - ref.fun) <= 1e-12 * (1.0 + abs(ref.fun))
+            if mu is nu:
+                assert abs(wpp) <= 1e-12
 
-    @pytest.mark.parametrize("name", lps)
-    def test_the_direct_model_is_linprog_bitwise(self, monkeypatch, name):
-        if ot._highs_core is None:
-            pytest.skip("scipy's private HiGHS bindings did not import")
-        c, A_eq, b_eq = self.captured_lp(monkeypatch, name)
-        mine = ot.linprog(c, A_eq, b_eq)
-        ref = scipy.optimize.linprog(
-            c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
-        )
-        assert mine.status == ref.status == 0
-        assert mine.nit == ref.nit > 0
-        assert mine.fun == ref.fun
-        assert same_bits(mine.x, ref.x)
-        assert same_bits(mine.eqlin.marginals, ref.eqlin.marginals)
-
-    @pytest.mark.parametrize(
-        "setting", [("presolve", True), ("simplex_dual_edge_weight_strategy", "steepest")]
-    )
-    @pytest.mark.parametrize("name", lps)
-    def test_the_direct_model_follows_the_settings(self, monkeypatch, name, setting):
-        # the direct model reads its settings from _LP_OPTIONS at each
-        # solve, so a changed setting changes its run as it changes linprog's
-        if ot._highs_core is None:
-            pytest.skip("scipy's private HiGHS bindings did not import")
-        c, A_eq, b_eq = self.captured_lp(monkeypatch, name)
-        default = ot.linprog(c, A_eq, b_eq)
-        monkeypatch.setitem(ot._LP_OPTIONS, *setting)
-        mine = ot.linprog(c, A_eq, b_eq)
-        ref = scipy.optimize.linprog(
-            c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
-        )
-        assert mine.nit == ref.nit != default.nit
-        assert same_bits(mine.x, ref.x)
-        assert same_bits(mine.eqlin.marginals, ref.eqlin.marginals)
-
+    @needs_kernel
     @pytest.mark.parametrize("name", lps)
     def test_both_paths_give_the_same_solve(self, monkeypatch, caplog, name):
-        if ot._highs_core is None:
-            pytest.skip("scipy's private HiGHS bindings did not import")
         caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
         mu, nu = lp_pair(name)
         first = exact_ot(mu, nu)
-        monkeypatch.setattr(ot, "_highs_core", None)
+        monkeypatch.setattr(ot, "_kernel", None)
         second = exact_ot(mu, nu)
         records = [r for r in caplog.records if r.name == "wdlearn.ot"]
-        assert [r.lp_path for r in records] == ["highs", "linprog"]
+        assert [r.lp_path for r in records] == ["network-simplex", "linprog"]
         assert [f"lp_path={r.lp_path} " in r.getMessage() for r in records] == [True, True]
-        assert records[0].simplex_iters == records[1].simplex_iters
+        # a grid's ties leave the optimal plan open, so plans are compared
+        # by cost; the potentials of these pairs are unique
         (plan, pot, wpp), (plan2, pot2, wpp2) = first, second
-        assert wpp == wpp2 and plan.cost == plan2.cost and pot.dual_value == pot2.dual_value
-        for x, y in [(plan.matrix, plan2.matrix), (pot.phi, pot2.phi), (pot.psi, pot2.psi)]:
-            assert same_bits(x, y)
+        for x, y in [(wpp, wpp2), (plan.cost, plan2.cost), (pot.dual_value, pot2.dual_value)]:
+            assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
+        for x, y in [(pot.phi, pot2.phi), (pot.psi, pot2.psi)]:
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
     def test_an_lp_that_is_not_optimal_is_rejected_through_linprog(self, monkeypatch, shape):
-        # TestCertificates runs the same LP through the direct model
-        monkeypatch.setattr(ot, "_highs_core", None)
+        # TestCertificates runs the same LP through the kernel
+        monkeypatch.setattr(ot, "_kernel", None)
         cost = GroundSpace.grid((3, 3)).cost_matrix()
         with pytest.raises(SolverFailure, match="transport LP failed: .*infeasible"):
             solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 0.5 / 9), grid_shape=shape)
 
-    def test_a_rejected_option_fails_the_solve(self, monkeypatch):
-        if ot._highs_core is None:
-            pytest.skip("scipy's private HiGHS bindings did not import")
-        monkeypatch.setitem(ot._LP_OPTIONS, "no_such_option", 1)
-        with pytest.raises(SolverFailure, match="^HiGHS rejected the option no_such_option=1$"):
-            exact_ot(*lp_pair("flow-8x8"))
-
+    @needs_kernel
     def test_a_rejected_model_fails_the_solve(self, monkeypatch):
-        if ot._highs_core is None:
-            pytest.skip("scipy's private HiGHS bindings did not import")
+        # an arc whose end lies outside the rows: the kernel checks every
+        # arc before it reads a node's state
+        def out_of_range(upper, lower, lower_value, n_rows):
+            A_eq = columns(upper, lower, lower_value, n_rows)
+            A_eq.indices[-2] = n_rows  # the last column's upper end
+            return A_eq
 
-        class Rejecting(ot._Highs):
-            def passModel(self, *model):
-                return ot._HIGHS_ERROR
-
-        monkeypatch.setattr(ot, "_Highs", Rejecting)
+        columns = ot._two_entry_columns
+        monkeypatch.setattr(ot, "_two_entry_columns", out_of_range)
         cost = GroundSpace.grid((3, 3)).cost_matrix()
-        with pytest.raises(SolverFailure, match=r"^transport LP failed: HiGHS rejected the model\.$"):
+        with pytest.raises(SolverFailure, match=r"^transport LP failed: The network simplex failed\.$"):
             solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 1.0 / 9))
 
+    @needs_kernel
+    def test_a_pivot_cap_too_small_fails_the_solve(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        monkeypatch.setattr(ot, "_PIVOT_CAP", 10)
+        message = r"^transport LP failed: The network simplex reached its cap of 10 pivots\.$"
+        with pytest.raises(SolverFailure, match=message):
+            exact_ot(*lp_pair("flow-8x8"))
+        (record,) = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert record.simplex_iters == 10 and np.isnan(record.gap)
 
-def held_highs():
-    """This thread's kept HiGHS instance, or None."""
-    held = vars(ot._thread_highs).get("held")
-    return None if held is None else held[1]
 
-
-@pytest.mark.skipif(ot._highs_core is None, reason="scipy's private HiGHS bindings did not import")
+@needs_kernel
 class TestSolverReuse:
-    """Each thread keeps one HiGHS instance across solves; every solve on
-    it runs cold, bitwise as on a new instance, and a solve that does not
-    end optimal drops it."""
+    """One compiled kernel serves every solve and thread; a solve carries
+    nothing from the solves before it, failed ones included."""
 
     def test_reuse_carries_nothing_between_solves(self, monkeypatch):
         rng = np.random.default_rng(51)
         g = GroundSpace.grid((8, 8))
         cost3 = GroundSpace.grid((3, 3)).cost_matrix()
-        lps, instances = [], []
+        lps = []
         linprog = ot.linprog
 
         def recorded_linprog(*args):
@@ -729,10 +744,10 @@ class TestSolverReuse:
             with pytest.raises(SolverFailure, match="infeasible"):
                 solve_transport_lp(cost3, np.full(9, 1 / 9), np.full(9, 0.5 / 9), grid_shape=(3, 3))
 
-        def rejected_option():
+        def capped():
             with monkeypatch.context() as mp:
-                mp.setitem(ot._LP_OPTIONS, "no_such_option", 1)
-                with pytest.raises(SolverFailure, match="rejected the option"):
+                mp.setattr(ot, "_PIVOT_CAP", 10)
+                with pytest.raises(SolverFailure, match="cap of 10 pivots"):
                     exact_ot(*lp_pair("flow-8x8"))
 
         steps = [
@@ -743,32 +758,25 @@ class TestSolverReuse:
             lambda: exact_ot(random_measure(g, rng, sparse=True), random_measure(g, rng)),
             infeasible,
             lambda: exact_ot(*lp_pair("blobs-6x6")),
-            rejected_option,
+            capped,
             lambda: exact_ot(*lp_pair("dense-p1.5")),
             lambda: exact_ot(*lp_pair("flow-8x8")),
         ]
         monkeypatch.setattr(ot, "linprog", recorded_linprog)
         for step in steps:
             step()
-            instances.append(held_highs())
         monkeypatch.setattr(ot, "linprog", linprog)
-        # kept across optimal solves, dropped by each failure and replaced
-        # by the next solve
-        assert instances[1] is instances[0] and instances[3] is instances[0]
-        assert instances[4] is None and instances[6] is None
-        assert instances[5] is not None and instances[5] is not instances[0]
-        assert instances[7] is not None and instances[7] is not instances[5]
-        assert instances[8] is instances[7]
         optimal = [(args, res) for args, res in lps if res.status == 0]
-        assert len(optimal) == 7 and len(lps) == 8
+        assert len(optimal) == 7 and len(lps) == 9
         for args, res in optimal:
-            vars(ot._thread_highs).pop("held", None)
             new = ot.linprog(*args)
             assert res.nit == new.nit > 0 and res.fun == new.fun
             assert same_bits(res.x, new.x)
             assert same_bits(res.eqlin.marginals, new.eqlin.marginals)
 
-    def test_threads_solve_at_once_on_instances_of_their_own(self):
+    def test_threads_solve_at_once_on_memory_of_their_own(self):
+        # ctypes releases the GIL for each kernel call, so the two threads'
+        # pivots overlap
         rng = np.random.default_rng(52)
         g, g3 = GroundSpace.grid((6, 6)), GroundSpace.grid((6, 6), p=1.5)
         lists = [
@@ -776,14 +784,13 @@ class TestSolverReuse:
             [(random_measure(g3, rng), random_measure(g3, rng)) for _ in range(8)],
         ]
         serial = [[exact_ot(mu, nu) for mu, nu in pairs] for pairs in lists]
-        results, instances, errors = [None, None], [None, None], []
+        results, errors = [None, None], []
         start = threading.Barrier(2, timeout=30)
 
         def solve(k):
             try:
                 start.wait()
                 results[k] = [exact_ot(mu, nu) for mu, nu in lists[k]]
-                instances[k] = held_highs()
             except Exception as exc:  # read in the main thread
                 errors.append(exc)
 
@@ -798,12 +805,84 @@ class TestSolverReuse:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors
-        assert None not in instances and instances[0] is not instances[1]
         for mine, theirs in zip(results, serial):
             for (plan, pot, wpp), (splan, spot, swpp) in zip(mine, theirs, strict=True):
                 assert wpp == swpp
                 for x, y in [(plan.matrix, splan.matrix), (pot.phi, spot.phi), (pot.psi, spot.psi)]:
                     assert same_bits(x, y)
+
+
+def c_compiler():
+    """Python's C compiler as a command, or None where it does not run here."""
+    cc = sysconfig.get_config_var("CC")
+    return shlex.split(cc) if cc and shutil.which(shlex.split(cc)[0]) else None
+
+
+needs_compiler = pytest.mark.skipif(c_compiler() is None, reason="no C compiler")
+
+
+class TestKernelBuild:
+    """``ot`` compiles ``_network_simplex.c`` once per source and command
+    into a cache it alone may write, and sends every solve to scipy's
+    ``linprog`` where no library can be built."""
+
+    @needs_compiler
+    def test_the_source_compiles_without_warnings(self, tmp_path):
+        source = Path(ot.__file__).with_name("_network_simplex.c")
+        flags = ["-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror"]
+        run = subprocess.run(
+            [*c_compiler(), *flags, "-o", str(tmp_path / "ns.so"), str(source)],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+
+    @needs_compiler
+    def test_a_second_load_reuses_the_cached_library(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert ot._load_kernel() is not None
+        (lib,) = (tmp_path / "wdlearn").iterdir()
+        assert lib.suffix == ".so" and len(lib.stem) == 64
+        monkeypatch.setattr(ot.subprocess, "run", lambda *args, **kwargs: pytest.fail("compiled"))
+        kernel = ot._load_kernel()
+        assert kernel is not None and list((tmp_path / "wdlearn").iterdir()) == [lib]
+        monkeypatch.setattr(ot, "_kernel", kernel)
+        assert exact_ot(*lp_pair("blobs-6x6"))[2] > 0.0
+
+    @needs_compiler
+    @pytest.mark.parametrize("unusable", ["not-a-directory", "world-writable"])
+    def test_an_unusable_cache_gives_way_to_a_private_directory(self, monkeypatch, tmp_path, unusable):
+        cache = tmp_path / "cache"
+        if unusable == "not-a-directory":
+            cache.write_text("")
+        else:
+            (cache / "wdlearn").mkdir(parents=True)
+            (cache / "wdlearn").chmod(0o777)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        made, mkdtemp = [], tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: made.append(mkdtemp(dir=tmp_path, **kw)) or made[-1])
+        assert ot._load_kernel() is not None
+        (private,) = made
+        assert stat.S_IMODE(os.stat(private).st_mode) == 0o700
+        assert [path.suffix for path in Path(private).iterdir()] == [".so"]
+        if unusable == "world-writable":
+            assert not any((cache / "wdlearn").iterdir())
+
+    @pytest.mark.parametrize("cc", [None, "/nonexistent/cc", "false"], ids=["unset", "missing", "failing"])
+    def test_without_a_compiler_every_solve_runs_linprog(self, monkeypatch, caplog, tmp_path, cc):
+        expected = [exact_ot(*lp_pair(name))[2] for name in TestLpPaths.lps]
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        get = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var", lambda name: cc if name == "CC" else get(name))
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        assert ot._load_kernel() is None
+        (warning,) = caplog.records
+        assert (warning.name, warning.levelno) == ("wdlearn.ot", logging.WARNING)
+        assert warning.getMessage().endswith("exact solves run scipy's linprog")
+        caplog.clear()
+        monkeypatch.setattr(ot, "_kernel", None)
+        for name, value in zip(TestLpPaths.lps, expected):
+            assert abs(exact_ot(*lp_pair(name))[2] - value) <= 1e-12 * (1.0 + abs(value))
+        assert [r.lp_path for r in caplog.records] == ["linprog"] * 3
 
 
 def sinkhorn_records(caplog):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -127,49 +128,41 @@ def test_experiments_solve_for_true_values_only_in_wpp_to_reference():
     assert not outside, f"solvers named outside a function in experiments.py, lines {outside}"
 
 
-def test_private_highs_bindings_are_imported_by_ot_alone():
-    # scipy.optimize._highspy is not scipy's public API: it is named in one
-    # module, imported once there, inside a try whose ImportError handler
-    # sends every solve to scipy's public linprog
+def test_only_ot_loads_the_compiled_kernel():
+    # the network simplex is compiled and loaded in one place, once, at
+    # ot's import: a second loader would bypass the cache's checks or put
+    # a compile inside a solve
     package = Path(wdlearn.__file__).parent
-    naming = [path.name for path in sorted(package.rglob("*.py")) if "_highspy" in path.read_text()]
+    naming = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if re.search(r"\bctypes\b|_network_simplex", path.read_text())
+    ]
     assert naming == ["ot.py"]
     tree = ast.parse((package / "ot.py").read_text())
-    imports = [
+    loads = [
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and "_highspy" in (node.module or "")
-        or isinstance(node, ast.Import) and any("_highspy" in a.name for a in node.names)
+        if isinstance(node, ast.Call) and "CDLL" in ast.unparse(node.func)
+        or isinstance(node, ast.Attribute) and node.attr in ("cdll", "LoadLibrary")
     ]
-    assert len(imports) == 1
-    fences = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Try)
-        and imports[0] in node.body
-        and any("ImportError" in ast.unparse(h.type) for h in node.handlers if h.type is not None)
-    ]
-    assert len(fences) == 1
-
-
-def test_highs_instances_are_built_by_the_per_thread_getter_alone():
-    # every direct solve runs on its thread's kept instance: a second
-    # place that builds one would bypass the options key and the drop on
-    # failure
-    tree = ast.parse((Path(wdlearn.__file__).parent / "ot.py").read_text())
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_Highs"
-    ]
-    builders = [
+    loaders = [
         func.name
         for func in ast.walk(tree)
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if node in calls
+        if node in loads
     ]
-    assert builders == ["_take_highs"] and len(calls) == 1
+    assert loaders == ["_load_kernel"] and len(loads) == 1
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_load_kernel"
+    ]
+    # one call, at module level: inside no function
+    assert len(calls) == 1 and not any(
+        calls[0] in ast.walk(func) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+    )
 
 
 def test_the_names_the_benchmark_rebinds_resolve(monkeypatch):
