@@ -128,6 +128,40 @@ def test_experiments_solve_for_true_values_only_in_wpp_to_reference():
     assert not outside, f"solvers named outside a function in experiments.py, lines {outside}"
 
 
+def test_private_highs_bindings_are_imported_by_ot_alone():
+    # scipy.optimize._highspy is not scipy's public API: the solves reach
+    # HiGHS only through scipy's public linprog, and any module that takes
+    # the private bindings again must be ot, inside a try whose ImportError
+    # handler sends every solve back to linprog
+    package = Path(wdlearn.__file__).parent
+    naming = [path.name for path in sorted(package.rglob("*.py")) if "_highspy" in path.read_text()]
+    assert set(naming) <= {"ot.py"}
+    tree = ast.parse((package / "ot.py").read_text())
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "_highspy" in " ".join([getattr(node, "module", None) or ""] + [a.name for a in node.names])
+    ]
+    fenced = [
+        node
+        for node in imports
+        if any(
+            isinstance(fence, ast.Try)
+            and node in fence.body
+            and any("ImportError" in ast.unparse(h.type) for h in fence.handlers if h.type is not None)
+            for fence in ast.walk(tree)
+        )
+    ]
+    assert fenced == imports
+    assert any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "scipy.optimize"
+        and any(a.name == "linprog" for a in node.names)
+        for node in ast.walk(tree)
+    )
+
+
 def test_only_ot_loads_the_compiled_kernel():
     # the network simplex is compiled and loaded in one place, once, at
     # ot's import: a second loader would bypass the cache's checks or put
