@@ -33,7 +33,7 @@ from .ot import (  # noqa: F401
     sinkhorn,
     wasserstein,
 )
-from .bank import PotentialBank, build_bank, eval_G, export_affine  # noqa: F401
+from .bank import PotentialBank, build_bank, eval_G_many, export_affine  # noqa: F401
 from .erm import CylinderSubspace, double_orthogonalize, solve_regularized  # noqa: F401
 from .nets import ReluNetwork, build_max_network, init_from_bank  # noqa: F401
 from .subcover import MetricSample, p_eps_k_closed  # noqa: F401

@@ -13,16 +13,18 @@
  * Potentials pi make every tree arc's reduced cost
  * cost[e] + pi[tail] - pi[head] zero.  Pricing is a block search: the
  * arcs are scanned cyclically in blocks of ceil(sqrt(m)), and the most
- * negative reduced cost seen enters at the end of the first block that
- * holds one below -tol.  The leaving arc is LEMON's: the first blocking
- * arc from the entering arc's tail up to the join, by '<', else the last
- * one from its head, by '<='; this keeps every tree arc of zero flow
- * pointed at the root.  The subtree cut off by the leaving arc is re-hung
- * from the entering arc, and only its depths and potentials are set
- * again, each from its new parent.
+ * negative of nontree[e] times the reduced cost (0 on a tree arc, with
+ * no branch) enters at the end of the first block that holds one below
+ * -tol.  The leaving arc is LEMON's: the first blocking arc from the
+ * entering arc's tail up to the join, by '<', else the last one from its
+ * head, by '<='; this keeps every tree arc of zero flow pointed at the
+ * root.  The subtree cut off by the leaving arc is re-hung from the
+ * entering arc, and only its depths and potentials are set again, each
+ * from its new parent.
  *
- * Each call allocates its own memory and keeps no state between calls,
- * so calls may run at once on different threads. */
+ * Each call allocates its own memory, only reads its inputs and keeps no
+ * state between calls, so calls may run at once on different threads;
+ * wdlearn.ot keeps a flow LP's ends in its flow slot, built once. */
 #include <float.h>
 #include <math.h>
 #include <stdlib.h>
@@ -87,12 +89,10 @@ static int price(const tree_t *t, int m, int block, double tol, int *next_arc)
     int best = -1, count = block, e = *next_arc;
     double min = 0.0;
     for (int seen = 1; seen <= m; ++seen) {
-        if (t->nontree[e]) {
-            double r = t->cost[e] + t->pi[t->tail[e]] - t->pi[t->head[e]];
-            if (r < min) {
-                min = r;
-                best = e;
-            }
+        double r = t->nontree[e] * (t->cost[e] + t->pi[t->tail[e]] - t->pi[t->head[e]]);
+        if (r < min) {
+            min = r;
+            best = e;
         }
         e = e + 1 == m ? 0 : e + 1;
         if (--count == 0 || seen == m) {

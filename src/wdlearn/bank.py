@@ -45,12 +45,9 @@ class PotentialBank:
         self.theta = theta
         self.ground = theta.ground
         self.entries = list(entries)
-        if self.entries:
-            self._A = np.array([e.phi for e in self.entries])
-            self._b = np.array([e.psi_bar for e in self.entries])
-        else:
-            self._A = np.zeros((0, self.ground.size))
-            self._b = np.zeros(0)
+        # an empty bank has a (0, m) matrix and no biases
+        self._A = np.array([e.phi for e in self.entries], dtype=float).reshape(-1, self.ground.size)
+        self._b = np.array([e.psi_bar for e in self.entries], dtype=float)
 
     def __len__(self):
         return len(self.entries)
@@ -85,16 +82,8 @@ def build_bank(dataset: MeasureDataset, theta: DiscreteMeasure, indices: Sequenc
     return PotentialBank(theta, entries)
 
 
-def eval_G(bank: PotentialBank, mu: DiscreteMeasure) -> float:
-    """``max_k <phi_k, mu> + psi_bar_k``; raises on an empty bank."""
-    if not bank.entries:
-        raise EmptyBank("bank has no entries")
-    ensure_same_ground(bank.ground, mu.ground)
-    return float((bank._A @ mu.weights + bank._b).max())
-
-
 def eval_G_many(bank: PotentialBank, weight_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized ``eval_G`` over stacked measure weights (N, m)."""
+    """``G(mu) = max_k <phi_k, mu> + psi_bar_k`` for each row ``mu`` of (N, m) weights."""
     if not bank.entries:
         raise EmptyBank("bank has no entries")
     return (weight_matrix @ bank._A.T + bank._b[None, :]).max(axis=1)
@@ -115,20 +104,15 @@ def select_cover_indices(
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    n = len(dataset.train)
+
+    def distance(i, c):
+        if distance_matrix is not None:
+            return distance_matrix[i, c]
+        return wasserstein(dataset.train[i], dataset.train[c])
+
     centers: list = []
-    for i in range(n):
-        covered = False
-        for c in centers:
-            d = (
-                distance_matrix[i, c]
-                if distance_matrix is not None
-                else wasserstein(dataset.train[i], dataset.train[c])
-            )
-            if d <= delta:
-                covered = True
-                break
-        if not covered:
+    for i in range(len(dataset.train)):
+        if not any(distance(i, c) <= delta for c in centers):
             centers.append(i)
     return centers
 
@@ -158,7 +142,7 @@ def nested_random_schedule(n_train: int, sizes: Sequence[int], seed: int) -> dic
 
 
 def export_affine(bank: PotentialBank):
-    """Weight matrix and bias vector realizing ``eval_G`` as a max of
+    """Weight matrix and bias vector realizing ``G`` as a max of
     affine forms: row i is ``phi_{k_i}`` along the ground ordering and
     ``b_i = psi_bar_{k_i}``."""
     if not bank.entries:

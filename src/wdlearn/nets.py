@@ -398,12 +398,15 @@ def cylinder_field_batch(net: ReluNetwork, ground: GroundSpace, X: np.ndarray):
     Returns ``(y, cache, S, field)`` where ``S`` holds the sensitivities to
     the first pre-activation and ``field[j, x, :]``, the grid gradient of
     the potential ``S_j @ W0``, is the network's measure-space gradient at
-    ``(mu_j, x)``; ``X`` rows are the measures' weight vectors.
+    ``(mu_j, x)``; ``X`` rows are the measures' weight vectors.  Where the
+    frozen tree follows the first layer, ``S`` is zero off each row's winner,
+    so ``S @ W0`` is that row of ``W0`` times its sensitivity, taken as such.
     """
     y, cache = net.forward_cached(X)
-    S = _sensitivities(net, cache)[0]
-    field = grid_gradients(ground, S @ net.layers[0].W)
-    return y, cache, S, field
+    S, W0, w = _sensitivities(net, cache)[0], net.layers[0].W, cache.get("winners")
+    if w is not None and len(cache["z"]) == 1:
+        return y, cache, S, grid_gradients(ground, S[np.arange(len(S)), w, None] * W0[w])
+    return y, cache, S, grid_gradients(ground, S @ W0)
 
 
 def backward_with_pairing(net, ground, cache, S, X, value_seeds, other):

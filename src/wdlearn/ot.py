@@ -29,13 +29,13 @@ or into a private temporary directory where that one is unsafe; a later
 import loads it from there.  Where none can be built, one WARNING is
 logged and every solve runs scipy's ``linprog`` (HiGHS dual simplex).
 
-The flow's structure (arc costs, constraint matrix and the plan's
-scatter indices, all read-only) depends only on the grid and the two
-supports, so the last one built is kept in a single slot and reused
-while that key repeats, as it does between full-support measures.  The
-dense LP's constraint matrix depends only on the two support sizes and
-is built directly in the column-wise form.  No result or basis is kept:
-every solve runs its own LP and passes every certificate.
+The flow's structure (arc costs, constraint matrix, the plan's scatter
+indices and the kernel's arc ends and row signs, all read-only) depends
+only on the grid and the two supports, so the last one built is kept in
+a single slot and reused while that key repeats, as it does between
+full-support measures.  The dense LP's is built per solve, its matrix
+directly in the column-wise form.  No result or basis is kept: every
+solve runs its own LP and passes every certificate.
 
 The entropic solver, :func:`sinkhorn`, is the stabilized scaling
 algorithm of Schmitzer (2019): scaling iterations, two matrix-vector
@@ -247,18 +247,19 @@ def _grid_flow(grid_shape, ia, ib):
         x_out[scatter_out] = x[n_in:]
         hi_in = x_in.reshape(nr, nc, nr).cumsum(axis=0)
         hi_out = x_out.reshape(nc, nr, nc).cumsum(axis=2)
-        lo_in = np.concatenate([np.zeros((1, nc, nr)), hi_in[:-1]], axis=0)
-        lo_out = np.concatenate([np.zeros((nc, nr, 1)), hi_out[:, :, :-1]], axis=2)
-        overlap = np.minimum(hi_in[..., None], hi_out) - np.maximum(lo_in[..., None], lo_out)
-        return np.maximum(overlap, 0.0).reshape(nr * nc, nr * nc)
+        lo_in, lo_out = np.zeros_like(hi_in), np.zeros_like(hi_out)
+        lo_in[1:], lo_out[:, :, 1:] = hi_in[:-1], hi_out[:, :, :-1]
+        overlap = np.minimum(hi_in[..., None], hi_out)
+        overlap -= np.maximum(lo_in[..., None], lo_out)
+        return np.maximum(overlap, 0.0, out=overlap).reshape(nr * nc, nr * nc)
 
     return c, A_eq, n_transit, plan
 
 
-# The last grid flow built, as ``(key, structure)`` with the key
-# ``(grid_shape, supp a, supp b)``.  One slot holds a run whose supports
-# repeat, such as every solve between full-support measures on one grid,
-# and costs a rebuild only when the key changes.  It holds the LP's
+# The last grid flow built, as ``(key, structure, _kernel_form(A_eq))``,
+# keyed by ``(grid_shape, supp a, supp b)``.  One slot holds a run whose
+# supports repeat, such as every solve between full-support measures on one
+# grid, and costs a rebuild only when the key changes.  It holds the LP's
 # structure, never a result: every solve still runs and is certified.
 _flow_slot = None
 
@@ -269,8 +270,20 @@ def _reused_grid_flow(grid_shape, ia, ib):
     key = (tuple(grid_shape), ia.tobytes(), ib.tobytes())
     slot = _flow_slot
     if slot is None or slot[0] != key:
-        slot = _flow_slot = (key, _grid_flow(grid_shape, ia, ib))
+        flow = _grid_flow(grid_shape, ia, ib)
+        slot = _flow_slot = (key, flow, _kernel_form(flow[1]))
     return slot[1]
+
+
+def _kernel_form(A_eq):
+    """The arcs' ends as C ints and the rows' signs (-1 where the lower entries
+    are ``+1``, a sink's), both read-only, and the ends' address, valid while they live."""
+    ends = np.ascontiguousarray(A_eq.indices, dtype=np.intc).view()
+    sign = np.ones(A_eq.shape[0])
+    sign[ends[1::2][A_eq.data[1::2] > 0.0]] = -1.0
+    for arr in (ends, sign):
+        arr.setflags(write=False)
+    return ends, sign, ends.ctypes.data
 
 
 def _marginal(name, w, n):
@@ -302,7 +315,8 @@ def linprog(c, A_eq, b_eq):
     and ``x``, ``fun`` and ``eqlin.marginals`` (the node potentials, with
     the rows' signs), None unless optimal, and ``lp_path``
     (``"network-simplex"`` or ``"linprog"``).  The benchmark's tracer
-    wraps this name and reads ``nit``.
+    wraps this name and reads ``nit``.  The :func:`_kernel_form` of the
+    flow slot's ``A_eq`` is the slot's; any other is built per call.
     """
     if _kernel is None:
         res = _scipy_linprog(
@@ -313,14 +327,13 @@ def linprog(c, A_eq, b_eq):
     n_rows, n_cols = A_eq.shape
     if A_eq.nnz != 2 * n_cols or len(c) != n_cols or len(b_eq) != n_rows:
         raise ValueError("linprog takes two entries a column, c over the columns, b_eq over the rows")
-    ends = np.ascontiguousarray(A_eq.indices, dtype=np.intc)
+    slot = _flow_slot
+    ends, sign, address = slot[2] if slot is not None and slot[1][1] is A_eq else _kernel_form(A_eq)
     c = np.ascontiguousarray(c, dtype=np.float64)
-    sign = np.ones(n_rows)
-    sign[ends[1::2][A_eq.data[1::2] > 0.0]] = -1.0
     supply = np.ascontiguousarray(sign * b_eq, dtype=np.float64)
     flow, pi = np.empty(n_cols + n_rows), np.empty(n_rows)
     nit = _kernel(
-        n_rows, n_cols, ends.ctypes.data, c.ctypes.data, supply.ctypes.data, _PIVOT_CAP,
+        n_rows, n_cols, address, c.ctypes.data, supply.ctypes.data, _PIVOT_CAP,
         flow.ctypes.data, pi.ctypes.data,
     )
     res = OptimizeResult(
@@ -402,7 +415,7 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
             np.repeat(np.arange(ma), mb), ma + np.tile(np.arange(mb), ma), np.ones(ma * mb), ma + mb
         )
     else:
-        if len(grid_shape) != 2 or int(np.prod(grid_shape)) != cost.shape[0]:
+        if len(grid_shape) != 2 or grid_shape[0] * grid_shape[1] != cost.shape[0]:
             raise ValueError(f"grid shape {grid_shape} is not a rank-2 grid of {cost.shape[0]} points")
         lp_form = "grid-flow"
         c, A_eq, n_transit, flow_plan = _reused_grid_flow(grid_shape, ia, ib)
@@ -418,7 +431,7 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
             gamma = flow_plan(res.x)
         value = float(res.fun)
         v = res.eqlin.marginals[ma + n_transit:]
-        psi = c_transform(v, cost[:, ib])
+        psi = c_transform(v, cost if mb == cost.shape[1] else cost[:, ib])
         phi = c_transform(psi, cost.T)
         psi, phi = psi - psi[0], phi + psi[0]  # the gauge psi[0] = 0
         dual_value = float(np.dot(phi, b) + np.dot(psi, a))

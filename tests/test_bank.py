@@ -16,7 +16,6 @@ from wdlearn.bank import (
     BankEntry,
     PotentialBank,
     build_bank,
-    eval_G,
     eval_G_many,
     export_affine,
     nested_random_schedule,
@@ -56,7 +55,7 @@ class TestBuildBank:
         b = build_bank(small_dataset, theta, [])
         assert len(b) == 0
         calls = [
-            lambda: eval_G(b, theta),
+            lambda: eval_G_many(b, theta.weights[None, :]),
             lambda: eval_G_many(b, small_dataset.test_matrix),
             lambda: export_affine(b),
         ]
@@ -125,14 +124,13 @@ class TestDualityCertificate:
 
 class TestEvalG:
     def test_interpolation_at_anchors(self, small_dataset, bank):
-        for e in bank.entries:
-            g = eval_G(bank, small_dataset.train[e.source_index])
-            assert g == pytest.approx(e.wpp, abs=1e-8)
+        anchors = np.stack([small_dataset.train[e.source_index].weights for e in bank.entries])
+        wpp = [e.wpp for e in bank.entries]
+        np.testing.assert_allclose(eval_G_many(bank, anchors), wpp, rtol=0, atol=1e-8)
 
     def test_weak_duality(self, small_dataset, theta, bank):
-        for mu in small_dataset.test:
-            _, _, wpp = exact_ot(theta, mu)
-            assert eval_G(bank, mu) <= wpp + 1e-8
+        wpp = np.array([exact_ot(theta, mu)[2] for mu in small_dataset.test])
+        assert (eval_G_many(bank, small_dataset.test_matrix) <= wpp + 1e-8).all()
 
     def test_single_entry_on_diracs(self):
         ground = GroundSpace.grid((2,))
@@ -140,7 +138,7 @@ class TestEvalG:
         mu1 = DiscreteMeasure.dirac(ground, 1)
         ds = MeasureDataset(ground, [mu1], [])
         b = build_bank(ds, theta, [0])
-        assert eval_G(b, mu1) == pytest.approx(1.0, abs=1e-10)
+        assert eval_G_many(b, mu1.weights[None, :])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_monotone_in_bank_size(self, small_dataset, bank):
         sub = bank.subset(range(3))
@@ -152,7 +150,8 @@ class TestEvalG:
     def test_many_matches_scalar(self, small_dataset, bank):
         W = small_dataset.test_matrix
         many = eval_G_many(bank, W)
-        each = [eval_G(bank, mu) for mu in small_dataset.test]
+        # G(mu) = max_k <phi_k, mu> + psi_bar_k, one measure at a time
+        each = [max(e.phi @ mu.weights + e.psi_bar for e in bank.entries) for mu in small_dataset.test]
         np.testing.assert_allclose(many, each)
 
 
@@ -202,16 +201,14 @@ class TestAffineExport:
         np.testing.assert_allclose(A, 1.5)
         np.testing.assert_allclose(bias, [0.25])
         mu = DiscreteMeasure(ground, [0.3, 0.7])
-        assert eval_G(b, mu) == pytest.approx(1.5 + 0.25)
+        assert eval_G_many(b, mu.weights[None, :])[0] == pytest.approx(1.5 + 0.25)
 
     def test_matches_eval_on_random_measures(self, small_dataset, bank):
         rng = np.random.default_rng(3)
         A, b = export_affine(bank.subset(range(2)))
         sub = bank.subset(range(2))
-        for _ in range(50):
-            w = rng.dirichlet(np.ones(small_dataset.ground.size))
-            mu = DiscreteMeasure(small_dataset.ground, w)
-            assert (A @ w + b).max() == pytest.approx(eval_G(sub, mu), abs=1e-12)
+        W = rng.dirichlet(np.ones(small_dataset.ground.size), size=50)
+        np.testing.assert_allclose((W @ A.T + b).max(axis=1), eval_G_many(sub, W), rtol=0, atol=1e-12)
 
 
 class TestSchedulesAndIO:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wdlearn import nets
 from wdlearn.adversarial import AdversarialConfig, SaddleState, run_algorithm1
-from wdlearn.cylinder import field_pairing
+from wdlearn.cylinder import field_pairing, grid_gradients
 from wdlearn.errors import Diverged, TooManyRows
 from wdlearn.measures import GroundSpace
 from wdlearn.nets import (
@@ -1024,6 +1024,46 @@ class TestCylinderField:
             sum(X[j, x] * field[j, x] @ field[j, x] for x in range(9)) for j in range(5)
         ]
         np.testing.assert_allclose(en, manual, atol=1e-12)
+
+
+class TestFieldPotential:
+    """The potential ``S @ W0`` whose gradients are the field: gathered from
+    the winners' rows where the frozen tree follows the first layer, and
+    the product everywhere else, with the product's values."""
+
+    @staticmethod
+    def assert_field_of_product(net, ground, X):
+        _, cache, S, field = cylinder_field_batch(net, ground, X)
+        np.testing.assert_array_equal(field, grid_gradients(ground, S @ net.layers[0].W))
+        return cache
+
+    @pytest.mark.parametrize("kind", FIELD_NETS)
+    @pytest.mark.parametrize("shape, k", [((8, 8), 8), ((3, 4), 3), ((4, 3, 2), 2)])
+    def test_field_is_that_of_the_product(self, shape, k, kind):
+        ground = GroundSpace.grid(shape)
+        X = np.random.default_rng(k).dirichlet(np.ones(ground.size), size=64)
+        cache = self.assert_field_of_product(field_net(kind, ground.size, seed=k, k=k), ground, X)
+        # only the frozen tree of a bank init has winners
+        assert ("winners" in cache) == (kind == "bank_init")
+
+    def test_a_relu_first_layer_scales_by_its_mask(self):
+        # a row whose pre-activations are all negative has a winner of
+        # sensitivity 0
+        ground = GroundSpace.grid((3, 3))
+        rng = np.random.default_rng(7)
+        W, b = rng.normal(size=(8, 9)), rng.normal(size=8) - 2.0
+        net = ReluNetwork([Layer(W, b, "relu")] + build_max_network(3).layers)
+        X = rng.normal(size=(32, 9))
+        cache = self.assert_field_of_product(net, ground, X)
+        z = cache["z"][0][np.arange(32), cache["winners"]]
+        assert (z > 0).any() and (z <= 0).any()
+
+    def test_a_layer_before_the_tree_keeps_the_product(self):
+        ground = GroundSpace.grid((2, 3))
+        head = random_head_network(6, 2, seed=4)
+        net = ReluNetwork([Layer(np.eye(6), np.zeros(6), "relu")] + head.layers)
+        cache = self.assert_field_of_product(net, ground, np.random.default_rng(4).random((16, 6)))
+        assert len(cache["z"]) == 2 and "winners" in cache
 
 
 class TestFieldAgainstReference:

@@ -723,6 +723,63 @@ class TestLpPaths:
 
 
 @needs_kernel
+class TestPivotCounts:
+    """The kernel's pivots on three fixed solves: a change to pricing or
+    to the pivot rule that moves the pivot sequence changes a count."""
+
+    @pytest.mark.parametrize(
+        "name, pivots", [("uniform-8x8", 341), ("blobs-6x6", 248), ("dense-p1.5", 362)]
+    )
+    def test_pivots_are_pinned(self, monkeypatch, name, pivots):
+        if name == "uniform-8x8":
+            ds = make_synthetic_dataset(8, 8, 1, 0, seed=61)
+            mu, nu = DiscreteMeasure(ds.ground, np.full(64, 1.0 / 64)), ds.train[0]
+        else:
+            mu, nu = lp_pair(name)
+        seen = []
+        linprog = ot.linprog
+        monkeypatch.setattr(ot, "linprog", lambda *args: seen.append(linprog(*args)) or seen[-1])
+        exact_ot(mu, nu)
+        assert [res.nit for res in seen] == [pivots]
+
+
+class TestKernelForm:
+    """The kernel's arc ends and row signs are built once per flow
+    structure, beside it in the flow slot, and equal a fresh build."""
+
+    def test_built_once_per_support(self, monkeypatch):
+        built = []
+        kernel_form = ot._kernel_form
+        monkeypatch.setattr(ot, "_kernel_form", lambda A_eq: built.append(A_eq) or kernel_form(A_eq))
+        monkeypatch.setattr(ot, "_flow_slot", None)
+        ds = make_synthetic_dataset(6, 6, 5, 0, seed=3)
+        theta = DiscreteMeasure(ds.ground, np.full(36, 1.0 / 36))
+        for mu in ds.train:
+            exact_ot(theta, mu)
+        assert len(built) == 1 and built[0] is ot._flow_slot[1][1]
+        sparse_mu = random_measure(ds.ground, np.random.default_rng(3), sparse=True)
+        exact_ot(theta, sparse_mu)
+        exact_ot(theta, sparse_mu)
+        exact_ot(theta, ds.train[0])
+        assert len(built) == 3 and built[2] is ot._flow_slot[1][1]
+
+    def test_kept_form_is_a_fresh_one(self):
+        rng = np.random.default_rng(34)
+        g = GroundSpace.grid((5, 4))
+        exact_ot(random_measure(g, rng, sparse=True), random_measure(g, rng, sparse=True))
+        _, (_, A_eq, _, _), (ends, sign, address) = ot._flow_slot
+        fresh_ends, fresh_sign, _ = ot._kernel_form(A_eq)
+        assert not ends.flags.writeable and not sign.flags.writeable
+        assert ends.dtype == np.intc and address == ends.ctypes.data
+        np.testing.assert_array_equal(ends, fresh_ends)
+        np.testing.assert_array_equal(sign, fresh_sign)
+        np.testing.assert_array_equal(ends, A_eq.indices)
+        # a sink's row, whose lower entries are +1, reads -1
+        sinks = np.unique(A_eq.indices[1::2][A_eq.data[1::2] > 0.0])
+        np.testing.assert_array_equal(np.flatnonzero(sign < 0.0), sinks)
+
+
+@needs_kernel
 class TestSolverReuse:
     """One compiled kernel serves every solve and thread; a solve carries
     nothing from the solves before it, failed ones included."""

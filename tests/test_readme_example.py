@@ -5,7 +5,7 @@ import numpy as np
 from wdlearn import (
     DiscreteMeasure,
     build_bank,
-    eval_G,
+    eval_G_many,
     exact_ot,
     export_affine,
     init_from_bank,
@@ -22,8 +22,8 @@ def test_readme_sketch():
     assert potentials.psi[0] == 0.0
 
     bank = build_bank(ds, theta, range(8))
-    g = eval_G(bank, ds.test[0])
-    assert g <= exact_ot(theta, ds.test[0])[2] + 1e-8
+    g = eval_G_many(bank, ds.test_matrix)
+    assert g[0] <= exact_ot(theta, ds.test[0])[2] + 1e-8
 
     A, b = export_affine(bank)
     net = init_from_bank(A, b, k=3)
