@@ -10,32 +10,34 @@ dual feasibility and plan marginals are checked on every solve.
 
 The LP takes one of two forms.  On a rank-2 unit grid with ``p = 2`` the
 cost ``(i - k)^2 + (j - l)^2`` splits through a transit node ``(k, j)``,
-and the LP is a tripartite min-cost flow with about ``2 n^3`` columns on
+and the LP is a tripartite min-cost flow with about ``2 n^3`` arcs on
 an ``n x n`` grid (Auricchio, Bassetti, Gualandi & Veneroni 2018); every
-other cost gets the dense LP with one column per pair of support atoms.
-The flow has the dense LP's optimum, its sink duals are optimal dense
+other cost gets the dense LP with one arc per pair of support atoms.
+The flow has the dense LP's optimum, its sink potentials are optimal dense
 duals, and the extension and certificates run on the dense cost matrix
 either way.  The exponent ``p`` and the cost matrix come from the
 ground space; no function here takes its own.
 
-Both forms are uncapacitated min-cost flows, one ``+1`` and one ``+-1``
-a column, and :func:`linprog` solves them by the primal network simplex
-of ``_network_simplex.c`` (after LEMON's, as in the exact EMD of
+Both forms are posed as one uncapacitated min-cost flow: arcs given by
+their ends, tail then head, with a cost each, and a supply at each node,
+``a`` at the sources, 0 at the transit nodes and ``-b`` at the sinks.
+:func:`linprog` solves it by the primal network simplex of
+``_network_simplex.c`` (after LEMON's, as in the exact EMD of
 Bonneel, van de Panne, Paris & Heidrich 2011) through ``ctypes``, which
 releases the GIL for the call.  The source is compiled once, at import
 and never inside a solve, into ``$XDG_CACHE_HOME/wdlearn`` (or
 ``~/.cache/wdlearn``) under the SHA-256 of the source and the command,
 or into a private temporary directory where that one is unsafe; a later
 import loads it from there.  Where none can be built, one WARNING is
-logged and every solve runs scipy's ``linprog`` (HiGHS dual simplex).
+logged and every solve runs scipy's ``linprog`` (HiGHS dual simplex) on
+the flow's node-arc matrix, which only that path builds.
 
-The flow's structure (arc costs, constraint matrix, the plan's scatter
-indices and the kernel's arc ends and row signs, all read-only) depends
-only on the grid and the two supports, so the last one built is kept in
-a single slot and reused while that key repeats, as it does between
-full-support measures.  The dense LP's is built per solve, its matrix
-directly in the column-wise form.  No result or basis is kept: every
-solve runs its own LP and passes every certificate.
+The flow's structure (arc ends and costs and the plan's scatter indices,
+all read-only) depends only on the grid and the two supports, so the
+last one built is kept in a single slot and reused while that key
+repeats, as it does between full-support measures.  The dense LP's arc
+ends are built per solve.  No result or basis is kept: every solve runs
+its own LP and passes every certificate.
 
 The entropic solver, :func:`sinkhorn`, is the stabilized scaling
 algorithm of Schmitzer (2019): scaling iterations, two matrix-vector
@@ -46,7 +48,7 @@ non-finite.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, its form (``grid-flow`` or ``dense``) and
-column count, the path of the solve (``network-simplex`` for the
+arc count, the path of the solve (``network-simplex`` for the
 kernel, ``linprog`` for scipy's), the status, the simplex pivots or
 iterations, the certificates' gap, dual infeasibility and marginal
 error, and the nanoseconds spent.  Each Sinkhorn solve logs one such
@@ -172,22 +174,6 @@ class PotentialPair:
     dual_value: float
 
 
-def _two_entry_columns(upper, lower, lower_value, n_rows):
-    """The CSC matrix whose column ``j`` holds 1 in row ``upper[j]`` and
-    ``lower_value[j]`` in row ``lower[j] > upper[j]``, built directly in the
-    column-wise form, whose indices list each arc's two ends: both LP
-    forms have two entries a column."""
-    n_cols = len(upper)
-    return sparse.csc_matrix(
-        (
-            np.column_stack([np.ones(n_cols), lower_value]).ravel(),
-            np.column_stack([upper, lower]).ravel(),
-            np.arange(0, 2 * n_cols + 1, 2),
-        ),
-        shape=(n_rows, n_cols),
-    )
-
-
 def _grid_flow(grid_shape, ia, ib):
     """The tripartite flow LP for the squared Euclidean cost of a unit grid.
 
@@ -195,13 +181,13 @@ def _grid_flow(grid_shape, ia, ib):
     send to sinks ``(k, l)`` on ``ib``, at arc costs ``(i - k)^2`` and
     ``(j - l)^2``.  Only transit nodes whose row holds a sink and whose
     column holds a source are kept, so each source reaches each sink by
-    exactly one path.  The rows are the sources, the transit nodes
-    (outflow minus inflow, right-hand side 0) and the sinks, in that
-    order.  The arcs into the transit layer come first, source-major,
-    then the arcs out of it, sink-major.
+    exactly one path.  The nodes are the sources, the transit nodes and
+    the sinks, in that order.  The arcs into the transit layer come
+    first, source-major, then the arcs out of it, sink-major.
 
-    Returns the arc costs, ``A_eq``, the number of transit rows and a
-    function that takes a flow to its coupling on the ground points.
+    Returns the arc costs, the arc ends (an ``(arcs, 2)`` C-contiguous
+    ``np.intc`` array, tail then head), the number of transit nodes and
+    a function that takes a flow to its coupling on the ground points.
     Every array of it, the plan's scatter indices included, is
     read-only, so the whole may be reused for any solve on the same
     grid and supports.
@@ -215,11 +201,10 @@ def _grid_flow(grid_shape, ia, ib):
     n_in, n_out, n_transit = ma * n_rows, mb * n_cols, n_rows * n_cols
     into = np.arange(n_rows)[None, :] * n_cols + source_col[:, None]
     out_of = sink_row[:, None] * n_cols + np.arange(n_cols)[None, :]
-    # every column has two entries, the upper row first
-    upper = np.concatenate([np.repeat(np.arange(ma), n_rows), ma + out_of.ravel()])
-    lower = np.concatenate([ma + into.ravel(), ma + n_transit + np.repeat(np.arange(mb), n_cols)])
-    sign = np.concatenate([-np.ones(n_in), np.ones(n_out)])
-    A_eq = _two_entry_columns(upper, lower, sign, ma + n_transit + mb)
+    ends = np.column_stack([
+        np.concatenate([np.repeat(np.arange(ma), n_rows), ma + out_of.ravel()]),
+        np.concatenate([ma + into.ravel(), ma + n_transit + np.repeat(np.arange(mb), n_cols)]),
+    ]).astype(np.intc)
     c = np.concatenate([
         ((si[:, None] - rows[None, :]) ** 2).ravel(),
         ((cols[None, :] - tl[:, None]) ** 2).ravel(),
@@ -232,7 +217,7 @@ def _grid_flow(grid_shape, ia, ib):
     scatter_out = np.ravel_multi_index(
         (cols[None, :], tk[:, None], tl[:, None]), (nc, nr, nc)
     ).ravel()
-    for arr in (c, A_eq.data, A_eq.indices, A_eq.indptr, scatter_in, scatter_out):
+    for arr in (c, ends, scatter_in, scatter_out):
         arr.setflags(write=False)
 
     def plan(x):
@@ -253,14 +238,14 @@ def _grid_flow(grid_shape, ia, ib):
         overlap -= np.maximum(lo_in[..., None], lo_out)
         return np.maximum(overlap, 0.0, out=overlap).reshape(nr * nc, nr * nc)
 
-    return c, A_eq, n_transit, plan
+    return c, ends, n_transit, plan
 
 
-# The last grid flow built, as ``(key, structure, _kernel_form(A_eq))``,
-# keyed by ``(grid_shape, supp a, supp b)``.  One slot holds a run whose
-# supports repeat, such as every solve between full-support measures on one
-# grid, and costs a rebuild only when the key changes.  It holds the LP's
-# structure, never a result: every solve still runs and is certified.
+# The last grid flow built, as ``(key, structure)``, keyed by ``(grid_shape,
+# supp a, supp b)``.  One slot holds a run whose supports repeat, such as
+# every solve between full-support measures on one grid, and costs a rebuild
+# only when the key changes.  It holds the LP's arcs, never a result: every
+# solve still runs and is certified.
 _flow_slot = None
 
 
@@ -270,20 +255,8 @@ def _reused_grid_flow(grid_shape, ia, ib):
     key = (tuple(grid_shape), ia.tobytes(), ib.tobytes())
     slot = _flow_slot
     if slot is None or slot[0] != key:
-        flow = _grid_flow(grid_shape, ia, ib)
-        slot = _flow_slot = (key, flow, _kernel_form(flow[1]))
+        slot = _flow_slot = (key, _grid_flow(grid_shape, ia, ib))
     return slot[1]
-
-
-def _kernel_form(A_eq):
-    """The arcs' ends as C ints and the rows' signs (-1 where the lower entries
-    are ``+1``, a sink's), both read-only, and the ends' address, valid while they live."""
-    ends = np.ascontiguousarray(A_eq.indices, dtype=np.intc).view()
-    sign = np.ones(A_eq.shape[0])
-    sign[ends[1::2][A_eq.data[1::2] > 0.0]] = -1.0
-    for arr in (ends, sign):
-        arr.setflags(write=False)
-    return ends, sign, ends.ctypes.data
 
 
 def _marginal(name, w, n):
@@ -300,56 +273,67 @@ def _marginal(name, w, n):
     return w
 
 
-def linprog(c, A_eq, b_eq):
-    """``min <c, x>`` subject to ``A_eq x = b_eq`` and ``x >= 0`` for an LP
-    of :func:`_two_entry_columns`, by the network simplex of
-    ``_network_simplex.c``, or by scipy's ``linprog`` with ``_LP_OPTIONS``
-    where that could not be built at import.
+def linprog(ends, c, supply):
+    """``min <c, x>`` over flows ``x >= 0`` on the arcs ``ends``, an
+    ``(arcs, 2)`` array of node indices, tail then head, whose outflow
+    minus inflow at each node is its ``supply``; by the network simplex
+    of ``_network_simplex.c``, or by scipy's ``linprog`` with
+    ``_LP_OPTIONS`` where that could not be built at import.
 
-    Column ``j`` is read as an arc from its upper row to its lower row,
-    and a row whose lower entries are ``+1`` (a sink's) is negated into a
-    demand.  Returns the fields of ``scipy.optimize.linprog(...,
-    method="highs-ds")`` that wdlearn reads: ``status`` (0 at an optimum,
-    1 at ``_PIVOT_CAP`` pivots, 2 if infeasible: an artificial arc keeps
-    more flow than ``_MARGINAL_TOL``), ``message``, ``nit`` (the pivots),
-    and ``x``, ``fun`` and ``eqlin.marginals`` (the node potentials, with
-    the rows' signs), None unless optimal, and ``lp_path``
-    (``"network-simplex"`` or ``"linprog"``).  The benchmark's tracer
-    wraps this name and reads ``nit``.  The :func:`_kernel_form` of the
-    flow slot's ``A_eq`` is the slot's; any other is built per call.
+    Returns ``status`` (0 at an optimum, 1 at ``_PIVOT_CAP`` pivots, 2 if
+    infeasible: an artificial arc keeps more flow than ``_MARGINAL_TOL``),
+    ``message``, ``nit`` (the pivots, or HiGHS's iterations), and ``x``,
+    ``fun`` and ``pi``, None unless optimal, and ``lp_path``
+    (``"network-simplex"`` or ``"linprog"``).  ``pi`` are the node
+    potentials: ``c[e] + pi[tail] - pi[head] >= 0`` on every arc, with
+    equality where ``x`` flows.  The benchmark's tracer wraps this name
+    and reads ``nit``.
+
+    Raises ``ValueError``, before any solve, unless ``c`` and ``supply``
+    are vectors and ``ends`` has one row of two ends for each entry of
+    ``c``: the kernel reads the arrays by address.  An end outside the
+    nodes of ``supply`` fails the kernel's solve.
     """
+    ends = np.ascontiguousarray(ends, dtype=np.intc)
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    supply = np.ascontiguousarray(supply, dtype=np.float64)
+    if c.ndim != 1 or supply.ndim != 1 or ends.shape != (len(c), 2):
+        raise ValueError("linprog takes ends of shape (arcs, 2), c over the arcs, supply over the nodes")
+    n, m = len(supply), len(c)
     if _kernel is None:
-        res = _scipy_linprog(
-            c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
+        # HiGHS gets the node-arc matrix with the rows of demand nodes
+        # negated, so every right-hand side is a nonnegative mass
+        sign = np.where(supply < 0.0, -1.0, 1.0)
+        A_eq = sparse.csc_matrix(
+            (np.column_stack([sign[ends[:, 0]], -sign[ends[:, 1]]]).ravel(), ends.ravel(),
+             np.arange(0, 2 * m + 1, 2)),
+            shape=(n, m),
         )
+        res = _scipy_linprog(
+            c, A_eq=A_eq, b_eq=sign * supply, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
+        )
+        res.pi = -sign * res.eqlin.marginals if res.status == 0 else None
         res.lp_path = "linprog"
         return res
-    n_rows, n_cols = A_eq.shape
-    if A_eq.nnz != 2 * n_cols or len(c) != n_cols or len(b_eq) != n_rows:
-        raise ValueError("linprog takes two entries a column, c over the columns, b_eq over the rows")
-    slot = _flow_slot
-    ends, sign, address = slot[2] if slot is not None and slot[1][1] is A_eq else _kernel_form(A_eq)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    supply = np.ascontiguousarray(sign * b_eq, dtype=np.float64)
-    flow, pi = np.empty(n_cols + n_rows), np.empty(n_rows)
+    flow, pi = np.empty(m + n), np.empty(n)
     nit = _kernel(
-        n_rows, n_cols, address, c.ctypes.data, supply.ctypes.data, _PIVOT_CAP,
+        n, m, ends.ctypes.data, c.ctypes.data, supply.ctypes.data, _PIVOT_CAP,
         flow.ctypes.data, pi.ctypes.data,
     )
     res = OptimizeResult(
-        status=4, nit=max(nit, 0), x=None, fun=None, eqlin=OptimizeResult(marginals=None),
+        status=4, nit=max(nit, 0), x=None, fun=None, pi=None,
         lp_path="network-simplex", message="The network simplex failed.",
     )
     if nit == -1:
         res.status, res.nit = 1, _PIVOT_CAP
         res.message = f"The network simplex reached its cap of {_PIVOT_CAP} pivots."
-    elif nit >= 0 and flow[n_cols:].max() > _MARGINAL_TOL:
+    elif nit >= 0 and flow[m:].max() > _MARGINAL_TOL:
         res.status, res.message = 2, "The problem is infeasible."
     elif nit >= 0:
         res.status, res.message = 0, "Optimization terminated successfully."
-        res.x = flow[:n_cols]
+        res.x = flow[:m]
         res.fun = float(c @ res.x)
-        res.eqlin.marginals = -sign * pi
+        res.pi = pi
     return res
 
 
@@ -357,29 +341,31 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     """Certified exact solve of ``min <cost, gamma>`` over couplings of
     ``a`` and ``b``.
 
-    The LP is restricted to support atoms and solved from scratch by
-    :func:`linprog`, the network simplex.  The duals ``v`` on ``b``'s
-    support are extended by :func:`c_transform`,
-    ``psi(x) = min_{y in supp b} cost[x, y] - v(y)`` and ``phi(y) =
-    min_x cost[x, y] - psi(x)``, a pair feasible everywhere with the same
-    dual value.
+    The LP is restricted to support atoms and posed as a min-cost flow
+    with supply ``a`` at the atoms of ``supp a`` and ``-b`` at those of
+    ``supp b``; without ``grid_shape`` it has one arc per support pair,
+    from ``x`` to ``y`` at cost ``cost[x, y]``.  :func:`linprog`, the
+    network simplex, solves it from scratch.  Its node potentials satisfy
+    ``pi(y) - pi(x) <= cost[x, y]``, so the sinks' potentials ``v`` are
+    optimal duals on ``b``'s support.  They are extended by
+    :func:`c_transform`, ``psi(x) = min_{y in supp b} cost[x, y] - v(y)``
+    and ``phi(y) = min_x cost[x, y] - psi(x)``, a pair feasible
+    everywhere with the same dual value.
 
     With ``grid_shape = (nr, nc)``, ``cost`` must be the squared
     Euclidean cost of that unit grid, listed row-major.  The cost from
     ``(i, j)`` to ``(k, l)`` then splits as ``(i - k)^2 + (j - l)^2``
-    through the transit node ``(k, j)`` (Auricchio et al. 2018), and the
-    LP is posed as a min-cost flow from ``supp a`` through the transit
-    nodes to ``supp b``: about ``2 n^3`` columns on an ``n x n`` grid
+    through the transit node ``(k, j)`` (Auricchio et al. 2018), of
+    supply 0, and the flow runs from ``supp a`` through the transit
+    nodes to ``supp b``: about ``2 n^3`` arcs on an ``n x n`` grid
     instead of ``n^4``.  Each source reaches each sink by one path whose
     cost is ``cost[x, y]``, so the flow's optimum is the transport
-    optimum.  Transit rows read outflow minus inflow, so a path's arcs
-    give ``u(x) + v(y) <= cost[x, y]``: the sink duals are dual feasible
-    and, by strong duality, optimal for the dense LP.  The extension,
-    gauge and certificates below then run on ``cost`` unchanged.
-    The flow's structure is kept for the last grid and pair of supports
-    and reused while they repeat; only ``b_eq`` changes between such
-    solves.  Without ``grid_shape`` the LP has one column per support
-    pair.
+    optimum, and the potentials' bounds along a path's two arcs add up to
+    ``v(y) - pi(x) <= cost[x, y]``: the sinks' potentials are optimal
+    dense duals again.  The extension, gauge and certificates below then
+    run on ``cost`` unchanged.  The flow's arcs are kept for the last
+    grid and pair of supports and reused while they repeat; only the
+    supplies change between such solves.
 
     Returns
     -------
@@ -410,18 +396,17 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     if grid_shape is None:
         lp_form, n_transit = "dense", 0
         c = np.ascontiguousarray(cost[np.ix_(ia, ib)]).ravel()
-        # column i * mb + j carries a[i] to b[j]
-        A_eq = _two_entry_columns(
-            np.repeat(np.arange(ma), mb), ma + np.tile(np.arange(mb), ma), np.ones(ma * mb), ma + mb
-        )
+        # arc i * mb + j carries a[i] to b[j]
+        ends = np.column_stack([
+            np.repeat(np.arange(ma, dtype=np.intc), mb), ma + np.tile(np.arange(mb, dtype=np.intc), ma)
+        ])
     else:
         if len(grid_shape) != 2 or grid_shape[0] * grid_shape[1] != cost.shape[0]:
             raise ValueError(f"grid shape {grid_shape} is not a rank-2 grid of {cost.shape[0]} points")
         lp_form = "grid-flow"
-        c, A_eq, n_transit, flow_plan = _reused_grid_flow(grid_shape, ia, ib)
-    b_eq = np.concatenate([a[ia], np.zeros(n_transit), b[ib]])
+        c, ends, n_transit, flow_plan = _reused_grid_flow(grid_shape, ia, ib)
 
-    res = linprog(c, A_eq, b_eq)
+    res = linprog(ends, c, np.concatenate([a[ia], np.zeros(n_transit), -b[ib]]))
     gap = feas = marginal = math.nan
     if res.status == 0:
         if grid_shape is None:
@@ -430,7 +415,7 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         else:
             gamma = flow_plan(res.x)
         value = float(res.fun)
-        v = res.eqlin.marginals[ma + n_transit:]
+        v = res.pi[ma + n_transit:]
         psi = c_transform(v, cost if mb == cost.shape[1] else cost[:, ib])
         phi = c_transform(psi, cost.T)
         psi, phi = psi - psi[0], phi + psi[0]  # the gauge psi[0] = 0

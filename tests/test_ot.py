@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -438,7 +439,7 @@ class TestCertificates:
         # space or a metric sample, must catch it
         def zero_dual_linprog(*args, **kwargs):
             res = linprog(*args, **kwargs)
-            res.eqlin.marginals[:] = 0.0
+            res.pi[:] = 0.0
             return res
 
         linprog = ot.linprog
@@ -563,17 +564,14 @@ class TestSolvePath:
         held = ot._reused_grid_flow((5, 4), ia, ib)
         exact_ot(mu, nu)
         assert ot._reused_grid_flow((5, 4), ia, ib) is held
-        c, A_eq, n_transit, _ = held
-        fresh_c, fresh_A, fresh_transit, _ = ot._grid_flow((5, 4), ia, ib)
+        c, ends, n_transit, _ = held
+        fresh_c, fresh_ends, fresh_transit, _ = ot._grid_flow((5, 4), ia, ib)
         assert n_transit == fresh_transit
-        for mine, theirs in [
-            (c, fresh_c),
-            (A_eq.indptr, fresh_A.indptr),
-            (A_eq.indices, fresh_A.indices),
-            (A_eq.data, fresh_A.data),
-        ]:
+        for mine, theirs in [(c, fresh_c), (ends, fresh_ends)]:
             assert mine.dtype == theirs.dtype and not mine.flags.writeable
             np.testing.assert_array_equal(mine, theirs)
+        # the kernel reads the ends by address, so linprog takes them as they are
+        assert ends.dtype == np.intc and ends.flags.c_contiguous and ends.shape == (len(c), 2)
 
     def test_alternating_supports_match_a_cold_slot(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -661,9 +659,15 @@ class TestLpPaths:
         for mu, nu in kernel_cases(name):
             seen.clear()
             _, _, wpp = exact_ot(mu, nu)
-            ((c, A_eq, b_eq),) = seen
+            ((ends, c, supply),) = seen
+            # the flow's node-arc incidence LP: +1 at each arc's tail, -1 at its head
+            arcs = np.arange(len(c))
+            A_eq = scipy.sparse.csc_matrix(
+                (np.r_[np.ones(len(c)), -np.ones(len(c))], (np.r_[ends[:, 0], ends[:, 1]], np.r_[arcs, arcs])),
+                shape=(len(supply), len(c)),
+            )
             ref = scipy.optimize.linprog(
-                c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
+                c, A_eq=A_eq, b_eq=supply, bounds=(0, None), method="highs-ds", options=ot._LP_OPTIONS
             )
             assert ref.status == 0 and abs(wpp - ref.fun) <= 1e-12 * (1.0 + abs(ref.fun))
             if mu is nu:
@@ -698,18 +702,38 @@ class TestLpPaths:
 
     @needs_kernel
     def test_a_rejected_model_fails_the_solve(self, monkeypatch):
-        # an arc whose end lies outside the rows: the kernel checks every
+        # an arc whose end lies outside the nodes: the kernel checks every
         # arc before it reads a node's state
-        def out_of_range(upper, lower, lower_value, n_rows):
-            A_eq = columns(upper, lower, lower_value, n_rows)
-            A_eq.indices[-2] = n_rows  # the last column's upper end
-            return A_eq
+        def out_of_range(ends, c, supply):
+            ends = ends.copy()
+            ends[-1, 0] = len(supply)  # the last arc's tail
+            return linprog(ends, c, supply)
 
-        columns = ot._two_entry_columns
-        monkeypatch.setattr(ot, "_two_entry_columns", out_of_range)
+        linprog = ot.linprog
+        monkeypatch.setattr(ot, "linprog", out_of_range)
         cost = GroundSpace.grid((3, 3)).cost_matrix()
         with pytest.raises(SolverFailure, match=r"^transport LP failed: The network simplex failed\.$"):
             solve_transport_lp(cost, np.full(9, 1.0 / 9), np.full(9, 1.0 / 9))
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda ends, c, supply: (ends[:-1], c, supply),
+            lambda ends, c, supply: (ends, c[:-1], supply),
+            lambda ends, c, supply: (ends.ravel(), c, supply),
+            lambda ends, c, supply: (ends, c, supply[:, None]),
+        ],
+        ids=["short-ends", "short-c", "flat-ends", "column-supply"],
+    )
+    def test_mismatched_arrays_are_refused_before_the_kernel(self, monkeypatch, cut):
+        # the kernel reads its arrays by address, so only arrays of matching
+        # shapes reach it; an end outside supply's nodes is its own check
+        ends = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
+        c, supply = np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.5, 0.5, -0.5, -0.5])
+        assert ot.linprog(ends, c, supply).fun == 0.0
+        monkeypatch.setattr(ot, "_kernel", lambda *args: pytest.fail("the kernel ran"))
+        with pytest.raises(ValueError, match="^linprog takes ends of shape"):
+            ot.linprog(*cut(ends, c, supply))
 
     @needs_kernel
     def test_a_pivot_cap_too_small_fails_the_solve(self, monkeypatch, caplog):
@@ -744,39 +768,29 @@ class TestPivotCounts:
 
 
 class TestKernelForm:
-    """The kernel's arc ends and row signs are built once per flow
-    structure, beside it in the flow slot, and equal a fresh build."""
+    """The flow's arcs, in the form the kernel reads, are built once per
+    flow structure and kept in the flow slot."""
 
     def test_built_once_per_support(self, monkeypatch):
         built = []
-        kernel_form = ot._kernel_form
-        monkeypatch.setattr(ot, "_kernel_form", lambda A_eq: built.append(A_eq) or kernel_form(A_eq))
+        grid_flow = ot._grid_flow
+
+        def counted_grid_flow(*args):
+            built.append(grid_flow(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ot, "_grid_flow", counted_grid_flow)
         monkeypatch.setattr(ot, "_flow_slot", None)
         ds = make_synthetic_dataset(6, 6, 5, 0, seed=3)
         theta = DiscreteMeasure(ds.ground, np.full(36, 1.0 / 36))
         for mu in ds.train:
             exact_ot(theta, mu)
-        assert len(built) == 1 and built[0] is ot._flow_slot[1][1]
+        assert len(built) == 1 and ot._flow_slot[1] is built[0]
         sparse_mu = random_measure(ds.ground, np.random.default_rng(3), sparse=True)
         exact_ot(theta, sparse_mu)
         exact_ot(theta, sparse_mu)
         exact_ot(theta, ds.train[0])
-        assert len(built) == 3 and built[2] is ot._flow_slot[1][1]
-
-    def test_kept_form_is_a_fresh_one(self):
-        rng = np.random.default_rng(34)
-        g = GroundSpace.grid((5, 4))
-        exact_ot(random_measure(g, rng, sparse=True), random_measure(g, rng, sparse=True))
-        _, (_, A_eq, _, _), (ends, sign, address) = ot._flow_slot
-        fresh_ends, fresh_sign, _ = ot._kernel_form(A_eq)
-        assert not ends.flags.writeable and not sign.flags.writeable
-        assert ends.dtype == np.intc and address == ends.ctypes.data
-        np.testing.assert_array_equal(ends, fresh_ends)
-        np.testing.assert_array_equal(sign, fresh_sign)
-        np.testing.assert_array_equal(ends, A_eq.indices)
-        # a sink's row, whose lower entries are +1, reads -1
-        sinks = np.unique(A_eq.indices[1::2][A_eq.data[1::2] > 0.0])
-        np.testing.assert_array_equal(np.flatnonzero(sign < 0.0), sinks)
+        assert len(built) == 3 and ot._flow_slot[1] is built[2]
 
 
 @needs_kernel
@@ -829,7 +843,7 @@ class TestSolverReuse:
             new = ot.linprog(*args)
             assert res.nit == new.nit > 0 and res.fun == new.fun
             assert same_bits(res.x, new.x)
-            assert same_bits(res.eqlin.marginals, new.eqlin.marginals)
+            assert same_bits(res.pi, new.pi)
 
     def test_threads_solve_at_once_on_memory_of_their_own(self):
         # ctypes releases the GIL for each kernel call, so the two threads'
