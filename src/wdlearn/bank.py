@@ -118,11 +118,14 @@ def select_cover_indices(
 
 
 def random_indices(n_train: int, j: int, seed: int) -> list:
-    """``j`` distinct train indices drawn with a seeded RNG."""
+    """``j`` distinct train indices drawn with a seeded RNG; raises
+    ``ValueError`` unless ``1 <= j <= n_train``."""
     if j < 1:
         raise ValueError(f"a random index set needs j >= 1, got j={j}")
+    if j > n_train:
+        raise ValueError(f"a random index set of j={j} exceeds the {n_train} train measures")
     rng = np.random.default_rng(seed)
-    return sorted(rng.choice(n_train, size=min(j, n_train), replace=False).tolist())
+    return sorted(rng.choice(n_train, size=j, replace=False).tolist())
 
 
 def nested_random_schedule(n_train: int, sizes: Sequence[int], seed: int) -> dict:

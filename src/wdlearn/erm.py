@@ -99,6 +99,13 @@ class CylinderSubspace:
         return field_pairing(g, g, _mean_measure(sample, weights))
 
 
+def _numerical_rank(gram) -> int:
+    """The eigenvalues of a Gram matrix above ``1e-12`` of the largest: the
+    singular values of its evaluations above ``1e-6`` of theirs."""
+    eigs = np.linalg.eigvalsh(gram)
+    return int(np.sum(eigs > eigs.max(initial=0.0) * 1e-12))
+
+
 def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> CylinderSubspace:
     """Basis orthonormal in L2 and orthogonal in energy, simultaneously.
 
@@ -111,8 +118,7 @@ def double_orthogonalize(raw: CylinderSubspace, sample, weights=None) -> Cylinde
         If the basis evaluations are numerically dependent on the data.
     """
     A = raw.l2_gram(sample, weights)
-    eigs = np.linalg.eigvalsh(A)
-    rank = int(np.sum(eigs > max(eigs.max(), 0.0) * 1e-12))
+    rank = _numerical_rank(A)
     if rank < raw.dim:
         raise RankDeficient(
             f"basis has numerical rank {rank} < {raw.dim} on the sample", rank
@@ -181,8 +187,7 @@ def assemble(
     if values.shape[0] != N:
         raise ValueError("one target value per sample measure is required")
     E = subspace.evaluate(W)
-    sv = np.linalg.svd(E, compute_uv=False)
-    rank = int(np.sum(sv > sv.max() * 1e-12)) if sv.size else 0
+    rank = _numerical_rank(E.T @ E)
     if rank < subspace.dim:
         raise RankDeficient(
             f"basis evaluations have numerical rank {rank} < {subspace.dim}", rank

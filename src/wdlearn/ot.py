@@ -47,13 +47,15 @@ to start and whenever the scalings leave a fixed range or a product goes
 non-finite.
 
 Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
-LP's size on the supports, its form (``grid-flow`` or ``dense``) and
-arc count, the path of the solve (``network-simplex`` for the
-kernel, ``linprog`` for scipy's), the status, the simplex pivots or
-iterations, the certificates' gap, dual infeasibility and marginal
-error, and the nanoseconds spent.  Each Sinkhorn solve logs one such
-record too: the support sizes, the iterations, how many of them ran in
-the log domain, the final marginal violation and the nanoseconds spent.
+LP's size on the supports, then ``lp_form`` (``grid-flow`` or ``dense``),
+``lp_cols`` (arcs), ``lp_path`` (``network-simplex`` or ``linprog``),
+``lp_status``, ``simplex_iters``, the certificates' ``gap``,
+``dual_infeasibility`` and ``marginal_error``, and ``ns``, the
+nanoseconds spent.  Each Sinkhorn solve logs the support sizes, then
+``sinkhorn_iters``, ``log_iters`` (those run in the log domain), the
+final marginal ``violation`` and ``ns``.  :func:`_record` writes both:
+each name is an attribute of the record, and the message lists
+``name=value`` for each, in that order.
 """
 
 from __future__ import annotations
@@ -100,6 +102,16 @@ _LP_OPTIONS = {
 _PIVOT_CAP = 10_000_000
 
 _log = logging.getLogger(__name__)
+
+
+def _record(what, t0, **fields):
+    """Log one DEBUG record of a solve that began at ``t0``, a
+    ``time.perf_counter_ns()`` reading: the ``fields`` and then ``ns``, the
+    nanoseconds since, are its attributes, and its message is ``what``
+    followed by their ``name=value`` pairs in that order, floats as ``%.3e``."""
+    fields["ns"] = time.perf_counter_ns() - t0
+    text = " ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}" for k, v in fields.items())
+    _log.debug("%s: %s", what, text, extra=fields)
 
 
 def _cache_dir():
@@ -424,20 +436,10 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         feas = (phi[None, :] + psi[:, None] - cost).max()
         marginal = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
     if _log.isEnabledFor(logging.DEBUG):
-        ns = time.perf_counter_ns() - t0
-        _log.debug(
-            "transport LP %dx%d: lp_form=%s lp_cols=%d lp_path=%s status=%s simplex_iters=%d "
-            "gap=%.3e dual_infeasibility=%.3e marginal_error=%.3e ns=%d",
-            ma, mb, lp_form, len(c), res.lp_path, res.message, res.nit, gap, feas, marginal, ns,
-            extra={
-                "lp_form": lp_form,
-                "lp_cols": len(c),
-                "lp_path": res.lp_path,
-                "lp_status": res.message,
-                "simplex_iters": int(res.nit),
-                "gap": gap, "dual_infeasibility": feas, "marginal_error": marginal,
-                "ns": ns,
-            },
+        _record(
+            f"transport LP {ma}x{mb}", t0, lp_form=lp_form, lp_cols=len(c), lp_path=res.lp_path,
+            lp_status=res.message, simplex_iters=int(res.nit),
+            gap=gap, dual_infeasibility=feas, marginal_error=marginal,
         )
     if res.status != 0:
         raise SolverFailure(f"transport LP failed: {res.message}")
@@ -548,9 +550,8 @@ def sinkhorn(
     ``tol`` the regularized plan is returned, together with its
     unregularized cost ``sum d^p gamma``.
 
-    Each solve logs one DEBUG record on the ``wdlearn.ot`` logger with
-    the support sizes, the iterations, how many of them ran in the log
-    domain, the final violation and the nanoseconds spent.
+    Each solve logs one DEBUG record on the ``wdlearn.ot`` logger:
+    ``sinkhorn_iters``, ``log_iters``, ``violation`` and ``ns``.
 
     Raises
     ------
@@ -613,16 +614,9 @@ def sinkhorn(
                 )
 
     if _log.isEnabledFor(logging.DEBUG):
-        ns = time.perf_counter_ns() - t0
-        _log.debug(
-            "sinkhorn %dx%d: iters=%d log_iters=%d violation=%.3e ns=%d",
-            len(ia), len(ib), n_iter, log_iters, violation, ns,
-            extra={
-                "sinkhorn_iters": n_iter,
-                "log_iters": log_iters,
-                "violation": violation,
-                "ns": ns,
-            },
+        _record(
+            f"sinkhorn {len(ia)}x{len(ib)}", t0,
+            sinkhorn_iters=n_iter, log_iters=log_iters, violation=violation,
         )
     if not violation < tol:
         raise NotConverged(f"sinkhorn stopped after {max_iter} iterations", violation)

@@ -149,12 +149,9 @@ def p_eps_k_monte_carlo(
     n = sample.size
     D = sample.distance_matrix
     w = sample.weights
-    centers = rng.choice(n, size=(trials, k), p=w) if k > 0 else None
+    centers = rng.choice(n, size=(trials, k), p=w)
     fresh = rng.choice(n, size=trials, p=w)
-    if k == 0:
-        hits = np.zeros(trials, dtype=bool)
-    else:
-        hits = (D[fresh[:, None], centers] < eps).any(axis=1)
+    hits = (D[fresh[:, None], centers] < eps).any(axis=1)
     q = float(hits.mean())
     return q, float(np.sqrt(q * (1.0 - q) / trials))
 

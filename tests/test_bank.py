@@ -215,6 +215,13 @@ class TestSchedulesAndIO:
     def test_random_indices_deterministic(self):
         assert random_indices(100, 10, 7) == random_indices(100, 10, 7)
 
+    def test_random_indices_reject_more_indices_than_train_measures(self):
+        # a set of j indices or an error: fewer would build a smaller bank
+        # than asked for
+        assert random_indices(10, 10, 3) == list(range(10))
+        with pytest.raises(ValueError, match="^a random index set of j=11 exceeds the 10 train measures$"):
+            random_indices(10, 11, 3)
+
     def test_nested_schedule_is_nested(self):
         sched = nested_random_schedule(50, [5, 10, 20], seed=1)
         assert set(sched[5]) <= set(sched[10]) <= set(sched[20])

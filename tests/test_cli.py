@@ -773,6 +773,7 @@ class TestCli:
             ("cover:nan", "delta must be positive, got nan"),
             ("random:0", "a random index set needs j >= 1, got j=0"),
             ("random:-1", "a random index set needs j >= 1, got j=-1"),
+            ("random:13", "a random index set of j=13 exceeds the 12 train measures"),
             ("random:x", _BAD_INDEX_SPEC.format("random:x")),
             ("random:2:y", _BAD_INDEX_SPEC.format("random:2:y")),
             ("random:2:-1", _BAD_INDEX_SPEC.format("random:2:-1")),
@@ -783,6 +784,7 @@ class TestCli:
             "cover-nan",
             "random-0",
             "random-negative",
+            "random-above-train",
             "random-x",
             "random-seed-y",
             "random-seed-negative",

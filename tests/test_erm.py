@@ -178,6 +178,22 @@ class TestAssemble:
         with pytest.raises(RankDeficient):
             assemble(dependent, pop, np.zeros(len(pop)), lam=0.0)
 
+    def test_a_near_dependent_basis_is_refused_as_in_double_orthogonalize(self):
+        # a third feature 1e-9 off the first, so the evaluations' singular
+        # values span 4e-10: both steps of a fit read one rank and refuse it
+        ground = GroundSpace.grid((4, 4))
+        rng = np.random.default_rng(0)
+        sample = [DiscreteMeasure(ground, w) for w in rng.dirichlet(np.ones(16), size=40)]
+        f = rng.standard_normal((2, 16))
+        basis = CylinderSubspace(ground, np.vstack([f, f[0] + 1e-9 * rng.standard_normal(16)]))
+        for check in (
+            lambda: double_orthogonalize(basis, sample),
+            lambda: assemble(basis, sample, np.zeros(40), lam=0.0),
+        ):
+            with pytest.raises(RankDeficient) as exc:
+                check()
+            assert exc.value.rank == 2
+
     def test_expected_gram_is_identity(self, population, ortho):
         # resampling Monte Carlo for the mean of L^T L
         _, pop = population

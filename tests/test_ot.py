@@ -980,7 +980,7 @@ class TestSinkhornTelemetry:
             n_supp = int(np.count_nonzero(nu.weights))
             assert 1 <= r.log_iters <= r.sinkhorn_iters
             assert r.getMessage().startswith(
-                f"sinkhorn 16x{n_supp}: iters={r.sinkhorn_iters} log_iters={r.log_iters} "
+                f"sinkhorn 16x{n_supp}: sinkhorn_iters={r.sinkhorn_iters} log_iters={r.log_iters} "
             )
 
     def test_record_before_not_converged(self, caplog, line01):
@@ -1001,6 +1001,61 @@ class TestSinkhornTelemetry:
         g = GroundSpace.grid((3, 3))
         sinkhorn(random_measure(g, rng), random_measure(g, rng), reg=0.3)
         assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
+
+
+# the attributes every log record has, and those a formatter adds to it
+_PLAIN_RECORD = set(vars(logging.makeLogRecord({}))) | {"message", "asctime"}
+
+
+class TestRecordMessages:
+    """A record's message is its prefix and then ``name=value`` for
+    exactly the attributes the record carries, in order, ``ns`` last:
+    floats as ``%.3e``, anything else as ``str``."""
+
+    def assert_message_lists_the_attributes(self, record, prefix):
+        fields = {k: v for k, v in vars(record).items() if k not in _PLAIN_RECORD}
+        head, sep, rest = record.getMessage().partition(": ")
+        assert (head, sep) == (prefix, ": ")
+        # a value may hold spaces (lp_status does), never " name="
+        pairs = re.findall(r"(\w+)=(.*?)(?= \w+=|$)", rest)
+        assert [name for name, _ in pairs] == list(fields) and list(fields)[-1] == "ns"
+        for name, text in pairs:
+            value = fields[name]
+            assert text == (f"{value:.3e}" if isinstance(value, float) else str(value)), name
+
+    @pytest.mark.parametrize("path", [pytest.param("kernel", marks=needs_kernel), "fallback"])
+    @pytest.mark.parametrize("p", [2.0, 1.5], ids=["grid-flow", "dense"])
+    def test_lp_records(self, monkeypatch, caplog, path, p):
+        if path == "fallback":
+            monkeypatch.setattr(ot, "_kernel", None)
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(17)
+        g = GroundSpace.grid((4, 4), p=p)
+        mu, nu = random_measure(g, rng, sparse=True), random_measure(g, rng)
+        exact_ot(mu, nu)
+        # an infeasible LP: its record's certificates read NaN
+        with pytest.raises(SolverFailure, match="infeasible"):
+            solve_transport_lp(
+                g.cost_matrix(), np.full(16, 1.0 / 16), np.full(16, 0.5 / 16),
+                grid_shape=(4, 4) if p == 2.0 else None,
+            )
+        solved, failed = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert np.isnan(failed.gap) and solved.lp_form == ("grid-flow" if p == 2.0 else "dense")
+        assert solved.lp_path == ("linprog" if path == "fallback" else "network-simplex")
+        n_supp = int(np.count_nonzero(mu.weights))
+        self.assert_message_lists_the_attributes(solved, f"transport LP {n_supp}x16")
+        self.assert_message_lists_the_attributes(failed, "transport LP 16x16")
+
+    def test_sinkhorn_records(self, caplog, line01):
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        mu = DiscreteMeasure(line01, [0.5, 0.5])
+        sinkhorn(mu, DiscreteMeasure(line01, [0.9, 0.1]), reg=0.3)
+        with pytest.raises(NotConverged):
+            sinkhorn(mu, DiscreteMeasure(line01, [0.9, 0.1]), reg=0.05, tol=1e-14, max_iter=3)
+        converged, stopped = sinkhorn_records(caplog)
+        assert stopped.sinkhorn_iters == 3
+        for record in (converged, stopped):
+            self.assert_message_lists_the_attributes(record, "sinkhorn 2x2")
 
 
 def absorbing_input(case):

@@ -253,3 +253,22 @@ def test_every_attribute_the_benchmark_reads_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, f"names the benchmark reads do not resolve: {missing}"
+
+
+def test_ot_writes_its_debug_records_in_record_alone():
+    # each solve's record is built once, as one dict, by ot._record: its
+    # message and its attributes cannot name or format a value two ways
+    tree = ast.parse((Path(wdlearn.__file__).parent / "ot.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_log.debug"
+    ]
+    writers = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if node in calls
+    ]
+    assert len(calls) == 1 and writers == ["_record"]
