@@ -43,15 +43,16 @@ from .experiments import (
     write_csv,
     write_targets,
 )
-from .measures import DiscreteMeasure, GroundSpace, MeasureDataset, read_dataset, relative_errors
+from .measures import read_dataset, relative_errors
 from .nets import (
     TrainConfig,
     init_from_bank,
     random_head_network,
     save_model,
+    settings_hash,
     train,
 )
-from .ot import exact_ot, sinkhorn
+from .ot import exact_ot
 from .subcover import MetricSample, p_eps_k_closed, p_eps_k_monte_carlo
 
 
@@ -81,23 +82,16 @@ def _cmd_dataset_make(args):
 
 
 def _cmd_ot(args):
-    # reg and tol are sinkhorn's own: passed on only when given, and
-    # checked by sinkhorn before its first iteration
-    options = {k: v for k, v in (("reg", args.reg), ("tol", args.tol)) if v is not None}
-    if options and args.method != "sinkhorn":
-        raise ValueError(f"--{next(iter(options))} applies only to --method sinkhorn")
     dataset = read_dataset(args.dataset)
-    if args.p is not None:
-        ground = GroundSpace(dataset.ground.points, args.p, dataset.ground.grid_shape)
-        splits = [[DiscreteMeasure(ground, mu.weights) for mu in ms] for ms in (dataset.train, dataset.test)]
-        dataset = MeasureDataset(ground, *splits)
     theta = _resolve_reference(dataset, args.ref)
+    measures = dataset.split(args.split)[0]
+    if not measures:
+        raise ValueError(f"the {args.split} split of {args.dataset} holds no measures")
     rows = []
-    for mu in dataset.split(args.split)[0]:
+    for mu in measures:
         t0 = time.perf_counter_ns()
-        wpp = exact_ot(theta, mu)[2] if args.method == "exact" else sinkhorn(theta, mu, **options)[1]
-        rows.append((wpp, time.perf_counter_ns() - t0))
-    write_targets(args.out, rows, args.method, args.split, theta)
+        rows.append((exact_ot(theta, mu)[2], time.perf_counter_ns() - t0))
+    write_targets(args.out, rows, args.split, theta)
     print(f"wrote {args.out} ({len(rows)} rows)")
 
 
@@ -281,19 +275,15 @@ def _cmd_maxnet_train(args):
 
 
 def _cmd_adversarial_train(args):
-    cfg = AdversarialConfig(
-        epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed
-    )
+    cfg = AdversarialConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed)
+    saddle = {"lam": args.lam, "n_xi": args.nxi, "n_theta": args.ntheta, "norm": args.norm}
     dataset = read_dataset(args.dataset)
     X = dataset.train_matrix
     y = read_targets(args.targets, dataset, "train", None)[1]
     f_net = random_head_network(X.shape[1], args.k, args.seed).set_all_trainable(True)
     h_net = random_head_network(X.shape[1], args.k, args.seed + 1).set_all_trainable(True)
-    state = SaddleState(
-        f_net, h_net, lam=args.lam, n_xi=args.nxi, n_theta=args.ntheta, norm=args.norm
-    )
-    trace = run_algorithm1(state, X, y, dataset.ground, cfg)
-    _write_model_and_trace(args.out, f_net, "", trace)
+    trace = run_algorithm1(SaddleState(f_net, h_net, **saddle), X, y, dataset.ground, cfg)
+    _write_model_and_trace(args.out, f_net, settings_hash(dict(cfg.__dict__, **saddle, k=args.k)), trace)
 
 
 def _cmd_exp_run(args):
@@ -324,14 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     mk.add_argument("--p", type=float, default=2.0)
     mk.set_defaults(func=_cmd_dataset_make)
 
-    ot_p = sub.add_parser("ot", help="distances of a split to a reference")
+    ot_p = sub.add_parser("ot", help="exact W_p^p of a split to a reference, at the dataset's p")
     ot_p.add_argument("--dataset", required=True)
     ot_p.add_argument("--ref", required=True, help="train index or measure file")
-    ot_p.add_argument("--p", type=float, default=None, help="re-ground the dataset at this metric order")
-    ot_p.add_argument("--method", default="exact", choices=["exact", "sinkhorn"])
-    ot_p.add_argument("--reg", type=float, help="sinkhorn only (default: sinkhorn's)")
-    ot_p.add_argument("--tol", type=float, help="sinkhorn only (default: sinkhorn's, which a train-index "
-                      "--ref can miss on its own row of its own split, raising NotConverged)")
     ot_p.add_argument("--split", default="train", choices=["train", "test", "all"])
     ot_p.add_argument("--out", required=True)
     ot_p.set_defaults(func=_cmd_ot)

@@ -28,7 +28,7 @@ from .measures import (
     relative_errors,
     write_dataset,
 )
-from .nets import init_from_bank
+from .nets import init_from_bank, mean_relative_error
 from .ot import exact_ot, sinkhorn
 
 _MAX_GRID = 16
@@ -171,9 +171,10 @@ def run_speed_table(
     train_ns: Optional[int] = None,
 ) -> dict:
     """Wall-times of the trained forward pass vs the two solvers,
-    normalized to the forward pass on the same elements.  The forward
-    time is the fastest of a fixed number of calls; each solver runs once
-    per element.
+    normalized to the forward pass on the same elements, and the mean
+    relative errors of one more forward pass and of the entropic solver
+    against the exact solver.  The forward time is the fastest of a fixed
+    number of calls; each solver runs once per element.
 
     When the training wall time ``train_ns`` is supplied, the table also
     reports the whole-pipeline comparison (train once, then evaluate the
@@ -194,13 +195,11 @@ def run_speed_table(
     t_forward = min(forward_ns() for _ in range(_FORWARD_CALLS))
 
     t0 = time.perf_counter_ns()
-    for mu in measures:
-        exact_ot(theta, mu)
+    exact = [exact_ot(theta, mu)[2] for mu in measures]
     t_exact = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    for mu in measures:
-        sinkhorn(theta, mu, reg=reg, tol=1e-3)
+    entropic = [sinkhorn(theta, mu, reg=reg, tol=1e-3)[1] for mu in measures]
     t_sink = time.perf_counter_ns() - t0
 
     table = {
@@ -209,6 +208,8 @@ def run_speed_table(
         "exact": t_exact / t_forward,
         "sinkhorn": t_sink / t_forward,
         "forward_ns_per_element": t_forward / len(measures),
+        "forward_rel_err": mean_relative_error(forward(W), exact),
+        "sinkhorn_rel_err": mean_relative_error(entropic, exact),
     }
     if train_ns is not None:
         table["sinkhorn_over_pipeline"] = t_sink / (train_ns + t_forward)
@@ -246,11 +247,11 @@ def write_csv(path, records: Sequence[dict]) -> None:
 _TARGETS_COLUMNS = ("index", "wpp", "runtime_ns", "method", "split", "ref_hash")
 
 
-def write_targets(path, rows: Sequence, method: str, split: str, theta: DiscreteMeasure) -> None:
+def write_targets(path, rows: Sequence, split: str, theta: DiscreteMeasure) -> None:
     """The targets file of ``wdlearn ot``: a CSV row ``index, wpp,
-    runtime_ns, method, split, ref_hash`` for each ``(wpp, runtime_ns)`` of
-    ``rows``, ``ref_hash`` being the :func:`bank.reference_hash` of ``theta``."""
-    meta = (method, split, reference_hash(theta))
+    runtime_ns, exact, split, ref_hash`` for each exact ``(wpp, runtime_ns)``
+    of ``rows``, ``ref_hash`` being the :func:`bank.reference_hash` of ``theta``."""
+    meta = ("exact", split, reference_hash(theta))
     write_csv(path, [dict(zip(_TARGETS_COLUMNS, (i, *row, *meta))) for i, row in enumerate(rows)])
 
 
@@ -313,7 +314,8 @@ def _resolve_reference(dataset: MeasureDataset, ref) -> DiscreteMeasure:
     index = int(ref)
     n = len(dataset.train)
     if not 0 <= index < n:
-        raise ValueError(f"reference index {index} is outside the train indices 0 .. {n - 1}")
+        where = f"the train indices 0 .. {n - 1}" if n else "the train split, which is empty"
+        raise ValueError(f"reference index {index} is outside {where}")
     return dataset.train[index]
 
 

@@ -535,8 +535,13 @@ class TrainConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def hash(self) -> str:
-        payload = json.dumps(self.__dict__, sort_keys=True, default=float)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return settings_hash(self.__dict__)
+
+
+def settings_hash(settings: dict) -> str:
+    """A model file's hash of its training settings: SHA-256 of sorted JSON."""
+    payload = json.dumps(settings, sort_keys=True, default=float)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def mean_relative_error(predictions, targets) -> float:

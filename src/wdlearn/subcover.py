@@ -46,6 +46,8 @@ class MetricSample:
                 raise ValueError(f"the distance matrix must have shape ({n}, {n}), got {self._D.shape}")
             if not (np.isfinite(self._D).all() and (self._D >= 0).all()):
                 raise ValueError("distances must be finite and nonnegative")
+        if n == 0:
+            raise ValueError("a metric sample needs at least one point")
         if weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:

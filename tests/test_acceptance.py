@@ -630,6 +630,7 @@ def test_c13_speed_story(large_world, trained_run):
         ok,
         f"per-element: exact {table['exact']:.0f}x forward, "
         f"sinkhorn {table['sinkhorn']:.0f}x forward (n={table['n_eval']}); "
-        f"sinkhorn total / (train + evaluate) = {table['sinkhorn_over_pipeline']:.2f} "
-        f"(trend only)",
+        f"sinkhorn total / (train + evaluate) = {table['sinkhorn_over_pipeline']:.2f}; "
+        f"mean rel err forward {table['forward_rel_err']:.4f}, "
+        f"sinkhorn {table['sinkhorn_rel_err']:.4f} (trend only)",
     )

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from wdlearn import cli, experiments, measures, ot
+from wdlearn.adversarial import AdversarialConfig
 from wdlearn.bank import build_bank, eval_G_many, export_affine, read_bank, reference_hash
 from wdlearn.erm import CylinderSubspace, assemble, double_orthogonalize, solve_regularized
 from wdlearn.cli import main
 from wdlearn.measures import DiscreteMeasure, GroundSpace, read_dataset
-from wdlearn.nets import load_model, mean_relative_error
+from wdlearn.nets import load_model, mean_relative_error, settings_hash
 from wdlearn.ot import exact_ot
 
 
@@ -50,11 +51,18 @@ def mismatch_sources(workdir):
     """ot's output for each set of flags ``_MISMATCHES`` edits, by those flags."""
     ds, sources = str(workdir / "ds.txt"), {(): workdir / "distances.csv"}
     sources[("--split", "test")] = workdir / "test_distances.csv"
-    for flags in (("--ref", "3"), ("--method", "sinkhorn", "--reg", "0.5")):
-        out = workdir / f"mismatch{len(sources)}.csv"
-        main(["ot", "--dataset", ds, "--ref", "0", *flags, "--out", str(out)])
-        sources[flags] = out
+    sources[("--ref", "3")] = workdir / "mismatch.csv"
+    main(["ot", "--dataset", ds, "--ref", "3", "--out", str(sources[("--ref", "3")])])
     return sources
+
+
+def _mismatch_file(mismatch_sources, case, tmp_path):
+    """``tmp_path/targets.csv``: ot's output edited as ``_MISMATCHES[case]`` says."""
+    flags, edit, _ = _MISMATCHES[case]
+    lines = mismatch_sources[tuple(flags)].read_text().splitlines(keepends=True)
+    targets = tmp_path / "targets.csv"
+    targets.write_text("".join(edit(lines) if edit else lines))
+    return targets
 
 
 # each case: the ot flags of the file it edits, the edit of its lines (the
@@ -68,7 +76,12 @@ _MISMATCHES = {
         lambda lines: [line.replace(",train,", ",test,") for line in lines],
         "line 2: split 'test' where 'train' belongs",
     ),
-    "sinkhorn": (["--method", "sinkhorn", "--reg", "0.5"], None, "line 2: method 'sinkhorn' where 'exact' belongs"),
+    # ot writes exact files only; one written as sinkhorn by an earlier ot
+    "sinkhorn": (
+        [],
+        lambda lines: [line.replace(",exact,", ",sinkhorn,") for line in lines],
+        "line 2: method 'sinkhorn' where 'exact' belongs",
+    ),
     "short": ([], lambda lines: lines[:6], "line 7: the file ends after 5 rows, one per train measure needs 12"),
     "long": (
         [],
@@ -126,9 +139,16 @@ class TestCli:
         split, wpp = experiments.read_targets(workdir / "distances.csv", ds, "train", ds.train[0])
         assert split == "train" and wpp.tolist() == [exact_ot(ds.train[0], mu)[2] for mu in ds.train]
 
-    def test_ot_p_regrounds_the_dataset(self, workdir, tmp_path):
+    def test_ot_p_regrounds_the_dataset(self, workdir, tmp_path, caplog):
+        # ot solves at the p of the dataset's header; `dataset make --p 3`
+        # draws the weights of the p = 2 dataset of the same seed, and p = 3
+        # takes the dense LP
+        ds3 = tmp_path / "ds3.txt"
+        main(["dataset", "make", "--out", str(ds3)] + "--rows 3 --cols 3 --n-train 12 --n-test 5 --seed 3 --p 3".split())
         out = tmp_path / "d3.csv"
-        main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--p", "3", "--split", "test", "--out", str(out)])
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        main(["ot", "--dataset", str(ds3), "--ref", "1", "--split", "test", "--out", str(out)])
+        assert [r.lp_form for r in caplog.records if hasattr(r, "lp_form")] == ["dense"] * 5
         got = [float(row["wpp"]) for row in _read_csv(out)]
         dataset = read_dataset(workdir / "ds.txt")
         ground = GroundSpace.grid((3, 3), p=3.0)
@@ -137,71 +157,35 @@ class TestCli:
         assert got == want
         assert not np.allclose(got, [exact_ot(dataset.train[1], mu)[2] for mu in dataset.test])
 
-    def test_ot_sinkhorn_method(self, workdir, tmp_path):
-        out = tmp_path / "sink.csv"
-        main(
-            [
-                "ot",
-                "--dataset",
-                str(workdir / "ds.txt"),
-                "--ref",
-                "1",
-                "--method",
-                "sinkhorn",
-                "--reg",
-                "0.5",
-                "--tol",
-                "1e-6",
-                "--split",
-                "test",
-                "--out",
-                str(out),
-            ]
-        )
-        assert len(_read_csv(out)) == 5
-
-    @pytest.mark.parametrize("flag", ["--reg", "--tol"])
-    def test_ot_rejects_sinkhorn_flags_for_exact(self, workdir, tmp_path, flag):
-        out = tmp_path / "d.csv"
-        args = ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", flag, "0.5"]
-        with pytest.raises(SystemExit, match=f"{flag} applies only to --method sinkhorn"):
-            main(args + ["--out", str(out)])
-        with pytest.raises(SystemExit, match=flag):
-            main(args + ["--method", "exact", "--out", str(out)])
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flag, value",
-        [("--reg", "nan"), ("--reg", "0"), ("--reg", "-1"), ("--reg", "inf")]
-        + [("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf")],
+        [("--method", "sinkhorn"), ("--reg", "0.5"), ("--tol", "1e-6"), ("--p", "3")],
+        ids=["--method", "--reg", "--tol", "--p"],
     )
-    def test_ot_rejects_invalid_sinkhorn_values(self, workdir, tmp_path, flag, value):
-        # sinkhorn checks its own options before its first iteration
-        out = tmp_path / "sink.csv"
-        args = ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--method", "sinkhorn"]
+    def test_ot_rejects_its_removed_flags(self, workdir, tmp_path, capsys, flag, value):
+        # ot solves exactly, at the dataset's p (see the dataset-p-half row
+        # of test_invalid_inputs_exit_with_an_error)
+        out = tmp_path / "d.csv"
         with pytest.raises(SystemExit) as exc:
-            main(args + [f"{flag}={value}", "--out", str(out)])
-        assert str(exc.value) == f"error: {flag[2:]} must be finite and positive, got {float(value)!r}"
+            main(["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_ot_sinkhorn_defaults(self, workdir, tmp_path, monkeypatch):
-        # the options not given are left to sinkhorn's defaults
-        seen = []
+    def test_ot_help_lists_its_four_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ot", "-h"])
+        flags = re.findall(r"(--[a-z-]+)", capsys.readouterr().out.split("options:")[1])
+        assert sorted(set(flags)) == ["--dataset", "--help", "--out", "--ref", "--split"]
 
-        def recording_sinkhorn(mu, nu, **options):
-            seen.append(options)
-            return ot.sinkhorn(mu, nu, **options)
-
-        monkeypatch.setattr(cli, "sinkhorn", recording_sinkhorn)
-        out = tmp_path / "sink.csv"
-        args = ["ot", "--dataset", str(workdir / "ds.txt"), "--ref", "1", "--method", "sinkhorn"]
-        main(args + ["--split", "test", "--out", str(out)])
-        assert seen == [{}] * 5
-        ds = read_dataset(workdir / "ds.txt")
-        want = [ot.sinkhorn(ds.train[1], mu)[1] for mu in ds.test]
-        assert [float(row["wpp"]) for row in _read_csv(out)] == want
-        main(args + ["--tol", "1e-6", "--split", "test", "--out", str(out)])
-        assert seen[5:] == [{"tol": 1e-6}] * 5
+    def test_ot_says_the_train_split_of_a_train_index_is_empty(self, tmp_path):
+        ds = tmp_path / "ds.txt"
+        experiments.make_synthetic_dataset(3, 3, n_train=0, n_test=3, seed=3, path=ds)
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ot", "--dataset", str(ds), "--ref", "0", "--split", "test", "--out", str(out)])
+        assert str(exc.value) == "error: reference index 0 is outside the train split, which is empty"
+        assert not out.exists()
 
     def test_bank_build_and_eval(self, workdir, tmp_path):
         out = tmp_path / "errors.csv"
@@ -337,7 +321,7 @@ class TestCli:
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"experiment": "speed-table", "dataset": str(ds), "bank_size": 2}))
         for argv, message in [
-            (["ot", "--ref", "0", "--split", "test"], "no records to write"),
+            (["ot", "--ref", "0", "--split", "test"], f"the test split of {ds} holds no measures"),
             (
                 ["bank", "eval", "--ref", "0", "--bank", bank, "--targets", str(targets)],
                 f"targets file {targets}, line 2: a row beyond the 0 test measures",
@@ -552,19 +536,19 @@ class TestCli:
             (["erm", "fit", "--n", "0"], "--n must be at least 1, got 0"),
             (["dataset", "make", "--rows", "20", "--cols", "3", "--n-train", "2", "--n-test", "1"], "16x16"),
             (["ot", "--ref", "nofile.txt"], "No such file or directory: 'nofile.txt'"),
-            (["ot", "--ref", "0", "--p", "0.5"], "metric order p must be finite and exceed 1, got 0.5"),
-            (["ot", "--ref", "0", "--p", "nan"], "metric order p must be finite and exceed 1, got nan"),
             (
                 ["dataset", "make", "--rows", "3", "--cols", "3", "--n-train", "2", "--n-test", "1", "--p", "nan"],
                 "metric order p must be finite and exceed 1, got nan",
+            ),
+            (
+                ["dataset", "make", "--rows", "3", "--cols", "3", "--n-train", "2", "--n-test", "1", "--p", "0.5"],
+                "metric order p must be finite and exceed 1, got 0.5",
             ),
             (["maxnet", "train", "--init", "random:5", "--k", "-1"], "k must be at least 1"),
             (["maxnet", "train", "--init", "bank", "--k", "-1"], "k must be at least 1"),
             (["adversarial", "train", "--k", "-1"], "k must be at least 1"),
             (["erm", "fit", "--lambda", "-1"], "lambda must be finite and nonnegative, got -1.0"),
             (["erm", "fit", "--lambda", "nan"], "lambda must be finite and nonnegative, got nan"),
-            (["ot", "--ref", "0", "--reg", "0.5"], "--reg applies only to --method sinkhorn"),
-            (["ot", "--ref", "0", "--method", "sinkhorn", "--tol", "0"], "tol must be finite and positive, got 0.0"),
             (["erm", "fit", "--basis", "weights:w.txt"], "invalid --basis spec 'weights:w.txt'"),
             (["erm", "fit", "--n", "5"], "basis source provides 4 < n=5 features"),
             (["maxnet", "train", "--init", "random:5", "--loss", "l2"], "invalid --loss spec 'l2'"),
@@ -586,16 +570,13 @@ class TestCli:
             "erm-n-zero",
             "dataset-rows",
             "ot-ref-file",
-            "ot-p-half",
-            "ot-p-nan",
             "dataset-p-nan",
+            "dataset-p-half",
             "maxnet-random-k",
             "maxnet-bank-k",
             "adversarial-k",
             "erm-lambda-negative",
             "erm-lambda-nan",
-            "ot-reg-for-exact",
-            "ot-tol-zero",
             "erm-basis-spec",
             "erm-basis-too-short",
             "maxnet-loss-spec",
@@ -832,6 +813,18 @@ class TestCli:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "a bound starting with - needs the form --k-range=<lo>:<hi>" in help_text
 
+    def test_subcover_rejects_an_empty_train_split(self, tmp_path, caplog):
+        # the train split is the metric sample
+        ds = tmp_path / "ds.txt"
+        experiments.make_synthetic_dataset(3, 3, n_train=0, n_test=3, seed=3, path=ds)
+        out = tmp_path / "pek.csv"
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        with pytest.raises(SystemExit) as exc:
+            main(["subcover", "--dataset", str(ds), "--eps", "0.3", "--out", str(out)])
+        assert str(exc.value) == "error: a metric sample needs at least one point"
+        assert not [r for r in caplog.records if hasattr(r, "lp_form")]
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_subcover_checks_trials_before_any_solve(self, workdir, tmp_path, monkeypatch, trials):
         solves = []
@@ -924,10 +917,8 @@ class TestCli:
         ],
     )
     def test_targets_file_must_match_its_consumer(self, workdir, mismatch_sources, tmp_path, command, case):
-        flags, edit, message = _MISMATCHES[case]
-        lines = mismatch_sources[tuple(flags)].read_text().splitlines(keepends=True)
-        targets = tmp_path / "targets.csv"
-        targets.write_text("".join(edit(lines) if edit else lines))
+        message = _MISMATCHES[case][2]
+        targets = _mismatch_file(mismatch_sources, case, tmp_path)
         bank = str(workdir / "bank.txt")
         args = {
             "bank-eval": ["bank", "eval", "--ref", "0", "--bank", bank],
@@ -1102,6 +1093,18 @@ class TestCli:
         assert list(rows[0])[-1] == "epoch_s"
         assert [float(r["epoch_s"]) > 0.0 for r in rows] == [False, True, True]
 
+    def test_adversarial_train_records_the_hash_of_its_settings(self, workdir, tmp_path):
+        hashes = []
+        for nxi in (1, 2):
+            model = tmp_path / f"adv{nxi}.bin"
+            args = ["adversarial", "train", "--dataset", str(workdir / "ds.txt")]
+            args += ["--targets", str(workdir / "distances.csv"), "--k", "2", "--epochs", "1"]
+            main(args + ["--nxi", str(nxi), "--out", str(model)])
+            hashes.append(load_model(model)[1])
+        cfg = AdversarialConfig(epochs=1, seed=5)
+        assert hashes[0] == settings_hash(dict(cfg.__dict__, lam=0.001, n_xi=1, n_theta=1, norm="h12", k=2))
+        assert hashes[1] != hashes[0]
+
     def test_exp_run(self, workdir, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(
@@ -1144,8 +1147,8 @@ class TestCli:
         if case == "no-targets":
             message = "experiment 'baseline-decay' needs the key 'targets'"
         else:
-            flags, _, message = _MISMATCHES[case]
-            config["targets"] = str(mismatch_sources[tuple(flags)])
+            message = _MISMATCHES[case][2]
+            config["targets"] = str(_mismatch_file(mismatch_sources, case, tmp_path))
             ds = read_dataset(workdir / "ds.txt")
             hashes = {"h0": reference_hash(ds.train[0]), "h3": reference_hash(ds.train[3])}
             message = f"targets file {config['targets']}, {message.format(**hashes)}"
@@ -1281,7 +1284,9 @@ class TestCli:
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seeds"] == []
 
         rows = _read_csv(tmp_path / "out" / "trace.csv")
-        assert list(rows[0]) == ["n_eval", "forward", "exact", "sinkhorn", "forward_ns_per_element"]
+        assert list(rows[0]) == [
+            "n_eval", "forward", "exact", "sinkhorn", "forward_ns_per_element", "forward_rel_err", "sinkhorn_rel_err"
+        ]
         dataset = read_dataset(ds)
         bank = build_bank(dataset, experiments._resolve_reference(dataset, str(ref)), range(3))
         diracs = np.eye(9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wdlearn import ot
-from wdlearn.bank import build_bank, eval_G_many, nested_random_schedule
+from wdlearn.bank import build_bank, eval_G_many, export_affine, nested_random_schedule
 from wdlearn.experiments import (
     config_hash,
     make_synthetic_dataset,
@@ -19,7 +19,8 @@ from wdlearn.experiments import (
     write_targets,
 )
 from wdlearn.measures import read_dataset
-from wdlearn.ot import pairwise_wasserstein
+from wdlearn.nets import init_from_bank
+from wdlearn.ot import exact_ot, pairwise_wasserstein, sinkhorn
 
 
 @pytest.fixture(scope="module")
@@ -160,14 +161,22 @@ class TestSpeedTable:
     def test_normalization_and_ordering(self, tiny_dataset):
         theta = tiny_dataset.train[0]
         bank = build_bank(tiny_dataset, theta, range(4))
-        from wdlearn.bank import export_affine
-        from wdlearn.nets import init_from_bank
-
         A, b = export_affine(bank)
         net = init_from_bank(A, b, k=2)
         table = run_speed_table(tiny_dataset, theta, net.forward, n_eval=4)
         assert table["forward"] == 1.0
         assert table["exact"] > 1.0 and table["sinkhorn"] > 1.0
+
+    def test_errors_are_relative_errors_against_the_exact_values(self, tiny_dataset):
+        theta = tiny_dataset.train[0]
+        net = init_from_bank(*export_affine(build_bank(tiny_dataset, theta, range(4))), k=2)
+        table = run_speed_table(tiny_dataset, theta, net.forward, reg=0.5, n_eval=4)
+        measures = tiny_dataset.test[:4]
+        exact = [exact_ot(theta, mu)[2] for mu in measures]
+        entropic = [sinkhorn(theta, mu, reg=0.5, tol=1e-3)[1] for mu in measures]
+        for key, approx in (("forward_rel_err", net.forward(tiny_dataset.test_matrix[:4])), ("sinkhorn_rel_err", entropic)):
+            errs = relative_errors(exact, approx)
+            assert table[key] == errs[~np.isnan(errs)].mean() > 0.0
 
     def test_an_empty_test_split_is_rejected_before_any_timing(self):
         ds = make_synthetic_dataset(3, 3, n_train=4, n_test=0, seed=4)
@@ -210,7 +219,7 @@ class TestRunExperiment:
     def test_baseline_decay_experiment(self, tmp_path):
         ds = make_synthetic_dataset(3, 3, 8, 4, seed=1, path=tmp_path / "ds.txt")
         true_wpp = wpp_to_reference(ds.test, ds.train[0])
-        write_targets(tmp_path / "targets.csv", [(w, 0) for w in true_wpp], "exact", "test", ds.train[0])
+        write_targets(tmp_path / "targets.csv", [(w, 0) for w in true_wpp], "test", ds.train[0])
         cfg = {
             "experiment": "baseline-decay",
             "dataset": str(tmp_path / "ds.txt"),

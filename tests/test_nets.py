@@ -25,6 +25,7 @@ from wdlearn.nets import (
     mean_relative_error,
     random_head_network,
     save_model,
+    settings_hash,
     train,
     _mae_loss_and_grads,
     _regularized_loss_and_grads,
@@ -1261,6 +1262,12 @@ class TestTraining:
         # MAE training reads no lambda, so one run would carry two hashes
         with pytest.raises(ValueError, match="reg_lambda 0.5 applies only to the regularized loss, not 'mae'"):
             TrainConfig(loss="mae", reg_lambda=0.5)
+
+    def test_config_hash_is_settings_hash_of_its_fields(self):
+        # the values model files already carry
+        assert TrainConfig().hash() == "c3ce8af10612"
+        cfg = TrainConfig(loss="regularized", reg_lambda=0.5, seed=3, lr=0.01)
+        assert cfg.hash() == settings_hash(cfg.__dict__) == "9f671640e89f"
 
     def test_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):

@@ -294,7 +294,7 @@ class TestGridFlow:
         ],
     )
     def test_lp_form_follows_ground_and_p(self, caplog, ground, p, form):
-        if p is not None:  # the same points re-grounded at p, as `wdlearn ot --p` does
+        if p is not None:  # the same points re-grounded at p
             ground = GroundSpace(ground.points, p, ground.grid_shape)
         caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
         rng = np.random.default_rng(2)

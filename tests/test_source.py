@@ -103,9 +103,20 @@ def test_cli_solves_only_in_ot_and_bank_build():
     assert not outside, f"solvers named outside a command in cli.py, lines {outside}"
 
 
+def test_cli_imports_no_sinkhorn_solver():
+    # ot writes exact values only: Sinkhorn's accuracy is the speed table's
+    tree = ast.parse((Path(wdlearn.__file__).parent / "cli.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "exact_ot" in imported and not {name for name in imported | named if "sinkhorn" in name}
+
+
 def test_experiments_solve_for_true_values_only_in_wpp_to_reference():
     # experiments read true values from ot's targets file; the speed table
-    # times solves and reads none of their values
+    # solves on its timed measures alone, and reads those values only to
+    # score the forward pass and Sinkhorn against the exact ones
     path = Path(wdlearn.__file__).parent / "experiments.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     solvers = {"exact_ot", "sinkhorn", "solve_transport_lp", "wpp_to_reference"}

@@ -73,6 +73,13 @@ class TestMetricSample:
         with pytest.raises(ValueError, match="weights must be finite"):
             MetricSample(distance_matrix=D, weights=weights)
 
+    @pytest.mark.parametrize(
+        "sample", [{"elements": []}, {"distance_matrix": np.zeros((0, 0))}], ids=["elements", "distance-matrix"]
+    )
+    def test_an_empty_sample_is_rejected(self, sample):
+        with pytest.raises(ValueError, match="^a metric sample needs at least one point$"):
+            MetricSample(**sample)
+
     def test_needs_elements_or_a_distance_matrix(self):
         with pytest.raises(ValueError, match="provide elements or a distance matrix"):
             MetricSample()
