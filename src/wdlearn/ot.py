@@ -6,7 +6,9 @@ solve over a metric sample alike, goes through one certified function,
 the support atoms as a linear program and reads the duals back as
 Kantorovich potentials, extended to zero-weight atoms by c-transform and
 gauged so that ``psi`` vanishes at the first index.  The primal-dual gap,
-dual feasibility and plan marginals are checked on every solve.
+dual feasibility and the flow's conservation at every node are checked on
+every solve; the coupling is built, and its marginals checked, only when
+``plan.matrix`` is first read.
 
 The LP takes one of two forms.  On a rank-2 unit grid with ``p = 2`` the
 cost ``(i - k)^2 + (j - l)^2`` splits through a transit node ``(k, j)``,
@@ -50,10 +52,11 @@ Each LP solve logs one DEBUG record on the ``wdlearn.ot`` logger: the
 LP's size on the supports, then ``lp_form`` (``grid-flow`` or ``dense``),
 ``lp_cols`` (arcs), ``lp_path`` (``network-simplex`` or ``linprog``),
 ``lp_status``, ``simplex_iters``, the certificates' ``gap``,
-``dual_infeasibility`` and ``marginal_error``, and ``ns``, the
-nanoseconds spent.  Each Sinkhorn solve logs the support sizes, then
-``sinkhorn_iters``, ``log_iters`` (those run in the log domain), the
-final marginal ``violation`` and ``ns``.  :func:`_record` writes both:
+``dual_infeasibility`` and ``marginal_error`` (the flow's largest
+conservation residual), and ``ns``, the nanoseconds spent.  Each
+Sinkhorn solve logs the support sizes, then ``sinkhorn_iters``,
+``log_iters`` (those run in the log domain), the final marginal
+``violation`` and ``ns``.  :func:`_record` writes both:
 each name is an attribute of the record, and the message lists
 ``name=value`` for each, in that order.
 """
@@ -163,12 +166,20 @@ def _load_kernel():
 _kernel = _load_kernel()
 
 
-@dataclass(frozen=True)
 class TransportPlan:
-    """Coupling matrix between two measures with its transport cost."""
+    """Coupling matrix between two measures with its transport cost.  The
+    matrix is given as an array (Sinkhorn's) or as a function of no arguments
+    (an exact solve's) that builds and certifies it on the first read; later
+    reads return that same array (two threads' first reads may both build)."""
 
-    matrix: np.ndarray
-    cost: float
+    def __init__(self, matrix, cost: float):
+        self._matrix, self.cost = matrix, cost
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if callable(self._matrix):
+            self._matrix = self._matrix()
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -253,6 +264,23 @@ def _grid_flow(grid_shape, ia, ib):
     return c, ends, n_transit, plan
 
 
+def _dense_lp(cost, ia, ib):
+    """The dense LP on the supports, returned as :func:`_grid_flow` returns
+    its flow: arc ``i * mb + j`` carries mass from ``ia[i]`` to ``ib[j]``."""
+    ma, mb, shape = len(ia), len(ib), cost.shape
+    c = np.ascontiguousarray(cost[np.ix_(ia, ib)]).ravel()
+    ends = np.column_stack([
+        np.repeat(np.arange(ma, dtype=np.intc), mb), ma + np.tile(np.arange(mb, dtype=np.intc), ma)
+    ])
+
+    def plan(x):
+        gamma = np.zeros(shape)
+        gamma[np.ix_(ia, ib)] = x.reshape(ma, mb)
+        return gamma
+
+    return c, ends, 0, plan
+
+
 # The last grid flow built, as ``(key, structure)``, keyed by ``(grid_shape,
 # supp a, supp b)``.  One slot holds a run whose supports repeat, such as
 # every solve between full-support measures on one grid, and costs a rebuild
@@ -278,9 +306,11 @@ def _marginal(name, w, n):
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"{name} of shape {w.shape} is not a vector over {n} points")
-    if not (np.isfinite(w) & (w >= 0.0)).all():
+    # a NaN fails both comparisons; the initial 0 gives an empty w no mass
+    lo, hi = w.min(initial=0.0), w.max(initial=0.0)
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError(f"{name} must be finite and nonnegative")
-    if not w.any():
+    if not hi > 0.0:
         raise ValueError(f"{name} has no mass")
     return w
 
@@ -382,6 +412,8 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     Returns
     -------
     plan : TransportPlan
+        Its ``matrix`` is built from the flow on first read, and its row
+        and column sums are checked against ``a`` and ``b`` there.
     potentials : PotentialPair
         ``phi`` paired with ``b``, ``psi`` with ``a``; ``psi[0] = 0``.
     value : float
@@ -394,7 +426,9 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     ``cost`` with some mass, or if
     ``grid_shape`` is not a rank-2 shape with ``cost.shape[0]`` points;
     raises ``SolverFailure`` if the LP fails or a certificate (gap,
-    feasibility, marginals) misses its tolerance or reads NaN.
+    feasibility, marginals as the flow's largest conservation residual)
+    misses its tolerance or reads NaN; the first read of ``plan.matrix``
+    raises it if the plan's marginals miss ``_MARGINAL_TOL``.
     """
     t0 = time.perf_counter_ns()
     if not np.isfinite(cost).all():
@@ -406,27 +440,22 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     ma, mb = len(ia), len(ib)
 
     if grid_shape is None:
-        lp_form, n_transit = "dense", 0
-        c = np.ascontiguousarray(cost[np.ix_(ia, ib)]).ravel()
-        # arc i * mb + j carries a[i] to b[j]
-        ends = np.column_stack([
-            np.repeat(np.arange(ma, dtype=np.intc), mb), ma + np.tile(np.arange(mb, dtype=np.intc), ma)
-        ])
+        lp_form = "dense"
+        c, ends, n_transit, flow_plan = _dense_lp(cost, ia, ib)
     else:
         if len(grid_shape) != 2 or grid_shape[0] * grid_shape[1] != cost.shape[0]:
             raise ValueError(f"grid shape {grid_shape} is not a rank-2 grid of {cost.shape[0]} points")
         lp_form = "grid-flow"
         c, ends, n_transit, flow_plan = _reused_grid_flow(grid_shape, ia, ib)
 
-    res = linprog(ends, c, np.concatenate([a[ia], np.zeros(n_transit), -b[ib]]))
+    supply = np.concatenate([a[ia], np.zeros(n_transit), -b[ib]])
+    res = linprog(ends, c, supply)
     gap = feas = marginal = math.nan
     if res.status == 0:
-        if grid_shape is None:
-            gamma = np.zeros_like(cost, dtype=float)
-            gamma[np.ix_(ia, ib)] = res.x.reshape(ma, mb)
-        else:
-            gamma = flow_plan(res.x)
         value = float(res.fun)
+        # the flow's conservation residual at each node: outflow - inflow - supply
+        net = np.bincount(ends[:, 0], res.x, len(supply)) - np.bincount(ends[:, 1], res.x, len(supply))
+        marginal = np.abs(net - supply).max()
         v = res.pi[ma + n_transit:]
         psi = c_transform(v, cost if mb == cost.shape[1] else cost[:, ib])
         phi = c_transform(psi, cost.T)
@@ -434,7 +463,6 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
         dual_value = float(np.dot(phi, b) + np.dot(psi, a))
         gap = abs(dual_value - value)
         feas = (phi[None, :] + psi[:, None] - cost).max()
-        marginal = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
     if _log.isEnabledFor(logging.DEBUG):
         _record(
             f"transport LP {ma}x{mb}", t0, lp_form=lp_form, lp_cols=len(c), lp_path=res.lp_path,
@@ -450,8 +478,14 @@ def solve_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray, grid_shap
     if not marginal <= _MARGINAL_TOL:
         raise SolverFailure(f"plan marginals violated by {marginal:.3e}")
 
-    pot = PotentialPair(phi=phi, psi=psi, dual_value=dual_value)
-    return TransportPlan(matrix=gamma, cost=value), pot, value
+    def matrix():  # the plan, built and certified on its first read
+        gamma = flow_plan(res.x)
+        error = max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max())
+        if not error <= _MARGINAL_TOL:
+            raise SolverFailure(f"plan marginals violated by {error:.3e}")
+        return gamma
+
+    return TransportPlan(matrix, value), PotentialPair(phi=phi, psi=psi, dual_value=dual_value), value
 
 
 def exact_ot(mu: DiscreteMeasure, nu: DiscreteMeasure):

@@ -40,6 +40,8 @@ class MetricSample:
             raise ValueError("provide elements or a distance matrix")
         self.elements = list(elements) if elements is not None else None
         self._D = None if distance_matrix is None else np.asarray(distance_matrix, float)
+        if self.elements is None and self._D.ndim == 0:
+            raise ValueError(f"the distance matrix must have shape (n, n), got {self._D.shape}")
         n = len(self.elements) if self.elements is not None else self._D.shape[0]
         if self._D is not None:
             if self._D.shape != (n, n):
@@ -52,9 +54,13 @@ class MetricSample:
             self.weights = np.full(n, 1.0 / n)
         else:
             w = np.asarray(weights, dtype=float)
+            if w.shape != (n,):
+                raise ValueError(
+                    f"weights must be a probability vector over the sample, of shape ({n},), got {w.shape}"
+                )
             if not np.isfinite(w).all():
                 raise ValueError("weights must be finite")
-            if w.shape[0] != n or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("weights must be a probability vector over the sample")
             self.weights = w / w.sum()
 

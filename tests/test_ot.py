@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from wdlearn import ot
 from wdlearn.errors import NotConverged, SolverFailure
-from wdlearn.experiments import make_synthetic_dataset
+from wdlearn.bank import build_bank
+from wdlearn.experiments import make_synthetic_dataset, wpp_to_reference
 from wdlearn.measures import DiscreteMeasure, GroundSpace
 from wdlearn.ot import (
     c_transform,
@@ -378,7 +379,15 @@ class TestTelemetry:
         assert not [r for r in caplog.records if r.name == "wdlearn.ot"]
 
     @pytest.mark.parametrize("p", [2.0, 1.5], ids=["grid-flow", "dense"])
-    def test_record_carries_the_certificate_values(self, caplog, p):
+    def test_record_carries_the_certificate_values(self, caplog, monkeypatch, p):
+        lps = []
+        linprog = ot.linprog
+
+        def recorded_linprog(*args):
+            lps.append((args, linprog(*args)))
+            return lps[-1][1]
+
+        monkeypatch.setattr(ot, "linprog", recorded_linprog)
         caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
         rng = np.random.default_rng(15)
         g = GroundSpace.grid((5, 5), p=p)
@@ -388,16 +397,24 @@ class TestTelemetry:
         cost = g.cost_matrix()
         gap = abs(pot.dual_value - wpp)
         feas = (pot.phi[None, :] + pot.psi[:, None] - cost).max()
-        marginal = max(
-            np.abs(plan.matrix.sum(axis=1) - mu.weights).max(),
-            np.abs(plan.matrix.sum(axis=0) - nu.weights).max(),
-        )
+        # the marginal certificate is the flow's conservation residual at
+        # every node: outflow - inflow - supply
+        (((ends, _, supply), res),) = lps
+        n = len(supply)
+        residual = np.bincount(ends[:, 0], res.x, n) - np.bincount(ends[:, 1], res.x, n) - supply
+        marginal = np.abs(residual).max()
         values = (record.gap, record.dual_infeasibility, record.marginal_error)
         assert values == (gap, feas, marginal) and max(values) <= 1e-9
         assert (
             f" gap={gap:.3e} dual_infeasibility={feas:.3e} marginal_error={marginal:.3e} ns="
             in record.getMessage()
         )
+        # the plan, built when read, meets the measures' marginals
+        plan_marginal = max(
+            np.abs(plan.matrix.sum(axis=1) - mu.weights).max(),
+            np.abs(plan.matrix.sum(axis=0) - nu.weights).max(),
+        )
+        assert plan_marginal <= 1e-9
 
     def test_a_failing_certificate_leaves_its_record(self, caplog, monkeypatch):
         # the flow carries 1e-6 too much: the record is written, with the
@@ -524,6 +541,40 @@ class TestMarginalsAreChecked:
                 nested_wasserstein(self.line, a, b, p=2.0)
 
 
+class TestMarginalCheck:
+    """``_marginal`` accepts exactly the finite, nonnegative vectors of the
+    right length with some mass."""
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ([0.5, np.nan, 0.5], "w must be finite and nonnegative"),
+            ([np.nan, np.nan, np.nan], "w must be finite and nonnegative"),
+            ([0.5, np.inf, 0.5], "w must be finite and nonnegative"),
+            ([0.5, -np.inf, 0.5], "w must be finite and nonnegative"),
+            ([0.5, -1e-300, 0.5], "w must be finite and nonnegative"),
+            ([0.0, 0.0, 0.0], "w has no mass"),
+            ([-0.0, 0.0, -0.0], "w has no mass"),
+            ([0.5, 0.5], "w of shape (2,) is not a vector over 3 points"),
+            (0.5, "w of shape () is not a vector over 3 points"),
+            ([[0.5, 0.5, 0.0]], "w of shape (1, 3) is not a vector over 3 points"),
+        ],
+        ids=["nan", "all-nan", "inf", "minus-inf", "negative", "zero", "minus-zero", "short", "scalar", "row"],
+    )
+    def test_rejects_with_todays_message(self, w, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ot._marginal("w", w, 3)
+
+    def test_an_empty_side_has_no_mass(self):
+        with pytest.raises(ValueError, match="^w has no mass$"):
+            ot._marginal("w", [], 0)
+
+    @pytest.mark.parametrize("w", [[-0.0, 1.0, 0.0], [5e-324, 0.0, 0.0], [1e300, 1e300, 1e300]])
+    def test_accepts_signed_zeros_and_extreme_masses(self, w):
+        out = ot._marginal("w", w, 3)
+        assert out.dtype == np.float64 and same_bits(out, np.asarray(w, dtype=float))
+
+
 class TestSolvePath:
     """Every exact solve makes its own ``linprog`` call, the name the
     benchmark's tracer wraps; only the grid flow's structure is reused."""
@@ -596,6 +647,99 @@ class TestSolvePath:
             np.testing.assert_array_equal(plan.matrix, cplan.matrix)
             np.testing.assert_array_equal(pot.phi, cpot.phi)
             np.testing.assert_array_equal(pot.psi, cpot.psi)
+
+
+class TestPlanOnFirstRead:
+    """An exact solve builds its plan only when ``plan.matrix`` is first
+    read, and certifies its marginals there; no consumer that reads only
+    values or potentials pays for it."""
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """Each plan built, flow or dense, listed; a factor put in ``scale``
+        multiplies every plan built after it."""
+        built, scale = [], []
+
+        def counted(make):
+            def make_counted(*args):
+                c, ends, n_transit, plan = make(*args)
+
+                def counted_plan(x):
+                    gamma = plan(x)
+                    built.append(gamma * scale[0] if scale else gamma)
+                    return built[-1]
+
+                return c, ends, n_transit, counted_plan
+
+            return make_counted
+
+        monkeypatch.setattr(ot, "_grid_flow", counted(ot._grid_flow))
+        monkeypatch.setattr(ot, "_dense_lp", counted(ot._dense_lp))
+        monkeypatch.setattr(ot, "_flow_slot", None)
+        return built, scale
+
+    @staticmethod
+    def solve_recorded(monkeypatch, mu, nu):
+        """``exact_ot(mu, nu)`` and the flow its LP returned."""
+        flows = []
+        linprog = ot.linprog
+
+        def recorded_linprog(*args):
+            res = linprog(*args)
+            flows.append(res.x)
+            return res
+
+        monkeypatch.setattr(ot, "linprog", recorded_linprog)
+        solved = exact_ot(mu, nu)
+        monkeypatch.setattr(ot, "linprog", linprog)
+        (x,) = flows
+        return solved, x
+
+    @staticmethod
+    def pair(form):
+        rng = np.random.default_rng(81)
+        g = GroundSpace.grid((5, 5), p=1.5 if form == "dense" else 2.0)
+        return random_measure(g, rng, sparse=form != "grid-flow"), random_measure(g, rng)
+
+    forms = pytest.mark.parametrize("form", ["grid-flow", "dense", "sparse-flow"])
+
+    def test_consumers_of_values_and_potentials_build_no_plan(self, merges):
+        built, _ = merges
+        ds = make_synthetic_dataset(4, 4, 6, 0, seed=81)
+        theta = DiscreteMeasure(ds.ground, np.full(16, 1.0 / 16))
+        wpp_to_reference(ds.train, theta)
+        build_bank(ds, theta, [0, 2, 4])
+        sample = MetricSample(distance_matrix=pairwise_wasserstein(ds.train))
+        nested_wasserstein(sample, sample.weights, np.r_[1.0, np.zeros(5)], p=2.0)
+        dense = make_synthetic_dataset(3, 3, 3, 0, seed=82, p=1.5)
+        pairwise_wasserstein(dense.train)
+        assert built == []
+
+    @forms
+    def test_two_reads_build_one_plan(self, monkeypatch, merges, form):
+        built, _ = merges
+        mu, nu = self.pair(form)
+        (plan, _, _), x = self.solve_recorded(monkeypatch, mu, nu)
+        assert built == []
+        first = plan.matrix
+        assert plan.matrix is first and len(built) == 1 and built[0] is first
+        # a fresh structure's plan function (listed too) gives the same bits
+        ia, ib = np.flatnonzero(mu.weights), np.flatnonzero(nu.weights)
+        if form == "dense":
+            fresh = ot._dense_lp(mu.ground.cost_matrix(), ia, ib)[3](x)
+        else:
+            fresh = ot._grid_flow(mu.ground.grid_shape, ia, ib)[3](x)
+        assert len(built) == 2 and same_bits(first, fresh)
+
+    @forms
+    def test_a_plan_off_its_marginals_fails_when_read(self, merges, form):
+        _, scale = merges
+        scale.append(1.0 + 1e-6)
+        plan, _, wpp = exact_ot(*self.pair(form))
+        assert plan.cost == wpp
+        for _ in range(2):
+            with pytest.raises(SolverFailure, match=r"^plan marginals violated by \d\.\d{3}e-\d\d$"):
+                plan.matrix
 
 
 def lp_pair(name):
@@ -691,6 +835,30 @@ class TestLpPaths:
             assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
         for x, y in [(pot.phi, pot2.phi), (pot.psi, pot2.psi)]:
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5], ids=["grid-flow", "dense"])
+    def test_linprog_flows_get_the_marginal_certificate(self, monkeypatch, caplog, p):
+        # HiGHS's flow is certified by its conservation residual, as the
+        # kernel's is: a clean solve passes, a flow 1e-6 too heavy fails
+        monkeypatch.setattr(ot, "_kernel", None)
+        caplog.set_level(logging.DEBUG, logger="wdlearn.ot")
+        rng = np.random.default_rng(17)
+        g = GroundSpace.grid((4, 4), p=p)
+        mu, nu = random_measure(g, rng, sparse=True), random_measure(g, rng)
+        exact_ot(mu, nu)
+        linprog = ot.linprog
+
+        def scaled_flow_linprog(*args):
+            res = linprog(*args)
+            res.x = res.x * (1.0 + 1e-6)
+            return res
+
+        monkeypatch.setattr(ot, "linprog", scaled_flow_linprog)
+        with pytest.raises(SolverFailure, match="^plan marginals violated by "):
+            exact_ot(mu, nu)
+        clean, scaled = [r for r in caplog.records if r.name == "wdlearn.ot"]
+        assert clean.lp_path == scaled.lp_path == "linprog"
+        assert clean.marginal_error <= 1e-9 < scaled.marginal_error
 
     @pytest.mark.parametrize("shape", [None, (3, 3)], ids=["dense", "grid-flow"])
     def test_an_lp_that_is_not_optimal_is_rejected_through_linprog(self, monkeypatch, shape):
@@ -861,7 +1029,10 @@ class TestSolverReuse:
         def solve(k):
             try:
                 start.wait()
+                # each plan is built and certified in its solving thread
                 results[k] = [exact_ot(mu, nu) for mu, nu in lists[k]]
+                for plan, _, _ in results[k]:
+                    plan.matrix
             except Exception as exc:  # read in the main thread
                 errors.append(exc)
 

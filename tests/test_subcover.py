@@ -80,6 +80,14 @@ class TestMetricSample:
         with pytest.raises(ValueError, match="^a metric sample needs at least one point$"):
             MetricSample(**sample)
 
+    def test_a_scalar_distance_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^the distance matrix must have shape \(n, n\), got \(\)$"):
+            MetricSample(distance_matrix=1.0)
+
+    def test_scalar_weights_are_rejected(self, measure_sample):
+        with pytest.raises(ValueError, match=r"probability vector over the sample, of shape \(2,\), got \(\)$"):
+            MetricSample(elements=measure_sample.elements[:2], weights=0.5)
+
     def test_needs_elements_or_a_distance_matrix(self):
         with pytest.raises(ValueError, match="provide elements or a distance matrix"):
             MetricSample()
